@@ -42,6 +42,8 @@ from .domains import (
     DomainError,
     OutsideDomainError,
     SchemaError,
+    _parse_complex as _json_complex,
+    _parse_points,
     domain_from_json_text,
 )
 from .equivalence import (
@@ -80,6 +82,30 @@ def _load_json(spec: str) -> dict:
         with open(spec) as fh:
             text = fh.read()
     return json.loads(text)
+
+
+def _json_real(value, where: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SchemaError(f"{where} must be a finite number")
+    return float(value)
+
+
+def _puncture_config(raw) -> PunctureConfig:
+    """The chart layout given to ``qi-verify --config``."""
+    if not isinstance(raw, dict):
+        raise SchemaError("chart layout must be a JSON object")
+    for key in ("punctures", "radii", "xis", "r_inf", "xi_inf"):
+        if key not in raw:
+            raise SchemaError(f"chart layout is missing field {key!r}")
+    if not isinstance(raw["radii"], list):
+        raise SchemaError("radii must be a list of numbers")
+    return PunctureConfig(
+        punctures=_parse_points(raw["punctures"], "punctures"),
+        radii=[_json_real(r, f"radii[{i}]") for i, r in enumerate(raw["radii"])],
+        xis=_parse_points(raw["xis"], "xis"),
+        r_inf=_json_real(raw["r_inf"], "r_inf"),
+        xi_inf=_json_complex(raw["xi_inf"], "xi_inf"))
 
 
 def _emit(obj) -> None:
@@ -149,6 +175,8 @@ def _cmd_heatmap(args) -> int:
     x0, x1, y0, y1 = args.window
     if not (x1 > x0 and y1 > y0):
         raise ValueError("window must satisfy x0 < x1 and y0 < y1")
+    if args.nx < 1 or args.ny < 1:
+        raise ValueError("--nx and --ny must be at least 1")
     field = _FIELDS[args.field](dom)
     xs = np.linspace(x0, x1, args.nx)
     ys = np.linspace(y0, y1, args.ny)
@@ -228,15 +256,7 @@ def _cmd_qi_verify(args) -> int:
                                     additive=additive)
         payload = {"mode": "identity", "report": rep.as_dict()}
     else:
-        cfg = None
-        if args.config:
-            raw = _load_json(args.config)
-            cfg = PunctureConfig(
-                punctures=[complex(p[0], p[1]) for p in raw["punctures"]],
-                radii=raw["radii"],
-                xis=[complex(x[0], x[1]) for x in raw["xis"]],
-                r_inf=raw["r_inf"],
-                xi_inf=complex(raw["xi_inf"][0], raw["xi_inf"][1]))
+        cfg = _puncture_config(_load_json(args.config)) if args.config else None
         gmap = build_global_qi_map(dom, cfg, allow_unbounded=args.allow_unbounded)
         additive = args.additive
         if additive is None:

@@ -255,7 +255,12 @@ def _twice_punctured_lower(a: complex, b: complex, p: complex, q: complex) -> Op
     return val if ok else None
 
 
-def _bp_arc_upper(domain: Domain, a: complex, b: complex) -> Optional[float]:
+def _bp_arc_upper(domain: Domain, a: complex, b: complex,
+                  cap: float = math.inf) -> Optional[float]:
+    """Smallest integral of the Beardon-Pommerenke density bound over the
+    chi-arcs around the first boundary points.  An integral is cut off once
+    it exceeds ``cap`` or the best arc so far, so a value above ``cap``
+    only says that no arc beats it."""
     from .beta import bp_upper_density  # deferred: beta builds on this module
 
     rho = bp_upper_density(domain)
@@ -266,6 +271,8 @@ def _bp_arc_upper(domain: Domain, a: complex, b: complex) -> Optional[float]:
         if a == center or b == center:
             continue
         path = chi_arc(a, b, center)
+        if len(path) < 2:
+            continue  # endpoints closer than rounding: the arc has no segment
         starts, ends = path.segments()
         # an arc grazing another boundary point carries a divergent bound
         grazes = any(
@@ -281,8 +288,10 @@ def _bp_arc_upper(domain: Domain, a: complex, b: complex) -> Optional[float]:
         try:
             # strict: the density bound blows up on the locus where the
             # gap exponent vanishes, and an arc crossing it has no finite
-            # integral; such candidates must be dropped, not truncated
-            val = rho_length(path, rho, rel_tol=1e-8, strict=True)
+            # integral; such candidates must be dropped, not truncated.
+            # Stopping above the cap ends such an arc early, as it loses.
+            stop = cap if best is None else min(best, cap)
+            val = rho_length(path, rho, rel_tol=1e-8, strict=True, stop_above=stop)
         except OutsideDomainError:
             continue
         if best is None or val < best:
@@ -295,10 +304,19 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
     """Certified interval for the hyperbolic distance between a and b.
 
     The lower bound is the best of the comparison-domain bounds (exact model
-    distances, twice-punctured-plane bound over anchor pairs); the upper
-    bound the best of the model estimates (punctured disk, disk exterior),
-    an integral of the density upper bound along an explicit arc, and
-    2 * k_upper when a quasihyperbolic upper bound is supplied.
+    distances, twice-punctured-plane bound over anchor pairs).  The upper
+    bound is the best of the model estimates (punctured disk, disk
+    exterior), twice a quasihyperbolic upper bound, and an integral of the
+    density upper bound along an explicit arc.
+
+    The doubling holds because the domain contains the disk B(z, delta(z)),
+    so the hyperbolic density is at most 2/delta and h <= 2k.  The
+    quasihyperbolic bound is the supplied ``k_upper``; when no model
+    estimate is finite, ``k_interval_fast``'s upper endpoint is computed
+    and the smaller of the two is used.  The arc integral runs only when
+    the doubled bound is the best so far, and stops as soon as it exceeds
+    it, which bounds the cost of arcs near the locus where the density
+    bound diverges.
     """
     a, b = as_finite(a), as_finite(b)
     if not (domain.contains(a) and domain.contains(b)):
@@ -358,14 +376,19 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
             if v < upper:
                 upper, upper_src = v, "disk-exterior-estimate"
 
+    if math.isinf(upper):
+        from .solver import k_interval_fast  # deferred: solver builds on this module
+
+        k_fast = k_interval_fast(domain, a, b).upper
+        k_upper = k_fast if k_upper is None else min(k_upper, k_fast)
     if k_upper is not None and 2.0 * k_upper < upper:
         upper, upper_src = 2.0 * k_upper, "double-quasihyperbolic"
 
-    # The arc integral is the most expensive estimate, so it only runs when
-    # nothing sharper than the generic doubling cap is available; this keeps
-    # the result independent of whether a k_upper hint was supplied.
+    # The arc integral is the most expensive estimate, so it runs only when
+    # nothing sharper than the doubling cap is available, and it is cut off
+    # once it exceeds the cap, where it would lose anyway.
     if math.isinf(upper) or upper_src == "double-quasihyperbolic":
-        v = _bp_arc_upper(domain, a, b)
+        v = _bp_arc_upper(domain, a, b, upper)
         if v is not None and v < upper:
             upper, upper_src = v, "density-bound-arc"
 

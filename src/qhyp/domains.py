@@ -615,7 +615,7 @@ def domain_from_json_text(text: str) -> Domain:
 
 def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
                rel_tol: float = 1e-8, max_depth: int = 60,
-               strict: bool = False) -> float:
+               strict: bool = False, stop_above: float = math.inf) -> float:
     """Integrate a positive density along a polyline.
 
     Adaptive midpoint quadrature, refined breadth-first with all active
@@ -626,6 +626,13 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
     subintervals survive all depth levels (as happens when the integral
     diverges at an interior singularity) the call raises instead of
     returning the unconverged partial sum.
+
+    ``stop_above`` ends the refinement early, returning the partial sum as
+    soon as it exceeds that value.  A piece is accepted only when
+    |fine - coarse| <= 1.5 rel_tol fine, so no accepted contribution is
+    negative and the full integral is at least the partial sum: a caller
+    that only wants to know whether the length beats ``stop_above`` gets
+    the same answer, and a value below ``stop_above`` is never cut short.
     """
     if isinstance(path, Polyline):
         z1s, z2s = path.segments()
@@ -655,6 +662,8 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
         err = np.abs(fine - coarse) / 3.0
         done = err <= 0.5 * rel_tol * np.maximum(fine, 1e-300)
         total += float(np.sum(np.where(done, fine + (fine - coarse) / 3.0, 0.0)))
+        if total > stop_above:
+            return total
         keep = ~done
         starts = np.concatenate([starts[keep], mids[keep]])
         ends = np.concatenate([mids[keep], ends[keep]])

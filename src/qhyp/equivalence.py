@@ -271,11 +271,22 @@ class RoughIsometryReport:
     additive: float
     violations: Tuple[dict, ...]
     slack: float
+    proved: int = 0
+
+    @property
+    def violated(self) -> int:
+        return len(self.violations)
+
+    @property
+    def inconclusive(self) -> int:
+        return self.pairs - self.proved - self.violated
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "pairs": self.pairs,
                 "multiplicative": self.multiplicative, "additive": self.additive,
-                "violations": list(self.violations), "slack": self.slack}
+                "violations": list(self.violations), "slack": self.slack,
+                "proved": self.proved, "violated": self.violated,
+                "inconclusive": self.inconclusive}
 
 
 def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
@@ -291,6 +302,8 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
     A pair is recorded as a violation only when the enclosures prove the
     claimed window is left; inconclusive pairs never fail.  `slack` is the
     largest certified excess over the window (zero when everything holds).
+    Each pair is counted once: as violated, as proved when both enclosures
+    lie inside the window, or else as inconclusive.
     """
     L, C = float(multiplicative), float(additive)
     if L <= 0:
@@ -298,7 +311,7 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
     img = image_domain or domain
     violations: List[dict] = []
     slack = 0.0
-    n = 0
+    n = proved = 0
     for a, b in pairs:
         a, b = complex(a), complex(b)
         n += 1
@@ -316,9 +329,11 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
             violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
                                "h": hiv.as_dict(), "k_image": kiv.as_dict(),
                                "excess": max(over, under)})
+        elif kiv.upper <= L * hiv.lower + C and hiv.upper / L - C <= kiv.lower:
+            proved += 1
     return RoughIsometryReport(ok=not violations, pairs=n, multiplicative=L,
                                additive=C, violations=tuple(violations),
-                               slack=slack)
+                               slack=slack, proved=proved)
 
 
 # ---------------------------------------------------------------------------

@@ -581,7 +581,8 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
                 and np.all(np.isfinite(mids)) and np.all(mids > 0)):
             continue
         try:
-            val = rho_length(path, density, rel_tol=1e-9) * (1.0 + 1e-9)
+            # a candidate cut off above the best so far loses either way
+            val = rho_length(path, density, rel_tol=1e-9, stop_above=upper) * (1.0 + 1e-9)
         except OutsideDomainError:
             continue
         if val < upper:

@@ -143,6 +143,50 @@ def test_qi_verify_global_two_punctures(capsys):
     assert payload["mode"] == "global"
     assert payload["report"]["ok"] is True
     assert payload["map"]["additive_constant"] > 0.0
+    rep = payload["report"]
+    assert (rep["proved"], rep["violated"], rep["inconclusive"]) == (4, 0, 0)
+
+
+CHARTS = {"punctures": [[0.0, 0.0], [1.0, 0.0]], "radii": [0.25, 0.25],
+          "xis": [[1.0, 0.0], [0.0, 0.0]], "r_inf": 5.0, "xi_inf": [1.0, 0.0]}
+
+
+def test_qi_verify_config_is_parsed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CHARTS))
+    rc, out, _ = run(capsys, "qi-verify", "--domain", TWO_PUNCT, "--mode", "global",
+                     "--pairs", "1", "--config", str(cfg))
+    assert rc == 0
+    assert json.loads(out)["map"]["radii"] == [0.25, 0.25]
+
+
+@pytest.mark.parametrize("key", sorted(CHARTS))
+def test_qi_verify_config_missing_key_is_exit_2(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: v for k, v in CHARTS.items() if k != key}))
+    rc, _, err = run(capsys, "qi-verify", "--domain", TWO_PUNCT, "--mode", "global",
+                     "--pairs", "1", "--config", str(cfg))
+    assert rc == 2
+    assert err.startswith("error:") and repr(key) in err
+
+
+def test_qi_verify_config_malformed_value_is_exit_2(capsys):
+    bad = json.dumps(dict(CHARTS, radii=[0.25, "wide"]))
+    rc, _, err = run(capsys, "qi-verify", "--domain", TWO_PUNCT, "--mode", "global",
+                     "--pairs", "1", "--config", bad)
+    assert rc == 2
+    assert "radii[1]" in err
+
+
+@pytest.mark.parametrize("axis", ["--nx", "--ny"])
+def test_heatmap_empty_grid_is_exit_2(tmp_path, capsys, axis):
+    out_csv = tmp_path / "beta.csv"
+    rc, _, err = run(capsys, "heatmap", "--domain", TWO_PUNCT,
+                     "--field", "beta", "--window", "-1", "2", "-1", "1",
+                     axis, "0", "--out", str(out_csv))
+    assert rc == 2
+    assert err.startswith("error:") and axis in err
+    assert not out_csv.exists()
 
 
 def test_counterexample_table_and_csv(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -27,6 +27,7 @@ from qhyp import (
     halfplane_distance,
     hyperbolic_disk_density,
     hyperbolic_disk_distance,
+    k_interval_fast,
     lambda01_lower,
     punctured_disk_density,
     quasihyperbolic_density,
@@ -221,6 +222,47 @@ def test_h_interval_punctured_disk_lower_respects_disk_metric():
     iv = h_interval(dom, a, b)
     assert iv.lower >= hyperbolic_disk_distance(a, b) - 1e-12
     assert iv.upper >= iv.lower
+
+
+# Two pairs of `qhyp qi-verify --pairs 4 --seed 0` on the plane minus {0, 1}.
+# Their Beardon-Pommerenke arcs run near the locus where that density bound
+# diverges: the first arc's integral was 129, the second's never converged.
+SLOW_ARC_PAIR = (1.7530809568010897 + 0.42654310306871945j,
+                 2.151022309110887 + 0.9179862439359936j)
+DIVERGENT_ARC_PAIR = (1.9296171063502774 + 0.9186217857197763j,
+                      -1.3656576987781426 - 1.297377517589764j)
+MODEL_ESTIMATES = ("punctured-disk-estimate", "disk-exterior-estimate")
+
+
+def test_h_interval_caps_upper_at_twice_k():
+    dom = FiniteComplement([0.0, 1.0])
+    a, b = SLOW_ARC_PAIR
+    iv = h_interval(dom, a, b)
+    k_up = k_interval_fast(dom, a, b).upper
+    assert math.isfinite(iv.upper)
+    assert iv.lower <= iv.upper <= 2.0 * k_up
+
+
+def test_h_interval_finite_where_the_arc_diverges():
+    dom = FiniteComplement([0.0, 1.0])
+    iv = h_interval(dom, *DIVERGENT_ARC_PAIR)
+    assert math.isfinite(iv.upper)
+    assert iv.upper_source == "double-quasihyperbolic"
+
+
+_plane_point = st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                         st.floats(min_value=-3.0, max_value=3.0)).map(lambda t: complex(*t))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_plane_point, _plane_point)
+def test_h_interval_upper_at_most_twice_k(a, b):
+    dom = FiniteComplement([0.0, 1.0])
+    assume(min(abs(a), abs(a - 1.0), abs(b), abs(b - 1.0)) > 0.05 and a != b)
+    iv = h_interval(dom, a, b)
+    assert iv.lower <= iv.upper
+    if not iv.upper_source.startswith(MODEL_ESTIMATES):
+        assert iv.upper <= 2.0 * k_interval_fast(dom, a, b).upper
 
 
 def test_h_interval_uses_quasihyperbolic_cap():

@@ -219,6 +219,48 @@ def test_rho_length_rejects_path_through_boundary():
         rho_length(Polyline([-1.0, 1.0]), density)
 
 
+def _counting(density):
+    seen = [0]
+
+    def rho(z):
+        seen[0] += np.size(z)
+        return density(z)
+    return rho, seen
+
+
+def test_rho_length_stop_above_cuts_off_above_the_cutoff():
+    # integral of |dz| / |z| along [1, e^5] is 5
+    path = Polyline([1.0, math.exp(5.0)])
+    full_rho, full = _counting(lambda z: 1.0 / np.abs(z))
+    cut_rho, cut = _counting(lambda z: 1.0 / np.abs(z))
+    exact = rho_length(path, full_rho, rel_tol=1e-12)
+    partial = rho_length(path, cut_rho, rel_tol=1e-12, stop_above=2.0)
+    assert 2.0 < partial <= exact
+    assert cut[0] < full[0]
+
+
+def test_rho_length_stop_above_is_bit_identical_when_not_reached():
+    dom = FiniteComplement([0.0, 1.0])
+    density = quasihyperbolic_density(dom)
+    path = Polyline([0.2 + 0.1j, 0.5 + 0.4j, 2.0 + 0.3j, 3.0])
+    val = rho_length(path, density, rel_tol=1e-10)
+    assert rho_length(path, density, rel_tol=1e-10, stop_above=val) == val
+    assert rho_length(path, density, rel_tol=1e-10, stop_above=2.0 * val) == val
+
+
+def test_rho_length_stop_above_ends_a_divergent_strict_integral():
+    # |z - 1/3|^-2 has no finite integral over [0, 1]: the strict refinement
+    # raises once a midpoint lands on the pole, unless the cutoff comes first
+    path = Polyline([0.0, 1.0])
+
+    def density(z):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(z - 1.0 / 3.0) ** 2
+    with pytest.raises(OutsideDomainError):
+        rho_length(path, density, strict=True)
+    assert rho_length(path, density, strict=True, stop_above=10.0) > 10.0
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))
 def test_rho_length_radial_quasihyperbolic(r1, r2):

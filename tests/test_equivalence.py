@@ -167,6 +167,9 @@ def test_identity_on_halfplane_is_rough_isometry():
     report = verify_rough_isometry(dom, lambda z: z, pairs)
     assert report.ok
     assert report.slack <= 1e-9
+    # with no additive room, k's padded quadrature upper bound sits just
+    # above the exact h, so no pair is proved although none is violated
+    assert (report.proved, report.violated, report.inconclusive) == (0, 0, 3)
 
 
 def test_rough_isometry_detects_certified_failure():
@@ -181,6 +184,7 @@ def test_rough_isometry_detects_certified_failure():
     assert report.violations
     # first pair alone certifies an excess of h(i, 1024 i) = log 1024
     assert report.slack >= math.log(1024.0) - 1e-9
+    assert (report.proved, report.violated, report.inconclusive) == (0, 2, 0)
 
 
 def test_rough_isometry_additive_budget_absorbs_failure():
@@ -192,6 +196,8 @@ def test_rough_isometry_additive_budget_absorbs_failure():
                                      additive=strict.slack + 1e-6)
     assert generous.ok
     assert generous.slack == 0.0
+    assert (generous.proved, generous.violated, generous.inconclusive) == (2, 0, 0)
+    assert generous.as_dict()["proved"] == 2
 
 
 # ---------------------------------------------------------------------------
