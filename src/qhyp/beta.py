@@ -19,12 +19,17 @@ import numpy as np
 from .constants import KAPPA, NEAREST_BOUNDARY_SLACK
 from .densities import h01_lower
 from .domains import (
+    ComplementDisk,
+    ComplementDiskExterior,
+    ComplementHalfPlane,
     ComplementPoint,
     Domain,
     DomainError,
     FiniteComplement,
     OutsideDomainError,
     SchemaError,
+    _parse_complex as cval,
+    circle_samples,
     rho_length,
 )
 from .geometry import (
@@ -408,22 +413,10 @@ def check_abc(domain: Domain, path: Polyline, mu: float, nu: float,
 # Uniform perfectness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UPPoint:
-    point: complex
-
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        d = abs(o - self.point)
-        return [(d, d)]
-
-    def distance_to(self, p: complex) -> float:
-        return abs(p - self.point)
-
-    def accumulates_at_infinity(self) -> bool:
-        return False
-
-    def centers(self) -> List[complex]:
-        return [self.point]
+# Points, disks, half-planes and disk exteriors of a set are the complement
+# components of the same name.
+UPPoint, UPDisk, UPHalfPlane, UPDiskExterior = (
+    ComplementPoint, ComplementDisk, ComplementHalfPlane, ComplementDiskExterior)
 
 
 @dataclass(frozen=True)
@@ -446,36 +439,7 @@ class UPCircle:
         return False
 
     def centers(self) -> List[complex]:
-        return [self.center + self.radius * complex(math.cos(k * math.pi / 4.0),
-                                                    math.sin(k * math.pi / 4.0))
-                for k in range(8)]
-
-
-@dataclass(frozen=True)
-class UPDisk:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("disk radius must be finite and positive")
-
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        d = abs(o - self.center)
-        return [(max(0.0, d - self.radius), d + self.radius)]
-
-    def distance_to(self, p: complex) -> float:
-        return max(0.0, abs(p - self.center) - self.radius)
-
-    def accumulates_at_infinity(self) -> bool:
-        return False
-
-    def centers(self) -> List[complex]:
-        pts = [self.center]
-        pts.extend(self.center + self.radius * complex(math.cos(k * math.pi / 4.0),
-                                                       math.sin(k * math.pi / 4.0))
-                   for k in range(8))
-        return pts
+        return circle_samples(self.center, self.radius)
 
 
 @dataclass(frozen=True)
@@ -500,55 +464,6 @@ class UPRay:
 
     def centers(self) -> List[complex]:
         return [self.origin]
-
-
-@dataclass(frozen=True)
-class UPHalfPlane:
-    origin: complex = 0.0
-    direction: complex = 1.0
-
-    def __post_init__(self):
-        if self.direction == 0:
-            raise ValueError("direction must be nonzero")
-
-    def distance_to(self, p: complex) -> float:
-        u = self.direction / abs(self.direction)
-        return max(0.0, ((p - self.origin) / u).imag)
-
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        return [(self.distance_to(o), math.inf)]
-
-    def accumulates_at_infinity(self) -> bool:
-        return True
-
-    def centers(self) -> List[complex]:
-        return [self.origin]
-
-
-@dataclass(frozen=True)
-class UPDiskExterior:
-    """The closed region outside a circle, |z - center| >= radius."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be finite and positive")
-
-    def distance_to(self, p: complex) -> float:
-        return max(0.0, self.radius - abs(p - self.center))
-
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        return [(self.distance_to(o), math.inf)]
-
-    def accumulates_at_infinity(self) -> bool:
-        return True
-
-    def centers(self) -> List[complex]:
-        return [self.center + self.radius * complex(math.cos(k * math.pi / 4.0),
-                                                    math.sin(k * math.pi / 4.0))
-                for k in range(8)]
 
 
 @dataclass(frozen=True)
@@ -753,13 +668,6 @@ def up_set_from_json(obj: dict) -> UPSet:
             raise SchemaError(f"unknown field {key!r} in set description")
     if "includes_infinity" in obj and obj["includes_infinity"] is not True:
         raise SchemaError("these sets always contain infinity")
-
-    def cval(v, where) -> complex:
-        if (not isinstance(v, (list, tuple)) or len(v) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           and math.isfinite(x) for x in v)):
-            raise SchemaError(f"{where} must be a [re, im] pair of finite numbers")
-        return complex(v[0], v[1])
 
     def fval(v, where) -> float:
         if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):

@@ -77,7 +77,7 @@ def lambda01_lower(z) -> np.ndarray:
 def quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np.ndarray]:
     """1 / dist(z, boundary) as a vectorized callable."""
     def rho(z):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / domain.delta_field(z)
     return rho
 
@@ -86,7 +86,7 @@ def chordal_quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np
     """Spherical conformal factor over the chordal boundary distance."""
     def rho(z):
         z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             return (2.0 / (1.0 + np.abs(z) ** 2)) / domain.chordal_boundary_distance_field(z)
     return rho
 

@@ -46,8 +46,29 @@ class UnsupportedDomainError(DomainError):
 # Complement components
 # ---------------------------------------------------------------------------
 
+def circle_samples(center: complex, radius: float) -> List[complex]:
+    """Eight points of a circle, at the angles k pi/4."""
+    return [center + radius * complex(math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0))
+            for k in range(8)]
+
+
+class Component:
+    """A closed component of a domain's complement.  Uniform perfectness sees
+    one through ``blocked``, ``distance_to`` and ``centers``."""
+
+    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
+        raise NotImplementedError
+
+    def blocked(self, o: complex) -> List[Tuple[float, float]]:
+        """The distances from o the component occupies, as intervals."""
+        return [self.distance_range_from(o)]
+
+    def distance_to(self, p: complex) -> float:
+        return self.distance_range_from(p)[0]
+
+
 @dataclass(frozen=True)
-class ComplementPoint:
+class ComplementPoint(Component):
     """A single boundary point."""
 
     point: complex
@@ -76,24 +97,24 @@ class ComplementPoint:
     def accumulates_at_infinity(self) -> bool:
         return False
 
+    def centers(self) -> List[complex]:
+        return [self.point]
+
     def transformed(self, scale: complex, shift: complex) -> "ComplementPoint":
         return ComplementPoint(scale * self.point + shift)
 
 
 @dataclass(frozen=True)
-class ComplementDisk:
-    """A closed disk in the complement."""
+class _RoundComponent(Component):
+    """What a closed disk and the closed outside of an open disk share:
+    their boundary circle."""
 
     center: complex
     radius: float
 
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("disk radius must be finite and positive")
-
-    def distance_field(self, z: np.ndarray) -> np.ndarray:
-        r = np.abs(np.asarray(z, dtype=np.complex128) - self.center)
-        return np.maximum(0.0, r - self.radius)
+            raise ValueError("radius must be finite and positive")
 
     def nearest_points(self, z: complex) -> List[complex]:
         v = z - self.center
@@ -106,6 +127,28 @@ class ComplementDisk:
         v = z - self.center
         v = np.where(v == 0, 1.0, v)
         return self.center + self.radius * v / np.abs(v)
+
+    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
+        if self.center != 0:
+            raise UnsupportedDomainError(
+                "chordal boundary distance to an off-center circle is not supported")
+        z = np.asarray(z, dtype=np.complex128)
+        proj = self.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
+        lift_z = np.hypot(1.0, np.abs(z))
+        lift_p = math.hypot(1.0, self.radius)
+        return 2.0 * np.abs(z - proj) / (lift_z * lift_p)
+
+    def transformed(self, scale: complex, shift: complex) -> "_RoundComponent":
+        return type(self)(scale * self.center + shift, abs(scale) * self.radius)
+
+
+@dataclass(frozen=True)
+class ComplementDisk(_RoundComponent):
+    """A closed disk in the complement."""
+
+    def distance_field(self, z: np.ndarray) -> np.ndarray:
+        r = np.abs(np.asarray(z, dtype=np.complex128) - self.center)
+        return np.maximum(0.0, r - self.radius)
 
     def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
         d = abs(zeta - self.center)
@@ -115,49 +158,20 @@ class ComplementDisk:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
         return np.maximum(0.0, d - self.radius), d + self.radius
 
-    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
-        if self.center != 0:
-            raise UnsupportedDomainError(
-                "chordal boundary distance to an off-center circle is not supported")
-        z = np.asarray(z, dtype=np.complex128)
-        proj = self.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
-        lift_z = np.hypot(1.0, np.abs(z))
-        lift_p = math.hypot(1.0, self.radius)
-        return 2.0 * np.abs(z - proj) / (lift_z * lift_p)
-
     def accumulates_at_infinity(self) -> bool:
         return False
 
-    def transformed(self, scale: complex, shift: complex) -> "ComplementDisk":
-        return ComplementDisk(scale * self.center + shift, abs(scale) * self.radius)
+    def centers(self) -> List[complex]:
+        return [self.center] + circle_samples(self.center, self.radius)
 
 
 @dataclass(frozen=True)
-class ComplementDiskExterior:
+class ComplementDiskExterior(_RoundComponent):
     """The closed region outside an open disk: {z : |z - center| >= radius}."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be finite and positive")
 
     def distance_field(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=np.complex128) - self.center)
         return np.maximum(0.0, self.radius - r)
-
-    def nearest_points(self, z: complex) -> List[complex]:
-        v = z - self.center
-        if v == 0:
-            return [self.center + self.radius]
-        return [self.center + self.radius * v / abs(v)]
-
-    def nearest_point_field(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        v = z - self.center
-        v = np.where(v == 0, 1.0, v)
-        return self.center + self.radius * v / np.abs(v)
 
     def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
         d = abs(zeta - self.center)
@@ -167,25 +181,15 @@ class ComplementDiskExterior:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
         return np.maximum(0.0, self.radius - d), np.full(d.shape, math.inf)
 
-    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
-        if self.center != 0:
-            raise UnsupportedDomainError(
-                "chordal boundary distance to an off-center circle is not supported")
-        z = np.asarray(z, dtype=np.complex128)
-        proj = self.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
-        lift_z = np.hypot(1.0, np.abs(z))
-        lift_p = math.hypot(1.0, self.radius)
-        return 2.0 * np.abs(z - proj) / (lift_z * lift_p)
-
     def accumulates_at_infinity(self) -> bool:
         return True
 
-    def transformed(self, scale: complex, shift: complex) -> "ComplementDiskExterior":
-        return ComplementDiskExterior(scale * self.center + shift, abs(scale) * self.radius)
+    def centers(self) -> List[complex]:
+        return circle_samples(self.center, self.radius)
 
 
 @dataclass(frozen=True)
-class ComplementHalfPlane:
+class ComplementHalfPlane(Component):
     """A closed half-plane {z : Im((z - origin)/u) <= 0}, u = direction/|direction|."""
 
     origin: complex = 0.0
@@ -240,6 +244,9 @@ class ComplementHalfPlane:
     def accumulates_at_infinity(self) -> bool:
         return True
 
+    def centers(self) -> List[complex]:
+        return [self.origin]
+
     def transformed(self, scale: complex, shift: complex) -> "ComplementHalfPlane":
         return ComplementHalfPlane(scale * self.origin + shift, scale * self.direction)
 
@@ -261,9 +268,6 @@ def _chordal_to_real_line(z: complex) -> float:
         if math.isfinite(t):
             best = min(best, chordal_distance(z, complex(t, 0.0)))
     return best
-
-
-Component = object  # any of the Complement* classes above
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +415,7 @@ class FiniteComplement(Domain):
                     raise DomainError(f"punctures {i} and {j} coincide")
         self._punctures = tuple(pts)
         self._contains_inf = bool(contains_infinity)
+        self._components = tuple(ComplementPoint(p) for p in pts)
 
     @property
     def punctures(self) -> Tuple[complex, ...]:
@@ -420,7 +425,7 @@ class FiniteComplement(Domain):
         return self._contains_inf
 
     def complement_components(self) -> Tuple[Component, ...]:
-        return tuple(ComplementPoint(p) for p in self._punctures)
+        return self._components
 
     def to_json_dict(self) -> dict:
         out = {"type": "finite_complement",

@@ -25,7 +25,7 @@ from .constants import KAPPA
 from .beta import UPDisk, UPDiskExterior, UPSet, up_modulus_sup
 from .densities import DistanceInterval, h_interval, h_upper_three_punct
 from .domains import Domain, FiniteComplement
-from .solver import Resolution, k_interval_fast, k_numeric, k_star_exact
+from .solver import Resolution, VerdictCounts, k_interval_fast, k_numeric, k_star_exact
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def build_global_qi_map(domain: Domain,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RoughIsometryReport:
+class RoughIsometryReport(VerdictCounts):
     ok: bool
     pairs: int
     multiplicative: float
@@ -273,20 +273,11 @@ class RoughIsometryReport:
     slack: float
     proved: int = 0
 
-    @property
-    def violated(self) -> int:
-        return len(self.violations)
-
-    @property
-    def inconclusive(self) -> int:
-        return self.pairs - self.proved - self.violated
-
     def as_dict(self) -> dict:
         return {"ok": self.ok, "pairs": self.pairs,
                 "multiplicative": self.multiplicative, "additive": self.additive,
                 "violations": list(self.violations), "slack": self.slack,
-                "proved": self.proved, "violated": self.violated,
-                "inconclusive": self.inconclusive}
+                **self.verdicts()}
 
 
 def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import cmath
+import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -21,7 +23,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.spatial import cKDTree
 
-from .densities import DistanceInterval
+from .densities import (
+    DistanceInterval,
+    chordal_quasihyperbolic_density,
+    halfplane_distance,
+    quasihyperbolic_density,
+)
 from .domains import (
     ComplementPoint,
     Domain,
@@ -83,14 +90,8 @@ def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
     return math.hypot(dlog, dang)
 
 
-def k_halfplane_exact(a: complex, b: complex) -> float:
-    """Quasihyperbolic distance of the upper half-plane (it coincides with
-    the hyperbolic distance there)."""
-    ya, yb = a.imag, b.imag
-    if ya <= 0 or yb <= 0:
-        raise ValueError("points must lie in the upper half-plane")
-    s = abs(a - b) ** 2 / (2.0 * ya * yb)
-    return math.log1p(s + math.sqrt(s * (s + 2.0)))
+# On the upper half-plane the quasihyperbolic and hyperbolic distances agree.
+k_halfplane_exact = halfplane_distance
 
 
 def gp_lower_bound(domain: Domain, a: complex, b: complex) -> float:
@@ -121,14 +122,11 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
         best = ratio
     for comp in domain.complement_components():
         name = type(comp).__name__
-        if name == "ComplementPoint":
-            val = k_star_exact(a, b, comp.point)
+        if name in ("ComplementPoint", "ComplementDisk"):
+            c = comp.point if name == "ComplementPoint" else comp.center
+            val = k_star_exact(a, b, c)
             if val > best[0]:
-                best = (val, f"winding({comp.point:g})")
-        elif name == "ComplementDisk":
-            val = k_star_exact(a, b, comp.center)
-            if val > best[0]:
-                best = (val, f"winding({comp.center:g})")
+                best = (val, f"winding({c:g})")
         elif name == "ComplementHalfPlane":
             u = comp.direction / abs(comp.direction)
             val = k_halfplane_exact((a - comp.origin) / u, (b - comp.origin) / u)
@@ -141,13 +139,12 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 # Grid construction
 # ---------------------------------------------------------------------------
 
-def _edge_weights(density, u: np.ndarray, v: np.ndarray,
-                  punctures: Sequence[complex], clearance: float) -> np.ndarray:
-    """Three-point quadrature weight per segment; inf where the segment is
-    invalid (leaves the domain or dives toward a removed point)."""
-    ru = density(u)
-    rm = density(0.5 * (u + v))
-    rv = density(v)
+def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
+                  rv: np.ndarray, punctures: Sequence[complex],
+                  clearance: float) -> np.ndarray:
+    """Three-point quadrature weight per segment [u, v] from the density at
+    its start, midpoint and end; inf where the segment is invalid (leaves the
+    domain or dives toward a removed point)."""
     w = np.abs(v - u) * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
@@ -167,6 +164,20 @@ class _Chart:
         self.pairs = pairs        # (m, 2) intra-chart edge index pairs
 
 
+def _grid_pairs(rows: int, cols: int, wrap: bool) -> np.ndarray:
+    """(m, 2) index pairs of the 8-neighbour stencil on a row-major grid;
+    with ``wrap`` the last column neighbours the first."""
+    pairs: List[np.ndarray] = []
+    jj = np.arange(cols)
+    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        i0 = np.arange(0, rows - di)
+        j0 = jj if wrap else jj[max(0, -dj): cols - max(0, dj)]
+        a_idx = (i0[:, None] * cols + j0[None, :]).ravel()
+        b_idx = ((i0 + di)[:, None] * cols + ((j0 + dj) % cols)[None, :]).ravel()
+        pairs.append(np.stack([a_idx, b_idx], axis=1))
+    return np.concatenate(pairs, axis=0)
+
+
 def _log_polar_chart(p: complex, s_min: float, s_max: float,
                      res: Resolution) -> _Chart:
     ns, na = res.radial, res.angular
@@ -177,16 +188,7 @@ def _log_polar_chart(p: complex, s_min: float, s_max: float,
     dth = 2.0 * math.pi / na
     h = max(ds, dth)
     spacing = (np.exp(s)[:, None] * h * np.ones((1, na))).ravel()
-
-    pairs: List[np.ndarray] = []
-    jj = np.arange(na)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        i0 = np.arange(0, ns - di)
-        j2 = (jj + dj) % na
-        a_idx = (i0[:, None] * na + jj[None, :]).ravel()
-        b_idx = ((i0 + di)[:, None] * na + j2[None, :]).ravel()
-        pairs.append(np.stack([a_idx, b_idx], axis=1))
-    return _Chart(z.ravel(), spacing, np.concatenate(pairs, axis=0))
+    return _Chart(z.ravel(), spacing, _grid_pairs(ns, na, wrap=True))
 
 
 def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
@@ -202,16 +204,7 @@ def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
     dx = (x_hi - x_lo) / max(nx - 1, 1)
     dt = (t[-1] - t[0]) / max(nt - 1, 1)
     spacing = np.maximum(dx, np.exp(t)[:, None] * dt * np.ones((1, nx))).ravel()
-
-    pairs: List[np.ndarray] = []
-    jj = np.arange(nx)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        i0 = np.arange(0, nt - di)
-        j0 = jj[max(0, -dj): nx - max(0, dj)]
-        a_idx = (i0[:, None] * nx + j0[None, :]).ravel()
-        b_idx = ((i0 + di)[:, None] * nx + (j0 + dj)[None, :]).ravel()
-        pairs.append(np.stack([a_idx, b_idx], axis=1))
-    return _Chart(z.ravel(), spacing, np.concatenate(pairs, axis=0))
+    return _Chart(z.ravel(), spacing, _grid_pairs(nt, nx, wrap=False))
 
 
 def _charts_for(domain: Domain, a: complex, b: complex,
@@ -312,13 +305,18 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     _, uniq = np.unique(key, return_index=True)
     lo, hi = lo[uniq], hi[uniq]
 
-    w = _edge_weights(density, nodes[lo], nodes[hi], punctures, res.clearance)
+    # the density once per node, gathered for both ends of every edge
+    rho = density(nodes)
+    u, v = nodes[lo], nodes[hi]
+    w = _edge_weights(u, v, rho[lo], density(0.5 * (u + v)), rho[hi],
+                      punctures, res.clearance)
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
     if not keep.any():
         raise SolverError("no admissible edges near the requested points")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
-    meta = {"charts": len(charts), "nodes": int(nodes.size), "edges": int(w.size)}
+    meta = {"charts": len(charts), "nodes": int(nodes.size), "edges": int(w.size),
+            "weight_calls": 1, "density_points": int(nodes.size + u.size)}
     return nodes, graph, anchor_ids, meta
 
 
@@ -344,22 +342,40 @@ def _shortest_path(nodes: np.ndarray, graph: csr_matrix, ia: int,
 # Path relaxation
 # ---------------------------------------------------------------------------
 
-def _segment_lengths(density, u: np.ndarray, v: np.ndarray,
-                     punctures: Sequence[complex], clearance: float) -> np.ndarray:
-    return _edge_weights(density, u, v, punctures, clearance)
-
-
 def _relax_path(points: List[complex], density, punctures: Sequence[complex],
-                res: Resolution) -> Tuple[List[complex], int]:
-    """Red-black perpendicular relaxation with a vectorized golden search."""
+                res: Resolution) -> Tuple[List[complex], int, dict]:
+    """Red-black perpendicular relaxation with a vectorized golden search.
+
+    A half-sweep moves every other interior vertex along the normal of the
+    chord between its neighbours zm and zp.  Both golden-section probes c1
+    and c2 of its m vertices are scored by one weight evaluation over the 4m
+    stacked segments zm->c1, c1->zp, zm->c2, c2->zp, as are the final offset
+    and the unmoved vertex.  The density at zm and zp is evaluated once per
+    half-sweep and at a candidate once for both its segments; each probe,
+    comparison and sum is that of scoring the probes one by one.
+
+    Returns the relaxed points, the sweeps run, and the work done as
+    ``weight_calls`` and ``density_points``.
+    """
+    work = {"weight_calls": 0, "density_points": 0}
+
+    def rho(z):
+        work["density_points"] += z.size
+        return density(z)
+
+    def weights(u, v, ru, rm, rv):
+        work["weight_calls"] += 1
+        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance)
+
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
-        return list(points), 0
+        return list(points), 0, work
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def total(Q):
-        return float(np.sum(_segment_lengths(density, Q[:-1], Q[1:],
-                                             punctures, res.clearance)))
+        u, v = Q[:-1], Q[1:]
+        r = rho(Q)
+        return float(np.sum(weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:])))
 
     current = total(P)
     sweeps_done = 0
@@ -386,21 +402,33 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
             amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
                                     0.5 * clen)
 
+            # two offsets per vertex, stacked: the first m and the last m
+            m = idx.size
+            zm2, zc2, zp2, normal2 = (np.tile(x, 2) for x in (zm, zc, zp, normal))
+            r_ends = rho(np.concatenate([zm, zp]))
+            r_zm2, r_zp2 = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
+
             def f(t):
-                cand = zc + t * normal
-                return (_segment_lengths(density, zm, cand, punctures, res.clearance)
-                        + _segment_lengths(density, cand, zp, punctures, res.clearance))
+                cand = zc2 + t * normal2
+                u = np.concatenate([zm2, cand])
+                v = np.concatenate([cand, zp2])
+                r = rho(np.concatenate([cand, 0.5 * (u + v)]))
+                rc = r[:2 * m]
+                w = weights(u, v, np.concatenate([r_zm2, rc]), r[2 * m:],
+                            np.concatenate([rc, r_zp2]))
+                return w[:2 * m] + w[2 * m:]
 
             lo, hi = -amp, amp
             for _ in range(res.golden_iters):
                 c1 = hi - invphi * (hi - lo)
                 c2 = lo + invphi * (hi - lo)
-                left = f(c1) < f(c2)
+                fc = f(np.concatenate([c1, c2]))
+                left = fc[:m] < fc[m:]
                 hi = np.where(left, c2, hi)
                 lo = np.where(left, lo, c1)
             t_best = 0.5 * (lo + hi)
-            f_best = f(t_best)
-            f_zero = f(np.zeros_like(t_best))
+            fb = f(np.concatenate([t_best, np.zeros_like(t_best)]))
+            f_best, f_zero = fb[:m], fb[m:]
             accept = f_best < f_zero
             if accept.any():
                 P[idx[accept]] = (zc + t_best * normal)[accept]
@@ -414,7 +442,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 current = new_total
                 break
             current = new_total
-    return [complex(z) for z in P], sweeps_done
+    return [complex(z) for z in P], sweeps_done, work
 
 
 def _resample(path: Polyline, domain: Domain, factor: float = 0.4,
@@ -453,6 +481,7 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     punctures = [c.point for c in domain.complement_components()
                  if isinstance(c, ComplementPoint)]
     meta: dict = {}
+    t0 = time.perf_counter()
     if warm_start is not None:
         pts = warm_start.points
         scale = max(abs(ca), abs(cb), 1.0)
@@ -464,17 +493,25 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         seed_path = Polyline.cleaned(pts if not flipped else tuple(reversed(pts)))
         raw = _resample(seed_path, domain)
         meta["warm_start"] = True
+        t1 = t2 = time.perf_counter()  # the resampled seed stands in for the graph
     else:
         nodes, graph, (ia, ib), meta = _build_graph(domain, [ca, cb], res, density)
+        t1 = time.perf_counter()
         raw, graph_len = _shortest_path(nodes, graph, ia, ib)
         meta["graph_length"] = graph_len
+        t2 = time.perf_counter()
 
-    relaxed, sweeps = _relax_path(raw, density, punctures, res)
+    relaxed, sweeps, work = _relax_path(raw, density, punctures, res)
     meta["relax_sweeps"] = sweeps
+    t3 = time.perf_counter()
     path = Polyline.cleaned(relaxed)
     measured = rho_length(path, density, rel_tol=res.measure_tol)
     upper = measured * (1.0 + res.measure_tol)
     meta["measured"] = measured
+    for key, value in work.items():
+        meta[key] = meta.get(key, 0) + value
+    meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t3 - t2,
+                measure_s=time.perf_counter() - t3)
 
     lo_val, lo_src = lower
     if upper < lo_val:
@@ -493,7 +530,7 @@ def k_numeric(domain: Domain, a: complex, b: complex,
     discrete near-geodesic.  Lower bounds are exact for one removed point and
     for the half-plane."""
     res = resolution or Resolution()
-    density = _euclidean_density(domain)
+    density = quasihyperbolic_density(domain)
     comps = domain.complement_components()
     if isinstance(domain, UpperHalfPlane):
         lower = (k_halfplane_exact(a, b), "halfplane-exact")
@@ -502,23 +539,6 @@ def k_numeric(domain: Domain, a: complex, b: complex,
     else:
         lower = k_lower_analytic(domain, a, b)
     return _geodesic(domain, a, b, density, lower, res, warm_start)
-
-
-def _euclidean_density(domain: Domain):
-    def rho(z):
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / domain.delta_field(z)
-    return rho
-
-
-def _chordal_density(domain: Domain):
-    def rho(z):
-        z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = 2.0 / (1.0 + np.abs(z) ** 2)
-            return t / domain.chordal_boundary_distance_field(z)
-    return rho
 
 
 def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
@@ -537,7 +557,7 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
     distance.  The lower bound combines the spherical gap estimate with a
     quarter of the best euclidean lower bound."""
     res = resolution or Resolution()
-    density = _chordal_density(domain)
+    density = chordal_quasihyperbolic_density(domain)
     lo_sph = (chordal_gp_lower(domain, a, b), "chordal-gap")
     lo_euc = k_lower_analytic(domain, a, b)
     lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
@@ -559,9 +579,21 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     if a == b:
         return DistanceInterval(0.0, 0.0, "coincident", "coincident")
     lo_val, lo_src = k_lower_analytic(domain, a, b)
-    density = _euclidean_density(domain)
+    density = quasihyperbolic_density(domain)
 
-    candidates: List[Tuple[Polyline, str]] = [(Polyline.cleaned([a, b]), "segment")]
+    upper = math.inf
+    up_src = "none"
+    segment = Polyline.cleaned([a, b])
+    if len(segment) < 2:
+        # endpoints closer than rounding: nothing to integrate, but delta is
+        # 1-Lipschitz, so 1/delta <= 1/(min(delta(a), delta(b)) - |a-b|) on [a, b]
+        gap = math.nextafter(abs(a - b), math.inf)
+        near = min(domain.delta(a), domain.delta(b)) * (1.0 - 8.0 * sys.float_info.epsilon)
+        room = math.nextafter(near - gap, 0.0)
+        if room > 0.0:
+            upper, up_src = math.nextafter(gap / room, math.inf), "segment-lipschitz"
+
+    candidates: List[Tuple[Polyline, str]] = [(segment, "segment")]
     anchors = list(domain.finite_boundary_points())
     for comp in domain.complement_components():
         c = getattr(comp, "center", None)
@@ -571,9 +603,9 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
         if abs(a - c) > 0 and abs(b - c) > 0:
             candidates.append((chi_arc(a, b, c), f"arc({c:g})"))
 
-    upper = math.inf
-    up_src = "none"
     for path, name in candidates:
+        if len(path) < 2:
+            continue  # collapsed to a point: its length 0 bounds nothing
         probe = path.as_array()
         vals = density(probe)
         mids = density(0.5 * (probe[:-1] + probe[1:]))
@@ -617,19 +649,38 @@ def _mobius_image_domain(domain: Domain, T) -> Domain:
     return FiniteComplement(finite)
 
 
+class VerdictCounts:
+    """A verification report's pairs, each counted once: as violated, as
+    proved, or else as inconclusive.  Needs ``pairs``, ``proved`` and
+    ``violations``."""
+
+    @property
+    def violated(self) -> int:
+        return len(self.violations)
+
+    @property
+    def inconclusive(self) -> int:
+        return self.pairs - self.proved - self.violated
+
+    def verdicts(self) -> dict:
+        return {"proved": self.proved, "violated": self.violated,
+                "inconclusive": self.inconclusive}
+
+
 @dataclass(frozen=True)
-class MobiusQIReport:
+class MobiusQIReport(VerdictCounts):
     ok: bool
     pairs: int
     worst_upper_ratio: float   # certified lower bound on sup k'/k
     worst_lower_ratio: float   # certified upper bound on inf k'/k
     violations: Tuple[dict, ...]
+    proved: int = 0
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "pairs": self.pairs,
                 "worst_upper_ratio": self.worst_upper_ratio,
                 "worst_lower_ratio": self.worst_lower_ratio,
-                "violations": list(self.violations)}
+                "violations": list(self.violations), **self.verdicts()}
 
 
 def check_mobius_quasi_invariance(domain: Domain, mobius, pairs,
@@ -640,12 +691,14 @@ def check_mobius_quasi_invariance(domain: Domain, mobius, pairs,
 
     A violation is recorded only when the computed enclosures prove the
     factor-two window is left; inconclusive pairs never fail the check.
+    Each pair is counted once: as violated, as proved when both enclosures
+    put k'/k inside [1/2, 2], or else as inconclusive.
     """
     image = _mobius_image_domain(domain, mobius)
     worst_hi = 0.0
     worst_lo = math.inf
     violations: List[dict] = []
-    n = 0
+    n = proved = 0
     for a, b in pairs:
         a, b = complex(a), complex(b)
         if a == b:
@@ -667,8 +720,11 @@ def check_mobius_quasi_invariance(domain: Domain, mobius, pairs,
         if hi_bad or lo_bad:
             violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
                                "source": k1.as_dict(), "image": k2.as_dict()})
+        elif k2.upper <= 2.0 * k1.lower and k2.lower >= 0.5 * k1.upper:
+            proved += 1
     return MobiusQIReport(ok=not violations, pairs=n, worst_upper_ratio=worst_hi,
-                          worst_lower_ratio=worst_lo, violations=tuple(violations))
+                          worst_lower_ratio=worst_lo, violations=tuple(violations),
+                          proved=proved)
 
 
 def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
@@ -681,19 +737,20 @@ def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
 
 
 @dataclass(frozen=True)
-class AnnulusComparisonReport:
+class AnnulusComparisonReport(VerdictCounts):
     ok: bool
     pairs: int
     delta_ok: bool
     violations: Tuple[dict, ...]
     worst_ratio_low: float
     worst_ratio_high: float
+    proved: int = 0
 
     def as_dict(self) -> dict:
         return {"ok": self.ok, "pairs": self.pairs, "delta_ok": self.delta_ok,
                 "violations": list(self.violations),
                 "worst_ratio_low": self.worst_ratio_low,
-                "worst_ratio_high": self.worst_ratio_high}
+                "worst_ratio_high": self.worst_ratio_high, **self.verdicts()}
 
 
 def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
@@ -704,7 +761,8 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
     outer) that the boundary gap is squeezed between half of and the full
     distance to the annulus center, and that the domain's quasihyperbolic
     distance is squeezed between one and two times the one-puncture distance
-    taken at the center."""
+    taken at the center.  Each pair is counted once: as violated, as proved
+    when its enclosure lies inside that window, or else as inconclusive."""
     c = ann.center
     if domain.contains(c):
         raise ValueError("annulus center must lie outside the domain")
@@ -721,6 +779,7 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
     delta_ok = True
     worst_lo, worst_hi = math.inf, 0.0
     violations: List[dict] = []
+    proved = 0
     for z in pts:
         z = complex(z)
         ds = abs(z - c)
@@ -744,11 +803,13 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
         if low_bad or high_bad:
             violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
                                "one_puncture": ks, "interval": iv.as_dict()})
+        elif ks <= iv.lower and iv.upper <= 2.0 * ks:
+            proved += 1
     ok = delta_ok and not violations
     return AnnulusComparisonReport(ok=ok, pairs=n_pairs, delta_ok=delta_ok,
                                    violations=tuple(violations),
                                    worst_ratio_low=worst_lo,
-                                   worst_ratio_high=worst_hi)
+                                   worst_ratio_high=worst_hi, proved=proved)
 
 
 def thin_triangle_defect(domain: Domain, x: complex, y: complex, z: complex,
@@ -757,7 +818,7 @@ def thin_triangle_defect(domain: Domain, x: complex, y: complex, z: complex,
     other two sides of the quasihyperbolic triangle, measured in the metric
     itself.  Grid-valued estimate; useful for sanity checks, not certified."""
     res = resolution or Resolution(radial=128, angular=128)
-    density = _euclidean_density(domain)
+    density = quasihyperbolic_density(domain)
     nodes, graph, ids, meta = _build_graph(domain, [x, y, z], res, density)
     ix, iy, iz = ids
 

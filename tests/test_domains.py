@@ -153,6 +153,21 @@ def test_json_roundtrip(dom):
     assert hash(back) == hash(dom)
 
 
+def test_finite_complement_components_built_once():
+    dom = FiniteComplement([0.0, 1.0, -2.0j], contains_infinity=True)
+    comps = dom.complement_components()
+    assert dom.complement_components() is comps
+    assert [c.point for c in comps] == [0.0, 1.0, -2.0j]
+    # equality, hashing and the wire format still come from the punctures
+    same = FiniteComplement([0.0, 1.0, -2.0j], contains_infinity=True)
+    assert same == dom and hash(same) == hash(dom)
+    assert same.complement_components() is not comps
+    assert dom != FiniteComplement([0.0, 1.0, -2.0j])
+    assert dom.to_json_dict() == {"type": "finite_complement",
+                                  "punctures": [[0.0, 0.0], [1.0, 0.0], [0.0, -2.0]],
+                                  "contains_infinity": True}
+
+
 def test_json_rejects_unknown_type():
     with pytest.raises(SchemaError):
         domain_from_json({"type": "pac_man"})

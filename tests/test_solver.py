@@ -1,6 +1,7 @@
 """Numeric quasihyperbolic solver: exact anchors, certified enclosures, checks."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -154,6 +155,48 @@ def test_numeric_coincident_endpoints():
     assert result.distance.lower == result.distance.upper == 0.0
 
 
+# Exact results of the grid solver at 32x32, recorded before the relaxation
+# probes and the graph's node densities were batched: (lower, upper, path
+# vertices, relaxation sweeps).  Batching changes no probe, comparison or
+# sum, so every value must stay bit-identical.
+PINNED_RES = Resolution(radial=32, angular=32)
+PINNED = [
+    ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
+     (3.3451138067704846, 3.7849148559847303, 17, 28)),
+    ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
+     (1.2559490532982982, 2.8326905064784618, 20, 28)),
+    ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
+     (2.9213342628373624, 4.949933776468884, 24, 18)),
+    ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_chordal_numeric,
+     (1.3283243296961784, 3.1122782462876573, 25, 14)),
+]
+
+
+@pytest.mark.parametrize("punctures, a, b, solver, expected", PINNED,
+                         ids=["two-k", "two-chordal", "four-k", "four-chordal"])
+def test_numeric_results_pinned(punctures, a, b, solver, expected):
+    result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+    got = (result.distance.lower, result.distance.upper, len(result.path.points),
+           result.meta["relax_sweeps"])
+    assert got == expected
+
+
+def test_numeric_meta_reports_stage_cost():
+    dom = FiniteComplement([0.0, 1.0])
+    result = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
+    meta = result.meta
+    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s"):
+        assert meta[key] >= 0.0
+    # one weight evaluation for the graph, and at least one per relaxation step
+    assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
+    assert meta["density_points"] > meta["nodes"] + meta["edges"]
+    assert json.loads(json.dumps(result.as_dict()))["meta"] == meta
+
+    warm = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES, warm_start=result.path)
+    assert warm.meta["dijkstra_s"] == 0.0
+    assert warm.meta["weight_calls"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # Fast interval
 # ---------------------------------------------------------------------------
@@ -165,6 +208,18 @@ def test_fast_interval_encloses_exact():
         exact = k_star_exact(a, b)
         assert iv.lower <= exact + 1e-12
         assert iv.upper >= exact - 1e-12
+
+
+def test_fast_interval_collapsed_segment_uses_lipschitz_bound():
+    # the endpoints are closer than rounding, so the segment and the arcs
+    # collapse to one point; the upper bound must still exceed the lower one
+    dom = FiniteComplement([0.0, 1.0])
+    a, b = 1.0j, 1.0j + 4.24e-143
+    iv = k_interval_fast(dom, a, b)
+    assert iv.upper_source == "segment-lipschitz"
+    gap = abs(a - b)
+    assert iv.upper >= gap / (min(dom.delta(a), dom.delta(b)) - gap)
+    assert iv.lower < iv.upper <= gap * (1.0 + 1e-12)
 
 
 def test_fast_interval_ordering_and_speed_shape():
@@ -188,6 +243,9 @@ def test_mobius_quasi_invariance_inversion():
     # certified ratio window sits inside the factor-two band
     assert report.worst_upper_ratio <= 2.0 + 1e-9
     assert report.worst_lower_ratio >= 0.5 - 1e-9
+    counts = {k: report.as_dict()[k] for k in ("proved", "violated", "inconclusive")}
+    assert counts == {"proved": report.proved, "violated": 0,
+                      "inconclusive": 2 - report.proved}
 
 
 def test_mobius_affine_is_exact_isometry():
@@ -199,6 +257,7 @@ def test_mobius_affine_is_exact_isometry():
     # similarity maps preserve the metric: ratios certified near one
     assert report.worst_upper_ratio <= 1.5
     assert report.worst_lower_ratio >= 0.6
+    assert (report.proved, report.violated, report.inconclusive) == (2, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +279,9 @@ def test_annulus_comparison_middle_band():
     assert report.delta_ok
     assert not report.violations
     assert 1.0 - 1e-9 <= report.worst_ratio_high
+    assert report.proved + report.inconclusive == report.pairs == 6
+    assert report.as_dict()["proved"] == report.proved
+    assert report.as_dict()["violated"] == 0
 
 
 def test_annulus_comparison_rejects_thin_ring():
