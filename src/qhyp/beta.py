@@ -11,8 +11,8 @@ exponent zero; deep annular throats have large exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .domains import (
     Domain,
     DomainError,
     FiniteComplement,
-    OutsideDomainError,
     SchemaError,
     _parse_complex as cval,
     circle_samples,
@@ -78,25 +77,6 @@ class BetaResult:
                     "inner": self.annulus.inner, "outer": self.annulus.outer}}
 
 
-def _xi_witness_point(comp, zeta: complex, t: float) -> complex:
-    """A point of the component at distance exactly t from zeta."""
-    if isinstance(comp, ComplementPoint):
-        return comp.point
-    kind = type(comp).__name__
-    if kind == "ComplementDisk":
-        u = comp.center - zeta
-        u = u / abs(u) if u != 0 else 1.0
-        return zeta + t * u
-    if kind == "ComplementDiskExterior":
-        u = zeta - comp.center
-        u = u / abs(u) if u != 0 else 1.0
-        return zeta + t * u
-    if kind == "ComplementHalfPlane":
-        u = comp.direction / abs(comp.direction)
-        return zeta - 1j * t * u
-    raise DomainError(f"unsupported component {kind}")
-
-
 def beta(domain: Domain, z: ExtPoint,
          slack: float = NEAREST_BOUNDARY_SLACK) -> BetaResult:
     """Boundary-gap exponent at z, with the witnessing boundary pairs.
@@ -126,7 +106,7 @@ def beta(domain: Domain, z: ExtPoint,
                 if t <= 0.0:
                     continue
                 contribution = abs(math.log(delta / t))
-                entries.append((contribution, zeta, _xi_witness_point(cj, zeta, t), t))
+                entries.append((contribution, zeta, cj.witness_at(zeta, t), t))
     if not entries:
         raise DomainError("the exponent needs at least two boundary points")
 
@@ -158,19 +138,22 @@ def beta_field(domain: Domain, z: np.ndarray,
     safe_delta = np.where(valid, delta, 1.0)
     out = np.full(z.shape, math.inf)
     for i, ci in enumerate(comps):
+        # component i contributes only where it is (nearly) nearest
         mask = dists[i] <= safe_delta * (1.0 + slack)
         if not np.any(mask):
             continue
-        zeta = ci.nearest_point_field(z)
+        d = safe_delta[mask]
+        zeta = ci.nearest_point_field(z[mask])
+        best = out[mask]
         for j, cj in enumerate(comps):
             if i == j and isinstance(cj, ComplementPoint):
                 continue
             lo, hi = cj.xi_range_field(zeta)
-            t = np.minimum(np.maximum(safe_delta, lo), hi)
+            t = np.minimum(np.maximum(d, lo), hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                contribution = np.abs(np.log(safe_delta / np.where(t > 0, t, np.nan)))
-            contribution = np.where(mask & np.isfinite(contribution), contribution, math.inf)
-            out = np.minimum(out, contribution)
+                contribution = np.abs(np.log(d / np.where(t > 0, t, np.nan)))
+            best = np.minimum(best, np.where(np.isfinite(contribution), contribution, math.inf))
+        out[mask] = best
     if np.any(np.isinf(out[valid])):
         raise DomainError("the exponent needs at least two boundary points")
     return np.where(valid, out, math.nan)

@@ -23,15 +23,15 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
-    FiniteComplement,
     OutsideDomainError,
     PuncturedSubdomain,
     PuncturedUnitDisk,
     UnitDisk,
     UpperHalfPlane,
+    halfplane_distance,
     rho_length,
 )
-from .geometry import Polyline, as_finite, chi_arc, segment_point_distance
+from .geometry import as_finite, chi_arc, segment_point_distance
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +103,6 @@ def hyperbolic_disk_distance(a: complex, b: complex) -> float:
         raise DomainError("points must lie in the open unit disk")
     t = abs((a - b) / (1.0 - a.conjugate() * b))
     return 2.0 * math.atanh(t)
-
-
-def halfplane_distance(a: complex, b: complex) -> float:
-    """Hyperbolic (equals quasihyperbolic) distance in the upper half-plane."""
-    a, b = as_finite(a), as_finite(b)
-    if not (a.imag > 0.0 and b.imag > 0.0):
-        raise DomainError("points must lie in the upper half-plane")
-    s = abs(a - b) ** 2 / (2.0 * a.imag * b.imag)
-    # acosh(1 + s) computed stably for small s
-    return math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ distance, and the strict JSON wire format are all derived from that list.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,27 @@ def circle_samples(center: complex, radius: float) -> List[complex]:
             for k in range(8)]
 
 
+def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
+    """Quasihyperbolic distance in the plane punctured at one point:
+    the hypotenuse of the log-radius change and the minimal winding angle."""
+    va, vb = complex(a) - center, complex(b) - center
+    if va == 0 or vb == 0:
+        raise ValueError("points must avoid the puncture")
+    dlog = math.log(abs(vb)) - math.log(abs(va))
+    dang = math.remainder(cmath.phase(vb) - cmath.phase(va), 2.0 * math.pi)
+    return math.hypot(dlog, dang)
+
+
+def halfplane_distance(a: complex, b: complex) -> float:
+    """Hyperbolic (equals quasihyperbolic) distance in the upper half-plane."""
+    a, b = as_finite(a), as_finite(b)
+    if not (a.imag > 0.0 and b.imag > 0.0):
+        raise DomainError("points must lie in the upper half-plane")
+    s = abs(a - b) ** 2 / (2.0 * a.imag * b.imag)
+    # acosh(1 + s) computed stably for small s
+    return math.log1p(s + math.sqrt(s * (s + 2.0)))
+
+
 class Component:
     """A closed component of a domain's complement.  Uniform perfectness sees
     one through ``blocked``, ``distance_to`` and ``centers``."""
@@ -65,6 +87,14 @@ class Component:
 
     def distance_to(self, p: complex) -> float:
         return self.distance_range_from(p)[0]
+
+    def witness_at(self, zeta: complex, t: float) -> complex:
+        """A point of the component at distance t from zeta."""
+        raise NotImplementedError
+
+    def k_lower(self, a: complex, b: complex) -> Optional[Tuple[float, str]]:
+        """A lower bound for k: (k in a model domain containing the domain, label), or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -90,6 +120,12 @@ class ComplementPoint(Component):
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.point)
         return d, d
+
+    def witness_at(self, zeta: complex, t: float) -> complex:
+        return self.point
+
+    def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        return k_star_exact(a, b, self.point), f"winding({self.point:g})"
 
     def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
         return chordal_distance_field(z, self.point)
@@ -158,6 +194,14 @@ class ComplementDisk(_RoundComponent):
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
         return np.maximum(0.0, d - self.radius), d + self.radius
 
+    def witness_at(self, zeta: complex, t: float) -> complex:
+        u = self.center - zeta
+        u = u / abs(u) if u != 0 else 1.0
+        return zeta + t * u
+
+    def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        return k_star_exact(a, b, self.center), f"winding({self.center:g})"
+
     def accumulates_at_infinity(self) -> bool:
         return False
 
@@ -180,6 +224,11 @@ class ComplementDiskExterior(_RoundComponent):
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
         return np.maximum(0.0, self.radius - d), np.full(d.shape, math.inf)
+
+    def witness_at(self, zeta: complex, t: float) -> complex:
+        u = zeta - self.center
+        u = u / abs(u) if u != 0 else 1.0
+        return zeta + t * u
 
     def accumulates_at_infinity(self) -> bool:
         return True
@@ -229,17 +278,26 @@ class ComplementHalfPlane(Component):
         s = ((zeta - self.origin) / self._unit()).imag
         return np.maximum(0.0, s), np.full(zeta.shape, math.inf)
 
+    def witness_at(self, zeta: complex, t: float) -> complex:
+        return zeta - 1j * t * self._unit()
+
+    def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        u = self._unit()
+        return halfplane_distance((a - self.origin) / u, (b - self.origin) / u), "halfplane"
+
     def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
         if self.origin != 0 or self._unit() != 1:
             raise UnsupportedDomainError(
                 "chordal boundary distance to a tilted half-plane is not supported")
+        # z's image on the unit sphere, (2x, 2y, |z|^2 - 1) / (1 + |z|^2), is
+        # at an angle with sine s and cosine c from the great circle of the
+        # extended real line; the chord to that circle is s sqrt(2 / (1 + c))
         z = np.asarray(z, dtype=np.complex128)
-        out = np.empty(z.shape, dtype=float)
-        flat = z.ravel()
-        res = out.ravel()
-        for i, zz in enumerate(flat):
-            res[i] = _chordal_to_real_line(complex(zz))
-        return out
+        r = np.abs(z)
+        lift = np.hypot(1.0, r)
+        s = 2.0 * np.abs(z.imag) / lift / lift
+        c = np.hypot(2.0 * z.real / lift / lift, ((r - 1.0) / lift) * ((r + 1.0) / lift))
+        return s * np.sqrt(2.0 / (1.0 + c))
 
     def accumulates_at_infinity(self) -> bool:
         return True
@@ -249,25 +307,6 @@ class ComplementHalfPlane(Component):
 
     def transformed(self, scale: complex, shift: complex) -> "ComplementHalfPlane":
         return ComplementHalfPlane(scale * self.origin + shift, scale * self.direction)
-
-
-def _chordal_to_real_line(z: complex) -> float:
-    """Chordal distance from z to the extended real line."""
-    x, y = z.real, z.imag
-    best = 2.0 / math.hypot(1.0, abs(z))  # the point at infinity
-    cands = [x]
-    # stationary points of |z - t|^2/(1 + t^2): with u = x - t,
-    # -x u^2 + (1 + x^2 - y^2) u + x y^2 = 0
-    bq = 1.0 + x * x - y * y
-    if x != 0.0:
-        disc = bq * bq + 4.0 * x * x * y * y
-        s = math.sqrt(disc)
-        for u in ((bq + s) / (2.0 * x), (bq - s) / (2.0 * x)):
-            cands.append(x - u)
-    for t in cands:
-        if math.isfinite(t):
-            best = min(best, chordal_distance(z, complex(t, 0.0)))
-    return best
 
 
 # ---------------------------------------------------------------------------

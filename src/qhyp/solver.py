@@ -12,11 +12,10 @@ certified up to quadrature tolerance.
 from __future__ import annotations
 
 import math
-import cmath
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -26,7 +25,6 @@ from scipy.spatial import cKDTree
 from .densities import (
     DistanceInterval,
     chordal_quasihyperbolic_density,
-    halfplane_distance,
     quasihyperbolic_density,
 )
 from .domains import (
@@ -35,6 +33,8 @@ from .domains import (
     OutsideDomainError,
     UnsupportedDomainError,
     UpperHalfPlane,
+    halfplane_distance,
+    k_star_exact,
     rho_length,
 )
 from .geometry import Annulus, Polyline, chi_arc, segment_point_distance
@@ -79,17 +79,6 @@ class GeodesicResult:
 # Closed forms and analytic lower bounds
 # ---------------------------------------------------------------------------
 
-def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
-    """Quasihyperbolic distance in the plane punctured at one point:
-    the hypotenuse of the log-radius change and the minimal winding angle."""
-    va, vb = complex(a) - center, complex(b) - center
-    if va == 0 or vb == 0:
-        raise ValueError("points must avoid the puncture")
-    dlog = math.log(abs(vb)) - math.log(abs(va))
-    dang = math.remainder(cmath.phase(vb) - cmath.phase(va), 2.0 * math.pi)
-    return math.hypot(dlog, dang)
-
-
 # On the upper half-plane the quasihyperbolic and hyperbolic distances agree.
 k_halfplane_exact = halfplane_distance
 
@@ -121,17 +110,9 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
     if ratio[0] > best[0]:
         best = ratio
     for comp in domain.complement_components():
-        name = type(comp).__name__
-        if name in ("ComplementPoint", "ComplementDisk"):
-            c = comp.point if name == "ComplementPoint" else comp.center
-            val = k_star_exact(a, b, c)
-            if val > best[0]:
-                best = (val, f"winding({c:g})")
-        elif name == "ComplementHalfPlane":
-            u = comp.direction / abs(comp.direction)
-            val = k_halfplane_exact((a - comp.origin) / u, (b - comp.origin) / u)
-            if val > best[0]:
-                best = (val, "halfplane")
+        model = comp.k_lower(a, b)
+        if model is not None and model[0] > best[0]:
+            best = model
     return best
 
 

@@ -9,11 +9,16 @@ from qhyp import (
     INF,
     KAPPA,
     Annulus,
+    ComplementPoint,
     DomainError,
+    ExteriorUnitDisk,
     FiniteComplement,
     Polyline,
+    PuncturedSubdomain,
+    PuncturedUnitDisk,
     SchemaError,
     TranslatedScaled,
+    UnitDisk,
     UPCircleFamily,
     UPDisk,
     UPDiskExterior,
@@ -32,6 +37,7 @@ from qhyp import (
     up_modulus_sup,
     up_set_from_json,
 )
+from qhyp.constants import NEAREST_BOUNDARY_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +79,55 @@ def test_beta_field_nan_outside():
     field = beta_field(dom, np.array([0.0 + 0.0j, 0.5 + 0.5j]))
     assert math.isnan(field[0])
     assert math.isfinite(field[1])
+
+
+def _beta_field_all_points(domain, z, slack=NEAREST_BOUNDARY_SLACK):
+    """Every (i, j) component pass on every point, the nearest-component
+    mask applied only at the end."""
+    z = np.asarray(z, dtype=np.complex128)
+    comps = domain.complement_components()
+    dists = np.stack([c.distance_field(z) for c in comps])
+    delta = dists.min(axis=0)
+    valid = delta > 0.0
+    safe_delta = np.where(valid, delta, 1.0)
+    out = np.full(z.shape, math.inf)
+    for i, ci in enumerate(comps):
+        mask = dists[i] <= safe_delta * (1.0 + slack)
+        if not np.any(mask):
+            continue
+        zeta = ci.nearest_point_field(z)
+        for j, cj in enumerate(comps):
+            if i == j and isinstance(cj, ComplementPoint):
+                continue
+            lo, hi = cj.xi_range_field(zeta)
+            t = np.minimum(np.maximum(safe_delta, lo), hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                contribution = np.abs(np.log(safe_delta / np.where(t > 0, t, np.nan)))
+            contribution = np.where(mask & np.isfinite(contribution), contribution, math.inf)
+            out = np.minimum(out, contribution)
+    return np.where(valid, out, math.nan)
+
+
+RING = [complex(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16))
+        * (1.0 + 0.5 * (k % 2)) for k in range(16)]
+
+
+@pytest.mark.parametrize("dom", [
+    FiniteComplement(RING),
+    PuncturedUnitDisk(),
+    PuncturedSubdomain(ExteriorUnitDisk(), [2.0, -2.5j, 1.5 + 1.5j]),
+    PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]),
+    FiniteComplement([0.0, 1.0]),
+], ids=["ring16", "punctured-disk", "disk-and-points", "unit-disk-and-points", "two-points"])
+def test_beta_field_equals_all_points_reference(dom):
+    xs = np.linspace(-2.5, 2.5, 101)
+    z = (xs[None, :] + 1j * xs[:, None]).ravel()
+    # the bisector of 0 and 1, where both punctures are nearest
+    z = np.concatenate([z, 0.5 + 1j * np.linspace(-3.0, 3.0, 61)])
+    got = beta_field(dom, z)
+    assert np.array_equal(got, _beta_field_all_points(dom, z), equal_nan=True)
+    assert np.array_equal(beta_field(dom, z.reshape(2, -1)), got.reshape(2, -1),
+                          equal_nan=True)
 
 
 def test_beta_similarity_invariance():

@@ -5,6 +5,7 @@ emission, file outputs, and exit codes are covered without spawning
 subprocesses.
 """
 
+import hashlib
 import json
 import math
 
@@ -97,7 +98,37 @@ def test_heatmap_grid_and_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "beta.json").read_text())
     assert sidecar["nx"] == 8 and sidecar["ny"] == 6
     assert 0.0 < sidecar["finite_fraction"] <= 1.0
+    assert sidecar["field_s"] >= 0.0 and sidecar["write_s"] >= 0.0
     assert "wrote" in out
+
+
+# SHA-256 of each CSV and the sidecar's (finite_fraction, min, max) on a
+# 13x9 grid over [-1, 2] x [-1, 1] in the plane minus {0, 1}; grid points
+# land on both punctures, so the maps hold nan and inf
+HEATMAP_PINS = {
+    "beta": ("940ef8c068a503c4b884a566d61ff2448b940440314a61b2a51b690f389ecc79",
+             0.9829059829059829, 0.0, 1.3862943611198906),
+    "bp-upper": ("7dd401793b7c1782537eb2188ad2a4e1327b0e6db1de5574ae1096d219c9d2bd",
+                 0.9316239316239316, 3.2048625910656305, 50.2731804351739),
+    "delta": ("5d765c5b050aab2558d482b7adb09cb640b299e52d82db72d7e6696b6820f704",
+              1.0, 0.0, 1.4142135623730951),
+    "qh-density": ("7883a03925d437fa43a4079d9da6a1a5d4b4796acb2984ce6300cd5aa46f9316",
+                   0.9829059829059829, 0.7071067811865475, 4.0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(HEATMAP_PINS))
+def test_heatmap_csv_bytes_pinned(tmp_path, capsys, field):
+    out_csv = tmp_path / "map.csv"
+    rc, _, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", field,
+                   "--window", "-1", "2", "-1", "1", "--nx", "13", "--ny", "9",
+                   "--out", str(out_csv))
+    assert rc == 0
+    digest, finite_fraction, lo, hi = HEATMAP_PINS[field]
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+    sidecar = json.loads((tmp_path / "map.json").read_text())
+    assert (sidecar["finite_fraction"], sidecar["min"], sidecar["max"]) == (
+        finite_fraction, lo, hi)
 
 
 def test_beta_map_reports(capsys):

@@ -22,6 +22,8 @@ from qhyp import (
     UnitDisk,
     UpperHalfPlane,
     check_uniform_arc,
+    chordal_distance,
+    chordal_distance_field,
     domain_from_json,
     domain_from_json_text,
     quasihyperbolic_density,
@@ -139,6 +141,63 @@ def test_punctured_subdomain_delta():
     flat = PuncturedSubdomain(FiniteComplement([0.0]), [1.0]).flattened()
     assert isinstance(flat, FiniteComplement)
     assert set(flat.punctures) == {0.0, 1.0}
+
+
+def _chordal_to_real_line_by_candidates(z: complex) -> float:
+    """Chordal distance from z to the extended real line as the minimum over
+    infinity, Re z and the stationary points of |z - t|^2 / (1 + t^2)."""
+    x, y = z.real, z.imag
+    best = 2.0 / math.hypot(1.0, abs(z))
+    cands = [x]
+    # with u = x - t: -x u^2 + (1 + x^2 - y^2) u + x y^2 = 0
+    bq = 1.0 + x * x - y * y
+    if x != 0.0:
+        s = math.sqrt(bq * bq + 4.0 * x * x * y * y)
+        for u in ((bq + s) / (2.0 * x), (bq - s) / (2.0 * x)):
+            cands.append(x - u)
+    for t in cands:
+        if math.isfinite(t):
+            best = min(best, chordal_distance(z, complex(t, 0.0)))
+    return best
+
+
+def _upper_points(n: int, seed: int) -> np.ndarray:
+    """n points of the upper half-plane with |z| log-uniform in [1e-6, 1e6]."""
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), n))
+    return r * np.exp(1j * rng.uniform(0.0, math.pi, n))
+
+
+def test_halfplane_chordal_distance_closed_form():
+    dom = UpperHalfPlane()
+    assert dom.chordal_boundary_distance(1j) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    real = np.array([0.0, -0.0, 1e-300, -3.0, 7.5, 1e300])
+    assert np.all(dom.chordal_boundary_distance_field(real) == 0.0)
+    z = _upper_points(400, 0)
+    got = dom.chordal_boundary_distance_field(z)
+    want = np.array([_chordal_to_real_line_by_candidates(complex(p)) for p in z])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_halfplane_chordal_distance_below_every_real_point():
+    dom = UpperHalfPlane()
+    theta = np.linspace(-math.pi / 2.0, math.pi / 2.0, 20001)[1:-1]
+    for p in _upper_points(60, 1):
+        t = np.concatenate([np.tan(theta), [p.real]])
+        sampled = float(np.min(chordal_distance_field(t, p)))
+        assert dom.chordal_boundary_distance(p) <= sampled + 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(min_value=-20.0, max_value=20.0),
+       st.floats(min_value=1e-6, max_value=math.pi - 1e-6))
+def test_halfplane_chordal_distance_symmetries(log_r, angle):
+    # conjugation and z -> -1/z are chordal isometries fixing the real line
+    dom = UpperHalfPlane()
+    z = math.exp(log_r) * complex(math.cos(angle), math.sin(angle))
+    d = dom.chordal_boundary_distance(z)
+    assert dom.chordal_boundary_distance(z.conjugate()) == d
+    assert dom.chordal_boundary_distance(-1.0 / z) == pytest.approx(d, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
