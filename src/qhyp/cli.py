@@ -54,7 +54,7 @@ from .equivalence import (
     verify_rough_isometry,
 )
 from .solver import Resolution, k_chordal_numeric, k_interval_fast, k_numeric
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 
 
 def _parse_complex(text: str) -> complex:
@@ -143,6 +143,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    if args.max_vertices < 0:
+        raise ValueError(f"--max-vertices must be >= 0, got {args.max_vertices}")
     dom = _load_domain(args.domain)
     if args.metric == "k-chordal":
         result = k_chordal_numeric(dom, args.src, args.dst, _resolution(args))
@@ -296,6 +298,12 @@ def _cmd_verify_all(args) -> int:
     numbers = None
     if args.criteria:
         numbers = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
+        known = {num for num, _, _ in CRITERIA}
+        unknown = [n for n in numbers if n not in known]
+        if unknown:
+            raise ValueError(f"--criteria: unknown criterion "
+                             f"{', '.join(map(str, unknown))} "
+                             f"(known: {min(known)}-{max(known)})")
     results = run_all(numbers)
     failed = 0
     for r in results:

@@ -7,6 +7,14 @@ perpendicular relaxation, and then measures the final curve with adaptive
 quadrature.  The measured length is a genuine upper bound for the distance;
 the lower bound comes from closed-form estimates, so the returned interval is
 certified up to quadrature tolerance.
+
+Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
+(``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s``, and within the
+build ``stitch_s`` for the chart stitching and ``weights_s`` for the node and
+midpoint densities and the clearance test), the graph's ``nodes``, ``edges``
+and ``stitch_edges``, and the work of the graph and the relaxation together
+(``weight_calls``, ``density_points``, and ``clearance_exact``, the edges
+whose clearance needed the exact segment distance).
 """
 
 from __future__ import annotations
@@ -122,16 +130,37 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
                   rv: np.ndarray, punctures: Sequence[complex],
-                  clearance: float) -> np.ndarray:
+                  clearance: float, work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (leaves the
-    domain or dives toward a removed point)."""
-    w = np.abs(v - u) * (ru + 4.0 * rm + rv) / 6.0
+    domain or dives toward a removed point).
+
+    A segment is rejected when its distance to a removed point q falls below
+    ``clearance * near``, near = min(|u - q|, |v - q|).  Every point of [u, v]
+    lies within L/2 of an end, L = |v - u|, so the segment keeps at least
+    near - L/2 from q and passes whenever L <= 2 (1 - clearance) near.  The
+    cheap test uses 0.9 of that slack, less 64 ulps of |q| for the rounding
+    of ``segment_point_distance`` in absolute coordinates, and is off when
+    clearance is within 1e-12 of 1 or above, so it passes only segments
+    whose exact test would pass too; the exact distance is computed for the
+    rest alone, and their number is added to ``work["clearance_exact"]``.
+    """
+    length = np.abs(v - u)
+    w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
+    slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
+    exact = 0
     for q in punctures:
-        d = segment_point_distance(u, v, q)
-        ok &= d >= clearance * np.minimum(np.abs(u - q), np.abs(v - q))
+        near = np.minimum(np.abs(u - q), np.abs(v - q))
+        pad = 64.0 * sys.float_info.epsilon * abs(q)
+        hard = np.flatnonzero(ok & ~(length < slack * near - pad))
+        if hard.size:
+            d = segment_point_distance(u[hard], v[hard], q)
+            ok[hard] = d >= clearance * near[hard]
+            exact += hard.size
+    if work is not None:
+        work["clearance_exact"] = work.get("clearance_exact", 0) + exact
     return np.where(ok, w, np.inf)
 
 
@@ -215,7 +244,12 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
 
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     Anchor points are appended as explicit nodes wired to their nearest grid
-    neighbors.
+    neighbors.  Every undirected edge is stored once, as (lower id, higher
+    id).  The meta holds ``charts``, ``nodes``, ``edges`` (after dropping
+    inadmissible ones), ``stitch_edges`` (chart-to-chart candidates),
+    ``stitch_s`` and ``weights_s`` (perf_counter seconds of the stitching and
+    of the weight evaluation), ``weight_calls``, ``density_points`` and
+    ``clearance_exact`` (edges that needed ``segment_point_distance``).
     """
     a, b = anchors[0], anchors[-1]
     charts = _charts_for(domain, a, b, res)
@@ -241,63 +275,55 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
 
     nodes = np.concatenate(all_nodes)
     spacing = np.concatenate(all_spacing)
-    pairs = np.concatenate(all_pairs, axis=0)
 
-    # stitch chart overlaps
-    if len(charts) > 1:
-        coords = np.stack([nodes.real, nodes.imag], axis=1)
-        for ci in range(len(charts)):
-            lo_i, hi_i = chart_slices[ci]
-            for cj in range(ci + 1, len(charts)):
-                lo_j, hi_j = chart_slices[cj]
-                tree = cKDTree(coords[lo_j:hi_j])
-                d, idx = tree.query(coords[lo_i:hi_i], k=min(res.stitch_k, hi_j - lo_j))
-                if d.ndim == 1:
-                    d, idx = d[:, None], idx[:, None]
-                src = np.repeat(np.arange(lo_i, hi_i), d.shape[1])
-                dst = idx.ravel() + lo_j
-                rad = 2.5 * np.maximum(spacing[src], spacing[dst])
-                keep = d.ravel() <= rad
-                if keep.any():
-                    all_pairs.append(np.stack([src[keep], dst[keep]], axis=1))
-        pairs = np.concatenate([pairs] + all_pairs[len(charts):], axis=0) \
-            if len(all_pairs) > len(charts) else pairs
-
-    # anchors as explicit nodes
-    anchor_ids: List[int] = []
+    # Stitch chart overlaps: chart j's tree, built once, takes every node of
+    # the earlier charts in one query.  Each pair links a chart to a later one
+    # and grid stencils hold no pair twice, so no undirected edge repeats.
+    t0 = time.perf_counter()
     coords = np.stack([nodes.real, nodes.imag], axis=1)
-    tree = cKDTree(coords)
-    anchor_pairs: List[np.ndarray] = []
-    n0 = nodes.size
-    anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
-    for t, z0 in enumerate(anchor_arr):
-        aid = n0 + t
-        anchor_ids.append(aid)
-        _, idx = tree.query([z0.real, z0.imag], k=min(res.endpoint_k, n0))
-        idx = np.atleast_1d(idx)
-        anchor_pairs.append(np.stack([np.full(idx.size, aid), idx], axis=1))
-    nodes = np.concatenate([nodes, anchor_arr])
-    pairs = np.concatenate([pairs] + anchor_pairs, axis=0)
+    for lo_j, hi_j in chart_slices[1:]:
+        d, idx = cKDTree(coords[lo_j:hi_j]).query(
+            coords[:lo_j], k=min(res.stitch_k, hi_j - lo_j))
+        if d.ndim == 1:
+            d, idx = d[:, None], idx[:, None]
+        dst = idx + lo_j
+        keep = d <= 2.5 * np.maximum(spacing[:lo_j, None], spacing[dst])
+        all_pairs.append(np.stack([np.nonzero(keep)[0], dst[keep]], axis=1))
+    stitch_edges = sum(p.shape[0] for p in all_pairs[len(charts):])
+    t1 = time.perf_counter()
 
-    # dedupe undirected edges
+    # anchors as explicit nodes, wired to their nearest grid nodes (by the
+    # squared distance a k-d tree would compare)
+    n0 = nodes.size
+    k = min(res.endpoint_k, n0)
+    anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
+    anchor_ids = list(range(n0, n0 + anchor_arr.size))
+    for aid, z0 in zip(anchor_ids, anchor_arr):
+        dx, dy = nodes.real - z0.real, nodes.imag - z0.imag
+        idx = np.argpartition(dx * dx + dy * dy, k - 1)[:k]
+        all_pairs.append(np.stack([idx, np.full(k, aid)], axis=1))
+    nodes = np.concatenate([nodes, anchor_arr])
+    pairs = np.concatenate(all_pairs, axis=0)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    key = lo * nodes.size + hi
-    _, uniq = np.unique(key, return_index=True)
-    lo, hi = lo[uniq], hi[uniq]
 
     # the density once per node, gathered for both ends of every edge
+    t2 = time.perf_counter()
+    work = {"weight_calls": 1}
     rho = density(nodes)
     u, v = nodes[lo], nodes[hi]
     w = _edge_weights(u, v, rho[lo], density(0.5 * (u + v)), rho[hi],
-                      punctures, res.clearance)
+                      punctures, res.clearance, work)
+    t3 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
     if not keep.any():
         raise SolverError("no admissible edges near the requested points")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
     meta = {"charts": len(charts), "nodes": int(nodes.size), "edges": int(w.size),
-            "weight_calls": 1, "density_points": int(nodes.size + u.size)}
+            "stitch_edges": int(stitch_edges),
+            "stitch_s": t1 - t0, "weights_s": t3 - t2,
+            "density_points": int(nodes.size + u.size), **work}
     return nodes, graph, anchor_ids, meta
 
 
@@ -336,9 +362,9 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     comparison and sum is that of scoring the probes one by one.
 
     Returns the relaxed points, the sweeps run, and the work done as
-    ``weight_calls`` and ``density_points``.
+    ``weight_calls``, ``density_points`` and ``clearance_exact``.
     """
-    work = {"weight_calls": 0, "density_points": 0}
+    work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
 
     def rho(z):
         work["density_points"] += z.size
@@ -346,7 +372,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
 
     def weights(u, v, ru, rm, rv):
         work["weight_calls"] += 1
-        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance)
+        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:

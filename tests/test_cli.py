@@ -86,6 +86,15 @@ def test_geodesic_truncates_long_paths(capsys):
     assert payload["path_truncated"] is True
 
 
+def test_geodesic_negative_max_vertices_is_exit_2(capsys):
+    rc, out, err = run(capsys, "geodesic", "--domain", ONE_PUNCT,
+                       "--from", "1,0", "--to", "0,1",
+                       "--resolution", "32", "--max-vertices", "-3")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "--max-vertices" in err and "-3" in err
+
+
 def test_heatmap_grid_and_sidecar(tmp_path, capsys):
     out_csv = tmp_path / "beta.csv"
     rc, out, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT,
@@ -240,6 +249,15 @@ def test_verify_all_subset(capsys):
     assert "PASS  criterion 01" in out
     assert "PASS  criterion 09" in out
     assert "2/2 criteria passed" in out
+
+
+@pytest.mark.parametrize("criteria, named", [("99", "99"), ("5,99", "99"),
+                                              ("0,1", "0")])
+def test_verify_all_unknown_criterion_is_exit_2(capsys, criteria, named):
+    rc, out, err = run(capsys, "verify-all", "--criteria", criteria)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and f"unknown criterion {named} " in err
 
 
 def test_bad_domain_schema_is_exit_2(capsys):

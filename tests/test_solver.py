@@ -1,11 +1,14 @@
 """Numeric quasihyperbolic solver: exact anchors, certified enclosures, checks."""
 
 import cmath
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhyp import (
     Annulus,
@@ -28,6 +31,9 @@ from qhyp import (
     k_star_exact,
     thin_triangle_defect,
 )
+from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
+from qhyp.geometry import segment_point_distance
+from qhyp.solver import _build_graph, _edge_weights
 
 RES = Resolution(radial=96, angular=96)
 
@@ -185,16 +191,124 @@ def test_numeric_meta_reports_stage_cost():
     dom = FiniteComplement([0.0, 1.0])
     result = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
     meta = result.meta
-    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s"):
+    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "stitch_s", "weights_s"):
         assert meta[key] >= 0.0
+    assert meta["stitch_s"] + meta["weights_s"] <= meta["build_s"]
     # one weight evaluation for the graph, and at least one per relaxation step
     assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
     assert meta["density_points"] > meta["nodes"] + meta["edges"]
+    # two charts, stitched; the exact clearance test runs on a few edges only
+    assert 0 < meta["stitch_edges"] < meta["edges"]
+    assert 0 < meta["clearance_exact"] < meta["edges"]
     assert json.loads(json.dumps(result.as_dict()))["meta"] == meta
 
     warm = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES, warm_start=result.path)
     assert warm.meta["dijkstra_s"] == 0.0
     assert warm.meta["weight_calls"] >= 1
+    assert "stitch_s" not in warm.meta and warm.meta["clearance_exact"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# Graph construction
+# ---------------------------------------------------------------------------
+
+def _first_sampled_pair(punctures, seed=0):
+    # criterion 12's sampler: [-3, 3]^2, at least 0.05 from every puncture
+    rng = np.random.default_rng(seed)
+    while True:
+        z = rng.uniform(-3.0, 3.0, 2) + 1j * rng.uniform(-3.0, 3.0, 2)
+        a, b = complex(z[0]), complex(z[1])
+        if a != b and min(abs(w - p) for w in (a, b) for p in punctures) >= 0.05:
+            return a, b
+
+
+FOUR = [0.0, 1.0, 1.0j, -1.5 + 0.5j]
+# SHA-256 over the node positions, the CSR data, indices and indptr (as
+# int64) and the anchor ids of _build_graph at 128x128, with (nodes, edges),
+# recorded before the stitching, anchor lookup, dedupe and clearance test
+# were rewritten.  Every byte must stay the same.
+PINNED_GRAPHS = [
+    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), quasihyperbolic_density, 32770, 248862,
+     "8ea71c3e827d739846a981590d38ab5892c4cf772b42de87d2d842033826808f"),
+    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), chordal_quasihyperbolic_density, 32770, 248862,
+     "40a3a7b0f5275152c0b54a9acd1f4ba778b81ee3bea773bca9609ef7fde50c9a"),
+    (FOUR, _first_sampled_pair(FOUR), quasihyperbolic_density, 65538, 1045272,
+     "09fe9364934104139f100e510881199c9cde69fa99483f312517f9aa11ceaa75"),
+    (FOUR, _first_sampled_pair(FOUR), chordal_quasihyperbolic_density, 65538, 1045272,
+     "d1a540b3e1ab98b6dd161913fcc65c67a7e41cbaceb2504b9619ffda58415c3d"),
+]
+
+
+@pytest.mark.parametrize("punctures, pair, density, n_nodes, n_edges, digest",
+                         PINNED_GRAPHS, ids=["two-k", "two-chordal", "four-k", "four-chordal"])
+def test_build_graph_pinned(punctures, pair, density, n_nodes, n_edges, digest):
+    dom = FiniteComplement(punctures)
+    nodes, graph, ids, meta = _build_graph(dom, list(pair), Resolution(128, 128),
+                                           density(dom))
+    assert (meta["nodes"], meta["edges"]) == (n_nodes, n_edges)
+    assert graph.has_canonical_format
+    h = hashlib.sha256()
+    for arr in (nodes, graph.data, graph.indices.astype(np.int64),
+                graph.indptr.astype(np.int64), np.asarray(ids, dtype=np.int64)):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == digest
+    # every edge is stored once, above the diagonal: none was summed away
+    # as a repeat, and none appears in both orientations
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    assert graph.nnz == meta["edges"]
+    assert np.all(rows < graph.indices)
+
+
+def _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance):
+    """The clearance test as it ran before the cheap bound: the exact
+    segment distance for every edge and every removed point."""
+    w = np.abs(v - u) * (ru + 4.0 * rm + rv) / 6.0
+    ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
+          & np.isfinite(rv) & (rv > 0))
+    for q in punctures:
+        d = segment_point_distance(u, v, q)
+        ok &= d >= clearance * np.minimum(np.abs(u - q), np.abs(v - q))
+    return np.where(ok, w, np.inf)
+
+
+_log_scale = st.floats(min_value=-6.0, max_value=2.0).map(lambda e: 10.0 ** e)
+_turn = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+_segment = st.tuples(st.sampled_from(["near", "across", "through", "zero"]),
+                     st.integers(0, 2), _log_scale, _turn, _log_scale, _turn)
+
+
+def _draw_segment(punctures, kind, which, r, theta, s, phi):
+    q = punctures[which % len(punctures)]
+    u = q + r * cmath.exp(1j * theta)
+    if kind == "near":        # a short step from u in any direction
+        v = u + s * r * cmath.exp(1j * phi)
+    elif kind == "across":    # to the antipode of u about q, turned by s sin(phi)
+        v = q - r * cmath.exp(1j * theta) * cmath.exp(1j * s * math.sin(phi))
+    elif kind == "through":   # along the ray from u through q and beyond
+        v = q - s * (u - q)
+    else:
+        v = u
+    return u, v
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_segment, min_size=1, max_size=24),
+       st.sampled_from([0.3, 0.9, 1.0, 1.5]),
+       st.sampled_from([[0.0], [0.0, 1.0], FOUR, [1e3 + 2e3j, 1e3 + 2.001e3j]]),
+       st.lists(st.sampled_from([1.0, 0.25, 7.5, math.inf, 0.0]), min_size=3, max_size=3))
+def test_edge_weights_equal_all_exact_reference(segments, clearance, punctures, rhos):
+    u, v = map(np.array, zip(*(_draw_segment(punctures, *seg) for seg in segments)))
+    n = u.size
+    # mostly admissible densities, so that the clearance test decides
+    ru = np.where(np.arange(n) % 5 == 4, rhos[0], 1.0 + np.arange(n))
+    rm = np.where(np.arange(n) % 7 == 6, rhos[1], 2.0)
+    rv = np.where(np.arange(n) % 3 == 2, rhos[2], 0.5)
+    work = {}
+    got = _edge_weights(u, v, ru, rm, rv, punctures, clearance, work)
+    want = _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance)
+    assert got.tobytes() == want.tobytes()
+    assert 0 <= work["clearance_exact"] <= n * len(punctures)
 
 
 # ---------------------------------------------------------------------------
