@@ -172,7 +172,9 @@ class _RoundComponent(Component):
         proj = self.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
         lift_z = np.hypot(1.0, np.abs(z))
         lift_p = math.hypot(1.0, self.radius)
-        return 2.0 * np.abs(z - proj) / (lift_z * lift_p)
+        # 0 inside the component, as distance_field is
+        return np.where(self.distance_field(z) > 0, 2.0 * np.abs(z - proj) / (lift_z * lift_p),
+                        0.0)
 
     def transformed(self, scale: complex, shift: complex) -> "_RoundComponent":
         return type(self)(scale * self.center + shift, abs(scale) * self.radius)
@@ -295,7 +297,7 @@ class ComplementHalfPlane(Component):
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
         lift = np.hypot(1.0, r)
-        s = 2.0 * np.abs(z.imag) / lift / lift
+        s = 2.0 * np.maximum(z.imag, 0.0) / lift / lift  # 0 on the component Im z <= 0
         c = np.hypot(2.0 * z.real / lift / lift, ((r - 1.0) / lift) * ((r + 1.0) / lift))
         return s * np.sqrt(2.0 / (1.0 + c))
 
@@ -379,7 +381,8 @@ class Domain:
         return found
 
     def chordal_boundary_distance_field(self, z: np.ndarray) -> np.ndarray:
-        """Chordal distance to the sphere boundary of the domain, vectorized."""
+        """Chordal distance to the sphere boundary of the domain, vectorized;
+        0 outside the domain, like ``delta_field``."""
         z = np.asarray(z, dtype=np.complex128)
         parts = [comp.chordal_distance_field(z) for comp in self.complement_components()]
         if self.sphere_boundary_includes_infinity():
@@ -392,6 +395,8 @@ class Domain:
         return out
 
     def chordal_boundary_distance(self, z: ExtPoint) -> float:
+        """Chordal distance from a point of the domain to its sphere
+        boundary; raises outside, like ``delta``."""
         if is_infinite(z):
             if not self._contains_infinity():
                 raise OutsideDomainError("the point at infinity is not in the domain")
@@ -403,7 +408,11 @@ class Domain:
                     raise UnsupportedDomainError(
                         "chordal boundary distance from infinity needs a point complement")
             return best
-        return float(self.chordal_boundary_distance_field(np.asarray(as_finite(z))))
+        z = as_finite(z)
+        d = float(self.chordal_boundary_distance_field(np.asarray(z)))
+        if d <= 0.0:
+            raise OutsideDomainError(f"{z!r} is not in the domain")
+        return d
 
     # -- boundary inventory ---------------------------------------------------
 

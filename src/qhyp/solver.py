@@ -8,22 +8,34 @@ quadrature.  The measured length is a genuine upper bound for the distance;
 the lower bound comes from closed-form estimates, so the returned interval is
 certified up to quadrature tolerance.
 
+The graph is built in two steps.  The grid is free of the density: the
+charts, the nodes inside the domain, the stitched edges, the anchors and the
+edges that keep clear of the removed points.  The weighting evaluates one
+density on it.  The last grid is kept in one module-level slot (about 18 MB
+at 128x128 on four punctures) and reused when the same domain, anchors and
+``Resolution`` come again, as they do for ``k_chordal_numeric`` after
+``k_numeric`` on the same pair, and for either solver with the endpoints
+swapped.
+
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
 (``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s``, and within the
-build ``stitch_s`` for the chart stitching and ``weights_s`` for the node and
-midpoint densities and the clearance test), the graph's ``nodes``, ``edges``
-and ``stitch_edges``, and the work of the graph and the relaxation together
+build ``stitch_s`` for the chart stitching, ``clearance_s`` for the
+clearance test and ``weights_s`` for the node and midpoint densities and the
+weights), whether the grid was reused (``grid_reused``; then ``stitch_s`` and
+``clearance_s`` are 0), the graph's ``nodes``, ``edges`` and
+``stitch_edges``, and the work of the graph and the relaxation together
 (``weight_calls``, ``density_points``, and ``clearance_exact``, the edges
 whose clearance needed the exact segment distance).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -128,39 +140,50 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 # Grid construction
 # ---------------------------------------------------------------------------
 
+def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
+                        near: Iterable[np.ndarray], punctures: Sequence[complex],
+                        clearance: float, ok: np.ndarray,
+                        work: Optional[dict] = None) -> None:
+    """Clear ``ok`` where the segment [u, v] passes too close to a removed
+    point; ``near`` yields min(|u - q|, |v - q|) for each q of ``punctures``
+    in turn, and ``length`` is |v - u|.
+
+    A segment is rejected when its distance to q falls below
+    ``clearance * near``.  Every point of [u, v] lies within L/2 of an end,
+    L = |v - u|, so the segment keeps at least near - L/2 from q and passes
+    whenever L <= 2 (1 - clearance) near.  The cheap test uses 0.9 of that
+    slack, less 64 ulps of |q| for the rounding of ``segment_point_distance``
+    in absolute coordinates, and is off when clearance is within 1e-12 of 1
+    or above, so it passes only segments whose exact test would pass too; the
+    exact distance is computed for the rest of the still-admissible segments
+    alone, and their number is added to ``work["clearance_exact"]``.
+    """
+    slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
+    exact = 0
+    for q, near_q in zip(punctures, near):
+        pad = 64.0 * sys.float_info.epsilon * abs(q)
+        hard = np.flatnonzero(ok & ~(length < slack * near_q - pad))
+        if hard.size:
+            d = segment_point_distance(u[hard], v[hard], q)
+            ok[hard] = d >= clearance * near_q[hard]
+            exact += hard.size
+    if work is not None:
+        work["clearance_exact"] = work.get("clearance_exact", 0) + exact
+
+
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
                   rv: np.ndarray, punctures: Sequence[complex],
                   clearance: float, work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
-    its start, midpoint and end; inf where the segment is invalid (leaves the
-    domain or dives toward a removed point).
-
-    A segment is rejected when its distance to a removed point q falls below
-    ``clearance * near``, near = min(|u - q|, |v - q|).  Every point of [u, v]
-    lies within L/2 of an end, L = |v - u|, so the segment keeps at least
-    near - L/2 from q and passes whenever L <= 2 (1 - clearance) near.  The
-    cheap test uses 0.9 of that slack, less 64 ulps of |q| for the rounding
-    of ``segment_point_distance`` in absolute coordinates, and is off when
-    clearance is within 1e-12 of 1 or above, so it passes only segments
-    whose exact test would pass too; the exact distance is computed for the
-    rest alone, and their number is added to ``work["clearance_exact"]``.
-    """
+    its start, midpoint and end; inf where the segment is invalid (a density
+    that is not finite and positive, or a dive toward a removed point, as
+    judged by ``_clear_of_punctures``)."""
     length = np.abs(v - u)
     w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
-    slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
-    exact = 0
-    for q in punctures:
-        near = np.minimum(np.abs(u - q), np.abs(v - q))
-        pad = 64.0 * sys.float_info.epsilon * abs(q)
-        hard = np.flatnonzero(ok & ~(length < slack * near - pad))
-        if hard.size:
-            d = segment_point_distance(u[hard], v[hard], q)
-            ok[hard] = d >= clearance * near[hard]
-            exact += hard.size
-    if work is not None:
-        work["clearance_exact"] = work.get("clearance_exact", 0) + exact
+    near = (np.minimum(np.abs(u - q), np.abs(v - q)) for q in punctures)
+    _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
     return np.where(ok, w, np.inf)
 
 
@@ -238,21 +261,23 @@ def _charts_for(domain: Domain, a: complex, b: complex,
         "numeric geodesics support point-complement domains and the upper half-plane")
 
 
-def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
-                 density) -> Tuple[np.ndarray, csr_matrix, List[int], dict]:
-    """Assemble the stitched multi-chart graph.
+@dataclass(frozen=True)
+class _Grid:
+    """The density-free part of a solver graph.  Its arrays are read-only."""
 
-    Returns (node positions, symmetric weight matrix, anchor node ids, meta).
-    Anchor points are appended as explicit nodes wired to their nearest grid
-    neighbors.  Every undirected edge is stored once, as (lower id, higher
-    id).  The meta holds ``charts``, ``nodes``, ``edges`` (after dropping
-    inadmissible ones), ``stitch_edges`` (chart-to-chart candidates),
-    ``stitch_s`` and ``weights_s`` (perf_counter seconds of the stitching and
-    of the weight evaluation), ``weight_calls``, ``density_points`` and
-    ``clearance_exact`` (edges that needed ``segment_point_distance``).
-    """
-    a, b = anchors[0], anchors[-1]
-    charts = _charts_for(domain, a, b, res)
+    nodes: np.ndarray               # valid chart nodes, then the anchors
+    lo: np.ndarray                  # edges that pass the clearance test, as
+    hi: np.ndarray                  # (lower id, higher id)
+    anchor_ids: Tuple[int, ...]
+    charts: int
+    stitch_edges: int               # chart-to-chart candidates
+    stitch_s: float
+    clearance_s: float
+    clearance_exact: int
+
+
+def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Grid:
+    charts = _charts_for(domain, anchors[0], anchors[-1], res)
     punctures = [c.point for c in domain.complement_components()
                  if isinstance(c, ComplementPoint)]
 
@@ -297,7 +322,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     n0 = nodes.size
     k = min(res.endpoint_k, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
-    anchor_ids = list(range(n0, n0 + anchor_arr.size))
+    anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
     for aid, z0 in zip(anchor_ids, anchor_arr):
         dx, dy = nodes.real - z0.real, nodes.imag - z0.imag
         idx = np.argpartition(dx * dx + dy * dy, k - 1)[:k]
@@ -307,24 +332,98 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
 
-    # the density once per node, gathered for both ends of every edge
+    # the clearance test, with each node's distance to each removed point
+    # computed once and gathered for both ends of every edge
     t2 = time.perf_counter()
-    work = {"weight_calls": 1}
+    u, v = nodes[lo], nodes[hi]
+    clear = np.ones(lo.size, dtype=bool)
+    near = (np.minimum(dq[lo], dq[hi]) for dq in (np.abs(nodes - q) for q in punctures))
+    work = {"clearance_exact": 0}
+    _clear_of_punctures(u, v, np.abs(v - u), near, punctures, res.clearance, clear, work)
+    lo, hi = lo[clear], hi[clear]
+    t3 = time.perf_counter()
+
+    for arr in (nodes, lo, hi):
+        arr.flags.writeable = False
+    return _Grid(nodes, lo, hi, anchor_ids, len(charts), int(stitch_edges),
+                 t1 - t0, t3 - t2, work["clearance_exact"])
+
+
+# The last grid built, as (key, grid), or None.  There is one slot: a miss
+# empties it before building, so two grids are never alive together.  Key and
+# grid are stored and read as one tuple, so a caller in another thread sees
+# the old pair, the new one or none, never a grid under another's key.
+_last_grid: Optional[Tuple[tuple, _Grid]] = None
+
+
+def _grid_for(domain: Domain, anchors: Sequence[complex],
+              res: Resolution) -> Tuple[_Grid, bool]:
+    """The grid of (domain, anchors, res), and whether it was reused."""
+    global _last_grid
+    key = (type(domain), json.dumps(domain.to_json_dict(), sort_keys=True),
+           np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
+    last = _last_grid
+    if last is not None and last[0] == key:
+        return last[1], True
+    last = _last_grid = None
+    grid = _build_grid(domain, anchors, res)
+    _last_grid = (key, grid)
+    return grid, False
+
+
+def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
+                 density) -> Tuple[np.ndarray, csr_matrix, List[int], dict]:
+    """Assemble the stitched multi-chart graph in two steps.
+
+    The grid does not depend on the density: the charts, the nodes where
+    ``delta_field > 0``, the chart stitching, the anchors (appended as
+    explicit nodes wired to their nearest grid nodes) and the edges that
+    pass the clearance test, each stored once as (lower id, higher id).  The
+    last grid is kept in one module-level slot, keyed by the domain's type
+    and JSON, the anchors bit for bit and the ``Resolution``, and is reused
+    when the same key comes again: ``k_chordal_numeric`` after ``k_numeric``
+    on the same problem, or either solver with the endpoints swapped (the
+    anchors are put in canonical order).  At 128x128 on four punctures the
+    slot holds about 18 MB; a miss empties it before building.
+
+    The weighting is per density: the density at every node and edge
+    midpoint, the three-point quadrature weight, the drop of edges whose
+    densities are not finite and positive, and the CSR matrix.
+
+    Returns (node positions, symmetric weight matrix, anchor node ids, meta).
+    The node positions are the grid's read-only array.  The meta holds
+    ``charts``, ``nodes``, ``edges`` (after dropping inadmissible ones),
+    ``stitch_edges`` (chart-to-chart candidates), ``grid_reused``,
+    ``stitch_s``, ``clearance_s`` and ``weights_s`` (perf_counter seconds of
+    the stitching, the clearance test and the densities and weights),
+    ``weight_calls``, ``density_points`` and ``clearance_exact`` (edges that
+    needed ``segment_point_distance``).  On a reused grid ``stitch_s``,
+    ``clearance_s`` and ``clearance_exact`` are 0, since that work was not
+    done; ``stitch_edges`` still describes the graph.
+    """
+    grid, reused = _grid_for(domain, anchors, res)
+    nodes, lo, hi = grid.nodes, grid.lo, grid.hi
+
+    # the density once per node, gathered for both ends of every edge; the
+    # grid's edges have passed the clearance test, so no puncture is passed
+    t0 = time.perf_counter()
     rho = density(nodes)
     u, v = nodes[lo], nodes[hi]
-    w = _edge_weights(u, v, rho[lo], density(0.5 * (u + v)), rho[hi],
-                      punctures, res.clearance, work)
-    t3 = time.perf_counter()
+    w = _edge_weights(u, v, rho[lo], density(0.5 * (u + v)), rho[hi], (), res.clearance)
+    t1 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
     if not keep.any():
         raise SolverError("no admissible edges near the requested points")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
-    meta = {"charts": len(charts), "nodes": int(nodes.size), "edges": int(w.size),
-            "stitch_edges": int(stitch_edges),
-            "stitch_s": t1 - t0, "weights_s": t3 - t2,
-            "density_points": int(nodes.size + u.size), **work}
-    return nodes, graph, anchor_ids, meta
+    meta = {"charts": grid.charts, "nodes": int(nodes.size), "edges": int(w.size),
+            "stitch_edges": grid.stitch_edges, "grid_reused": reused,
+            "stitch_s": 0.0 if reused else grid.stitch_s,
+            "clearance_s": 0.0 if reused else grid.clearance_s,
+            "weights_s": t1 - t0,
+            "weight_calls": 1, "density_points": int(nodes.size + u.size),
+            "clearance_exact": 0 if reused else grid.clearance_exact}
+    return nodes, graph, list(grid.anchor_ids), meta
 
 
 def _shortest_path(nodes: np.ndarray, graph: csr_matrix, ia: int,
@@ -836,16 +935,14 @@ def thin_triangle_defect(domain: Domain, x: complex, y: complex, z: complex,
     p_xy = side(ix, iy)
     p_yz = side(iy, iz)
     p_xz = side(ix, iz)
-    coords = np.stack([nodes.real, nodes.imag], axis=1)
-    tree = cKDTree(coords)
-    srcs = set()
-    for p in p_xy + p_yz:
-        _, idx = tree.query([p.real, p.imag], k=1)
-        srcs.add(int(idx))
-    dist = _dijkstra(graph, directed=False, indices=sorted(srcs), min_only=True)
-    defect = 0.0
-    for p in p_xz:
-        _, idx = tree.query([p.real, p.imag], k=1)
-        defect = max(defect, float(dist[int(idx)]))
+    tree = cKDTree(np.stack([nodes.real, nodes.imag], axis=1))
+
+    def nearest(points):
+        pts = np.asarray(points, dtype=np.complex128)
+        return tree.query(np.stack([pts.real, pts.imag], axis=1), k=1)[1]
+
+    dist = _dijkstra(graph, directed=False, indices=np.unique(nearest(p_xy + p_yz)),
+                     min_only=True)
+    defect = float(np.max(dist[nearest(p_xz)], initial=0.0))
     meta["sides"] = [len(p_xy), len(p_yz), len(p_xz)]
     return defect, meta

@@ -13,6 +13,7 @@ from qhyp import (
     DomainError,
     FiniteComplement,
     InconsistentIntervalError,
+    OutsideDomainError,
     PuncturedUnitDisk,
     UnitDisk,
     UpperHalfPlane,
@@ -72,6 +73,22 @@ def test_chordal_density_uses_sphere_gap():
     # spherical scale 2/(1+|z|^2) over the chordal gap to {0, infinity}
     gap = min(2.0 / math.sqrt(2.0) / 1.0, 2.0 / math.sqrt(2.0))
     assert rho(z)[0] == pytest.approx((2.0 / 2.0) / gap, rel=1e-12)
+
+
+@pytest.mark.parametrize("dom, inside, outside",
+                         [(UpperHalfPlane(), 1.0 + 1.0j, 1.0 - 1.0j),
+                          (PuncturedUnitDisk(), 0.5j, 2.0)],
+                         ids=["halfplane", "punctured-disk"])
+def test_chordal_density_is_inf_outside_the_domain(dom, inside, outside):
+    # the convention of quasihyperbolic_density: finite means inside
+    z = np.array([inside, outside])
+    rho = chordal_quasihyperbolic_density(dom)(z)
+    assert np.isfinite(rho[0]) and rho[0] > 0.0
+    assert rho[1] == math.inf
+    assert quasihyperbolic_density(dom)(z)[1] == math.inf
+    assert dom.chordal_boundary_distance_field(z)[1] == 0.0
+    with pytest.raises(OutsideDomainError):
+        dom.chordal_boundary_distance(outside)
 
 
 # ---------------------------------------------------------------------------

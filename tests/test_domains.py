@@ -192,12 +192,15 @@ def test_halfplane_chordal_distance_below_every_real_point():
 @given(st.floats(min_value=-20.0, max_value=20.0),
        st.floats(min_value=1e-6, max_value=math.pi - 1e-6))
 def test_halfplane_chordal_distance_symmetries(log_r, angle):
-    # conjugation and z -> -1/z are chordal isometries fixing the real line
+    # the reflection z -> -conj(z) and z -> -1/z are chordal isometries that
+    # keep the upper half-plane; conjugation leaves it, and outside the
+    # domain the distance is 0, as delta is
     dom = UpperHalfPlane()
     z = math.exp(log_r) * complex(math.cos(angle), math.sin(angle))
     d = dom.chordal_boundary_distance(z)
-    assert dom.chordal_boundary_distance(z.conjugate()) == d
+    assert dom.chordal_boundary_distance(-z.conjugate()) == d
     assert dom.chordal_boundary_distance(-1.0 / z) == pytest.approx(d, rel=1e-12)
+    assert dom.chordal_boundary_distance_field(np.array([z.conjugate()]))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

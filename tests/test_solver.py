@@ -33,6 +33,7 @@ from qhyp import (
 )
 from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
 from qhyp.geometry import segment_point_distance
+from qhyp import solver as solver_module
 from qhyp.solver import _build_graph, _edge_weights
 
 RES = Resolution(radial=96, angular=96)
@@ -189,11 +190,14 @@ def test_numeric_results_pinned(punctures, a, b, solver, expected):
 
 def test_numeric_meta_reports_stage_cost():
     dom = FiniteComplement([0.0, 1.0])
+    _evict_grid()
     result = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
     meta = result.meta
-    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "stitch_s", "weights_s"):
+    assert meta["grid_reused"] is False
+    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "stitch_s",
+                "clearance_s", "weights_s"):
         assert meta[key] >= 0.0
-    assert meta["stitch_s"] + meta["weights_s"] <= meta["build_s"]
+    assert meta["stitch_s"] + meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
     # one weight evaluation for the graph, and at least one per relaxation step
     assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
     assert meta["density_points"] > meta["nodes"] + meta["edges"]
@@ -206,6 +210,85 @@ def test_numeric_meta_reports_stage_cost():
     assert warm.meta["dijkstra_s"] == 0.0
     assert warm.meta["weight_calls"] >= 1
     assert "stitch_s" not in warm.meta and warm.meta["clearance_exact"] >= 0
+
+
+def _evict_grid():
+    # a problem of its own, so that the next solve builds its grid afresh
+    k_numeric(FiniteComplement([5.0]), 6.0, 6.0 + 1.0j, Resolution(radial=8, angular=8))
+
+
+def _fingerprint(result):
+    """The bytes of a result that the grid can change."""
+    iv = result.distance
+    return (iv.lower, iv.upper, iv.lower_source, iv.upper_source,
+            result.path.as_array().tobytes(),
+            tuple(result.meta[k] for k in ("nodes", "edges", "stitch_edges",
+                                           "graph_length", "relax_sweeps", "measured")))
+
+
+def test_grid_reused_by_chordal_and_swapped_solves():
+    dom = FiniteComplement(FOUR)
+    a, b = 0.8 + 1.2j, -2.0 - 0.7j
+    _evict_grid()
+    first = k_numeric(dom, a, b, PINNED_RES)
+    assert first.meta["grid_reused"] is False
+    reused = [k_chordal_numeric(dom, a, b, PINNED_RES), k_numeric(dom, b, a, PINNED_RES),
+              k_chordal_numeric(dom, b, a, PINNED_RES)]
+    for result in reused:
+        meta = result.meta
+        assert meta["grid_reused"] is True
+        assert meta["stitch_s"] == meta["clearance_s"] == 0.0
+        assert meta["stitch_edges"] == first.meta["stitch_edges"] > 0
+    assert reused[1].distance == first.distance
+    # each reused result equals a cold solve, byte for byte; its exact
+    # clearance tests are the relaxation's alone
+    for solver, x, y, result in [(k_chordal_numeric, a, b, reused[0]),
+                                 (k_numeric, b, a, reused[1]),
+                                 (k_chordal_numeric, b, a, reused[2])]:
+        _evict_grid()
+        cold = solver(dom, x, y, PINNED_RES)
+        assert cold.meta["grid_reused"] is False
+        assert _fingerprint(cold) == _fingerprint(result)
+        build_exact = solver_module._last_grid[1].clearance_exact
+        assert build_exact > 0
+        assert result.meta["clearance_exact"] == cold.meta["clearance_exact"] - build_exact
+
+
+@pytest.mark.parametrize("change", ["domain", "anchors", "resolution"])
+def test_grid_not_reused_for_another_problem(change):
+    dom, a, b, res = FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES
+    k_numeric(dom, a, b, res)
+    if change == "domain":
+        dom = FiniteComplement([0.0, 1.0, 3.0j])
+    elif change == "anchors":
+        b = np.nextafter(b.real, 3.0) + 1j * b.imag
+    else:
+        res = Resolution(radial=32, angular=32, clearance=0.31)
+    assert k_chordal_numeric(dom, a, b, res).meta["grid_reused"] is False
+
+
+def test_cached_grid_is_read_only():
+    dom = FiniteComplement([0.0, 1.0])
+    nodes, graph, ids, meta = _build_graph(dom, [-0.5 + 0.3j, 2.1 - 1.0j], PINNED_RES,
+                                           quasihyperbolic_density(dom))
+    _, grid = solver_module._last_grid
+    assert nodes is grid.nodes
+    for arr in (grid.nodes, grid.lo, grid.hi):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    assert graph.nnz == meta["edges"] <= grid.lo.size
+    assert list(grid.anchor_ids) == ids
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 0, 3, 1, 1)])
+def test_numeric_results_pinned_in_any_order(order):
+    _evict_grid()
+    for i in order:
+        punctures, a, b, solver, expected = PINNED[i]
+        result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+        assert (result.distance.lower, result.distance.upper, len(result.path.points),
+                result.meta["relax_sweeps"]) == expected
 
 
 # ---------------------------------------------------------------------------
