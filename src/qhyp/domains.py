@@ -127,8 +127,8 @@ class ComplementPoint(Component):
     def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
         return k_star_exact(a, b, self.point), f"winding({self.point:g})"
 
-    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
-        return chordal_distance_field(z, self.point)
+    def chordal_distance_field(self, z: np.ndarray, lift_z: np.ndarray) -> np.ndarray:
+        return chordal_distance_field(z, self.point, lift_z)
 
     def accumulates_at_infinity(self) -> bool:
         return False
@@ -164,13 +164,12 @@ class _RoundComponent(Component):
         v = np.where(v == 0, 1.0, v)
         return self.center + self.radius * v / np.abs(v)
 
-    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
+    def chordal_distance_field(self, z: np.ndarray, lift_z: np.ndarray) -> np.ndarray:
         if self.center != 0:
             raise UnsupportedDomainError(
                 "chordal boundary distance to an off-center circle is not supported")
         z = np.asarray(z, dtype=np.complex128)
         proj = self.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
-        lift_z = np.hypot(1.0, np.abs(z))
         lift_p = math.hypot(1.0, self.radius)
         # 0 inside the component, as distance_field is
         return np.where(self.distance_field(z) > 0, 2.0 * np.abs(z - proj) / (lift_z * lift_p),
@@ -287,7 +286,7 @@ class ComplementHalfPlane(Component):
         u = self._unit()
         return halfplane_distance((a - self.origin) / u, (b - self.origin) / u), "halfplane"
 
-    def chordal_distance_field(self, z: np.ndarray) -> np.ndarray:
+    def chordal_distance_field(self, z: np.ndarray, lift_z: np.ndarray) -> np.ndarray:
         if self.origin != 0 or self._unit() != 1:
             raise UnsupportedDomainError(
                 "chordal boundary distance to a tilted half-plane is not supported")
@@ -296,7 +295,7 @@ class ComplementHalfPlane(Component):
         # extended real line; the chord to that circle is s sqrt(2 / (1 + c))
         z = np.asarray(z, dtype=np.complex128)
         r = np.abs(z)
-        lift = np.hypot(1.0, r)
+        lift = lift_z
         s = 2.0 * np.maximum(z.imag, 0.0) / lift / lift  # 0 on the component Im z <= 0
         c = np.hypot(2.0 * z.real / lift / lift, ((r - 1.0) / lift) * ((r + 1.0) / lift))
         return s * np.sqrt(2.0 / (1.0 + c))
@@ -380,19 +379,27 @@ class Domain:
                         found.append(p)
         return found
 
-    def chordal_boundary_distance_field(self, z: np.ndarray) -> np.ndarray:
+    def chordal_boundary_distance_field(self, z: np.ndarray,
+                                        abs_z: Optional[np.ndarray] = None) -> np.ndarray:
         """Chordal distance to the sphere boundary of the domain, vectorized;
-        0 outside the domain, like ``delta_field``."""
+        0 outside the domain, like ``delta_field``.  ``abs_z`` is |z|, when
+        the caller already has it.
+
+        One pass: hypot(1, |z|) is computed once per call and shared by every
+        component and by the term for infinity, and the minimum is kept in
+        one running array instead of one array per component."""
         z = np.asarray(z, dtype=np.complex128)
-        parts = [comp.chordal_distance_field(z) for comp in self.complement_components()]
+        lift_z = np.hypot(1.0, np.abs(z) if abs_z is None else abs_z)
+        fields = [comp.chordal_distance_field for comp in self.complement_components()]
         if self.sphere_boundary_includes_infinity():
-            parts.append(2.0 / np.hypot(1.0, np.abs(z)))
-        if not parts:
+            fields.append(lambda z, lift_z: chordal_distance_field(z, INF, lift_z))
+        if not fields:
             raise UnsupportedDomainError("domain has empty sphere boundary")
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.minimum(out, p)
-        return out
+        # a 0-d input gives numpy scalars, which cannot take ``out=``
+        out = np.asarray(fields[0](z, lift_z))
+        for part in fields[1:]:
+            np.minimum(out, part(z, lift_z), out=out)
+        return out if out.ndim else out[()]
 
     def chordal_boundary_distance(self, z: ExtPoint) -> float:
         """Chordal distance from a point of the domain to its sphere

@@ -78,10 +78,13 @@ def spherical_distance(p: ExtPoint, q: ExtPoint) -> float:
     return 2.0 * math.asin(min(1.0, half))
 
 
-def chordal_distance_field(z: np.ndarray, p: ExtPoint) -> np.ndarray:
-    """Vectorized chordal distance from each entry of ``z`` to ``p``."""
+def chordal_distance_field(z: np.ndarray, p: ExtPoint,
+                           lift_z: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized chordal distance from each entry of ``z`` to ``p``;
+    ``lift_z`` is hypot(1, |z|), when the caller already has it."""
     z = np.asarray(z, dtype=np.complex128)
-    lift_z = np.hypot(1.0, np.abs(z))
+    if lift_z is None:
+        lift_z = np.hypot(1.0, np.abs(z))
     if is_infinite(p):
         return 2.0 / lift_z
     w = as_finite(p)

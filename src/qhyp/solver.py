@@ -35,7 +35,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -141,12 +141,15 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 # ---------------------------------------------------------------------------
 
 def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
-                        near: Iterable[np.ndarray], punctures: Sequence[complex],
-                        clearance: float, ok: np.ndarray,
+                        near: Union[np.ndarray, Iterable[np.ndarray]],
+                        punctures: Sequence[complex], clearance: float, ok: np.ndarray,
                         work: Optional[dict] = None) -> None:
     """Clear ``ok`` where the segment [u, v] passes too close to a removed
-    point; ``near`` yields min(|u - q|, |v - q|) for each q of ``punctures``
-    in turn, and ``length`` is |v - u|.
+    point; ``length`` is |v - u|, and ``near`` holds min(|u - q|, |v - q|)
+    for each q of ``punctures``: either as one (P, n) array, whose cheap
+    test runs in one pass, or as an iterable that yields one row per
+    puncture, tested as it streams (the grid's ~1M edges, where a (P, n)
+    array would cost too much memory).
 
     A segment is rejected when its distance to q falls below
     ``clearance * near``.  Every point of [u, v] lies within L/2 of an end,
@@ -154,15 +157,21 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
     whenever L <= 2 (1 - clearance) near.  The cheap test uses 0.9 of that
     slack, less 64 ulps of |q| for the rounding of ``segment_point_distance``
     in absolute coordinates, and is off when clearance is within 1e-12 of 1
-    or above, so it passes only segments whose exact test would pass too; the
-    exact distance is computed for the rest of the still-admissible segments
-    alone, and their number is added to ``work["clearance_exact"]``.
+    or above, so it passes only segments whose exact test would pass too.
+    The exact distance is computed, puncture by puncture in order, for the
+    segments that fail the cheap test and are still admissible, and their
+    number is added to ``work["clearance_exact"]``.
     """
     slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
+    pads = [64.0 * sys.float_info.epsilon * abs(q) for q in punctures]
+    if isinstance(near, np.ndarray):
+        fails = ~(length < slack * near - np.array(pads)[:, None])
+        tests = zip(fails, near) if (fails & ok).any() else ()
+    else:
+        tests = ((~(length < slack * near_q - pad), near_q) for near_q, pad in zip(near, pads))
     exact = 0
-    for q, near_q in zip(punctures, near):
-        pad = 64.0 * sys.float_info.epsilon * abs(q)
-        hard = np.flatnonzero(ok & ~(length < slack * near_q - pad))
+    for q, (fail, near_q) in zip(punctures, tests):
+        hard = np.flatnonzero(ok & fail)
         if hard.size:
             d = segment_point_distance(u[hard], v[hard], q)
             ok[hard] = d >= clearance * near_q[hard]
@@ -173,18 +182,28 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
                   rv: np.ndarray, punctures: Sequence[complex],
-                  clearance: float, work: Optional[dict] = None) -> np.ndarray:
+                  clearance: float, work: Optional[dict] = None,
+                  ok: Optional[np.ndarray] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (a density
     that is not finite and positive, or a dive toward a removed point, as
-    judged by ``_clear_of_punctures``)."""
+    judged by ``_clear_of_punctures`` in one pass).  A caller that already
+    has the finite-and-positive mask of the three densities passes it as
+    ``ok``, which is then cleared in place."""
     length = np.abs(v - u)
     w = length * (ru + 4.0 * rm + rv) / 6.0
-    ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
-          & np.isfinite(rv) & (rv > 0))
-    near = (np.minimum(np.abs(u - q), np.abs(v - q)) for q in punctures)
-    _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
+    if ok is None:
+        ok = _admissible(ru) & _admissible(rm) & _admissible(rv)
+    if len(punctures):
+        q = np.asarray(punctures, dtype=np.complex128)[:, None]
+        near = np.minimum(np.abs(u - q), np.abs(v - q))
+        _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
     return np.where(ok, w, np.inf)
+
+
+def _admissible(r: np.ndarray) -> np.ndarray:
+    """Where a density value is finite and positive."""
+    return np.isfinite(r) & (r > 0)
 
 
 class _Chart:
@@ -455,10 +474,17 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     A half-sweep moves every other interior vertex along the normal of the
     chord between its neighbours zm and zp.  Both golden-section probes c1
     and c2 of its m vertices are scored by one weight evaluation over the 4m
-    stacked segments zm->c1, c1->zp, zm->c2, c2->zp, as are the final offset
-    and the unmoved vertex.  The density at zm and zp is evaluated once per
-    half-sweep and at a candidate once for both its segments; each probe,
-    comparison and sum is that of scoring the probes one by one.
+    stacked segments zm->c1, zm->c2, c1->zp, c2->zp, as are the final offset
+    and the unmoved vertex.  The segment ends, their densities and the
+    probe points live in arrays allocated once per half-sweep; a probe
+    writes its candidates and midpoints into them.  The ends zm and zp are
+    fixed for the half-sweep, so their densities and their finite-and-
+    positive masks are computed once per half-sweep, and the density at a
+    candidate once for both its segments.  The clearance test runs in one
+    pass over all punctures, with the exact test as an in-order fallback
+    (see ``_clear_of_punctures``), so ``clearance_exact`` counts what the
+    puncture-by-puncture test counts.  Each probe, comparison and sum is
+    that of scoring the probes one by one.
 
     Returns the relaxed points, the sweeps run, and the work done as
     ``weight_calls``, ``density_points`` and ``clearance_exact``.
@@ -469,14 +495,15 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
         work["density_points"] += z.size
         return density(z)
 
-    def weights(u, v, ru, rm, rv):
+    def weights(u, v, ru, rm, rv, ok=None):
         work["weight_calls"] += 1
-        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work)
+        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work, ok)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
         return list(points), 0, work
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    q_col = np.asarray(punctures, dtype=np.complex128)[:, None]
 
     def total(Q):
         u, v = Q[:-1], Q[1:]
@@ -502,27 +529,39 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                                             chord[ok], clen[ok])
             normal = 1j * chord / clen
             if punctures:
-                dq = np.min(np.stack([np.abs(zc - q) for q in punctures]), axis=0)
+                dq = np.abs(zc - q_col).min(axis=0)
             else:
                 dq = np.full(idx.size, np.inf)
             amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
                                     0.5 * clen)
 
-            # two offsets per vertex, stacked: the first m and the last m
+            # two offsets per vertex, stacked: the first m and the last m.
+            # Segments zm->cand fill the first 2m slots, cand->zp the last
+            # 2m; the fixed ends and their densities and masks go in once.
             m = idx.size
-            zm2, zc2, zp2, normal2 = (np.tile(x, 2) for x in (zm, zc, zp, normal))
+            n2 = 2 * m
+            zc2, normal2 = np.tile(zc, 2), np.tile(normal, 2)
             r_ends = rho(np.concatenate([zm, zp]))
-            r_zm2, r_zp2 = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
+            u, v = np.empty(2 * n2, dtype=np.complex128), np.empty(2 * n2, dtype=np.complex128)
+            ru, rv = np.empty(2 * n2), np.empty(2 * n2)
+            u[:n2], v[n2:] = np.tile(zm, 2), np.tile(zp, 2)
+            ru[:n2], rv[n2:] = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
+            ends_ok = _admissible(np.concatenate([ru[:n2], rv[n2:]]))
+            probes = np.empty(3 * n2, dtype=np.complex128)  # candidates, midpoints
+            cand, mid = probes[:n2], probes[n2:]
 
             def f(t):
-                cand = zc2 + t * normal2
-                u = np.concatenate([zm2, cand])
-                v = np.concatenate([cand, zp2])
-                r = rho(np.concatenate([cand, 0.5 * (u + v)]))
-                rc = r[:2 * m]
-                w = weights(u, v, np.concatenate([r_zm2, rc]), r[2 * m:],
-                            np.concatenate([rc, r_zp2]))
-                return w[:2 * m] + w[2 * m:]
+                np.multiply(t, normal2, out=cand)
+                np.add(zc2, cand, out=cand)
+                u[n2:] = v[:n2] = cand
+                np.multiply(0.5, np.add(u, v, out=mid), out=mid)
+                r = rho(probes)
+                ru[n2:] = rv[:n2] = r[:n2]
+                r_ok = _admissible(r)
+                # the midpoint's mask, then the candidate end's, per segment
+                ok = ((ends_ok & r_ok[n2:]).reshape(2, n2) & r_ok[:n2]).ravel()
+                w = weights(u, v, ru, r[n2:], rv, ok)
+                return w[:n2] + w[n2:]
 
             lo, hi = -amp, amp
             for _ in range(res.golden_iters):

@@ -117,6 +117,8 @@ def test_heatmap_grid_and_sidecar(tmp_path, capsys):
 HEATMAP_PINS = {
     "beta": ("940ef8c068a503c4b884a566d61ff2448b940440314a61b2a51b690f389ecc79",
              0.9829059829059829, 0.0, 1.3862943611198906),
+    "chordal-qh-density": ("dd85447267052acaa1dee8690bb4b9648b83efd0adb583907a9e42c0ac1a74d9",
+                           0.9829059829059829, 0.40824829046386296, 4.525483399593904),
     "bp-upper": ("7dd401793b7c1782537eb2188ad2a4e1327b0e6db1de5574ae1096d219c9d2bd",
                  0.9316239316239316, 3.2048625910656305, 50.2731804351739),
     "delta": ("5d765c5b050aab2558d482b7adb09cb640b299e52d82db72d7e6696b6820f704",

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qhyp import (
     INF,
+    ComplementHalfPlane,
+    ComplementPoint,
     DomainError,
     ExteriorUnitDisk,
     FiniteComplement,
@@ -201,6 +203,70 @@ def test_halfplane_chordal_distance_symmetries(log_r, angle):
     assert dom.chordal_boundary_distance(-z.conjugate()) == d
     assert dom.chordal_boundary_distance(-1.0 / z) == pytest.approx(d, rel=1e-12)
     assert dom.chordal_boundary_distance_field(np.array([z.conjugate()]))[0] == 0.0
+
+
+def _chordal_boundary_reference(dom, z):
+    """The chordal boundary distance as computed before the one-pass field:
+    each component lifts z on its own, and the minimum is taken over a list
+    of one array per component, plus one for infinity."""
+    z = np.asarray(z, dtype=np.complex128)
+    parts = []
+    for comp in dom.complement_components():
+        if isinstance(comp, ComplementPoint):
+            parts.append(chordal_distance_field(z, comp.point))
+        elif isinstance(comp, ComplementHalfPlane):
+            r = np.abs(z)
+            lift = np.hypot(1.0, r)
+            s = 2.0 * np.maximum(z.imag, 0.0) / lift / lift
+            c = np.hypot(2.0 * z.real / lift / lift, ((r - 1.0) / lift) * ((r + 1.0) / lift))
+            parts.append(s * np.sqrt(2.0 / (1.0 + c)))
+        else:  # a circle about 0
+            proj = comp.radius * np.exp(1j * np.angle(np.where(z == 0, 1.0, z)))
+            lift_z = np.hypot(1.0, np.abs(z))
+            lift_p = math.hypot(1.0, comp.radius)
+            parts.append(np.where(comp.distance_field(z) > 0,
+                                  2.0 * np.abs(z - proj) / (lift_z * lift_p), 0.0))
+    if dom.sphere_boundary_includes_infinity():
+        parts.append(2.0 / np.hypot(1.0, np.abs(z)))
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.minimum(out, p)
+    return out
+
+
+CHORDAL_DOMAINS = [
+    FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]),
+    FiniteComplement([0.0, 1.0, -2.0j], contains_infinity=True),
+    UnitDisk(),
+    PuncturedUnitDisk(),
+    UpperHalfPlane(),
+]
+
+
+@pytest.mark.parametrize("dom", CHORDAL_DOMAINS,
+                         ids=["plane-minus-four", "sphere-minus-three", "disk",
+                              "punctured-disk", "halfplane"])
+@pytest.mark.parametrize("shape", [(), (7,), (5, 9)], ids=["0d", "1d", "2d"])
+def test_chordal_field_equals_per_component_minimum(dom, shape):
+    rng = np.random.default_rng(len(shape))
+    n = max(1, int(np.prod(shape)))
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    z = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    # up to half of them on or outside the boundary, where the distance is 0
+    edge = np.array([0.0, 1.0, 1.0j, -1.5 + 0.5j, -2.0j, 2.0, -0.5j, 0.6 - 0.8j])
+    k = min(n // 2, edge.size)
+    z[:k] = edge[:k]
+    z = z.reshape(shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = dom.chordal_boundary_distance_field(z)
+        want = _chordal_boundary_reference(dom, z)
+    assert np.shape(got) == np.shape(want) == shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    outside = np.asarray(dom.delta_field(z)) == 0.0
+    assert np.all(np.asarray(got)[outside] == 0.0)
+    assert np.all(np.asarray(got)[~outside] > 0.0)
+    if shape == ():
+        assert isinstance(got, np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,161 @@ def test_edge_weights_equal_all_exact_reference(segments, clearance, punctures, 
 
 
 # ---------------------------------------------------------------------------
+# Path relaxation
+# ---------------------------------------------------------------------------
+
+def _edge_weights_reference(u, v, ru, rm, rv, punctures, clearance, work):
+    """The edge weights and clearance test as they ran before the one-pass
+    clearance: the cheap test and then the exact one, puncture by puncture."""
+    length = np.abs(v - u)
+    w = length * (ru + 4.0 * rm + rv) / 6.0
+    ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
+          & np.isfinite(rv) & (rv > 0))
+    slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
+    for q in punctures:
+        near_q = np.minimum(np.abs(u - q), np.abs(v - q))
+        pad = 64.0 * np.finfo(float).eps * abs(q)
+        hard = np.flatnonzero(ok & ~(length < slack * near_q - pad))
+        if hard.size:
+            d = segment_point_distance(u[hard], v[hard], q)
+            ok[hard] = d >= clearance * near_q[hard]
+            work["clearance_exact"] += hard.size
+    return np.where(ok, w, np.inf)
+
+
+def _relax_path_reference(points, density, punctures, res):
+    """The relaxation as it ran before its buffers and one-pass clearance
+    test: fresh concatenations per probe, the end masks recomputed per weight
+    call, and one pass per puncture."""
+    work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
+
+    def rho(z):
+        work["density_points"] += z.size
+        return density(z)
+
+    def weights(u, v, ru, rm, rv):
+        work["weight_calls"] += 1
+        return _edge_weights_reference(u, v, ru, rm, rv, punctures, res.clearance, work)
+
+    P = np.asarray(points, dtype=np.complex128)
+    if P.size < 3:
+        return list(points), 0, work
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def total(Q):
+        u, v = Q[:-1], Q[1:]
+        r = rho(Q)
+        return float(np.sum(weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:])))
+
+    current = total(P)
+    sweeps_done = 0
+    for sweep in range(res.relax_sweeps):
+        improved = 0.0
+        for parity in (1, 0):
+            idx = np.arange(1, P.size - 1)
+            idx = idx[idx % 2 == parity]
+            if idx.size == 0:
+                continue
+            zm, zc, zp = P[idx - 1], P[idx], P[idx + 1]
+            chord = zp - zm
+            clen = np.abs(chord)
+            ok = clen > 0
+            if not ok.any():
+                continue
+            idx, zm, zc, zp, chord, clen = (idx[ok], zm[ok], zc[ok], zp[ok],
+                                            chord[ok], clen[ok])
+            normal = 1j * chord / clen
+            if punctures:
+                dq = np.min(np.stack([np.abs(zc - q) for q in punctures]), axis=0)
+            else:
+                dq = np.full(idx.size, np.inf)
+            amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
+                                    0.5 * clen)
+            m = idx.size
+            zm2, zc2, zp2, normal2 = (np.tile(x, 2) for x in (zm, zc, zp, normal))
+            r_ends = rho(np.concatenate([zm, zp]))
+            r_zm2, r_zp2 = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
+
+            def f(t):
+                cand = zc2 + t * normal2
+                u = np.concatenate([zm2, cand])
+                v = np.concatenate([cand, zp2])
+                r = rho(np.concatenate([cand, 0.5 * (u + v)]))
+                rc = r[:2 * m]
+                w = weights(u, v, np.concatenate([r_zm2, rc]), r[2 * m:],
+                            np.concatenate([rc, r_zp2]))
+                return w[:2 * m] + w[2 * m:]
+
+            lo, hi = -amp, amp
+            for _ in range(res.golden_iters):
+                c1 = hi - invphi * (hi - lo)
+                c2 = lo + invphi * (hi - lo)
+                fc = f(np.concatenate([c1, c2]))
+                left = fc[:m] < fc[m:]
+                hi = np.where(left, c2, hi)
+                lo = np.where(left, lo, c1)
+            t_best = 0.5 * (lo + hi)
+            fb = f(np.concatenate([t_best, np.zeros_like(t_best)]))
+            f_best, f_zero = fb[:m], fb[m:]
+            accept = f_best < f_zero
+            if accept.any():
+                P[idx[accept]] = (zc + t_best * normal)[accept]
+                gains = (f_zero - f_best)[accept]
+                improved += float(np.sum(gains[np.isfinite(gains)]))
+        sweeps_done = sweep + 1
+        new_total = total(P)
+        if math.isfinite(new_total):
+            if current - new_total < max(1e-6, 1e-6 * abs(new_total)) \
+                    and improved < max(1e-6, 1e-6 * abs(new_total)):
+                current = new_total
+                break
+            current = new_total
+    return [complex(z) for z in P], sweeps_done, work
+
+
+RELAX_RES = Resolution(radial=8, angular=8, relax_sweeps=4, golden_iters=8)
+# a vertex: (puncture it circles, log10 of its distance, angle)
+_vertex = st.tuples(st.integers(0, 3), st.floats(min_value=-3.0, max_value=0.5),
+                    st.floats(min_value=0.0, max_value=2.0 * math.pi))
+
+
+def _polyline(punctures, vertices):
+    return [punctures[i % len(punctures)] + 10.0 ** e * cmath.exp(1j * t)
+            for i, e, t in vertices]
+
+
+def _assert_relaxation_matches_reference(punctures, density, points):
+    dom = FiniteComplement(punctures)
+    rho = density(dom)
+    with np.errstate(invalid="ignore"):  # inf - inf among rejected probes
+        want = _relax_path_reference(list(points), rho, punctures, RELAX_RES)
+        got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES)
+    assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+    assert got[1:] == want[1:]
+    return got[2]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([[0.0, 1.0], FOUR]),
+       st.sampled_from([quasihyperbolic_density, chordal_quasihyperbolic_density]),
+       st.lists(_vertex, min_size=2, max_size=9))
+def test_relax_path_equals_reference(punctures, density, vertices):
+    _assert_relaxation_matches_reference(punctures, density, _polyline(punctures, vertices))
+
+
+@pytest.mark.parametrize("density", [quasihyperbolic_density, chordal_quasihyperbolic_density],
+                         ids=["k", "chordal"])
+@pytest.mark.parametrize("punctures", [[0.0, 1.0], FOUR], ids=["two", "four"])
+def test_relax_path_equals_reference_near_a_puncture(punctures, density):
+    # vertices on alternate sides of 0 and 1: the probes' segments cross
+    # near both, so the exact clearance test runs and rejects some
+    points = [-0.5 + 0.3j, 0.02 - 0.01j, -0.03 + 0.02j, 0.6 + 0.01j, 1.02 - 0.01j,
+              0.98 + 0.02j, 2.1 - 1.0j]
+    work = _assert_relaxation_matches_reference(punctures, density, points)
+    assert work["clearance_exact"] > 0
+
+
+# ---------------------------------------------------------------------------
 # Fast interval
 # ---------------------------------------------------------------------------
 
