@@ -85,14 +85,13 @@ def quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np.ndarray
 def chordal_quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np.ndarray]:
     """Spherical conformal factor over the chordal boundary distance.
 
-    |z| is computed once per call and shared with
-    ``Domain.chordal_boundary_distance_field``, which lifts it once for all
-    components and keeps a running minimum."""
+    The distance comes from ``Domain.chordal_boundary_distance_field``,
+    which lifts z to the sphere once per call for all components and keeps
+    a running minimum."""
     def rho(z):
         z = np.asarray(z, dtype=np.complex128)
-        r = np.abs(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (2.0 / (1.0 + r ** 2)) / domain.chordal_boundary_distance_field(z, r)
+            return (2.0 / (1.0 + np.abs(z) ** 2)) / domain.chordal_boundary_distance_field(z)
     return rho
 
 

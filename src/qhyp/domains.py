@@ -379,17 +379,15 @@ class Domain:
                         found.append(p)
         return found
 
-    def chordal_boundary_distance_field(self, z: np.ndarray,
-                                        abs_z: Optional[np.ndarray] = None) -> np.ndarray:
+    def chordal_boundary_distance_field(self, z: np.ndarray) -> np.ndarray:
         """Chordal distance to the sphere boundary of the domain, vectorized;
-        0 outside the domain, like ``delta_field``.  ``abs_z`` is |z|, when
-        the caller already has it.
+        0 outside the domain, like ``delta_field``.
 
         One pass: hypot(1, |z|) is computed once per call and shared by every
         component and by the term for infinity, and the minimum is kept in
-        one running array instead of one array per component."""
+        one running array, so memory does not grow with the components."""
         z = np.asarray(z, dtype=np.complex128)
-        lift_z = np.hypot(1.0, np.abs(z) if abs_z is None else abs_z)
+        lift_z = np.hypot(1.0, np.abs(z))
         fields = [comp.chordal_distance_field for comp in self.complement_components()]
         if self.sphere_boundary_includes_infinity():
             fields.append(lambda z, lift_z: chordal_distance_field(z, INF, lift_z))

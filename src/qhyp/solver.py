@@ -35,7 +35,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -141,15 +141,13 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 # ---------------------------------------------------------------------------
 
 def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
-                        near: Union[np.ndarray, Iterable[np.ndarray]],
-                        punctures: Sequence[complex], clearance: float, ok: np.ndarray,
+                        near: np.ndarray, punctures: Sequence[complex],
+                        clearance: float, ok: np.ndarray,
                         work: Optional[dict] = None) -> None:
     """Clear ``ok`` where the segment [u, v] passes too close to a removed
-    point; ``length`` is |v - u|, and ``near`` holds min(|u - q|, |v - q|)
-    for each q of ``punctures``: either as one (P, n) array, whose cheap
-    test runs in one pass, or as an iterable that yields one row per
-    puncture, tested as it streams (the grid's ~1M edges, where a (P, n)
-    array would cost too much memory).
+    point; ``length`` is |v - u|, and row i of the (P, n) array ``near`` is
+    min(|u - q|, |v - q|) for the i-th q of ``punctures``.  The cheap test
+    runs for all rows in one pass.
 
     A segment is rejected when its distance to q falls below
     ``clearance * near``.  Every point of [u, v] lies within L/2 of an end,
@@ -163,12 +161,9 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
     number is added to ``work["clearance_exact"]``.
     """
     slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
-    pads = [64.0 * sys.float_info.epsilon * abs(q) for q in punctures]
-    if isinstance(near, np.ndarray):
-        fails = ~(length < slack * near - np.array(pads)[:, None])
-        tests = zip(fails, near) if (fails & ok).any() else ()
-    else:
-        tests = ((~(length < slack * near_q - pad), near_q) for near_q, pad in zip(near, pads))
+    pads = np.array([64.0 * sys.float_info.epsilon * abs(q) for q in punctures])
+    fails = ~(length < slack * near - pads[:, None])
+    tests = zip(fails, near) if (fails & ok).any() else ()
     exact = 0
     for q, (fail, near_q) in zip(punctures, tests):
         hard = np.flatnonzero(ok & fail)
@@ -182,28 +177,20 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
                   rv: np.ndarray, punctures: Sequence[complex],
-                  clearance: float, work: Optional[dict] = None,
-                  ok: Optional[np.ndarray] = None) -> np.ndarray:
+                  clearance: float, work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (a density
     that is not finite and positive, or a dive toward a removed point, as
-    judged by ``_clear_of_punctures`` in one pass).  A caller that already
-    has the finite-and-positive mask of the three densities passes it as
-    ``ok``, which is then cleared in place."""
+    judged by ``_clear_of_punctures`` in one pass)."""
     length = np.abs(v - u)
     w = length * (ru + 4.0 * rm + rv) / 6.0
-    if ok is None:
-        ok = _admissible(ru) & _admissible(rm) & _admissible(rv)
+    ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
+          & np.isfinite(rv) & (rv > 0))
     if len(punctures):
         q = np.asarray(punctures, dtype=np.complex128)[:, None]
         near = np.minimum(np.abs(u - q), np.abs(v - q))
         _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
     return np.where(ok, w, np.inf)
-
-
-def _admissible(r: np.ndarray) -> np.ndarray:
-    """Where a density value is finite and positive."""
-    return np.isfinite(r) & (r > 0)
 
 
 class _Chart:
@@ -355,10 +342,14 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     # computed once and gathered for both ends of every edge
     t2 = time.perf_counter()
     u, v = nodes[lo], nodes[hi]
+    length = np.abs(v - u)
     clear = np.ones(lo.size, dtype=bool)
-    near = (np.minimum(dq[lo], dq[hi]) for dq in (np.abs(nodes - q) for q in punctures))
     work = {"clearance_exact": 0}
-    _clear_of_punctures(u, v, np.abs(v - u), near, punctures, res.clearance, clear, work)
+    # one puncture at a time: a (P, n) array over ~1M edges costs too much memory
+    for q in punctures:
+        dq = np.abs(nodes - q)
+        _clear_of_punctures(u, v, length, np.minimum(dq[lo], dq[hi])[None], (q,),
+                            res.clearance, clear, work)
     lo, hi = lo[clear], hi[clear]
     t3 = time.perf_counter()
 
@@ -478,13 +469,13 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     and the unmoved vertex.  The segment ends, their densities and the
     probe points live in arrays allocated once per half-sweep; a probe
     writes its candidates and midpoints into them.  The ends zm and zp are
-    fixed for the half-sweep, so their densities and their finite-and-
-    positive masks are computed once per half-sweep, and the density at a
-    candidate once for both its segments.  The clearance test runs in one
-    pass over all punctures, with the exact test as an in-order fallback
-    (see ``_clear_of_punctures``), so ``clearance_exact`` counts what the
-    puncture-by-puncture test counts.  Each probe, comparison and sum is
-    that of scoring the probes one by one.
+    fixed for the half-sweep, so their densities are computed once per
+    half-sweep, and the density at a candidate once for both its segments.
+    The clearance test runs in one pass over all punctures, with the exact
+    test as an in-order fallback (see ``_clear_of_punctures``), so
+    ``clearance_exact`` counts what the puncture-by-puncture test counts.
+    Each probe, comparison and sum is that of scoring the probes one by
+    one.
 
     Returns the relaxed points, the sweeps run, and the work done as
     ``weight_calls``, ``density_points`` and ``clearance_exact``.
@@ -495,9 +486,9 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
         work["density_points"] += z.size
         return density(z)
 
-    def weights(u, v, ru, rm, rv, ok=None):
+    def weights(u, v, ru, rm, rv):
         work["weight_calls"] += 1
-        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work, ok)
+        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
@@ -537,7 +528,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
 
             # two offsets per vertex, stacked: the first m and the last m.
             # Segments zm->cand fill the first 2m slots, cand->zp the last
-            # 2m; the fixed ends and their densities and masks go in once.
+            # 2m; the fixed ends and their densities go in once.
             m = idx.size
             n2 = 2 * m
             zc2, normal2 = np.tile(zc, 2), np.tile(normal, 2)
@@ -546,7 +537,6 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
             ru, rv = np.empty(2 * n2), np.empty(2 * n2)
             u[:n2], v[n2:] = np.tile(zm, 2), np.tile(zp, 2)
             ru[:n2], rv[n2:] = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
-            ends_ok = _admissible(np.concatenate([ru[:n2], rv[n2:]]))
             probes = np.empty(3 * n2, dtype=np.complex128)  # candidates, midpoints
             cand, mid = probes[:n2], probes[n2:]
 
@@ -557,10 +547,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 np.multiply(0.5, np.add(u, v, out=mid), out=mid)
                 r = rho(probes)
                 ru[n2:] = rv[:n2] = r[:n2]
-                r_ok = _admissible(r)
-                # the midpoint's mask, then the candidate end's, per segment
-                ok = ((ends_ok & r_ok[n2:]).reshape(2, n2) & r_ok[:n2]).ravel()
-                w = weights(u, v, ru, r[n2:], rv, ok)
+                w = weights(u, v, ru, r[n2:], rv)
                 return w[:n2] + w[n2:]
 
             lo, hi = -amp, amp

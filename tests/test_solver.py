@@ -419,8 +419,7 @@ def _edge_weights_reference(u, v, ru, rm, rv, punctures, clearance, work):
 
 def _relax_path_reference(points, density, punctures, res):
     """The relaxation as it ran before its buffers and one-pass clearance
-    test: fresh concatenations per probe, the end masks recomputed per weight
-    call, and one pass per puncture."""
+    test: fresh concatenations per probe and one pass per puncture."""
     work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
 
     def rho(z):
