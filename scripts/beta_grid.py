@@ -17,6 +17,7 @@ import numpy as np
 
 from qhyp.beta import beta_field
 from qhyp.domains import FiniteComplement
+from qhyp.gridcsv import write_grid_csv
 
 
 def parse_complex(text: str) -> complex:
@@ -62,10 +63,7 @@ def main(argv=None) -> int:
 
     if ns.csv:
         with open(ns.csv, "w") as fh:
-            fh.write("re,im,beta\n")
-            for r in range(ns.ny):
-                for c in range(ns.nx):
-                    fh.write(f"{xs[c]:.17g},{ys[r]:.17g},{B[r, c]:.17g}\n")
+            write_grid_csv(fh, "re,im,beta", xs, ys, B)
         print(f"wrote {ns.csv}")
     return 0
 

@@ -53,6 +53,7 @@ from .equivalence import (
     counterexample_divergence,
     verify_rough_isometry,
 )
+from .gridcsv import write_grid_csv
 from .solver import Resolution, k_chordal_numeric, k_interval_fast, k_numeric
 from .acceptance import CRITERIA, run_all
 
@@ -176,6 +177,8 @@ _FIELDS = {
 def _cmd_heatmap(args) -> int:
     dom = _load_domain(args.domain)
     x0, x1, y0, y1 = args.window
+    if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0))):
+        raise ValueError("--window bounds, width and height must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("window must satisfy x0 < x1 and y0 < y1")
     if args.nx < 1 or args.ny < 1:
@@ -187,13 +190,8 @@ def _cmd_heatmap(args) -> int:
     t0 = time.perf_counter()
     V = np.asarray(field(Z), dtype=float)
     t1 = time.perf_counter()
-    fmt = "{:.17g}".format
-    xcol = [fmt(x) for x in xs.tolist()]
     with open(args.out, "w") as fh:
-        fh.write("re,im,value\n")
-        for i, y in enumerate(ys.tolist()):
-            line = ("{}," + fmt(y) + ",{:.17g}\n").format
-            fh.write("".join(map(line, xcol, V[i].tolist())))
+        write_fallback = write_grid_csv(fh, "re,im,value", xs, ys, V)
     t2 = time.perf_counter()
     finite = V[np.isfinite(V)]
     sidecar = {"domain": dom.to_json_dict(), "field": args.field,
@@ -202,7 +200,8 @@ def _cmd_heatmap(args) -> int:
                "finite_fraction": float(finite.size) / float(V.size),
                "min": float(finite.min()) if finite.size else None,
                "max": float(finite.max()) if finite.size else None,
-               "field_s": t1 - t0, "write_s": t2 - t1}
+               "field_s": t1 - t0, "write_s": t2 - t1,
+               "write_fallback": write_fallback}
     side_path = args.out + ".json" if not args.out.endswith(".csv") \
         else args.out[:-4] + ".json"
     with open(side_path, "w") as fh:

@@ -9,9 +9,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qhyp.cli import main
+from qhyp.cli import _FIELDS, main
+from qhyp.domains import domain_from_json_text
 
 HALFPLANE = '{"type": "upper_half_plane"}'
 ONE_PUNCT = '{"type": "finite_complement", "punctures": [[0.0, 0.0]]}'
@@ -142,6 +144,65 @@ def test_heatmap_csv_bytes_pinned(tmp_path, capsys, field):
         finite_fraction, lo, hi)
 
 
+def _heatmap_csv_reference(path, xs, ys, V):
+    """The heatmap CSV writer as it was before the vectorized one."""
+    fmt = "{:.17g}".format
+    xcol = [fmt(x) for x in xs.tolist()]
+    with open(path, "w") as fh:
+        fh.write("re,im,value\n")
+        for i, y in enumerate(ys.tolist()):
+            line = ("{}," + fmt(y) + ",{:.17g}\n").format
+            fh.write("".join(map(line, xcol, V[i].tolist())))
+
+
+# the benchmark's field maps at 128x128: the plane minus 16 points
+# e^{2 pi i k/16} (1 + 0.5 (k mod 2)), and the upper half-plane
+RING16 = json.dumps({"type": "finite_complement", "punctures": [
+    [z.real, z.imag] for z in (complex(math.cos(2 * math.pi * k / 16),
+                                       math.sin(2 * math.pi * k / 16)) * (1.0 + 0.5 * (k % 2))
+                               for k in range(16))]})
+
+
+@pytest.mark.parametrize("dom_json, field, window", [
+    (RING16, "beta", (-2.0, 2.0, -2.0, 2.0)),
+    (RING16, "bp-upper", (-2.0, 2.0, -2.0, 2.0)),
+    (RING16, "delta", (-2.0, 2.0, -2.0, 2.0)),
+    (RING16, "chordal-qh-density", (-2.0, 2.0, -2.0, 2.0)),
+    (HALFPLANE, "chordal-qh-density", (-2.0, 2.0, 0.01, 3.0)),
+], ids=["ring16-beta", "ring16-bp-upper", "ring16-delta", "ring16-chordal-qh-density",
+        "halfplane-chordal-qh-density"])
+def test_heatmap_csv_equals_reference_writer(tmp_path, capsys, dom_json, field, window):
+    out_csv, ref_csv = tmp_path / "map.csv", tmp_path / "ref.csv"
+    rc, _, _ = run(capsys, "heatmap", "--domain", dom_json, "--field", field,
+                   "--window", *map(repr, window), "--nx", "128", "--ny", "128",
+                   "--out", str(out_csv))
+    assert rc == 0
+    x0, x1, y0, y1 = window
+    xs, ys = np.linspace(x0, x1, 128), np.linspace(y0, y1, 128)
+    Z = xs[None, :] + 1j * ys[:, None]
+    V = np.asarray(_FIELDS[field](domain_from_json_text(dom_json))(Z), dtype=float)
+    _heatmap_csv_reference(ref_csv, xs, ys, V)
+    assert out_csv.read_bytes() == ref_csv.read_bytes()
+
+
+def test_heatmap_sidecar_counts_fallback_values(tmp_path, capsys):
+    out_csv = tmp_path / "map.csv"
+    # a finite map away from the punctures: every value takes the fast path
+    rc, _, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", "qh-density",
+                   "--window", "0.3", "0.7", "0.2", "0.6", "--nx", "13", "--ny", "9",
+                   "--out", str(out_csv))
+    assert rc == 0
+    assert json.loads((tmp_path / "map.json").read_text())["write_fallback"] == 0
+    # the pinned beta map holds nan and inf on the punctures
+    rc, _, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", "beta",
+                   "--window", "-1", "2", "-1", "1", "--nx", "13", "--ny", "9",
+                   "--out", str(out_csv))
+    assert rc == 0
+    sidecar = json.loads((tmp_path / "map.json").read_text())
+    non_finite = round((1.0 - sidecar["finite_fraction"]) * 13 * 9)
+    assert non_finite > 0 and sidecar["write_fallback"] >= non_finite
+
+
 def test_beta_map_reports(capsys):
     deep = ('{"type": "finite_complement", "punctures": '
             '[[0.0, 0.0], [%r, 0.0]]}' % math.exp(6))
@@ -228,6 +289,19 @@ def test_heatmap_empty_grid_is_exit_2(tmp_path, capsys, axis):
                      axis, "0", "--out", str(out_csv))
     assert rc == 2
     assert err.startswith("error:") and axis in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("field", ["beta", "delta"])
+@pytest.mark.parametrize("window", [("-1", "inf", "-1", "1"), ("-1", "2", "nan", "1"),
+                                    ("-1e308", "1e308", "-1", "1")],
+                         ids=["inf-bound", "nan-bound", "inf-span"])
+def test_heatmap_non_finite_window_is_exit_2(tmp_path, capsys, field, window):
+    out_csv = tmp_path / "map.csv"
+    rc, _, err = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", field,
+                     "--window", *window, "--out", str(out_csv))
+    assert rc == 2
+    assert err.startswith("error:") and "--window" in err
     assert not out_csv.exists()
 
 

@@ -5,7 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qhyp.beta import beta_field
+from qhyp.domains import FiniteComplement
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +43,20 @@ def test_script_writes_csv(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert f"wrote {out}" in proc.stdout
     assert len(out.read_text().splitlines()) > 1
+
+
+def test_beta_grid_csv_bytes_equal_the_per_value_loop(tmp_path):
+    # grid points land on both punctures, where beta is not finite
+    out = tmp_path / "beta.csv"
+    proc = _run("beta_grid.py", "--punctures", "0,0", "1,0", "--window", "-1", "2", "-1", "1",
+                "--nx", "7", "--ny", "5", "--csv", str(out))
+    assert proc.returncode == 0, proc.stderr
+    xs, ys = np.linspace(-1.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)
+    B = beta_field(FiniteComplement([0j, 1 + 0j]), xs[None, :] + 1j * ys[:, None])
+    assert not np.isfinite(B).all()
+    # the script's writer before it shared the heatmap's
+    want = ["re,im,beta\n"]
+    for r in range(5):
+        for c in range(7):
+            want.append(f"{xs[c]:.17g},{ys[r]:.17g},{B[r, c]:.17g}\n")
+    assert out.read_bytes() == "".join(want).encode()
