@@ -288,6 +288,11 @@ def _cmd_counterexample(args) -> int:
         g = "-" if r.bound is None else f"{r.bound:.6f}"
         print(f"n={r.n:2d}  L={r.L:10.1f}  k_lower={r.k_lower:12.1f}  "
               f"h_upper={h:>12}  gap={g:>12}")
+    positive = [r.n for r in table.rows if r.bound is not None and r.bound > 0]
+    if positive:
+        print(f"certified gap turns positive at n = {positive[0]}")
+    else:
+        print("no positive gap yet; raise --max-n")
     if args.csv:
         print(f"wrote {args.csv}")
     return 0
@@ -319,20 +324,22 @@ def _cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts values such as ``-0.5,0`` or ``-2``.
+    """ArgumentParser that accepts values such as ``-0.5,0``, ``-2`` or
+    ``-inf``.
 
     Stock argparse only whitelists bare negative numbers, so a complex
     coordinate with a negative real part would be read as an option flag.
     Widening the matcher keeps ``--from -0.5,0`` working without quoting
-    tricks; no option strings of ours look like numbers, so nothing else
-    changes.  The matcher must be replaced per instance because the base
-    initializer installs its own compiled pattern on self.
+    tricks, and lets ``-inf``, ``-infinity`` and ``-nan`` (any case) reach
+    the finiteness checks; no option strings of ours look like numbers, so
+    nothing else changes.  The matcher must be replaced per instance
+    because the base initializer installs its own compiled pattern on self.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([,eE].*)?$")
+            r"^-(\d+\.?\d*|\.\d+|inf(inity)?|nan)([,e].*)?$", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
-    OutsideDomainError,
     PuncturedSubdomain,
     PuncturedUnitDisk,
     UnitDisk,
@@ -31,7 +30,7 @@ from .domains import (
     halfplane_distance,
     rho_length,
 )
-from .geometry import as_finite, chi_arc, segment_point_distance
+from .geometry import Polyline, as_finite
 
 
 # ---------------------------------------------------------------------------
@@ -249,48 +248,29 @@ def _twice_punctured_lower(a: complex, b: complex, p: complex, q: complex) -> Op
     return val if ok else None
 
 
-def _bp_arc_upper(domain: Domain, a: complex, b: complex,
-                  cap: float = math.inf) -> Optional[float]:
-    """Smallest integral of the Beardon-Pommerenke density bound over the
-    chi-arcs around the first boundary points.  An integral is cut off once
-    it exceeds ``cap`` or the best arc so far, so a value above ``cap``
-    only says that no arc beats it."""
-    from .beta import bp_upper_density  # deferred: beta builds on this module
+def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
+                  cap: float) -> Tuple[float, str]:
+    """The integral, padded outward, of the finite density upper bound
+    rho+ = min(2/delta, (pi/2)/(delta beta)) along the one of ``curves``
+    whose integral to 1e-3 is smallest, with that curve's name.  It stops
+    once it exceeds ``cap``, so a value above ``cap`` only says that the
+    curve does not beat it.  2/delta holds as the domain contains the disk
+    B(z, delta(z)); the Beardon-Pommerenke factor, infinite where beta
+    vanishes, is an upper density only where ``beta_field`` does not exceed
+    the true gap exponent, the same assumption ``bp_upper_density`` makes."""
+    from .beta import beta_field  # deferred: beta builds on this module
 
-    rho = bp_upper_density(domain)
-    best = None
-    centers = [p for p in domain.finite_boundary_points()]
-    scale = max(1.0, abs(a), abs(b))
-    for center in centers[:4]:
-        if a == center or b == center:
-            continue
-        path = chi_arc(a, b, center)
-        if len(path) < 2:
-            continue  # endpoints closer than rounding: the arc has no segment
-        starts, ends = path.segments()
-        # an arc grazing another boundary point carries a divergent bound
-        grazes = any(
-            float(np.min(segment_point_distance(starts, ends, p)))
-            <= 1e-9 * max(scale, abs(p))
-            for p in centers
-        )
-        if grazes:
-            continue
-        probe = rho(path.as_array())
-        if np.any(~np.isfinite(probe)) or np.any(probe <= 0.0) or np.max(probe) > 1e12:
-            continue
-        try:
-            # strict: the density bound blows up on the locus where the
-            # gap exponent vanishes, and an arc crossing it has no finite
-            # integral; such candidates must be dropped, not truncated.
-            # Stopping above the cap ends such an arc early, as it loses.
-            stop = cap if best is None else min(best, cap)
-            val = rho_length(path, rho, rel_tol=1e-8, strict=True, stop_above=stop)
-        except OutsideDomainError:
-            continue
-        if best is None or val < best:
-            best = val
-    return best
+    def rho(z):
+        with np.errstate(divide="ignore"):
+            return (np.minimum(2.0, (math.pi / 2.0) / beta_field(domain, z))
+                    / domain.delta_field(z))
+
+    best, path, name = math.inf, None, ""
+    for curve, curve_name in curves:
+        rough = rho_length(curve, rho, rel_tol=1e-3, stop_above=best)
+        if rough < best:
+            best, path, name = rough, curve, curve_name
+    return rho_length(path, rho, rel_tol=1e-8, stop_above=cap) * (1.0 + 1e-8), name
 
 
 def h_interval(domain: Domain, a: complex, b: complex, *,
@@ -300,17 +280,18 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
     The lower bound is the best of the comparison-domain bounds (exact model
     distances, twice-punctured-plane bound over anchor pairs).  The upper
     bound is the best of the model estimates (punctured disk, disk
-    exterior), twice a quasihyperbolic upper bound, and an integral of the
-    density upper bound along an explicit arc.
+    exterior) and twice a quasihyperbolic upper bound.
 
     The doubling holds because the domain contains the disk B(z, delta(z)),
     so the hyperbolic density is at most 2/delta and h <= 2k.  The
     quasihyperbolic bound is the supplied ``k_upper``; when no model
-    estimate is finite, ``k_interval_fast``'s upper endpoint is computed
-    and the smaller of the two is used.  The arc integral runs only when
-    the doubled bound is the best so far, and stops as soon as it exceeds
-    it, which bounds the cost of arcs near the locus where the density
-    bound diverges.
+    estimate is finite, ``k_interval_fast``'s upper endpoint is computed,
+    the smaller of the two is doubled, and the finite density bound
+    min(2/delta, (pi/2)/(delta beta)) is integrated along one of the curves
+    ``k_interval_fast`` measured (see ``_bp_arc_upper``).  That density
+    never exceeds 2/delta, so the integral is finite and stops at the
+    doubled bound; it replaces it, labelled ``density-bound(<curve>)``, only
+    when it comes out strictly below.
     """
     a, b = as_finite(a), as_finite(b)
     if not (domain.contains(a) and domain.contains(b)):
@@ -370,20 +351,17 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
             if v < upper:
                 upper, upper_src = v, "disk-exterior-estimate"
 
+    curves = []
     if math.isinf(upper):
-        from .solver import k_interval_fast  # deferred: solver builds on this module
+        from .solver import _k_interval_fast_curves  # deferred: solver builds on this module
 
-        k_fast = k_interval_fast(domain, a, b).upper
-        k_upper = k_fast if k_upper is None else min(k_upper, k_fast)
+        k_fast, curves = _k_interval_fast_curves(domain, a, b)
+        k_upper = k_fast.upper if k_upper is None else min(k_upper, k_fast.upper)
     if k_upper is not None and 2.0 * k_upper < upper:
         upper, upper_src = 2.0 * k_upper, "double-quasihyperbolic"
-
-    # The arc integral is the most expensive estimate, so it runs only when
-    # nothing sharper than the doubling cap is available, and it is cut off
-    # once it exceeds the cap, where it would lose anyway.
-    if math.isinf(upper) or upper_src == "double-quasihyperbolic":
-        v = _bp_arc_upper(domain, a, b, upper)
-        if v is not None and v < upper:
-            upper, upper_src = v, "density-bound-arc"
+    if curves:
+        v, name = _bp_arc_upper(domain, curves, upper)
+        if v < upper:
+            upper, upper_src = v, f"density-bound({name})"
 
     return DistanceInterval(lower, upper, lower_src, upper_src)

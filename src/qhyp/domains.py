@@ -673,17 +673,15 @@ def domain_from_json_text(text: str) -> Domain:
 
 def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
                rel_tol: float = 1e-8, max_depth: int = 60,
-               strict: bool = False, stop_above: float = math.inf) -> float:
+               stop_above: float = math.inf) -> float:
     """Integrate a positive density along a polyline.
 
     Adaptive midpoint quadrature, refined breadth-first with all active
     subintervals evaluated in one vectorized call per level.  The result is
-    accurate to ``rel_tol`` relative error for smooth densities.
-
-    With ``strict`` the refinement must actually converge: if active
-    subintervals survive all depth levels (as happens when the integral
-    diverges at an interior singularity) the call raises instead of
-    returning the unconverged partial sum.
+    accurate to ``rel_tol`` relative error for smooth densities; pieces
+    still unconverged after ``max_depth`` levels contribute their last
+    estimate.  A density value at a quadrature point that is not finite, or
+    is negative, raises ``OutsideDomainError``.
 
     ``stop_above`` ends the refinement early, returning the partial sum as
     soon as it exceeds that value.  A piece is accepted only when
@@ -727,10 +725,6 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
         ends = np.concatenate([mids[keep], ends[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
     else:
-        if strict:
-            raise OutsideDomainError(
-                "density integral did not converge; the path likely meets a "
-                "singularity of the density")
         total += float(np.sum(coarse))
     return total
 

@@ -64,19 +64,21 @@ class SolverError(RuntimeError):
     """The discrete search could not produce a usable path."""
 
 
+MARGIN = 0.7         # extra log-radius padding of each chart around the data
+STITCH_K = 8         # neighbours tried when stitching a chart to the earlier ones
+ENDPOINT_K = 12      # grid nodes wired to each anchor
+MEASURE_TOL = 1e-9   # tolerance, and outward pad, of the final length measurement
+
+
 @dataclass(frozen=True)
 class Resolution:
     """Grid and relaxation budget for the numeric solver."""
 
     radial: int = 256
     angular: int = 256
-    margin: float = 0.7          # extra log-radius padding around the data
     relax_sweeps: int = 28
     golden_iters: int = 18
-    stitch_k: int = 8
-    endpoint_k: int = 12
     clearance: float = 0.3       # segment-to-puncture rejection factor
-    measure_tol: float = 1e-9
 
     def __post_init__(self):
         if self.radial < 8 or self.angular < 8:
@@ -234,8 +236,8 @@ def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
     span = max(abs(a - b), abs(a.imag), abs(b.imag), 1e-12)
     x_lo = min(a.real, b.real) - 1.5 * span
     x_hi = max(a.real, b.real) + 1.5 * span
-    y_lo = min(a.imag, b.imag) * math.exp(-res.margin)
-    y_hi = max(a.imag, b.imag, 0.75 * abs(a - b)) * math.exp(res.margin) * 2.0
+    y_lo = min(a.imag, b.imag) * math.exp(-MARGIN)
+    y_hi = max(a.imag, b.imag, 0.75 * abs(a - b)) * math.exp(MARGIN) * 2.0
     nx, nt = res.angular, res.radial
     x = np.linspace(x_lo, x_hi, nx)
     t = np.linspace(math.log(y_lo), math.log(y_hi), nt)
@@ -259,8 +261,8 @@ def _charts_for(domain: Domain, a: complex, b: complex,
             d_a, d_b = abs(a - p), abs(b - p)
             reach = max([d_a, d_b] + [abs(q - p) for q in others])
             lo = min([d_a, d_b] + [abs(q - p) / 2.0 for q in others])
-            s_min = math.log(lo) - res.margin
-            s_max = math.log(2.0 * reach) + res.margin
+            s_min = math.log(lo) - MARGIN
+            s_max = math.log(2.0 * reach) + MARGIN
             charts.append(_log_polar_chart(p, s_min, s_max, res))
         return charts
     raise UnsupportedDomainError(
@@ -314,7 +316,7 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     coords = np.stack([nodes.real, nodes.imag], axis=1)
     for lo_j, hi_j in chart_slices[1:]:
         d, idx = cKDTree(coords[lo_j:hi_j]).query(
-            coords[:lo_j], k=min(res.stitch_k, hi_j - lo_j))
+            coords[:lo_j], k=min(STITCH_K, hi_j - lo_j))
         if d.ndim == 1:
             d, idx = d[:, None], idx[:, None]
         dst = idx + lo_j
@@ -326,7 +328,7 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     # anchors as explicit nodes, wired to their nearest grid nodes (by the
     # squared distance a k-d tree would compare)
     n0 = nodes.size
-    k = min(res.endpoint_k, n0)
+    k = min(ENDPOINT_K, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
     anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
     for aid, z0 in zip(anchor_ids, anchor_arr):
@@ -637,8 +639,8 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     meta["relax_sweeps"] = sweeps
     t3 = time.perf_counter()
     path = Polyline.cleaned(relaxed)
-    measured = rho_length(path, density, rel_tol=res.measure_tol)
-    upper = measured * (1.0 + res.measure_tol)
+    measured = rho_length(path, density, rel_tol=MEASURE_TOL)
+    upper = measured * (1.0 + MEASURE_TOL)
     meta["measured"] = measured
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
@@ -705,16 +707,24 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Two-sided quasihyperbolic enclosure from closed-form lower bounds and
     measured candidate curves (straight segment, circular-arc detours around
     each removed point).  No grid; looser than the numeric solver."""
+    return _k_interval_fast_curves(domain, a, b)[0]
+
+
+def _k_interval_fast_curves(domain: Domain, a: complex, b: complex
+                            ) -> Tuple[DistanceInterval, List[Tuple[Polyline, str]]]:
+    """``k_interval_fast``'s enclosure, and the candidate curves it measured
+    (those along which the density is finite), each with its name."""
     a, b = complex(a), complex(b)
     domain.delta(a)
     domain.delta(b)
     if a == b:
-        return DistanceInterval(0.0, 0.0, "coincident", "coincident")
+        return DistanceInterval(0.0, 0.0, "coincident", "coincident"), []
     lo_val, lo_src = k_lower_analytic(domain, a, b)
     density = quasihyperbolic_density(domain)
 
     upper = math.inf
     up_src = "none"
+    curves: List[Tuple[Polyline, str]] = []
     segment = Polyline.cleaned([a, b])
     if len(segment) < 2:
         # endpoints closer than rounding: nothing to integrate, but delta is
@@ -749,11 +759,12 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
             val = rho_length(path, density, rel_tol=1e-9, stop_above=upper) * (1.0 + 1e-9)
         except OutsideDomainError:
             continue
+        curves.append((path, name))
         if val < upper:
             upper, up_src = val, name
     if upper < lo_val:
         upper = lo_val
-    return DistanceInterval(lo_val, upper, lo_src, up_src)
+    return DistanceInterval(lo_val, upper, lo_src, up_src), curves
 
 
 # ---------------------------------------------------------------------------

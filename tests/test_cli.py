@@ -294,8 +294,10 @@ def test_heatmap_empty_grid_is_exit_2(tmp_path, capsys, axis):
 
 @pytest.mark.parametrize("field", ["beta", "delta"])
 @pytest.mark.parametrize("window", [("-1", "inf", "-1", "1"), ("-1", "2", "nan", "1"),
-                                    ("-1e308", "1e308", "-1", "1")],
-                         ids=["inf-bound", "nan-bound", "inf-span"])
+                                    ("-1e308", "1e308", "-1", "1"),
+                                    ("-inf", "1", "0.1", "1"), ("-1", "2", "-NaN", "1")],
+                         ids=["inf-bound", "nan-bound", "inf-span",
+                              "minus-inf-bound", "minus-nan-bound"])
 def test_heatmap_non_finite_window_is_exit_2(tmp_path, capsys, field, window):
     out_csv = tmp_path / "map.csv"
     rc, _, err = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", field,
@@ -303,6 +305,16 @@ def test_heatmap_non_finite_window_is_exit_2(tmp_path, capsys, field, window):
     assert rc == 2
     assert err.startswith("error:") and "--window" in err
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("point", ["-inf,1", "-Infinity,1", "-nan,1"])
+def test_distance_negative_non_finite_point_is_exit_2(capsys, point):
+    # a value starting with a minus sign must reach the point check, not be
+    # read as an unknown flag
+    rc, _, err = run(capsys, "distance", "--domain", TWO_PUNCT,
+                     "--from", point, "--to", "1,1")
+    assert rc == 2
+    assert err.startswith("error:") and "non-finite" in err
 
 
 def test_counterexample_table_and_csv(tmp_path, capsys):
@@ -314,9 +326,13 @@ def test_counterexample_table_and_csv(tmp_path, capsys):
     assert len(rows) == 4
     # the first row has no certified hyperbolic upper bound yet
     assert "-" in rows[0]
+    # criterion 11: the gap is negative at n = 3 and positive from n = 4
+    assert "certified gap turns positive at n = 4" in out
     header = csv.read_text().splitlines()[0]
     assert header.startswith("n,")
     assert f"wrote {csv}" in out
+    rc, out, _ = run(capsys, "counterexample", "--max-n", "2")
+    assert rc == 0 and "no positive gap yet; raise --max-n" in out
 
 
 def test_verify_all_subset(capsys):

@@ -14,6 +14,7 @@ from qhyp import (
     FiniteComplement,
     InconsistentIntervalError,
     OutsideDomainError,
+    PuncturedSubdomain,
     PuncturedUnitDisk,
     UnitDisk,
     UpperHalfPlane,
@@ -288,3 +289,45 @@ def test_h_interval_uses_quasihyperbolic_cap():
     loose = h_interval(dom, a, b)
     capped = h_interval(dom, a, b, k_upper=0.25)
     assert capped.upper <= min(loose.upper, 0.5) + 1e-12
+
+
+# h upper bounds before the Beardon-Pommerenke arc search was replaced by
+# one integral of min(2/delta, (pi/2)/(delta beta)), each with its label
+# then: the 12 pairs of `qhyp qi-verify --pairs 12 --seed 0` on the plane
+# minus {0, 1}, and 8 pairs of the same sampler on three more domains.
+DC, PD = "double-quasihyperbolic", "punctured-disk-estimate"
+PARENT_H_UPPERS = [
+    (FiniteComplement([0.0, 1.0]), 12, [
+        (1.5463600432036555, DC), (1.1096029134788106, DC), (6.844232812988417, DC),
+        (8.395501438501583, DC), (4.5122665993400695, DC), (0.587742797386243, DC),
+        (0.9392460441147782, DC), (5.745518653742398, PD), (7.8664299954291526, DC),
+        (5.585361449003673, DC), (5.558227689199934, PD), (6.023597474110447, DC)]),
+    (FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]), 8, [
+        (1.6862824128696088, DC), (0.9990575887056213, DC), (6.561112296567703, DC),
+        (8.686570744945705, DC), (7.3050295917142085, DC), (0.5877427973862429, DC),
+        (0.7791890613874068, "density-bound-arc"), (6.063184338388292, DC)]),
+    (PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]), 8, [
+        (8.219117718067409, DC), (9.31318543458236, DC), (6.862036391265555, DC),
+        (3.1169299014841783, DC), (1.138080768866516, DC), (5.847248420390109, DC),
+        (2.4555567938972827, DC), (3.787738488224506, DC)]),
+    (PuncturedSubdomain(UpperHalfPlane(), [1.0j, 1.0 + 2.0j]), 8, [
+        (6.00106903107248, PD), (17.754921267390564, DC), (3.2357096168350843, DC),
+        (0.48086387921735285, DC), (1.1922164393943877, DC), (5.785721425853508, PD),
+        (9.822185937236934, DC), (5.9564820561861795, DC)]),
+]
+
+
+def test_h_interval_upper_not_above_parent():
+    from qhyp.cli import _sample_pairs
+
+    tightened = 0
+    for dom, n, recorded in PARENT_H_UPPERS:
+        for (a, b), (old, old_src) in zip(_sample_pairs(dom, n, 0), recorded):
+            iv = h_interval(dom, a, b)
+            # the old arc integral was returned unpadded; its replacement on
+            # the same curve carries the (1 + 1e-8) outward pad
+            pad = 1e-8 if old_src == "density-bound-arc" else 0.0
+            assert iv.upper <= old * (1.0 + pad) * (1.0 + 1e-12), (a, b, iv, old_src)
+            if iv.upper < old and iv.upper_source.startswith("density-bound("):
+                tightened += 1
+    assert tightened >= 1

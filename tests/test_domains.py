@@ -391,19 +391,6 @@ def test_rho_length_stop_above_is_bit_identical_when_not_reached():
     assert rho_length(path, density, rel_tol=1e-10, stop_above=2.0 * val) == val
 
 
-def test_rho_length_stop_above_ends_a_divergent_strict_integral():
-    # |z - 1/3|^-2 has no finite integral over [0, 1]: the strict refinement
-    # raises once a midpoint lands on the pole, unless the cutoff comes first
-    path = Polyline([0.0, 1.0])
-
-    def density(z):
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.abs(z - 1.0 / 3.0) ** 2
-    with pytest.raises(OutsideDomainError):
-        rho_length(path, density, strict=True)
-    assert rho_length(path, density, strict=True, stop_above=10.0) > 10.0
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))
 def test_rho_length_radial_quasihyperbolic(r1, r2):

@@ -24,9 +24,8 @@ def _run(script, *args):
 
 @pytest.mark.parametrize("script, args, expect", [
     ("beta_grid.py", ["--punctures", "0,0", "1,0", "--nx", "6", "--ny", "4"], "beta range"),
-    ("counterexample_table.py", ["--max-n", "3"], "k lower"),
     ("geodesic_demo.py", ["--base", "8", "--rungs", "2"], "final path vertices"),
-], ids=["beta_grid", "counterexample_table", "geodesic_demo"])
+], ids=["beta_grid", "geodesic_demo"])
 def test_script_runs(script, args, expect):
     proc = _run(script, *args)
     assert proc.returncode == 0, proc.stderr
@@ -35,8 +34,7 @@ def test_script_runs(script, args, expect):
 
 @pytest.mark.parametrize("script, args", [
     ("beta_grid.py", ["--punctures", "0,0", "1,0", "--nx", "3", "--ny", "2"]),
-    ("counterexample_table.py", ["--max-n", "2"]),
-], ids=["beta_grid", "counterexample_table"])
+], ids=["beta_grid"])
 def test_script_writes_csv(script, args, tmp_path):
     out = tmp_path / "out.csv"
     proc = _run(script, *args, "--csv", str(out))
