@@ -28,6 +28,7 @@ from .domains import (
     FiniteComplement,
     SchemaError,
     _parse_complex as cval,
+    _parse_real as fval,
     circle_samples,
     rho_length,
 )
@@ -77,8 +78,7 @@ class BetaResult:
                     "inner": self.annulus.inner, "outer": self.annulus.outer}}
 
 
-def beta(domain: Domain, z: ExtPoint,
-         slack: float = NEAREST_BOUNDARY_SLACK) -> BetaResult:
+def beta(domain: Domain, z: ExtPoint) -> BetaResult:
     """Boundary-gap exponent at z, with the witnessing boundary pairs.
 
     Returns the exponent value, the distance to the boundary, the nearest
@@ -95,7 +95,7 @@ def beta(domain: Domain, z: ExtPoint,
     entries: List[Tuple[float, complex, complex, float]] = []
     for i, ci in enumerate(comps):
         di = float(ci.distance_field(np.asarray(z)))
-        if di > delta * (1.0 + slack):
+        if di > delta * (1.0 + NEAREST_BOUNDARY_SLACK):
             continue
         for zeta in ci.nearest_points(z):
             for j, cj in enumerate(comps):
@@ -125,8 +125,7 @@ def beta(domain: Domain, z: ExtPoint,
                       witnesses=witnesses, annulus=ann)
 
 
-def beta_field(domain: Domain, z: np.ndarray,
-               slack: float = NEAREST_BOUNDARY_SLACK) -> np.ndarray:
+def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     """Vectorized exponent values; NaN at points outside the domain."""
     z = np.asarray(z, dtype=np.complex128)
     comps = domain.complement_components()
@@ -139,7 +138,7 @@ def beta_field(domain: Domain, z: np.ndarray,
     out = np.full(z.shape, math.inf)
     for i, ci in enumerate(comps):
         # component i contributes only where it is (nearly) nearest
-        mask = dists[i] <= safe_delta * (1.0 + slack)
+        mask = dists[i] <= safe_delta * (1.0 + NEAREST_BOUNDARY_SLACK)
         if not np.any(mask):
             continue
         d = safe_delta[mask]
@@ -343,14 +342,13 @@ def _circle_hits(path: Polyline, center: complex, radius: float) -> List[Tuple[i
 
 
 def check_abc(domain: Domain, path: Polyline, mu: float, nu: float,
-              candidates: Optional[Sequence[Annulus]] = None,
-              radius_slack: float = 1e-3) -> ABCReport:
+              candidates: Optional[Sequence[Annulus]] = None) -> ABCReport:
     """Check the bounce-or-cross property of a near-geodesic path.
 
     For each essential annulus candidate, the path portion between its first
     and last meeting with the center circle must stay within log-radius mu of
-    that circle (up to the relative grid slack), or else the path crosses the
-    concentric annulus of half-modulus mu at most once.
+    that circle (up to a relative grid slack of 1e-3), or else the path
+    crosses the concentric annulus of half-modulus mu at most once.
     """
     pts = path.as_array()
     if candidates is None:
@@ -383,8 +381,8 @@ def check_abc(domain: Domain, path: Polyline, mu: float, nu: float,
         else:
             min_r = float(abs(mid[0] - ann.center))
         max_r = float(np.max(np.abs(np.asarray(mid) - ann.center)))
-        bounce_ok = (min_r >= d * math.exp(-mu) * (1.0 - radius_slack)
-                     and max_r <= d * math.exp(mu) * (1.0 + radius_slack))
+        bounce_ok = (min_r >= d * math.exp(-mu) * (1.0 - 1e-3)
+                     and max_r <= d * math.exp(mu) * (1.0 + 1e-3))
         crossings = Annulus(ann.center, d=d, m=mu).crossing_count(path)
         if not (bounce_ok or crossings <= 1):
             violations.append(ABCViolation(ann, min_r, max_r, crossings))
@@ -531,13 +529,13 @@ class UPReport:
 
 
 def _family_intervals(fam: UPCircleFamily, o: complex, ext_lo: float,
-                      ext_hi: float, horizon: int,
-                      cap: int) -> Tuple[List[Tuple[float, float]], bool]:
+                      ext_hi: float, horizon: int) -> List[Tuple[float, float]]:
     """Blocked-distance intervals for one circle family seen from center o.
 
     Enumerates radii covering the extent of the other blockers with some
-    spare decades; truncation is safe because off-center tail gaps are
-    strictly below log(ratio) and the family center itself is a candidate.
+    spare decades, at most 400 circles; truncation is safe because
+    off-center tail gaps are strictly below log(ratio) and the family center
+    itself is a candidate.
     """
     d = abs(o - fam.center)
     logq = math.log(fam.ratio)
@@ -546,9 +544,9 @@ def _family_intervals(fam: UPCircleFamily, o: complex, ext_lo: float,
     ref_hi = max(x for x in (ext_hi, d, fam.scale) if math.isfinite(x))
     n_lo = math.floor(math.log(ref_lo / fam.scale) / logq) - horizon
     n_hi = math.ceil(math.log(ref_hi / fam.scale) / logq) + horizon
-    if n_hi - n_lo > cap:
+    if n_hi - n_lo > 400:
         mid = (n_hi + n_lo) // 2
-        n_lo, n_hi = mid - cap // 2, mid + cap // 2
+        n_lo, n_hi = mid - 200, mid + 200
     out: List[Tuple[float, float]] = []
     at_center = d <= 1e-12 * max(1.0, abs(o), fam.scale)
     for n in range(n_lo, n_hi + 1):
@@ -561,11 +559,10 @@ def _family_intervals(fam: UPCircleFamily, o: complex, ext_lo: float,
         # collapse the tail below the horizon into a blocked stub: its gaps
         # all have modulus log(ratio), already present in the enumerated range
         out.append((0.0, fam.radius(n_lo)))
-    return out, at_center
+    return out
 
 
-def up_modulus_sup(E: UPSet, horizon: int = 8,
-                   max_family_circles: int = 400) -> UPReport:
+def up_modulus_sup(E: UPSet, horizon: int = 8) -> UPReport:
     """Supremum of annulus moduli over round annuli centered in E and
     avoiding E (the uniform-perfectness functional of the set).
 
@@ -573,7 +570,14 @@ def up_modulus_sup(E: UPSet, horizon: int = 8,
     disk centers, ray and half-plane origins, family accumulation centers).
     An isolated finite point, or an isolated point at infinity, makes the
     supremum infinite; the report then lists the isolated members.
+
+    ``horizon`` is the number of spare circles each circle family
+    enumerates past the other blockers' extent, at each end.  It must be at
+    least 1: with none, a family seen from its own center can show one
+    circle and the collapsed tail, and no gap between them.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     blockers = E.blockers()
     isolated: List[ExtPoint] = []
     for pt in E.points:
@@ -611,9 +615,7 @@ def up_modulus_sup(E: UPSet, horizon: int = 8,
         intervals = list(plain)
         for b in blockers:
             if isinstance(b, UPCircleFamily):
-                fam_iv, _ = _family_intervals(b, o, ext_lo, ext_hi, horizon,
-                                              max_family_circles)
-                intervals.extend(fam_iv)
+                intervals.extend(_family_intervals(b, o, ext_lo, ext_hi, horizon))
         if not intervals:
             continue
         intervals.sort()
@@ -651,11 +653,6 @@ def up_set_from_json(obj: dict) -> UPSet:
             raise SchemaError(f"unknown field {key!r} in set description")
     if "includes_infinity" in obj and obj["includes_infinity"] is not True:
         raise SchemaError("these sets always contain infinity")
-
-    def fval(v, where) -> float:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-            raise SchemaError(f"{where} must be a finite number")
-        return float(v)
 
     def items(key, fields, builder):
         rows = obj.get(key, [])

@@ -45,6 +45,7 @@ from .domains import (
     SchemaError,
     _parse_complex as _json_complex,
     _parse_points,
+    _parse_real as _json_real,
     domain_from_json_text,
 )
 from .equivalence import (
@@ -70,27 +71,21 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
 
 
+def _read_spec(spec: str) -> str:
+    """The JSON text of a ``--domain``, ``--set`` or ``--config`` value:
+    the value itself when it is a JSON object, else the file it names."""
+    if spec.lstrip().startswith("{"):
+        return spec
+    with open(spec) as fh:
+        return fh.read()
+
+
 def _load_domain(spec: str) -> Domain:
-    text = spec
-    if not spec.lstrip().startswith("{"):
-        with open(spec) as fh:
-            text = fh.read()
-    return domain_from_json_text(text)
+    return domain_from_json_text(_read_spec(spec))
 
 
 def _load_json(spec: str) -> dict:
-    text = spec
-    if not spec.lstrip().startswith("{"):
-        with open(spec) as fh:
-            text = fh.read()
-    return json.loads(text)
-
-
-def _json_real(value, where: str) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise SchemaError(f"{where} must be a finite number")
-    return float(value)
+    return json.loads(_read_spec(spec))
 
 
 def _puncture_config(raw) -> PunctureConfig:

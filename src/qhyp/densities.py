@@ -18,8 +18,6 @@ import numpy as np
 from .constants import KAPPA, PI_OVER_LOG2
 from .domains import (
     ComplementDisk,
-    ComplementDiskExterior,
-    ComplementHalfPlane,
     ComplementPoint,
     Domain,
     DomainError,
@@ -74,9 +72,10 @@ def lambda01_lower(z) -> np.ndarray:
 
 
 def quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np.ndarray]:
-    """1 / dist(z, boundary) as a vectorized callable."""
+    """1 / dist(z, boundary) as a vectorized callable; inf where the
+    distance is 0, or so small (subnormal) that its inverse overflows."""
     def rho(z):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return 1.0 / domain.delta_field(z)
     return rho
 
@@ -231,9 +230,8 @@ def h_upper_three_punct(a: float, b: float) -> float:
 def _anchor_points(domain: Domain, a: complex, b: complex) -> List[complex]:
     anchors: List[complex] = list(domain.finite_boundary_points())
     for comp in domain.complement_components():
-        if isinstance(comp, (ComplementDisk, ComplementDiskExterior, ComplementHalfPlane)):
-            for z in (a, b):
-                anchors.extend(comp.nearest_points(z))
+        for z in (a, b):
+            anchors.extend(comp.nearest_points(z))
     uniq: List[complex] = []
     for p in anchors:
         if not any(abs(p - q) <= 1e-12 * max(1.0, abs(p)) for q in uniq):
@@ -273,8 +271,7 @@ def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
     return rho_length(path, rho, rel_tol=1e-8, stop_above=cap) * (1.0 + 1e-8), name
 
 
-def h_interval(domain: Domain, a: complex, b: complex, *,
-               k_upper: Optional[float] = None) -> DistanceInterval:
+def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Certified interval for the hyperbolic distance between a and b.
 
     The lower bound is the best of the comparison-domain bounds (exact model
@@ -283,15 +280,13 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
     exterior) and twice a quasihyperbolic upper bound.
 
     The doubling holds because the domain contains the disk B(z, delta(z)),
-    so the hyperbolic density is at most 2/delta and h <= 2k.  The
-    quasihyperbolic bound is the supplied ``k_upper``; when no model
-    estimate is finite, ``k_interval_fast``'s upper endpoint is computed,
-    the smaller of the two is doubled, and the finite density bound
-    min(2/delta, (pi/2)/(delta beta)) is integrated along one of the curves
-    ``k_interval_fast`` measured (see ``_bp_arc_upper``).  That density
-    never exceeds 2/delta, so the integral is finite and stops at the
-    doubled bound; it replaces it, labelled ``density-bound(<curve>)``, only
-    when it comes out strictly below.
+    so the hyperbolic density is at most 2/delta and h <= 2k.  When no model
+    estimate is finite, ``k_interval_fast``'s upper endpoint is doubled, and
+    the finite density bound min(2/delta, (pi/2)/(delta beta)) is integrated
+    along one of the curves ``k_interval_fast`` measured (see
+    ``_bp_arc_upper``).  That density never exceeds 2/delta, so the integral
+    is finite and stops at the doubled bound; it replaces it, labelled
+    ``density-bound(<curve>)``, only when it comes out strictly below.
     """
     a, b = as_finite(a), as_finite(b)
     if not (domain.contains(a) and domain.contains(b)):
@@ -351,17 +346,15 @@ def h_interval(domain: Domain, a: complex, b: complex, *,
             if v < upper:
                 upper, upper_src = v, "disk-exterior-estimate"
 
-    curves = []
     if math.isinf(upper):
         from .solver import _k_interval_fast_curves  # deferred: solver builds on this module
 
         k_fast, curves = _k_interval_fast_curves(domain, a, b)
-        k_upper = k_fast.upper if k_upper is None else min(k_upper, k_fast.upper)
-    if k_upper is not None and 2.0 * k_upper < upper:
-        upper, upper_src = 2.0 * k_upper, "double-quasihyperbolic"
-    if curves:
-        v, name = _bp_arc_upper(domain, curves, upper)
-        if v < upper:
-            upper, upper_src = v, f"density-bound({name})"
+        if 2.0 * k_fast.upper < upper:
+            upper, upper_src = 2.0 * k_fast.upper, "double-quasihyperbolic"
+        if curves:
+            v, name = _bp_arc_upper(domain, curves, upper)
+            if v < upper:
+                upper, upper_src = v, f"density-bound({name})"
 
     return DistanceInterval(lower, upper, lower_src, upper_src)

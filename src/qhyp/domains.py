@@ -359,12 +359,11 @@ class Domain:
             raise OutsideDomainError(f"{z!r} is not in the domain")
         return d
 
-    def nearest_boundary(self, z: ExtPoint,
-                         slack: float = NEAREST_BOUNDARY_SLACK) -> List[complex]:
+    def nearest_boundary(self, z: ExtPoint) -> List[complex]:
         """All boundary points at (relatively) minimal distance from ``z``.
 
-        Points within a factor (1 + slack) of the minimum are kept; circular
-        boundaries contribute their radial projection.
+        Points within a factor (1 + NEAREST_BOUNDARY_SLACK) of the minimum are
+        kept; circular boundaries contribute their radial projection.
         """
         z = as_finite(z)
         d = self.delta(z)
@@ -373,7 +372,7 @@ class Domain:
         found: List[complex] = []
         for comp in self.complement_components():
             cd = float(comp.distance_field(np.asarray(z)))
-            if cd <= d * (1.0 + slack):
+            if cd <= d * (1.0 + NEAREST_BOUNDARY_SLACK):
                 for p in comp.nearest_points(z):
                     if not any(abs(p - q) <= 1e-12 * max(1.0, abs(p)) for q in found):
                         found.append(p)
@@ -611,6 +610,13 @@ def _require_fields(obj: dict, dtype: str, required: Sequence[str],
             raise SchemaError(f"missing field {key!r} for domain type {dtype!r}")
 
 
+def _parse_real(value, where: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise SchemaError(f"{where} must be a finite number")
+    return float(value)
+
+
 def _parse_complex(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -672,16 +678,15 @@ def domain_from_json_text(text: str) -> Domain:
 # ---------------------------------------------------------------------------
 
 def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
-               rel_tol: float = 1e-8, max_depth: int = 60,
-               stop_above: float = math.inf) -> float:
+               rel_tol: float = 1e-8, stop_above: float = math.inf) -> float:
     """Integrate a positive density along a polyline.
 
     Adaptive midpoint quadrature, refined breadth-first with all active
     subintervals evaluated in one vectorized call per level.  The result is
     accurate to ``rel_tol`` relative error for smooth densities; pieces
-    still unconverged after ``max_depth`` levels contribute their last
-    estimate.  A density value at a quadrature point that is not finite, or
-    is negative, raises ``OutsideDomainError``.
+    still unconverged after 60 levels contribute their last estimate.  A
+    density value at a quadrature point that is not finite, or is negative,
+    raises ``OutsideDomainError``.
 
     ``stop_above`` ends the refinement early, returning the partial sum as
     soon as it exceeds that value.  A piece is accepted only when
@@ -708,7 +713,7 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
     ends = z2s.copy()
     coarse = mid_value(starts, ends)
     total = 0.0
-    for _ in range(max_depth):
+    for _ in range(60):
         if len(starts) == 0:
             break
         mids = (starts + ends) / 2.0
@@ -746,17 +751,17 @@ class UniformArcReport:
                 "worst_pair": list(self.worst_pair)}
 
 
-def check_uniform_arc(path: Polyline, constant: float,
-                      max_vertices: int = 1500) -> UniformArcReport:
+def check_uniform_arc(path: Polyline, constant: float) -> UniformArcReport:
     """Check that every subarc is at most ``constant`` times its chord.
 
-    All vertex pairs are examined (after uniform subsampling of very long
-    polylines); the worst length-to-chord ratio and its pair are reported.
+    All vertex pairs are examined (after uniform subsampling of polylines
+    longer than 1500 vertices to 1500); the worst length-to-chord ratio and
+    its pair are reported.
     """
     z = path.as_array()
     n = len(z)
-    if n > max_vertices:
-        idx = np.unique(np.round(np.linspace(0, n - 1, max_vertices)).astype(int))
+    if n > 1500:
+        idx = np.unique(np.round(np.linspace(0, n - 1, 1500)).astype(int))
     else:
         idx = np.arange(n)
     seglen = np.abs(np.diff(z))

@@ -25,7 +25,7 @@ from .constants import KAPPA
 from .beta import UPDisk, UPDiskExterior, UPSet, up_modulus_sup
 from .densities import DistanceInterval, h_interval, h_upper_three_punct
 from .domains import Domain, FiniteComplement
-from .solver import Resolution, VerdictCounts, k_interval_fast, k_numeric, k_star_exact
+from .solver import VerdictCounts, k_interval_fast, k_star_exact
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +283,7 @@ class RoughIsometryReport(VerdictCounts):
 def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
                           pairs: Sequence[Tuple[complex, complex]],
                           multiplicative: float = 1.0,
-                          additive: float = 0.0,
-                          image_domain: Optional[Domain] = None,
-                          use_numeric: bool = False,
-                          resolution: Optional[Resolution] = None) -> RoughIsometryReport:
+                          additive: float = 0.0) -> RoughIsometryReport:
     """Check h(a, b)/L - C <= k(phi a, phi b) <= L h(a, b) + C on the given
     pairs using certified enclosures on both sides.
 
@@ -299,7 +296,6 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
     L, C = float(multiplicative), float(additive)
     if L <= 0:
         raise ValueError("multiplicative constant must be positive")
-    img = image_domain or domain
     violations: List[dict] = []
     slack = 0.0
     n = proved = 0
@@ -308,10 +304,7 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
         n += 1
         hiv = h_interval(domain, a, b)
         fa, fb = complex(phi(a)), complex(phi(b))
-        if use_numeric:
-            kiv = k_numeric(img, fa, fb, resolution).distance
-        else:
-            kiv = k_interval_fast(img, fa, fb)
+        kiv = k_interval_fast(domain, fa, fb)
         over = kiv.lower - (L * hiv.upper + C) if math.isfinite(hiv.upper) else -math.inf
         under = (hiv.lower / L - C) - kiv.upper if math.isfinite(kiv.upper) else -math.inf
         slack = max(slack, over, under, 0.0)
@@ -423,9 +416,14 @@ def counterexample_divergence(max_n: int = 7) -> DivergenceTable:
     while the hyperbolic distance is at most 4 + pi log L_n, so the gap
     (the `bound` column) grows without bound.  No rough isometry with
     multiplicative constant one can relate the two metrics here.
+    ``max_n`` runs from 1 to 10: past n = 10, b_n = e^(2^(n-1)) overflows
+    a double.
     """
     if max_n < 1:
         raise ValueError("need at least one row")
+    if max_n > 10:
+        raise ValueError(f"max_n must be at most 10 (b_n = e^(2^(n-1)) "
+                         f"overflows a double past it), got {max_n}")
     rows: List[DivergenceRow] = []
     for n in range(1, max_n + 1):
         L = 2.0 ** (n - 1)

@@ -286,8 +286,7 @@ class _Grid:
 
 def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Grid:
     charts = _charts_for(domain, anchors[0], anchors[-1], res)
-    punctures = [c.point for c in domain.complement_components()
-                 if isinstance(c, ComplementPoint)]
+    punctures = domain.finite_boundary_points()
 
     all_nodes: List[np.ndarray] = []
     all_spacing: List[np.ndarray] = []
@@ -579,18 +578,6 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     return [complex(z) for z in P], sweeps_done, work
 
 
-def _resample(path: Polyline, domain: Domain, factor: float = 0.4,
-              cap: int = 64) -> List[complex]:
-    out: List[complex] = [path.points[0]]
-    starts, ends = path.segments()
-    for u, v in zip(starts.tolist(), ends.tolist()):
-        du = min(domain.delta(u), domain.delta(v))
-        n = int(min(cap, max(1, math.ceil(abs(v - u) / max(factor * du, 1e-300)))))
-        for j in range(1, n + 1):
-            out.append(u + (v - u) * (j / n))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The public solvers
 # ---------------------------------------------------------------------------
@@ -602,8 +589,7 @@ def _canonical(a: complex, b: complex) -> Tuple[complex, complex, bool]:
 
 
 def _geodesic(domain: Domain, a: complex, b: complex, density,
-              lower: Tuple[float, str], res: Resolution,
-              warm_start: Optional[Polyline]) -> GeodesicResult:
+              lower: Tuple[float, str], res: Resolution) -> GeodesicResult:
     a, b = complex(a), complex(b)
     domain.delta(a)
     domain.delta(b)
@@ -612,28 +598,13 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         return GeodesicResult(iv, Polyline([a]), {"nodes": 0})
 
     ca, cb, flipped = _canonical(a, b)
-    punctures = [c.point for c in domain.complement_components()
-                 if isinstance(c, ComplementPoint)]
-    meta: dict = {}
+    punctures = domain.finite_boundary_points()
     t0 = time.perf_counter()
-    if warm_start is not None:
-        pts = warm_start.points
-        scale = max(abs(ca), abs(cb), 1.0)
-        if abs(pts[0] - a) > 1e-9 * scale or abs(pts[-1] - b) > 1e-9 * scale:
-            if abs(pts[0] - b) <= 1e-9 * scale and abs(pts[-1] - a) <= 1e-9 * scale:
-                pts = tuple(reversed(pts))
-            else:
-                raise ValueError("warm start must join the requested endpoints")
-        seed_path = Polyline.cleaned(pts if not flipped else tuple(reversed(pts)))
-        raw = _resample(seed_path, domain)
-        meta["warm_start"] = True
-        t1 = t2 = time.perf_counter()  # the resampled seed stands in for the graph
-    else:
-        nodes, graph, (ia, ib), meta = _build_graph(domain, [ca, cb], res, density)
-        t1 = time.perf_counter()
-        raw, graph_len = _shortest_path(nodes, graph, ia, ib)
-        meta["graph_length"] = graph_len
-        t2 = time.perf_counter()
+    nodes, graph, (ia, ib), meta = _build_graph(domain, [ca, cb], res, density)
+    t1 = time.perf_counter()
+    raw, graph_len = _shortest_path(nodes, graph, ia, ib)
+    meta["graph_length"] = graph_len
+    t2 = time.perf_counter()
 
     relaxed, sweeps, work = _relax_path(raw, density, punctures, res)
     meta["relax_sweeps"] = sweeps
@@ -658,8 +629,7 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
 
 
 def k_numeric(domain: Domain, a: complex, b: complex,
-              resolution: Optional[Resolution] = None,
-              warm_start: Optional[Polyline] = None) -> GeodesicResult:
+              resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the quasihyperbolic distance along with the
     discrete near-geodesic.  Lower bounds are exact for one removed point and
     for the half-plane."""
@@ -672,7 +642,7 @@ def k_numeric(domain: Domain, a: complex, b: complex,
         lower = (k_star_exact(a, b, comps[0].point), "one-puncture-exact")
     else:
         lower = k_lower_analytic(domain, a, b)
-    return _geodesic(domain, a, b, density, lower, res, warm_start)
+    return _geodesic(domain, a, b, density, lower, res)
 
 
 def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
@@ -685,8 +655,7 @@ def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
 
 
 def k_chordal_numeric(domain: Domain, a: complex, b: complex,
-                      resolution: Optional[Resolution] = None,
-                      warm_start: Optional[Polyline] = None) -> GeodesicResult:
+                      resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the chordally normalized quasihyperbolic
     distance.  The lower bound combines the spherical gap estimate with a
     quarter of the best euclidean lower bound."""
@@ -696,7 +665,7 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
     lo_euc = k_lower_analytic(domain, a, b)
     lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
         (0.25 * lo_euc[0], f"quarter-euclidean[{lo_euc[1]}]")
-    return _geodesic(domain, a, b, density, lower, res, warm_start)
+    return _geodesic(domain, a, b, density, lower, res)
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +795,7 @@ class MobiusQIReport(VerdictCounts):
                 "violations": list(self.violations), **self.verdicts()}
 
 
-def check_mobius_quasi_invariance(domain: Domain, mobius, pairs,
-                                  use_numeric: bool = False,
-                                  resolution: Optional[Resolution] = None) -> MobiusQIReport:
+def check_mobius_quasi_invariance(domain: Domain, mobius, pairs) -> MobiusQIReport:
     """Certify that a Möbius map changes quasihyperbolic distances by at most
     a factor of two in each direction on the supplied pairs.
 
@@ -847,13 +814,8 @@ def check_mobius_quasi_invariance(domain: Domain, mobius, pairs,
         if a == b:
             continue
         n += 1
-        if use_numeric:
-            k1 = k_numeric(domain, a, b, resolution).distance
-            k2 = k_numeric(image, complex(mobius(a)), complex(mobius(b)),
-                           resolution).distance
-        else:
-            k1 = k_interval_fast(domain, a, b)
-            k2 = k_interval_fast(image, complex(mobius(a)), complex(mobius(b)))
+        k1 = k_interval_fast(domain, a, b)
+        k2 = k_interval_fast(image, complex(mobius(a)), complex(mobius(b)))
         if k1.upper > 0:
             worst_hi = max(worst_hi, k2.lower / k1.upper)
         if k1.lower > 0 and math.isfinite(k2.upper):
@@ -897,8 +859,7 @@ class AnnulusComparisonReport(VerdictCounts):
 
 
 def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
-                               seed: int = 0, use_numeric: bool = False,
-                               resolution: Optional[Resolution] = None) -> AnnulusComparisonReport:
+                               seed: int = 0) -> AnnulusComparisonReport:
     """Inside an essential round annulus whose radii differ by more than a
     factor four, check in the middle band (twice the inner radius to half the
     outer) that the boundary gap is squeezed between half of and the full
@@ -934,10 +895,7 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
         if a == b:
             continue
         ks = k_star_exact(a, b, c)
-        if use_numeric:
-            iv = k_numeric(domain, a, b, resolution).distance
-        else:
-            iv = k_interval_fast(domain, a, b)
+        iv = k_interval_fast(domain, a, b)
         if ks > 0:
             worst_lo = min(worst_lo, iv.upper / ks)
             worst_hi = max(worst_hi, iv.lower / ks)

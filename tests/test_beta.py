@@ -263,6 +263,19 @@ def test_up_geometric_circle_family():
     assert report.witness.modulus == pytest.approx(math.log(4.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("horizon", [1, 0, -1])
+def test_up_horizon_must_be_at_least_one(horizon):
+    E = UPSet(points=(UPPoint(0.0),),
+              families=(UPCircleFamily(0.0, 4.0, 1.0),))
+    if horizon >= 1:
+        assert up_modulus_sup(E, horizon=horizon).sup_modulus == pytest.approx(
+            math.log(4.0), abs=1e-15)
+    else:
+        # one enumerated circle and the collapsed tail would show no gap
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            up_modulus_sup(E, horizon=horizon)
+
+
 def test_up_isolated_points_unbounded():
     E = UPSet(points=(UPPoint(0.0), UPPoint(1.0)))
     report = up_modulus_sup(E)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from qhyp.beta import beta_field
 from qhyp.cli import _FIELDS, main
 from qhyp.domains import domain_from_json_text
 
@@ -203,6 +204,23 @@ def test_heatmap_sidecar_counts_fallback_values(tmp_path, capsys):
     assert non_finite > 0 and sidecar["write_fallback"] >= non_finite
 
 
+def test_heatmap_beta_csv_bytes_equal_the_per_value_loop(tmp_path, capsys):
+    # grid points land on both punctures, where beta is not finite
+    out_csv = tmp_path / "beta.csv"
+    rc, _, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT, "--field", "beta",
+                   "--window", "-1", "2", "-1", "1", "--nx", "7", "--ny", "5",
+                   "--out", str(out_csv))
+    assert rc == 0
+    xs, ys = np.linspace(-1.0, 2.0, 7), np.linspace(-1.0, 1.0, 5)
+    B = beta_field(domain_from_json_text(TWO_PUNCT), xs[None, :] + 1j * ys[:, None])
+    assert not np.isfinite(B).all()
+    want = ["re,im,value\n"]
+    for r in range(5):
+        for c in range(7):
+            want.append(f"{xs[c]:.17g},{ys[r]:.17g},{B[r, c]:.17g}\n")
+    assert out_csv.read_bytes() == "".join(want).encode()
+
+
 def test_beta_map_reports(capsys):
     deep = ('{"type": "finite_complement", "punctures": '
             '[[0.0, 0.0], [%r, 0.0]]}' % math.exp(6))
@@ -226,6 +244,19 @@ def test_up_check_geometric_family(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["unbounded"] is False
     assert payload["sup_modulus"] == pytest.approx(math.log(4.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon, ok", [("1", True), ("0", False), ("-1", False)])
+def test_up_check_horizon_below_one_is_exit_2(capsys, horizon, ok):
+    spec = ('{"points": [[0, 0]], '
+            '"families": [{"center": [0, 0], "ratio": 4, "scale": 1}]}')
+    rc, out, err = run(capsys, "up-check", "--set", spec, "--horizon", horizon)
+    if ok:
+        assert rc == 0
+        assert json.loads(out)["sup_modulus"] == pytest.approx(math.log(4.0), rel=1e-12)
+    else:
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "horizon must be at least 1" in err
 
 
 def test_qi_verify_identity_on_halfplane(capsys):
@@ -333,6 +364,14 @@ def test_counterexample_table_and_csv(tmp_path, capsys):
     assert f"wrote {csv}" in out
     rc, out, _ = run(capsys, "counterexample", "--max-n", "2")
     assert rc == 0 and "no positive gap yet; raise --max-n" in out
+
+
+def test_counterexample_past_the_double_range_is_exit_2(capsys):
+    rc, out, _ = run(capsys, "counterexample", "--max-n", "10")
+    assert rc == 0 and len([ln for ln in out.splitlines() if ln.startswith("n=")]) == 10
+    rc, out, err = run(capsys, "counterexample", "--max-n", "11")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "max_n must be at most 10" in err
 
 
 def test_verify_all_subset(capsys):

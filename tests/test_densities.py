@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -274,6 +274,8 @@ _plane_point = st.tuples(st.floats(min_value=-3.0, max_value=3.0),
 
 @settings(deadline=None, max_examples=25)
 @given(_plane_point, _plane_point)
+# the segment passes 1 at a subnormal distance, where 1/delta overflows
+@example(2 + 2.225073858507203e-309j, 0.5 + 0j)
 def test_h_interval_upper_at_most_twice_k(a, b):
     dom = FiniteComplement([0.0, 1.0])
     assume(min(abs(a), abs(a - 1.0), abs(b), abs(b - 1.0)) > 0.05 and a != b)
@@ -281,14 +283,6 @@ def test_h_interval_upper_at_most_twice_k(a, b):
     assert iv.lower <= iv.upper
     if not iv.upper_source.startswith(MODEL_ESTIMATES):
         assert iv.upper <= 2.0 * k_interval_fast(dom, a, b).upper
-
-
-def test_h_interval_uses_quasihyperbolic_cap():
-    dom = FiniteComplement([0.0, 1.0])
-    a, b = 5.0j, 6.0j
-    loose = h_interval(dom, a, b)
-    capped = h_interval(dom, a, b, k_upper=0.25)
-    assert capped.upper <= min(loose.upper, 0.5) + 1e-12
 
 
 # h upper bounds before the Beardon-Pommerenke arc search was replaced by

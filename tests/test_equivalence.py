@@ -298,3 +298,10 @@ def test_divergence_table_csv(tmp_path):
 def test_divergence_requires_positive_length():
     with pytest.raises(ValueError):
         counterexample_divergence(0)
+
+
+def test_divergence_stops_where_b_n_overflows():
+    # b_10 = e^512 is a double, b_11 = e^1024 is not
+    assert counterexample_divergence(10).rows[-1].b == math.exp(512.0)
+    with pytest.raises(ValueError, match="max_n must be at most 10"):
+        counterexample_divergence(11)

@@ -14,7 +14,6 @@ from qhyp import (
     Annulus,
     FiniteComplement,
     MobiusMap,
-    Polyline,
     Resolution,
     UpperHalfPlane,
     annulus_inside,
@@ -132,30 +131,6 @@ def test_numeric_halfplane_contains_exact():
     assert result.distance.upper <= exact * 1.05
 
 
-def test_numeric_warm_start_monotone():
-    dom = FiniteComplement([0.0, 1.0])
-    a, b = -0.5, 1.5
-    cold = k_numeric(dom, a, b, RES)
-    warm_res = Resolution(radial=96, angular=96, relax_sweeps=6)
-    warm = k_numeric(dom, a, b, warm_res, warm_start=cold.path)
-    assert warm.distance.upper <= cold.distance.upper * (1.0 + 1e-9)
-    assert warm.distance.lower == cold.distance.lower
-
-
-def test_numeric_warm_start_accepts_reversed_path():
-    dom = FiniteComplement([0.0])
-    a, b = 1.0, 1.0j
-    cold = k_numeric(dom, a, b, RES)
-    warm = k_numeric(dom, b, a, RES, warm_start=cold.path)
-    assert warm.distance.upper <= cold.distance.upper * (1.0 + 1e-9)
-
-
-def test_numeric_warm_start_rejects_mismatched_endpoints():
-    dom = FiniteComplement([0.0])
-    with pytest.raises(ValueError):
-        k_numeric(dom, 1.0, 1.0j, RES, warm_start=Polyline([1.0, 2.0]))
-
-
 def test_numeric_coincident_endpoints():
     dom = FiniteComplement([0.0])
     result = k_numeric(dom, 1.0j, 1.0j, RES)
@@ -205,11 +180,6 @@ def test_numeric_meta_reports_stage_cost():
     assert 0 < meta["stitch_edges"] < meta["edges"]
     assert 0 < meta["clearance_exact"] < meta["edges"]
     assert json.loads(json.dumps(result.as_dict()))["meta"] == meta
-
-    warm = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES, warm_start=result.path)
-    assert warm.meta["dijkstra_s"] == 0.0
-    assert warm.meta["weight_calls"] >= 1
-    assert "stitch_s" not in warm.meta and warm.meta["clearance_exact"] >= 0
 
 
 def _evict_grid():
