@@ -12,7 +12,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constants import KAPPA
-from .geometry import INF, Annulus, is_infinite
+from .geometry import Annulus, is_infinite
 from .domains import FiniteComplement, UpperHalfPlane
 from .densities import (
     h_interval,

@@ -110,7 +110,9 @@ def _emit(obj) -> None:
 
 
 def _resolution(args) -> Resolution:
-    n = getattr(args, "resolution", None) or 256
+    n = getattr(args, "resolution", None)
+    if n is None:
+        n = 256
     return Resolution(radial=n, angular=n)
 
 
@@ -225,7 +227,14 @@ def _cmd_up_check(args) -> int:
     return 0
 
 
+_DRAWS_PER_PAIR = 1000   # sampling budget of _sample_pairs
+
+
 def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
+    """``n`` seeded pairs of distinct points, drawn from a window around the
+    finite boundary points, each at least span/100 from the boundary.
+    Raises ``ValueError`` when ``_DRAWS_PER_PAIR * n`` draws do not find
+    them, as when the window misses the domain."""
     pts = dom.finite_boundary_points()
     if pts:
         xs = [p.real for p in pts]
@@ -236,7 +245,9 @@ def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
         span, cx, cy = 1.0, 0.0, 1.5
     rng = np.random.default_rng(seed)
     pairs = []
-    while len(pairs) < n:
+    for _ in range(_DRAWS_PER_PAIR * n):
+        if len(pairs) == n:
+            break
         z = (cx + rng.uniform(-2.0 * span, 2.0 * span, 2)
              + 1j * (cy + rng.uniform(-2.0 * span, 2.0 * span, 2)))
         a, b = complex(z[0]), complex(z[1])
@@ -245,10 +256,17 @@ def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
                 pairs.append((a, b))
         except OutsideDomainError:
             continue
+    if len(pairs) < n:
+        raise ValueError(
+            f"found {len(pairs)} of {n} pairs in {_DRAWS_PER_PAIR * n} draws from "
+            f"the window [{cx - 2.0 * span:g}, {cx + 2.0 * span:g}] x "
+            f"[{cy - 2.0 * span:g}, {cy + 2.0 * span:g}]; does it meet the domain?")
     return pairs
 
 
 def _cmd_qi_verify(args) -> int:
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     dom = _load_domain(args.domain)
     pairs = _sample_pairs(dom, args.pairs, args.seed)
     if args.mode == "identity":

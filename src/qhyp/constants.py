@@ -11,12 +11,6 @@ KAPPA = math.gamma(0.25) ** 4 / (4.0 * math.pi ** 2)
 # the radial-collapse rough isometry.
 PI_OVER_LOG2 = math.pi / math.log(2.0)
 
-# "Bounce or cross" geodesic-vs-annulus parameters (mu, nu): a geodesic
-# either stays within a modest band around an essential annulus it meets or
-# crosses it at most once.
-ABC_QUASIHYPERBOLIC = (math.pi, math.log(2.0))
-ABC_HYPERBOLIC = (3.0 * KAPPA, 2.5)
-
 # Relative slack used when collecting near-nearest boundary points.
 NEAREST_BOUNDARY_SLACK = 1e-9
 

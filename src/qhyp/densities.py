@@ -142,14 +142,6 @@ class DistanceInterval:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= x <= self.upper + tol
 
-    def disjoint_above(self, x: float) -> bool:
-        """Certified: the true value exceeds x."""
-        return self.lower > x
-
-    def disjoint_below(self, x: float) -> bool:
-        """Certified: the true value is less than x."""
-        return self.upper < x
-
     def as_dict(self) -> dict:
         return {"lower": self.lower, "upper": self.upper,
                 "lower_source": self.lower_source, "upper_source": self.upper_source}

@@ -553,17 +553,6 @@ class PuncturedSubdomain(Domain):
         return self.base.complement_components() + tuple(
             ComplementPoint(p) for p in self._punctures)
 
-    def flattened(self) -> Domain:
-        """Merge nested puncture lists into the simplest equivalent domain."""
-        if isinstance(self.base, FiniteComplement):
-            return FiniteComplement(self.base.punctures + self._punctures,
-                                    self.base._contains_infinity())
-        if isinstance(self.base, PuncturedSubdomain):
-            inner = self.base.flattened()
-            return PuncturedSubdomain(inner, self._punctures).flattened() \
-                if isinstance(inner, FiniteComplement) else self
-        return self
-
     def to_json_dict(self) -> dict:
         return {"type": "punctured_subdomain",
                 "base": self.base.to_json_dict(),
@@ -733,49 +722,3 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
         total += float(np.sum(coarse))
     return total
 
-
-# ---------------------------------------------------------------------------
-# Quasiconvexity check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniformArcReport:
-    ok: bool
-    constant: float
-    worst_ratio: float
-    worst_pair: Tuple[int, int]
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "constant": self.constant,
-                "worst_ratio": self.worst_ratio,
-                "worst_pair": list(self.worst_pair)}
-
-
-def check_uniform_arc(path: Polyline, constant: float) -> UniformArcReport:
-    """Check that every subarc is at most ``constant`` times its chord.
-
-    All vertex pairs are examined (after uniform subsampling of polylines
-    longer than 1500 vertices to 1500); the worst length-to-chord ratio and
-    its pair are reported.
-    """
-    z = path.as_array()
-    n = len(z)
-    if n > 1500:
-        idx = np.unique(np.round(np.linspace(0, n - 1, 1500)).astype(int))
-    else:
-        idx = np.arange(n)
-    seglen = np.abs(np.diff(z))
-    cum = np.concatenate([[0.0], np.cumsum(seglen)])
-    zi = z[idx]
-    ci = cum[idx]
-    arc = np.abs(ci[None, :] - ci[:, None])
-    chord = np.abs(zi[None, :] - zi[:, None])
-    np.fill_diagonal(chord, 1.0)
-    np.fill_diagonal(arc, 0.0)
-    ratio = arc / np.maximum(chord, 1e-300)
-    k = int(np.argmax(ratio))
-    i, j = divmod(k, ratio.shape[1])
-    worst = float(ratio[i, j])
-    return UniformArcReport(ok=worst <= constant, constant=float(constant),
-                            worst_ratio=worst,
-                            worst_pair=(int(idx[i]), int(idx[j])))

@@ -23,8 +23,8 @@ import numpy as np
 
 from .constants import KAPPA
 from .beta import UPDisk, UPDiskExterior, UPSet, up_modulus_sup
-from .densities import DistanceInterval, h_interval, h_upper_three_punct
-from .domains import Domain, FiniteComplement
+from .densities import h_interval, h_upper_three_punct
+from .domains import Domain
 from .solver import VerdictCounts, k_interval_fast, k_star_exact
 
 

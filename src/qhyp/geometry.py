@@ -1,15 +1,15 @@
 """Plane and sphere primitives.
 
-Extended points (plane plus a point at infinity), the chordal and spherical
-metrics, round annuli with modulus bookkeeping, Mobius maps, polylines, and
-the arc-plus-radial-segment path used throughout as a cheap near-geodesic.
+Extended points (plane plus a point at infinity), the chordal metric, round
+annuli with modulus bookkeeping, polylines, and the arc-plus-radial-segment
+path used throughout as a cheap near-geodesic.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def as_finite(p: ExtPoint) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Chordal and spherical metrics
+# Chordal metric
 # ---------------------------------------------------------------------------
 
 def _lift_norm(z: complex) -> float:
@@ -70,12 +70,6 @@ def chordal_distance(p: ExtPoint, q: ExtPoint) -> float:
     if z == w:
         return 0.0
     return 2.0 * abs(z - w) / (_lift_norm(z) * _lift_norm(w))
-
-
-def spherical_distance(p: ExtPoint, q: ExtPoint) -> float:
-    """Great-circle distance on the sphere of radius 1 (chord 2 maps to pi)."""
-    half = 0.5 * chordal_distance(p, q)
-    return 2.0 * math.asin(min(1.0, half))
 
 
 def chordal_distance_field(z: np.ndarray, p: ExtPoint,
@@ -164,18 +158,6 @@ class Annulus:
     def __setattr__(self, name, value):
         raise AttributeError("Annulus is immutable")
 
-    @classmethod
-    def from_radii(cls, center: complex, inner: float, outer: float) -> "Annulus":
-        return cls(center, inner=inner, outer=outer)
-
-    @classmethod
-    def punctured_disk(cls, center: complex, radius: float) -> "Annulus":
-        return cls(center, inner=0.0, outer=radius)
-
-    @classmethod
-    def disk_exterior(cls, center: complex, radius: float) -> "Annulus":
-        return cls(center, inner=radius, outer=math.inf)
-
     # -- classification ----------------------------------------------------
 
     @property
@@ -207,36 +189,6 @@ class Annulus:
         if self.is_degenerate:
             return math.inf
         return math.log(self.outer / self.inner)
-
-    # -- shrink / fatten ----------------------------------------------------
-
-    def core(self, q: float) -> "Annulus":
-        """Concentric subannulus with half-modulus reduced by ``q``."""
-        if q < 0.0:
-            raise ValueError("q must be >= 0")
-        if q == 0.0:
-            return self
-        f = math.exp(q)
-        if self.kind == "punctured_disk":
-            return Annulus(self.center, inner=0.0, outer=self.outer / f)
-        if self.kind == "exterior":
-            return Annulus(self.center, inner=self.inner * f, outer=math.inf)
-        if not q < self.half_modulus:
-            raise ValueError(f"core depth {q} >= half-modulus {self.half_modulus}")
-        return Annulus(self.center, inner=self.inner * f, outer=self.outer / f)
-
-    def band(self, r: float) -> "Annulus":
-        """Concentric superannulus with half-modulus increased by ``r``."""
-        if r < 0.0:
-            raise ValueError("r must be >= 0")
-        if r == 0.0:
-            return self
-        f = math.exp(r)
-        if self.kind == "punctured_disk":
-            return Annulus(self.center, inner=0.0, outer=self.outer * f)
-        if self.kind == "exterior":
-            return Annulus(self.center, inner=self.inner / f, outer=math.inf)
-        return Annulus(self.center, inner=self.inner / f, outer=self.outer * f)
 
     # -- membership ---------------------------------------------------------
 
@@ -281,26 +233,6 @@ class Annulus:
             else:
                 return False
         return has_inner and has_outer
-
-    # -- containment of annuli ----------------------------------------------
-
-    def is_subannulus(self, other: "Annulus", tol: float = 1e-12) -> bool:
-        """True when this annulus is contained in ``other`` essentially:
-
-        other's inner disk fits in this one's inner disk and this one's outer
-        disk fits in other's, so every circle separating this annulus
-        separates the other as well.
-        """
-        off = abs(self.center - other.center)
-        scale = max(1.0, self.inner, other.inner)
-        if not off + other.inner <= self.inner + tol * scale:
-            return False
-        if math.isinf(self.outer):
-            return math.isinf(other.outer)
-        if math.isinf(other.outer):
-            return True
-        scale2 = max(1.0, self.outer, other.outer)
-        return off + self.outer <= other.outer + tol * scale2
 
     # -- crossings ------------------------------------------------------------
 
@@ -378,94 +310,6 @@ class Annulus:
 
 
 # ---------------------------------------------------------------------------
-# Mobius maps
-# ---------------------------------------------------------------------------
-
-class MobiusMap:
-    """Fractional linear map z -> (a z + b) / (c z + d), determinant normalized to 1."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: complex, b: complex, c: complex, d: complex):
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-        det = a * d - b * c
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if scale == 0.0 or abs(det) <= 1e-12 * scale * scale:
-            raise ValueError("degenerate coefficient matrix")
-        s = 1.0 / cmath.sqrt(det)
-        object.__setattr__(self, "a", a * s)
-        object.__setattr__(self, "b", b * s)
-        object.__setattr__(self, "c", c * s)
-        object.__setattr__(self, "d", d * s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MobiusMap is immutable")
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def translation(cls, t: complex) -> "MobiusMap":
-        return cls(1.0, t, 0.0, 1.0)
-
-    @classmethod
-    def affine(cls, scale: complex, shift: complex = 0.0) -> "MobiusMap":
-        if scale == 0:
-            raise ValueError("affine scale must be nonzero")
-        return cls(scale, shift, 0.0, 1.0)
-
-    @classmethod
-    def inversion(cls) -> "MobiusMap":
-        return cls(0.0, 1.0, 1.0, 0.0)
-
-    def __call__(self, z: ExtPoint) -> ExtPoint:
-        if is_infinite(z):
-            if self.c == 0:
-                return INF
-            return self.a / self.c
-        z = as_finite(z)
-        den = self.c * z + self.d
-        if den == 0:
-            return INF
-        return (self.a * z + self.b) / den
-
-    def apply_field(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def derivative(self, z: ExtPoint) -> complex:
-        """(a d - b c) / (c z + d)^2 at a finite non-pole point."""
-        z = as_finite(z)
-        den = self.c * z + self.d
-        if den == 0:
-            raise ValueError("derivative at a pole")
-        det = self.a * self.d - self.b * self.c
-        return det / (den * den)
-
-    def pole(self) -> Optional[ExtPoint]:
-        """Preimage of infinity: -d/c, or the point at infinity when c = 0."""
-        if self.c == 0:
-            return INF
-        return -self.d / self.c
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other: (self . other)(z) = self(other(z))."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __repr__(self) -> str:
-        return f"MobiusMap(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
-
-
-# ---------------------------------------------------------------------------
 # Polylines
 # ---------------------------------------------------------------------------
 
@@ -526,21 +370,6 @@ class Polyline:
 
     def reversed(self) -> "Polyline":
         return Polyline(self.points[::-1])
-
-    def subpath(self, i: int, j: int) -> "Polyline":
-        """Vertex slice from index i to index j inclusive (either order)."""
-        n = len(self.points)
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError("subpath indices out of range")
-        if i <= j:
-            return Polyline(self.points[i:j + 1])
-        return Polyline(self.points[j:i + 1][::-1])
-
-    def concat(self, other: "Polyline") -> "Polyline":
-        return Polyline.cleaned(self.points + other.points)
-
-    def transform(self, fn: Callable[[complex], complex]) -> "Polyline":
-        return Polyline.cleaned([fn(z) for z in self.points])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polyline) and self.points == other.points

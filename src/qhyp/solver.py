@@ -115,14 +115,6 @@ def gp_ratio_lower_bound(domain: Domain, a: complex, b: complex) -> float:
     return abs(math.log(domain.delta(a) / domain.delta(b)))
 
 
-def k_length_lower(length: float, clearance: float) -> float:
-    """Any curve of euclidean length `length` whose closest boundary approach
-    is `clearance` has quasihyperbolic length at least log(1 + length/clearance)."""
-    if length < 0 or clearance <= 0:
-        raise ValueError("need length >= 0 and clearance > 0")
-    return math.log1p(length / clearance)
-
-
 def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str]:
     """Best available closed-form lower bound for the quasihyperbolic
     distance, with the name of the winning estimate."""
@@ -740,27 +732,6 @@ def _k_interval_fast_curves(domain: Domain, a: complex, b: complex
 # Structural checks built on the solver
 # ---------------------------------------------------------------------------
 
-def _mobius_image_domain(domain: Domain, T) -> Domain:
-    from .domains import FiniteComplement
-    from .geometry import INF, is_infinite
-    comps = domain.complement_components()
-    if not all(isinstance(c, ComplementPoint) for c in comps):
-        raise UnsupportedDomainError("image domains need point complements")
-    punctures = [c.point for c in comps]
-    pole = T.pole()
-    if pole is not None and not is_infinite(pole):
-        if not any(abs(pole - p) <= 1e-12 * max(1.0, abs(p)) for p in punctures):
-            raise ValueError("the map's pole must lie outside the domain")
-    images = [T(p) for p in punctures] + [T(INF)]
-    finite = []
-    for w in images:
-        if is_infinite(w):
-            continue
-        if not any(abs(w - q) <= 1e-12 * max(1.0, abs(q)) for q in finite):
-            finite.append(complex(w))
-    return FiniteComplement(finite)
-
-
 class VerdictCounts:
     """A verification report's pairs, each counted once: as violated, as
     proved, or else as inconclusive.  Needs ``pairs``, ``proved`` and
@@ -777,59 +748,6 @@ class VerdictCounts:
     def verdicts(self) -> dict:
         return {"proved": self.proved, "violated": self.violated,
                 "inconclusive": self.inconclusive}
-
-
-@dataclass(frozen=True)
-class MobiusQIReport(VerdictCounts):
-    ok: bool
-    pairs: int
-    worst_upper_ratio: float   # certified lower bound on sup k'/k
-    worst_lower_ratio: float   # certified upper bound on inf k'/k
-    violations: Tuple[dict, ...]
-    proved: int = 0
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "pairs": self.pairs,
-                "worst_upper_ratio": self.worst_upper_ratio,
-                "worst_lower_ratio": self.worst_lower_ratio,
-                "violations": list(self.violations), **self.verdicts()}
-
-
-def check_mobius_quasi_invariance(domain: Domain, mobius, pairs) -> MobiusQIReport:
-    """Certify that a Möbius map changes quasihyperbolic distances by at most
-    a factor of two in each direction on the supplied pairs.
-
-    A violation is recorded only when the computed enclosures prove the
-    factor-two window is left; inconclusive pairs never fail the check.
-    Each pair is counted once: as violated, as proved when both enclosures
-    put k'/k inside [1/2, 2], or else as inconclusive.
-    """
-    image = _mobius_image_domain(domain, mobius)
-    worst_hi = 0.0
-    worst_lo = math.inf
-    violations: List[dict] = []
-    n = proved = 0
-    for a, b in pairs:
-        a, b = complex(a), complex(b)
-        if a == b:
-            continue
-        n += 1
-        k1 = k_interval_fast(domain, a, b)
-        k2 = k_interval_fast(image, complex(mobius(a)), complex(mobius(b)))
-        if k1.upper > 0:
-            worst_hi = max(worst_hi, k2.lower / k1.upper)
-        if k1.lower > 0 and math.isfinite(k2.upper):
-            worst_lo = min(worst_lo, k2.upper / k1.lower)
-        hi_bad = k2.lower > 2.0 * k1.upper * (1.0 + 1e-9)
-        lo_bad = math.isfinite(k2.upper) and k2.upper < 0.5 * k1.lower * (1.0 - 1e-9)
-        if hi_bad or lo_bad:
-            violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
-                               "source": k1.as_dict(), "image": k2.as_dict()})
-        elif k2.upper <= 2.0 * k1.lower and k2.lower >= 0.5 * k1.upper:
-            proved += 1
-    return MobiusQIReport(ok=not violations, pairs=n, worst_upper_ratio=worst_hi,
-                          worst_lower_ratio=worst_lo, violations=tuple(violations),
-                          proved=proved)
 
 
 def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
@@ -912,32 +830,3 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
                                    worst_ratio_low=worst_lo,
                                    worst_ratio_high=worst_hi, proved=proved)
 
-
-def thin_triangle_defect(domain: Domain, x: complex, y: complex, z: complex,
-                         resolution: Optional[Resolution] = None) -> Tuple[float, dict]:
-    """Estimate how far the side joining x and z strays from the union of the
-    other two sides of the quasihyperbolic triangle, measured in the metric
-    itself.  Grid-valued estimate; useful for sanity checks, not certified."""
-    res = resolution or Resolution(radial=128, angular=128)
-    density = quasihyperbolic_density(domain)
-    nodes, graph, ids, meta = _build_graph(domain, [x, y, z], res, density)
-    ix, iy, iz = ids
-
-    def side(i, j):
-        pts, _ = _shortest_path(nodes, graph, i, j)
-        return pts
-
-    p_xy = side(ix, iy)
-    p_yz = side(iy, iz)
-    p_xz = side(ix, iz)
-    tree = cKDTree(np.stack([nodes.real, nodes.imag], axis=1))
-
-    def nearest(points):
-        pts = np.asarray(points, dtype=np.complex128)
-        return tree.query(np.stack([pts.real, pts.imag], axis=1), k=1)[1]
-
-    dist = _dijkstra(graph, directed=False, indices=np.unique(nearest(p_xy + p_yz)),
-                     min_only=True)
-    defect = float(np.max(dist[nearest(p_xz)], initial=0.0))
-    meta["sides"] = [len(p_xy), len(p_yz), len(p_xz)]
-    return defect, meta

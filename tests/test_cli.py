@@ -8,12 +8,14 @@ subprocesses.
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qhyp import FiniteComplement
 from qhyp.beta import beta_field
-from qhyp.cli import _FIELDS, main
+from qhyp.cli import _FIELDS, _sample_pairs, main
 from qhyp.domains import domain_from_json_text
 
 HALFPLANE = '{"type": "upper_half_plane"}'
@@ -96,6 +98,14 @@ def test_geodesic_negative_max_vertices_is_exit_2(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "--max-vertices" in err and "-3" in err
+
+
+@pytest.mark.parametrize("command", [["geodesic"], ["distance", "--method", "numeric"]])
+def test_resolution_zero_is_exit_2(capsys, command):
+    rc, out, err = run(capsys, *command, "--domain", ONE_PUNCT,
+                       "--from", "1,0", "--to", "0,1", "--resolution", "0")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "at least 8 samples" in err
 
 
 def test_heatmap_grid_and_sidecar(tmp_path, capsys):
@@ -310,6 +320,38 @@ def test_qi_verify_config_malformed_value_is_exit_2(capsys):
                      "--pairs", "1", "--config", bad)
     assert rc == 2
     assert "radii[1]" in err
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_qi_verify_pairs_below_one_is_exit_2(capsys, pairs):
+    rc, out, err = run(capsys, "qi-verify", "--domain", TWO_PUNCT,
+                       "--pairs", pairs)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "--pairs must be at least 1" in err
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "7d1fdc46b37e7e5ffb894ee630162ba6f99673ed828746c37e73fdf3baa6bf1f"),
+    (1, "f0ca2d99e398354d35bf5fc72f1556a9921871f21e633d5831ab57121bb384b5"),
+    (2, "c26ece6c201f112f32bca2b7eaeee0e1ba7267bc3f18a95f4b8e21e4ee4272e4"),
+])
+def test_sample_pairs_pinned(seed, digest):
+    # the draws of qi-verify and of the benchmark's verify workload
+    dom = FiniteComplement([0.0, 1.0])
+    pairs = _sample_pairs(dom, 12, seed)
+    text = ";".join(f"{z.real.hex()},{z.imag.hex()}" for pair in pairs for z in pair)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _sample_pairs(dom, 4, seed) == pairs[:4]
+
+
+def test_qi_verify_window_missing_the_domain_is_exit_2(capsys):
+    far_disk = ('{"type": "translated_scaled", "base": {"type": "unit_disk"}, '
+                '"scale": [1, 0], "shift": [100, 0]}')
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "qi-verify", "--domain", far_disk, "--pairs", "2")
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "found 0 of 2 pairs in 2000 draws" in err
 
 
 @pytest.mark.parametrize("axis", ["--nx", "--ny"])

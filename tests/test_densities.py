@@ -133,8 +133,6 @@ def test_interval_accessors():
     assert iv.width == pytest.approx(1.0)
     assert iv.contains(1.5)
     assert not iv.contains(2.5)
-    assert iv.disjoint_above(0.9)
-    assert iv.disjoint_below(2.1)
     assert "lo" in iv.as_dict()["lower_source"]
 
 
