@@ -23,12 +23,14 @@ from .domains import (
     ComplementDiskExterior,
     ComplementHalfPlane,
     ComplementPoint,
+    Component,
     Domain,
     DomainError,
     FiniteComplement,
     SchemaError,
     _parse_complex as cval,
     _parse_real as fval,
+    annulus_inside,
     circle_samples,
     rho_length,
 )
@@ -37,6 +39,7 @@ from .geometry import (
     Annulus,
     ExtPoint,
     Polyline,
+    _unique_points,
     as_finite,
     is_infinite,
     segment_point_distance,
@@ -78,35 +81,58 @@ class BetaResult:
                     "inner": self.annulus.inner, "outer": self.annulus.outer}}
 
 
+def _gap_terms(comps: Sequence[Component], z: np.ndarray, dists: np.ndarray,
+               delta: np.ndarray):
+    """The exponent's terms at the points ``z``, whose distances are
+    ``dists`` to each component and ``delta`` to the boundary, for ``beta``
+    and ``beta_field`` alike.  For each component i nearest (within
+    NEAREST_BOUNDARY_SLACK) at some of the points: their mask, their nearest
+    points zeta on i, and the terms (j, t, |log(delta / t)|) over the
+    components j but a point i itself, with t the distance from zeta to j
+    closest to delta; a term is NaN where t is 0."""
+    for i, ci in enumerate(comps):
+        mask = dists[i] <= delta * (1.0 + NEAREST_BOUNDARY_SLACK)
+        if not np.any(mask):
+            continue
+        zeta = ci.nearest_point_field(z[mask])
+        yield mask, zeta, _pair_terms(comps, i, delta[mask], zeta)
+
+
+def _pair_terms(comps: Sequence[Component], i: int, d: np.ndarray, zeta: np.ndarray):
+    for j, cj in enumerate(comps):
+        if i == j and isinstance(cj, ComplementPoint):
+            continue
+        lo, hi = cj.xi_range_field(zeta)
+        t = np.minimum(np.maximum(d, lo), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contribution = np.abs(np.log(d / np.where(t > 0, t, np.nan)))
+        yield cj, t, contribution
+
+
 def beta(domain: Domain, z: ExtPoint) -> BetaResult:
     """Boundary-gap exponent at z, with the witnessing boundary pairs.
 
     Returns the exponent value, the distance to the boundary, the nearest
     boundary points, all (zeta, xi) pairs achieving the minimum (within
     relative slack 1e-9), and the associated annulus centered at the first
-    witness (None when the exponent vanishes).
+    witness (None when the exponent vanishes).  The value is
+    ``beta_field``'s at z, bit for bit.
     """
     z = as_finite(z)
-    comps = domain.complement_components()
     delta = domain.delta(z)
     if math.isinf(delta):
         raise DomainError("domain has empty boundary")
+    comps = domain.complement_components()
+    zs = np.asarray(z, dtype=np.complex128)
+    dists = np.stack([c.distance_field(zs) for c in comps])
 
     entries: List[Tuple[float, complex, complex, float]] = []
-    for i, ci in enumerate(comps):
-        di = float(ci.distance_field(np.asarray(z)))
-        if di > delta * (1.0 + NEAREST_BOUNDARY_SLACK):
-            continue
-        for zeta in ci.nearest_points(z):
-            for j, cj in enumerate(comps):
-                if i == j and isinstance(cj, ComplementPoint):
-                    continue
-                lo, hi = cj.distance_range_from(zeta)
-                t = min(max(delta, lo), hi)
-                if t <= 0.0:
-                    continue
-                contribution = abs(math.log(delta / t))
-                entries.append((contribution, zeta, cj.witness_at(zeta, t), t))
+    for _, zeta, terms in _gap_terms(comps, zs, dists, dists.min(axis=0)):
+        zeta = complex(zeta[0])
+        for cj, t, contribution in terms:
+            if np.isfinite(contribution[0]):
+                t = float(t[0])
+                entries.append((float(contribution[0]), zeta, cj.witness_at(zeta, t), t))
     if not entries:
         raise DomainError("the exponent needs at least two boundary points")
 
@@ -114,14 +140,11 @@ def beta(domain: Domain, z: ExtPoint) -> BetaResult:
     cut = value + max(1e-12, 1e-9 * value)
     witnesses = tuple(BetaWitness(zeta, xi, t, c)
                       for (c, zeta, xi, t) in entries if c <= cut)
-    nearest: List[complex] = []
-    for w in witnesses:
-        if not any(abs(w.zeta - p) <= 1e-12 * max(1.0, abs(p)) for p in nearest):
-            nearest.append(w.zeta)
     ann = None
     if value > 0.0:
         ann = Annulus(witnesses[0].zeta, d=delta, m=value)
-    return BetaResult(value=value, delta=delta, nearest=tuple(nearest),
+    return BetaResult(value=value, delta=delta,
+                      nearest=tuple(_unique_points(w.zeta for w in witnesses)),
                       witnesses=witnesses, annulus=ann)
 
 
@@ -136,21 +159,9 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     valid = delta > 0.0
     safe_delta = np.where(valid, delta, 1.0)
     out = np.full(z.shape, math.inf)
-    for i, ci in enumerate(comps):
-        # component i contributes only where it is (nearly) nearest
-        mask = dists[i] <= safe_delta * (1.0 + NEAREST_BOUNDARY_SLACK)
-        if not np.any(mask):
-            continue
-        d = safe_delta[mask]
-        zeta = ci.nearest_point_field(z[mask])
+    for mask, _, terms in _gap_terms(comps, z, dists, safe_delta):
         best = out[mask]
-        for j, cj in enumerate(comps):
-            if i == j and isinstance(cj, ComplementPoint):
-                continue
-            lo, hi = cj.xi_range_field(zeta)
-            t = np.minimum(np.maximum(d, lo), hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                contribution = np.abs(np.log(d / np.where(t > 0, t, np.nan)))
+        for _, _, contribution in terms:
             best = np.minimum(best, np.where(np.isfinite(contribution), contribution, math.inf))
         out[mask] = best
     if np.any(np.isinf(out[valid])):
@@ -299,22 +310,13 @@ def dyadic_annulus_candidates(domain: Domain, nu: float, r_lo: float,
     if not (nu > 0.0 and 0.0 < r_lo < r_hi):
         raise ValueError("need nu > 0 and 0 < r_lo < r_hi")
     out: List[Annulus] = []
-    comps = domain.complement_components()
     for o in domain.finite_boundary_points():
         j_lo = math.floor(math.log2(r_lo)) - 1
         j_hi = math.ceil(math.log2(r_hi)) + 1
         for j in range(j_lo, j_hi + 1):
-            d = 2.0 ** j
-            inner = d * math.exp(-nu)
-            outer = d * math.exp(nu)
-            ok = True
-            for comp in comps:
-                lo, hi = comp.distance_range_from(o)
-                if hi > inner * (1.0 + 1e-12) and lo < outer * (1.0 - 1e-12):
-                    ok = False
-                    break
-            if ok:
-                out.append(Annulus(o, d=d, m=nu))
+            ann = Annulus(o, d=2.0 ** j, m=nu)
+            if annulus_inside(domain, ann):
+                out.append(ann)
     return out
 
 
@@ -594,11 +596,7 @@ def up_modulus_sup(E: UPSet, horizon: int = 8) -> UPReport:
         return UPReport(unbounded=True, sup_modulus=math.inf, witness=None,
                         isolated=tuple(isolated), centers_examined=0)
 
-    centers: List[complex] = []
-    for b in blockers:
-        for c in b.centers():
-            if not any(abs(c - q) <= 1e-12 * max(1.0, abs(c)) for q in centers):
-                centers.append(c)
+    centers = _unique_points(c for b in blockers for c in b.centers())
 
     best = 0.0
     witness: Optional[Annulus] = None

@@ -126,6 +126,12 @@ def _cmd_distance(args) -> int:
     out = {"domain": dom.to_json_dict(),
            "a": [a.real, a.imag], "b": [b.real, b.imag],
            "metric": args.metric, "method": args.method}
+    if args.metric == "h" and args.method == "numeric":
+        raise ValueError("--metric h has no numeric method; drop --method numeric")
+    numeric = args.metric == "k-chordal" or args.method == "numeric"
+    if args.resolution is not None and not numeric:
+        raise ValueError("--resolution applies only to the numeric methods "
+                         "(--metric k --method numeric, --metric k-chordal)")
     if args.metric == "h":
         iv = h_interval(dom, a, b)
     elif args.metric == "k":
@@ -232,17 +238,16 @@ _DRAWS_PER_PAIR = 1000   # sampling budget of _sample_pairs
 
 def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
     """``n`` seeded pairs of distinct points, drawn from a window around the
-    finite boundary points, each at least span/100 from the boundary.
+    finite boundary points (or, when there are none, around the complement
+    components' ``centers``), each at least span/100 from the boundary.
     Raises ``ValueError`` when ``_DRAWS_PER_PAIR * n`` draws do not find
     them, as when the window misses the domain."""
-    pts = dom.finite_boundary_points()
-    if pts:
-        xs = [p.real for p in pts]
-        ys = [p.imag for p in pts]
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        cx, cy = (max(xs) + min(xs)) / 2.0, (max(ys) + min(ys)) / 2.0
-    else:
-        span, cx, cy = 1.0, 0.0, 1.5
+    pts = dom.finite_boundary_points() or [
+        c for comp in dom.complement_components() for c in comp.centers()] or [0j]
+    xs = [p.real for p in pts]
+    ys = [p.imag for p in pts]
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    cx, cy = (max(xs) + min(xs)) / 2.0, (max(ys) + min(ys)) / 2.0
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(_DRAWS_PER_PAIR * n):
@@ -371,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["k", "h", "k-chordal"], default="k")
     p.add_argument("--method", choices=["fast", "numeric"], default="fast")
     p.add_argument("--resolution", type=int, default=None,
-                   help="grid resolution for the numeric method (default 256)")
+                   help="grid resolution for the numeric methods (default 256); "
+                        "other methods reject it")
     p.set_defaults(fn=_cmd_distance)
 
     p = sub.add_parser("geodesic", help="numeric near-geodesic")

@@ -21,14 +21,11 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
-    PuncturedSubdomain,
-    PuncturedUnitDisk,
-    UnitDisk,
-    UpperHalfPlane,
-    halfplane_distance,
+    halfplane_distance,  # re-exported with hyperbolic_disk_distance
+    hyperbolic_disk_distance,
     rho_length,
 )
-from .geometry import Polyline, as_finite
+from .geometry import Polyline, _unique_points, as_finite
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +88,6 @@ def chordal_quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np
         with np.errstate(divide="ignore", invalid="ignore"):
             return (2.0 / (1.0 + np.abs(z) ** 2)) / domain.chordal_boundary_distance_field(z)
     return rho
-
-
-# ---------------------------------------------------------------------------
-# Exact distances
-# ---------------------------------------------------------------------------
-
-def hyperbolic_disk_distance(a: complex, b: complex) -> float:
-    """Hyperbolic distance in the unit disk (curvature -1 normalization
-    matching the density 2/(1-|z|^2))."""
-    a, b = as_finite(a), as_finite(b)
-    if not (abs(a) < 1.0 and abs(b) < 1.0):
-        raise DomainError("points must lie in the open unit disk")
-    t = abs((a - b) / (1.0 - a.conjugate() * b))
-    return 2.0 * math.atanh(t)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +203,10 @@ def h_upper_three_punct(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _anchor_points(domain: Domain, a: complex, b: complex) -> List[complex]:
-    anchors: List[complex] = list(domain.finite_boundary_points())
-    for comp in domain.complement_components():
-        for z in (a, b):
-            anchors.extend(comp.nearest_points(z))
-    uniq: List[complex] = []
-    for p in anchors:
-        if not any(abs(p - q) <= 1e-12 * max(1.0, abs(p)) for q in uniq):
-            uniq.append(p)
-    return uniq
+    ends = np.array([a, b])
+    return _unique_points(list(domain.finite_boundary_points()) + [
+        complex(p) for comp in domain.complement_components()
+        for p in comp.nearest_point_field(ends)])
 
 
 def _twice_punctured_lower(a: complex, b: complex, p: complex, q: complex) -> Optional[float]:
@@ -266,10 +244,12 @@ def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
 def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Certified interval for the hyperbolic distance between a and b.
 
-    The lower bound is the best of the comparison-domain bounds (exact model
-    distances, twice-punctured-plane bound over anchor pairs).  The upper
-    bound is the best of the model estimates (punctured disk, disk
-    exterior) and twice a quasihyperbolic upper bound.
+    The lower bound is the best of the comparison-domain bounds: the model
+    distance (``Component.h_lower``) in the disk or half-plane that a
+    complement component bounds, which is exact when that component is the
+    domain's only one, and the twice-punctured-plane bound over anchor
+    pairs.  The upper bound is the best of the model estimates (punctured
+    disk, disk exterior) and twice a quasihyperbolic upper bound.
 
     The doubling holds because the domain contains the disk B(z, delta(z)),
     so the hyperbolic density is at most 2/delta and h <= 2k.  When no model
@@ -288,26 +268,23 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     if a == b:
         return DistanceInterval(0.0, 0.0, "coincident", "coincident")
 
-    if isinstance(domain, UnitDisk):
-        v = hyperbolic_disk_distance(a, b)
-        return DistanceInterval(v, v, "disk-exact", "disk-exact")
-    if isinstance(domain, UpperHalfPlane):
-        v = halfplane_distance(a, b)
-        return DistanceInterval(v, v, "halfplane-exact", "halfplane-exact")
-
+    comps = domain.complement_components()
     lower = 0.0
     lower_src = "trivial"
     upper = math.inf
     upper_src = "none"
 
-    comps = domain.complement_components()
-
-    # model lower bounds from enclosing domains
-    if isinstance(domain, PuncturedUnitDisk) or (
-            isinstance(domain, PuncturedSubdomain) and isinstance(domain.base, UnitDisk)):
-        v = hyperbolic_disk_distance(a, b)
+    # model lower bounds: the complement of a disk exterior or a half-plane
+    # component is a model domain that contains the domain
+    for comp in comps:
+        model = comp.h_lower(a, b)
+        if model is None:
+            continue
+        v, name = model
+        if len(comps) == 1:
+            return DistanceInterval(v, v, f"{name}-exact", f"{name}-exact")
         if v > lower:
-            lower, lower_src = v, "disk-lower"
+            lower, lower_src = v, f"{name}-lower"
     anchors = _anchor_points(domain, a, b)
     for p in anchors:
         for q in anchors:

@@ -1,8 +1,9 @@
 """Plane domains, their boundary geometry, and path length under a density.
 
 Every domain is described by the closed components of its complement; the
-distance-to-boundary field, nearest-boundary queries, the chordal boundary
-distance, and the strict JSON wire format are all derived from that list.
+distance-to-boundary field, the nearest boundary points, the chordal
+boundary distance, the model lower bounds for h and k, and the strict JSON
+wire format are all derived from that list.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import NEAREST_BOUNDARY_SLACK
 from .geometry import (
     INF,
+    Annulus,
     ExtPoint,
     Polyline,
     as_finite,
@@ -74,6 +75,16 @@ def halfplane_distance(a: complex, b: complex) -> float:
     return math.log1p(s + math.sqrt(s * (s + 2.0)))
 
 
+def hyperbolic_disk_distance(a: complex, b: complex) -> float:
+    """Hyperbolic distance in the unit disk (curvature -1 normalization
+    matching the density 2/(1-|z|^2))."""
+    a, b = as_finite(a), as_finite(b)
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
+        raise DomainError("points must lie in the open unit disk")
+    t = abs((a - b) / (1.0 - a.conjugate() * b))
+    return 2.0 * math.atanh(t)
+
+
 class Component:
     """A closed component of a domain's complement.  Uniform perfectness sees
     one through ``blocked``, ``distance_to`` and ``centers``."""
@@ -96,6 +107,12 @@ class Component:
         """A lower bound for k: (k in a model domain containing the domain, label), or None."""
         return None
 
+    def h_lower(self, a: complex, b: complex) -> Optional[Tuple[float, str]]:
+        """A lower bound for h: (h in the model domain that is the
+        component's complement, the model's name), or None.  It is exact
+        when the component is the domain's only one."""
+        return None
+
 
 @dataclass(frozen=True)
 class ComplementPoint(Component):
@@ -105,9 +122,6 @@ class ComplementPoint(Component):
 
     def distance_field(self, z: np.ndarray) -> np.ndarray:
         return np.abs(np.asarray(z, dtype=np.complex128) - self.point)
-
-    def nearest_points(self, z: complex) -> List[complex]:
-        return [self.point]
 
     def nearest_point_field(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
@@ -151,12 +165,6 @@ class _RoundComponent(Component):
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("radius must be finite and positive")
-
-    def nearest_points(self, z: complex) -> List[complex]:
-        v = z - self.center
-        if v == 0:
-            return [self.center + self.radius]
-        return [self.center + self.radius * v / abs(v)]
 
     def nearest_point_field(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
@@ -231,6 +239,10 @@ class ComplementDiskExterior(_RoundComponent):
         u = u / abs(u) if u != 0 else 1.0
         return zeta + t * u
 
+    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        return hyperbolic_disk_distance((a - self.center) / self.radius,
+                                        (b - self.center) / self.radius), "disk"
+
     def accumulates_at_infinity(self) -> bool:
         return True
 
@@ -259,11 +271,6 @@ class ComplementHalfPlane(Component):
     def distance_field(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(0.0, self.signed_field(z))
 
-    def nearest_points(self, z: complex) -> List[complex]:
-        u = self._unit()
-        s = ((z - self.origin) / u).imag
-        return [z - 1j * max(0.0, s) * u]
-
     def nearest_point_field(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         u = self._unit()
@@ -285,6 +292,10 @@ class ComplementHalfPlane(Component):
     def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
         u = self._unit()
         return halfplane_distance((a - self.origin) / u, (b - self.origin) / u), "halfplane"
+
+    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        # the hyperbolic and quasihyperbolic metrics of a half-plane agree
+        return self.k_lower(a, b)
 
     def chordal_distance_field(self, z: np.ndarray, lift_z: np.ndarray) -> np.ndarray:
         if self.origin != 0 or self._unit() != 1:
@@ -337,8 +348,7 @@ class Domain:
             z = as_finite(z)
         except ValueError:
             return False
-        return all(float(comp.distance_field(np.asarray(z))) > 0.0
-                   for comp in self.complement_components())
+        return bool(self.delta_field(np.asarray(z)) > 0.0)
 
     def delta_field(self, z: np.ndarray) -> np.ndarray:
         """Euclidean distance to the boundary, vectorized, without membership checks."""
@@ -358,25 +368,6 @@ class Domain:
         if d <= 0.0:
             raise OutsideDomainError(f"{z!r} is not in the domain")
         return d
-
-    def nearest_boundary(self, z: ExtPoint) -> List[complex]:
-        """All boundary points at (relatively) minimal distance from ``z``.
-
-        Points within a factor (1 + NEAREST_BOUNDARY_SLACK) of the minimum are
-        kept; circular boundaries contribute their radial projection.
-        """
-        z = as_finite(z)
-        d = self.delta(z)
-        if math.isinf(d):
-            return []
-        found: List[complex] = []
-        for comp in self.complement_components():
-            cd = float(comp.distance_field(np.asarray(z)))
-            if cd <= d * (1.0 + NEAREST_BOUNDARY_SLACK):
-                for p in comp.nearest_points(z):
-                    if not any(abs(p - q) <= 1e-12 * max(1.0, abs(p)) for q in found):
-                        found.append(p)
-        return found
 
     def chordal_boundary_distance_field(self, z: np.ndarray) -> np.ndarray:
         """Chordal distance to the sphere boundary of the domain, vectorized;
@@ -456,18 +447,32 @@ class Domain:
         return hash(json.dumps(self.to_json_dict(), sort_keys=True))
 
 
+def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
+    """Whether the open annulus avoids every complement component."""
+    for comp in domain.complement_components():
+        lo, hi = comp.distance_range_from(ann.center)
+        if hi > ann.inner * (1.0 + tol) and lo < ann.outer * (1.0 - tol):
+            return False
+    return True
+
+
+def _distinct_points(points: Sequence[ExtPoint]) -> Tuple[complex, ...]:
+    """The punctures as complex numbers; raises when two coincide."""
+    pts = tuple(as_finite(p) for p in points)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) <= 1e-15 * max(1.0, abs(pts[i]), abs(pts[j])):
+                raise DomainError(f"punctures {i} and {j} coincide")
+    return pts
+
+
 class FiniteComplement(Domain):
     """The plane (or sphere, when ``contains_infinity``) minus finitely many points."""
 
     def __init__(self, punctures: Sequence[ExtPoint], contains_infinity: bool = False):
-        pts = [as_finite(p) for p in punctures]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= 1e-15 * max(1.0, abs(pts[i]), abs(pts[j])):
-                    raise DomainError(f"punctures {i} and {j} coincide")
-        self._punctures = tuple(pts)
+        self._punctures = _distinct_points(punctures)
         self._contains_inf = bool(contains_infinity)
-        self._components = tuple(ComplementPoint(p) for p in pts)
+        self._components = tuple(ComplementPoint(p) for p in self._punctures)
 
     @property
     def punctures(self) -> Tuple[complex, ...]:
@@ -531,16 +536,12 @@ class PuncturedSubdomain(Domain):
     """A base domain with finitely many interior points removed."""
 
     def __init__(self, base: Domain, punctures: Sequence[ExtPoint]):
-        pts = [as_finite(p) for p in punctures]
+        pts = _distinct_points(punctures)
         for p in pts:
             if not base.contains(p):
                 raise DomainError(f"puncture {p!r} is not inside the base domain")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if abs(pts[i] - pts[j]) <= 1e-15 * max(1.0, abs(pts[i]), abs(pts[j])):
-                    raise DomainError(f"punctures {i} and {j} coincide")
         self.base = base
-        self._punctures = tuple(pts)
+        self._punctures = pts
 
     @property
     def punctures(self) -> Tuple[complex, ...]:

@@ -24,7 +24,7 @@ import numpy as np
 from .constants import KAPPA
 from .beta import UPDisk, UPDiskExterior, UPSet, up_modulus_sup
 from .densities import h_interval, h_upper_three_punct
-from .domains import Domain
+from .domains import ComplementPoint, Domain
 from .solver import VerdictCounts, k_interval_fast, k_star_exact
 
 
@@ -163,7 +163,6 @@ def default_config(domain: Domain) -> PunctureConfig:
     radius four times the furthest disk reach, witnesses chosen by smallest
     principal argument (then modulus, then coordinates)."""
     comps = domain.complement_components()
-    from .domains import ComplementPoint
     if not comps or not all(isinstance(c, ComplementPoint) for c in comps):
         raise ValueError("the global map needs a finite set of punctures")
     P = [c.point for c in comps]

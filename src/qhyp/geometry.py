@@ -48,6 +48,16 @@ def as_finite(p: ExtPoint) -> complex:
     return z
 
 
+def _unique_points(points: Iterable[complex]) -> List[complex]:
+    """The points in order, each dropped that lies within 1e-12 times
+    max(1, |p|) of a point kept before it."""
+    kept: List[complex] = []
+    for p in points:
+        if not any(abs(p - q) <= 1e-12 * max(1.0, abs(p)) for q in kept):
+            kept.append(p)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Chordal metric
 # ---------------------------------------------------------------------------

@@ -48,11 +48,12 @@ from .densities import (
     quasihyperbolic_density,
 )
 from .domains import (
+    ComplementHalfPlane,
     ComplementPoint,
     Domain,
     OutsideDomainError,
     UnsupportedDomainError,
-    UpperHalfPlane,
+    annulus_inside,
     halfplane_distance,
     k_star_exact,
     rho_length,
@@ -242,9 +243,9 @@ def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
 
 def _charts_for(domain: Domain, a: complex, b: complex,
                 res: Resolution) -> List[_Chart]:
-    if isinstance(domain, UpperHalfPlane):
-        return [_halfplane_chart(a, b, res)]
     comps = domain.complement_components()
+    if comps == (ComplementHalfPlane(),):
+        return [_halfplane_chart(a, b, res)]
     if comps and all(isinstance(c, ComplementPoint) for c in comps):
         punctures = [c.point for c in comps]
         charts = []
@@ -628,7 +629,7 @@ def k_numeric(domain: Domain, a: complex, b: complex,
     res = resolution or Resolution()
     density = quasihyperbolic_density(domain)
     comps = domain.complement_components()
-    if isinstance(domain, UpperHalfPlane):
+    if comps == (ComplementHalfPlane(),):
         lower = (k_halfplane_exact(a, b), "halfplane-exact")
     elif len(comps) == 1 and isinstance(comps[0], ComplementPoint):
         lower = (k_star_exact(a, b, comps[0].point), "one-puncture-exact")
@@ -748,15 +749,6 @@ class VerdictCounts:
     def verdicts(self) -> dict:
         return {"proved": self.proved, "violated": self.violated,
                 "inconclusive": self.inconclusive}
-
-
-def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
-    """Whether the open annulus avoids every complement component."""
-    for comp in domain.complement_components():
-        lo, hi = comp.distance_range_from(ann.center)
-        if hi > ann.inner * (1.0 + tol) and lo < ann.outer * (1.0 - tol):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

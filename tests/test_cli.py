@@ -108,6 +108,20 @@ def test_resolution_zero_is_exit_2(capsys, command):
     assert err.startswith("error:") and "at least 8 samples" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--metric", "h", "--resolution", "0"], "--resolution"),
+    (["--metric", "h", "--resolution", "64"], "--resolution"),
+    (["--metric", "k", "--resolution", "0"], "--resolution"),
+    (["--metric", "k", "--method", "fast", "--resolution", "64"], "--resolution"),
+    (["--metric", "h", "--method", "numeric"], "--metric h"),
+], ids=["h-res0", "h-res64", "k-fast-res0", "k-fast-res64", "h-numeric"])
+def test_distance_rejects_flags_its_computation_ignores(capsys, flags, message):
+    rc, out, err = run(capsys, "distance", "--domain", TWO_PUNCT,
+                       "--from", "-1,0", "--to", "0,1", *flags)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_heatmap_grid_and_sidecar(tmp_path, capsys):
     out_csv = tmp_path / "beta.csv"
     rc, out, _ = run(capsys, "heatmap", "--domain", TWO_PUNCT,
@@ -345,13 +359,25 @@ def test_sample_pairs_pinned(seed, digest):
 
 
 def test_qi_verify_window_missing_the_domain_is_exit_2(capsys):
-    far_disk = ('{"type": "translated_scaled", "base": {"type": "unit_disk"}, '
-                '"scale": [1, 0], "shift": [100, 0]}')
+    # a disk of radius 1e-3 has no point 1/100 of the window's span from its edge
+    tiny_disk = ('{"type": "translated_scaled", "base": {"type": "unit_disk"}, '
+                 '"scale": [0.001, 0], "shift": [100, 0]}')
     t0 = time.perf_counter()
-    rc, out, err = run(capsys, "qi-verify", "--domain", far_disk, "--pairs", "2")
+    rc, out, err = run(capsys, "qi-verify", "--domain", tiny_disk, "--pairs", "2")
     assert time.perf_counter() - t0 < 5.0
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "found 0 of 2 pairs in 2000 draws" in err
+
+
+def test_qi_verify_samples_a_domain_without_finite_boundary_points(capsys):
+    # the window comes from the components' centers: here the circle about 100
+    far_disk = ('{"type": "translated_scaled", "base": {"type": "unit_disk"}, '
+                '"scale": [1, 0], "shift": [100, 0]}')
+    rc, out, err = run(capsys, "qi-verify", "--domain", far_disk, "--pairs", "2",
+                       "--additive", "1")
+    assert rc == 0, err
+    report = json.loads(out)["report"]
+    assert report["pairs"] == 2 and report["violated"] == 0
 
 
 @pytest.mark.parametrize("axis", ["--nx", "--ny"])

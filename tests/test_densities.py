@@ -16,6 +16,7 @@ from qhyp import (
     OutsideDomainError,
     PuncturedSubdomain,
     PuncturedUnitDisk,
+    TranslatedScaled,
     UnitDisk,
     UpperHalfPlane,
     chordal_quasihyperbolic_density,
@@ -238,6 +239,33 @@ def test_h_interval_punctured_disk_lower_respects_disk_metric():
     iv = h_interval(dom, a, b)
     assert iv.lower >= hyperbolic_disk_distance(a, b) - 1e-12
     assert iv.upper >= iv.lower
+
+
+@pytest.mark.parametrize("base, a, b", [
+    (UnitDisk(), 0.1 + 0.2j, -0.3 + 0.5j),
+    (UpperHalfPlane(), 1.0 + 0.5j, -2.0 + 1.0j),
+    (PuncturedUnitDisk(), 0.1 + 0.2j, -0.3 + 0.5j),
+], ids=["unit-disk", "half-plane", "punctured-disk"])
+def test_h_interval_same_set_same_enclosure(base, a, b):
+    iv = h_interval(base, a, b)
+    # the same set, built another way
+    same = h_interval(TranslatedScaled(base, 1.0, 0.0), a, b)
+    assert (same.lower, same.upper) == (iv.lower, iv.upper)
+    assert same.lower_source.split("(")[0] == iv.lower_source.split("(")[0]
+    # a similar copy: h is invariant under z -> s z + c
+    s, c = 2.0 - 1.0j, 3.0 + 0.5j
+    moved = h_interval(TranslatedScaled(base, s, c), s * a + c, s * b + c)
+    assert moved.lower == pytest.approx(iv.lower, rel=1e-12)
+    assert moved.upper == pytest.approx(iv.upper, rel=1e-12)
+
+
+def test_h_interval_lower_at_least_halfplane_distance():
+    from qhyp.cli import _sample_pairs
+
+    dom = PuncturedSubdomain(UpperHalfPlane(), [1.0j, 1.0 + 2.0j])
+    for a, b in _sample_pairs(dom, 60, 0):
+        iv = h_interval(dom, a, b)
+        assert iv.lower >= halfplane_distance(a, b), (a, b, iv)
 
 
 # Two pairs of `qhyp qi-verify --pairs 4 --seed 0` on the plane minus {0, 1}.

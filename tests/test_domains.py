@@ -23,6 +23,7 @@ from qhyp import (
     TranslatedScaled,
     UnitDisk,
     UpperHalfPlane,
+    beta,
     chordal_distance,
     chordal_distance_field,
     domain_from_json,
@@ -88,15 +89,17 @@ def test_delta_field_matches_scalar():
 
 def test_nearest_boundary():
     dom = FiniteComplement([0.0, 4.0])
-    assert dom.nearest_boundary(1.0) == [pytest.approx(0.0)]
-    assert dom.nearest_boundary(3.5) == [pytest.approx(4.0)]
+    assert beta(dom, 1.0).nearest == (pytest.approx(0.0),)
+    assert beta(dom, 3.5).nearest == (pytest.approx(4.0),)
     # the midpoint sees both punctures
-    assert sorted(dom.nearest_boundary(2.0), key=abs) == [
+    assert sorted(beta(dom, 2.0).nearest, key=abs) == [
         pytest.approx(0.0),
         pytest.approx(4.0),
     ]
-    assert UnitDisk().nearest_boundary(0.5) == [pytest.approx(1.0)]
-    assert UpperHalfPlane().nearest_boundary(2.0 + 3.0j) == [pytest.approx(2.0)]
+    for dom, z, want in [(UnitDisk(), 0.5, 1.0), (UpperHalfPlane(), 2.0 + 3.0j, 2.0)]:
+        assert beta(dom, z).nearest == (pytest.approx(want),)
+        (comp,) = dom.complement_components()
+        assert list(comp.nearest_point_field(np.array([z]))) == [pytest.approx(want)]
 
 
 def test_delta_outside_raises():
