@@ -39,6 +39,7 @@ from .beta import (
 )
 from .densities import chordal_quasihyperbolic_density, h_interval, quasihyperbolic_density
 from .domains import (
+    ComplementDiskExterior,
     Domain,
     DomainError,
     OutsideDomainError,
@@ -239,22 +240,31 @@ _DRAWS_PER_PAIR = 1000   # sampling budget of _sample_pairs
 def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
     """``n`` seeded pairs of distinct points, drawn from a window around the
     finite boundary points (or, when there are none, around the complement
-    components' ``centers``), each at least span/100 from the boundary.
-    Raises ``ValueError`` when ``_DRAWS_PER_PAIR * n`` draws do not find
-    them, as when the window misses the domain."""
-    pts = dom.finite_boundary_points() or [
-        c for comp in dom.complement_components() for c in comp.centers()] or [0j]
+    components' ``centers``), each at least span/100 from the boundary.  A
+    domain without finite boundary points inside a disk (a disk exterior
+    component) is drawn from that disk's bounding square.  Raises
+    ``ValueError`` when ``_DRAWS_PER_PAIR * n`` draws do not find them, as
+    when the window misses the domain."""
+    comps = dom.complement_components()
+    pts = dom.finite_boundary_points()
+    disks = [] if pts else [c for c in comps if isinstance(c, ComplementDiskExterior)]
+    pts = pts or [c for comp in comps for c in comp.centers()] or [0j]
     xs = [p.real for p in pts]
     ys = [p.imag for p in pts]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     cx, cy = (max(xs) + min(xs)) / 2.0, (max(ys) + min(ys)) / 2.0
+    half = 2.0 * span
+    if disks:
+        # the domain lies in every such disk, so in the smallest
+        disk = min(disks, key=lambda c: c.radius)
+        cx, cy, half = disk.center.real, disk.center.imag, disk.radius
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(_DRAWS_PER_PAIR * n):
         if len(pairs) == n:
             break
-        z = (cx + rng.uniform(-2.0 * span, 2.0 * span, 2)
-             + 1j * (cy + rng.uniform(-2.0 * span, 2.0 * span, 2)))
+        z = (cx + rng.uniform(-half, half, 2)
+             + 1j * (cy + rng.uniform(-half, half, 2)))
         a, b = complex(z[0]), complex(z[1])
         try:
             if dom.delta(a) > 0.01 * span and dom.delta(b) > 0.01 * span and a != b:
@@ -264,8 +274,8 @@ def _sample_pairs(dom: Domain, n: int, seed: int) -> List[tuple]:
     if len(pairs) < n:
         raise ValueError(
             f"found {len(pairs)} of {n} pairs in {_DRAWS_PER_PAIR * n} draws from "
-            f"the window [{cx - 2.0 * span:g}, {cx + 2.0 * span:g}] x "
-            f"[{cy - 2.0 * span:g}, {cy + 2.0 * span:g}]; does it meet the domain?")
+            f"the window [{cx - half:g}, {cx + half:g}] x "
+            f"[{cy - half:g}, {cy + half:g}]; does it meet the domain?")
     return pairs
 
 

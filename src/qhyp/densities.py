@@ -142,6 +142,10 @@ def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
     """Upper bound for the hyperbolic distance in a punctured disk:
 
     |log(L_a / L_b)| + pi/log 2, with L_z = log(radius / |z - center|).
+
+    It is the length of a radial segment plus a half-turn at the nearer
+    point's radius, which pi/log 2 pays for only when that radius is at most
+    radius/2; farther out the value can fall below the distance.
     """
     a, b = as_finite(a), as_finite(b)
     la = math.log(radius / abs(a - center))
@@ -153,7 +157,9 @@ def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
 
 def h_upper_disk_exterior(a: complex, b: complex, center: complex = 0.0,
                           radius: float = 1.0) -> float:
-    """Mirror of ``h_upper_Dstar`` for the region outside a closed disk."""
+    """Mirror of ``h_upper_Dstar`` for the region outside a closed disk (the
+    inversion about the circle): an upper bound when the farther point lies
+    at least 2 radius from the center."""
     a, b = as_finite(a), as_finite(b)
     la = math.log(abs(a - center) / radius)
     lb = math.log(abs(b - center) / radius)
@@ -248,8 +254,12 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     distance (``Component.h_lower``) in the disk or half-plane that a
     complement component bounds, which is exact when that component is the
     domain's only one, and the twice-punctured-plane bound over anchor
-    pairs.  The upper bound is the best of the model estimates (punctured
-    disk, disk exterior) and twice a quasihyperbolic upper bound.
+    pairs.  The upper bound is the best of the model estimates and twice a
+    quasihyperbolic upper bound.  The punctured-disk estimate about a
+    puncture p applies when both points lie within r_p of p, the distance
+    from p to the rest of the boundary, and the nearer one within r_p/2;
+    the disk-exterior estimate when both lie outside the disk of radius R
+    and the farther one at least 2R from its center.
 
     The doubling holds because the domain contains the disk B(z, delta(z)),
     so the hyperbolic density is at most 2/delta and h <= 2k.  When no model
@@ -303,14 +313,16 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
         if not others:
             continue
         r_p = min(float(c.distance_field(np.asarray(p))) for c in others)
-        if max(abs(a - p), abs(b - p)) < r_p:
+        near, far = sorted((abs(a - p), abs(b - p)))
+        if far < r_p and near <= 0.5 * r_p:
             v = h_upper_Dstar(a, b, p, r_p)
             if v < upper:
                 upper, upper_src = v, f"punctured-disk-estimate({p:.6g})"
     if (len(comps) == 1 and isinstance(comps[0], ComplementDisk)
             and not domain._contains_infinity()):
         disk = comps[0]
-        if min(abs(a - disk.center), abs(b - disk.center)) > disk.radius:
+        near, far = sorted((abs(a - disk.center), abs(b - disk.center)))
+        if near > disk.radius and far >= 2.0 * disk.radius:
             v = h_upper_disk_exterior(a, b, disk.center, disk.radius)
             if v < upper:
                 upper, upper_src = v, "disk-exterior-estimate"

@@ -129,7 +129,8 @@ class Annulus:
     (geometric mean of the radii) and half-modulus ``m``, so that
     ``inner = d e^-m`` and ``outer = d e^m``.  Two degenerate kinds carry a
     single radius: a punctured disk (``inner == 0``) and a disk exterior
-    (``outer == inf``); both have infinite modulus.
+    (``outer == inf``); both have infinite modulus.  A ``d e^-m`` that
+    underflows to 0 gives the punctured disk.
     """
 
     __slots__ = ("center", "inner", "outer")
@@ -149,7 +150,14 @@ class Annulus:
             if not (m > 0.0 and math.isfinite(m)):
                 raise ValueError(f"half-modulus must be finite and positive, got {m}")
             inner = d * math.exp(-m)
-            outer = d * math.exp(m)
+            try:
+                outer = d * math.exp(m)
+            except OverflowError:
+                # e^m overflows where d e^m need not, as at a subnormal d
+                half = math.exp(0.5 * m)
+                outer = d * half * half
+                if math.isinf(outer):
+                    raise OverflowError(f"outer radius d e^m overflows, d={d}, m={m}")
         else:
             if inner is None or outer is None:
                 raise ValueError("both inner and outer are required")
@@ -323,20 +331,59 @@ class Annulus:
 # Polylines
 # ---------------------------------------------------------------------------
 
+def _finite_array(points: Sequence[ExtPoint]) -> Optional[np.ndarray]:
+    """The points as one complex128 array, or None when some point is not a
+    finite number (``as_finite`` then tells which, and how)."""
+    try:
+        z = np.asarray(points, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if z.ndim != 1 or not np.isfinite(z).all():
+        return None
+    return z
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of Python's ``abs`` (np.abs differs in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+def _close_or_overflowing(z: np.ndarray) -> Optional[Tuple[int, bool]]:
+    """The first i where |z[i+1] - z[i]| <= 1e-15 max(1, |z[i]|, |z[i+1]|),
+    or where one of those moduli overflows as Python's ``abs`` raises on it,
+    with whether it overflows; None when there is no such i."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _abs(z)
+        dz = z[1:] - z[:-1]
+        gap = _abs(dz)
+    overflow = np.isinf(r[:-1]) | np.isinf(r[1:]) | (np.isinf(gap) & np.isfinite(dz))
+    close = gap <= 1e-15 * np.maximum(1.0, np.maximum(r[:-1], r[1:]))
+    bad = np.flatnonzero(overflow | close)
+    if len(bad) == 0:
+        return None
+    i = int(bad[0])
+    return i, bool(overflow[i])
+
+
 class Polyline:
     """Immutable piecewise linear path with validated, pairwise-distinct vertices."""
 
     __slots__ = ("points", "_length")
 
     def __init__(self, points: Sequence[ExtPoint]):
-        pts = [as_finite(p) for p in points]
-        if not pts:
+        z = _finite_array(points)
+        if z is None:
+            # the first point that is not a finite number raises
+            z = np.array([as_finite(p) for p in points], dtype=np.complex128)
+        if len(z) == 0:
             raise ValueError("a polyline needs at least one point")
-        for i in range(len(pts) - 1):
-            scale = max(1.0, abs(pts[i]), abs(pts[i + 1]))
-            if abs(pts[i + 1] - pts[i]) <= 1e-15 * scale:
-                raise ValueError(f"consecutive points {i} and {i + 1} coincide")
-        object.__setattr__(self, "points", tuple(pts))
+        bad = _close_or_overflowing(z)
+        if bad is not None:
+            i, overflow = bad
+            if overflow:
+                raise OverflowError("absolute value too large")
+            raise ValueError(f"consecutive points {i} and {i + 1} coincide")
+        object.__setattr__(self, "points", tuple(z.tolist()))
         object.__setattr__(self, "_length", None)
 
     def __setattr__(self, name, value):
@@ -345,14 +392,18 @@ class Polyline:
     @classmethod
     def cleaned(cls, points: Sequence[ExtPoint]) -> "Polyline":
         """Build a polyline, silently dropping near-duplicate consecutive points."""
+        z = _finite_array(points)
+        if z is not None and _close_or_overflowing(z) is None:
+            return cls(z)
+        # rare: drop each point against the last one kept
         pts: List[complex] = []
-        for p in points:
-            z = as_finite(p)
+        for p in (points if z is None else z.tolist()):
+            w = as_finite(p)
             if pts:
-                scale = max(1.0, abs(pts[-1]), abs(z))
-                if abs(z - pts[-1]) <= 1e-15 * scale:
+                scale = max(1.0, abs(pts[-1]), abs(w))
+                if abs(w - pts[-1]) <= 1e-15 * scale:
                     continue
-            pts.append(z)
+            pts.append(w)
         return cls(pts)
 
     def __len__(self) -> int:
@@ -435,4 +486,4 @@ def chi_arc(a: ExtPoint, b: ExtPoint, center: ExtPoint = 0.0) -> Polyline:
         pts.append(vb)
     if flipped:
         pts.reverse()
-    return Polyline.cleaned([z + c for z in pts])
+    return Polyline.cleaned(np.array(pts) + c)

@@ -17,6 +17,14 @@ at 128x128 on four punctures) and reused when the same domain, anchors and
 ``k_numeric`` on the same pair, and for either solver with the endpoints
 swapped.
 
+``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
+are kept in a second slot, keyed on the domain and the bytes of the two
+endpoints, and reused when the same pair comes again in the same order: the
+global QI check asks ``h_interval`` for h(a, b), which measures k(a, b) for
+its cap, and then asks for k(phi a, phi b), where phi is the identity on the
+thick part.  A reused result is returned as a fresh list of the same
+immutable curves.
+
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
 (``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s``, and within the
 build ``stitch_s`` for the chart stitching, ``clearance_s`` for the
@@ -360,12 +368,17 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
 _last_grid: Optional[Tuple[tuple, _Grid]] = None
 
 
+def _domain_key(domain: Domain) -> tuple:
+    """What the slots key a domain on: two domains with equal keys give
+    equal results."""
+    return type(domain), json.dumps(domain.to_json_dict(), sort_keys=True)
+
+
 def _grid_for(domain: Domain, anchors: Sequence[complex],
               res: Resolution) -> Tuple[_Grid, bool]:
     """The grid of (domain, anchors, res), and whether it was reused."""
     global _last_grid
-    key = (type(domain), json.dumps(domain.to_json_dict(), sort_keys=True),
-           np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
+    key = (_domain_key(domain), np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
     last = _last_grid
     if last is not None and last[0] == key:
         return last[1], True
@@ -672,11 +685,33 @@ def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     return _k_interval_fast_curves(domain, a, b)[0]
 
 
+# The last fast enclosure computed, as (key, (interval, tuple of curves)), or
+# None.  Like _last_grid, key and result are stored and read as one tuple.
+_last_fast: Optional[Tuple[tuple, tuple]] = None
+
+
 def _k_interval_fast_curves(domain: Domain, a: complex, b: complex
                             ) -> Tuple[DistanceInterval, List[Tuple[Polyline, str]]]:
     """``k_interval_fast``'s enclosure, and the candidate curves it measured
-    (those along which the density is finite), each with its name."""
+    (those along which the density is finite), each with its name.  The last
+    result is kept, so ``h_interval`` and then ``k_interval_fast`` on the
+    same pair measure the curves once."""
+    global _last_fast
     a, b = complex(a), complex(b)
+    # bytes, not values: -0.0 and 0.0 are different keys, as cmath.phase
+    # tells them apart
+    key = (_domain_key(domain), np.array([a, b], dtype=np.complex128).tobytes())
+    last = _last_fast
+    if last is None or last[0] != key:
+        iv, curves = _measure_fast(domain, a, b)
+        last = _last_fast = (key, (iv, tuple(curves)))
+    iv, curves = last[1]
+    return iv, list(curves)
+
+
+def _measure_fast(domain: Domain, a: complex, b: complex
+                  ) -> Tuple[DistanceInterval, List[Tuple[Polyline, str]]]:
+    """``_k_interval_fast_curves``'s result, computed afresh."""
     domain.delta(a)
     domain.delta(b)
     if a == b:

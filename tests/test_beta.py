@@ -135,9 +135,7 @@ def test_beta_field_equals_all_points_reference(dom):
                           equal_nan=True)
 
 
-# subnormal coordinates are left out: at a subnormal distance from the
-# boundary the witness annulus overflows, which the xfail test below pins
-_window = st.floats(min_value=-2.5, max_value=2.5, allow_subnormal=False)
+_window = st.floats(min_value=-2.5, max_value=2.5)
 
 
 @BETA_DOMAINS
@@ -154,11 +152,14 @@ def test_beta_value_is_beta_field_bit_for_bit(dom, x, y):
     assert beta(dom, z).value == beta_field(dom, z)
 
 
-@pytest.mark.xfail(raises=OverflowError, strict=True,
-                   reason="Annulus(zeta, d=delta, m=beta) overflows d e^m")
 def test_beta_at_subnormal_distance_builds_its_annulus():
+    # e^beta overflows, d e^beta does not; d e^-beta underflows to 0, so the
+    # witness is the punctured disk about 0 out to the unit circle
     res = beta(PuncturedUnitDisk(), 2.2250738585e-313j)
-    assert res.annulus is not None
+    assert res.value > 709.8
+    ann = res.annulus
+    assert ann.center == 0 and ann.kind == "punctured_disk"
+    assert ann.outer == pytest.approx(1.0, rel=1e-12)
 
 
 def test_beta_similarity_invariance():

@@ -380,6 +380,19 @@ def test_qi_verify_samples_a_domain_without_finite_boundary_points(capsys):
     assert report["pairs"] == 2 and report["violated"] == 0
 
 
+def test_sample_pairs_in_a_shifted_disk_draw_from_its_bounding_square():
+    # a [-4, 4]^2 window about the centre, which the disk covers pi/64 of,
+    # found too few pairs at 13 of these seeds with n = 1
+    far_disk = domain_from_json_text(
+        '{"type": "translated_scaled", "base": {"type": "unit_disk"}, '
+        '"scale": [1, 0], "shift": [100, 0]}')
+    for seed in range(100):
+        for n in (1, 2):
+            pairs = _sample_pairs(far_disk, n, seed)
+            assert len(pairs) == n
+            assert all(abs(z - 100.0) < 1.0 for pair in pairs for z in pair)
+
+
 @pytest.mark.parametrize("axis", ["--nx", "--ny"])
 def test_heatmap_empty_grid_is_exit_2(tmp_path, capsys, axis):
     out_csv = tmp_path / "beta.csv"

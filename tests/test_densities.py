@@ -11,6 +11,7 @@ from qhyp import (
     KAPPA,
     DistanceInterval,
     DomainError,
+    ExteriorUnitDisk,
     FiniteComplement,
     InconsistentIntervalError,
     OutsideDomainError,
@@ -35,6 +36,7 @@ from qhyp import (
     punctured_disk_density,
     quasihyperbolic_density,
 )
+from qhyp import solver as solver_module
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +243,43 @@ def test_h_interval_punctured_disk_lower_respects_disk_metric():
     assert iv.upper >= iv.lower
 
 
+_disk_point = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                        st.floats(min_value=1e-3, max_value=0.98),
+                        st.floats(min_value=-math.pi, max_value=math.pi))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_disk_point, _disk_point, st.booleans())
+# the nearer point beyond r/2 of the puncture, where the punctured-disk
+# estimate fell below the disk distance (the first pair raised)
+@example(0.7680821274972662 - 0.522318864911496j,
+         -0.7963973467255818 - 0.3087745095191581j, False)
+@example(0.9 + 0j, -0.9 + 0j, False)
+# the disk exterior at 1.1, -1.1 (w = 1/z at -+0.909): h is at least 6.09
+@example(1 / 1.1 + 0j, -1 / 1.1 + 0j, True)
+def test_h_interval_upper_at_least_disk_distance(w_a, w_b, exterior):
+    # D* and the exterior of the unit disk, whose hyperbolic metric is D*'s
+    # under z -> 1/z: both exceed the unit disk's
+    assume(w_a != w_b)
+    if exterior:
+        iv = h_interval(ExteriorUnitDisk(), 1 / w_a, 1 / w_b)
+    else:
+        iv = h_interval(PuncturedUnitDisk(), w_a, w_b)
+    assert iv.upper >= hyperbolic_disk_distance(w_a, w_b) * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("dom, a, b, estimate", [
+    (PuncturedUnitDisk(), 0.5, -0.9, True),
+    (PuncturedUnitDisk(), 0.51, -0.9, False),
+    (ExteriorUnitDisk(), 2.0, -1.1, True),
+    (ExteriorUnitDisk(), 1.99, -1.1, False),
+], ids=["D*-near-at-r/2", "D*-near-beyond-r/2", "exterior-far-at-2R",
+        "exterior-far-within-2R"])
+def test_h_interval_model_estimate_ranges(dom, a, b, estimate):
+    iv = h_interval(dom, a, b)
+    assert iv.upper_source.startswith(MODEL_ESTIMATES) == estimate
+
+
 @pytest.mark.parametrize("base, a, b", [
     (UnitDisk(), 0.1 + 0.2j, -0.3 + 0.5j),
     (UpperHalfPlane(), 1.0 + 0.5j, -2.0 + 1.0j),
@@ -314,14 +353,19 @@ def test_h_interval_upper_at_most_twice_k(a, b):
 # h upper bounds before the Beardon-Pommerenke arc search was replaced by
 # one integral of min(2/delta, (pi/2)/(delta beta)), each with its label
 # then: the 12 pairs of `qhyp qi-verify --pairs 12 --seed 0` on the plane
-# minus {0, 1}, and 8 pairs of the same sampler on three more domains.
+# minus {0, 1}, and 8 pairs of the same sampler on three more domains.  Two
+# were punctured-disk estimates with the nearer point beyond r/2 of the
+# puncture, where the estimate is no upper bound; they hold the bounds that
+# replace them: pair 11 on {0, 1} (was 5.558227689199934) and pair 1 on the
+# half-plane (was 6.00106903107248).
 DC, PD = "double-quasihyperbolic", "punctured-disk-estimate"
 PARENT_H_UPPERS = [
     (FiniteComplement([0.0, 1.0]), 12, [
         (1.5463600432036555, DC), (1.1096029134788106, DC), (6.844232812988417, DC),
         (8.395501438501583, DC), (4.5122665993400695, DC), (0.587742797386243, DC),
         (0.9392460441147782, DC), (5.745518653742398, PD), (7.8664299954291526, DC),
-        (5.585361449003673, DC), (5.558227689199934, PD), (6.023597474110447, DC)]),
+        (5.585361449003673, DC), (5.952769487056822, "density-bound(segment)"),
+        (6.023597474110447, DC)]),
     (FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]), 8, [
         (1.6862824128696088, DC), (0.9990575887056213, DC), (6.561112296567703, DC),
         (8.686570744945705, DC), (7.3050295917142085, DC), (0.5877427973862429, DC),
@@ -331,7 +375,7 @@ PARENT_H_UPPERS = [
         (3.1169299014841783, DC), (1.138080768866516, DC), (5.847248420390109, DC),
         (2.4555567938972827, DC), (3.787738488224506, DC)]),
     (PuncturedSubdomain(UpperHalfPlane(), [1.0j, 1.0 + 2.0j]), 8, [
-        (6.00106903107248, PD), (17.754921267390564, DC), (3.2357096168350843, DC),
+        (1.3229109077207113, DC), (17.754921267390564, DC), (3.2357096168350843, DC),
         (0.48086387921735285, DC), (1.1922164393943877, DC), (5.785721425853508, PD),
         (9.822185937236934, DC), (5.9564820561861795, DC)]),
 ]
@@ -351,3 +395,21 @@ def test_h_interval_upper_not_above_parent():
             if iv.upper < old and iv.upper_source.startswith("density-bound("):
                 tightened += 1
     assert tightened >= 1
+
+
+def test_k_and_h_equal_with_cold_and_warm_fast_slot():
+    # each pair's k_interval_fast result is kept for the next call; on the
+    # pinned sample it must change nothing, whichever comes first
+    from qhyp.cli import _sample_pairs
+
+    for dom, n, _ in PARENT_H_UPPERS:
+        for a, b in _sample_pairs(dom, n, 0):
+            solver_module._last_fast = None
+            cold_h = h_interval(dom, a, b)
+            solver_module._last_fast = None
+            cold_k = k_interval_fast(dom, a, b)
+            assert h_interval(dom, a, b) == cold_h  # warm from k
+            solver_module._last_fast = None
+            h_interval(dom, a, b)
+            assert k_interval_fast(dom, a, b) == cold_k  # warm from h, when it measured k
+            assert h_interval(dom, a, b) == cold_h

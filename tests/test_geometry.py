@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -17,6 +17,7 @@ from qhyp import (
     is_infinite,
     segment_point_distance,
 )
+from qhyp.geometry import as_finite
 
 finite_points = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -131,6 +132,91 @@ def test_polyline_cleaned_drops_repeats():
     p = Polyline.cleaned([0.0, 0.0, 1.0, 1.0, 1.0, 2.0j])
     assert len(p) == 3
     assert p[0] == 0.0 and p[-1] == 2.0j
+
+
+def _polyline_reference(points):
+    """The per-point checks of ``Polyline.__init__`` before they moved to numpy."""
+    pts = [as_finite(p) for p in points]
+    if not pts:
+        raise ValueError("a polyline needs at least one point")
+    for i in range(len(pts) - 1):
+        scale = max(1.0, abs(pts[i]), abs(pts[i + 1]))
+        if abs(pts[i + 1] - pts[i]) <= 1e-15 * scale:
+            raise ValueError(f"consecutive points {i} and {i + 1} coincide")
+    return tuple(pts)
+
+
+def _cleaned_reference(points):
+    """``Polyline.cleaned`` before it moved to numpy."""
+    pts = []
+    for p in points:
+        z = as_finite(p)
+        if pts:
+            scale = max(1.0, abs(pts[-1]), abs(z))
+            if abs(z - pts[-1]) <= 1e-15 * scale:
+                continue
+        pts.append(z)
+    return _polyline_reference(pts)
+
+
+def _outcome(build, points):
+    """The points bit for bit, with their types, or the exception raised."""
+    try:
+        got = build(points)
+    except Exception as e:  # the exception is the outcome
+        return type(e), str(e)
+    pts = got.points if isinstance(got, Polyline) else got
+    return [(type(z), z.real.hex(), z.imag.hex()) for z in pts]
+
+
+_vertex = st.one_of(
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 5e-324,
+                     -5e-324j, 1.3e308, 1.3e308j, INF]),
+)
+
+
+@st.composite
+def _vertex_runs(draw):
+    """Vertices, some followed by a run of near-duplicates at the 1e-15
+    scale, as a list or, when every vertex is a number, sometimes an array."""
+    out = []
+    for p in draw(st.lists(_vertex, max_size=8)):
+        out.append(p)
+        if is_infinite(p) or not draw(st.booleans()):
+            continue
+        z = complex(p)
+        scale = max(1.0, abs(z.real), abs(z.imag))
+        for t in draw(st.lists(st.complex_numbers(max_magnitude=3e-15), min_size=1,
+                               max_size=3)):
+            out.append(z + t * scale)
+    if not any(is_infinite(p) for p in out) and draw(st.booleans()):
+        return np.array(out, dtype=np.complex128)
+    return out
+
+
+@settings(deadline=None, max_examples=400)
+@given(_vertex_runs())
+@example([])
+@example([INF])
+@example([1.0, float("nan")])
+@example([1.0, 1.0 + 1e-15, 1.0 + 2e-15, 1.0 + 3e-15, 2.0])
+@example([0.0, -0.0, complex(0.0, -0.0), 1.0])
+@example([5e-324, -5e-324j, 1.0])
+# moduli that overflow, of points and of differences, and a difference
+# that itself overflows
+@example([1.5e308 + 1.5e308j, 1.5e308 + 1.4e308j])
+@example([1.5e308 + 1.5e308j, 0.0])
+@example([1.0, 1.0, 1.5e308 + 1.5e308j, 0.0])
+@example([1.3e308, 1.3e308j, 0.0])
+@example([1e308, -1e308, 3.0])
+# gaps within an ulp of 1e-15, where np.abs and Python's abs disagree
+@example([0j, -9.66284959084453e-16 - 2.5747500431528743e-16j])
+@example([0j, 6.525646718978055e-16 - 7.577330327964525e-16j, 1.0])
+def test_polyline_checks_equal_per_point_reference(points):
+    assert _outcome(Polyline, points) == _outcome(_polyline_reference, points)
+    assert _outcome(Polyline.cleaned, points) == _outcome(_cleaned_reference, points)
 
 
 def test_polyline_length_and_reverse():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qhyp import (
     Annulus,
     FiniteComplement,
+    PuncturedSubdomain,
     Resolution,
     UpperHalfPlane,
     annulus_inside,
@@ -536,6 +537,49 @@ def test_fast_interval_collapsed_segment_uses_lipschitz_bound():
     gap = abs(a - b)
     assert iv.upper >= gap / (min(dom.delta(a), dom.delta(b)) - gap)
     assert iv.lower < iv.upper <= gap * (1.0 + 1e-12)
+
+
+def _fast_cold(dom, a, b):
+    solver_module._last_fast = None
+    return solver_module._k_interval_fast_curves(dom, a, b)
+
+
+def test_fast_slot_repeat_returns_equal_result_as_fresh_list():
+    dom = FiniteComplement([0.0, 1.0])
+    a, b = -0.5 + 0.3j, 2.1 - 1.0j
+    iv, curves = _fast_cold(dom, a, b)
+    assert len(curves) > 1
+    curves.clear()  # the caller's list, not the kept one
+    again, curves_again = solver_module._k_interval_fast_curves(dom, a, b)
+    assert again == iv and k_interval_fast(dom, a, b) == iv
+    assert curves_again == _fast_cold(dom, a, b)[1]
+
+
+def test_fast_slot_tells_signed_zeros_apart():
+    # -2 + 0i and -2 - 0i are equal as values, but from 1 - 0i the arc about
+    # 0 turns through +i or -i by the sign of the zero (cmath.phase)
+    dom = FiniteComplement([0.0, 3.0])
+    a, up, down = complex(1.0, -0.0), complex(-2.0, 0.0), complex(-2.0, -0.0)
+    _, cold_up = _fast_cold(dom, a, up)
+    _, cold_down = _fast_cold(dom, a, down)
+    assert cold_up != cold_down
+    solver_module._k_interval_fast_curves(dom, a, up)
+    assert solver_module._k_interval_fast_curves(dom, a, down)[1] == cold_down
+    assert solver_module._k_interval_fast_curves(dom, a, up)[1] == cold_up
+
+
+def test_fast_slot_tells_domains_with_the_same_punctures_apart():
+    punctures = [1.0j, 1.0 + 2.0j]
+    plane, half = FiniteComplement(punctures), PuncturedSubdomain(UpperHalfPlane(), punctures)
+    a, b = 0.5 + 0.5j, 2.0 + 1.0j
+    cold_half, cold_plane = _fast_cold(half, a, b), _fast_cold(plane, a, b)
+    assert cold_plane[0] != cold_half[0]
+    assert solver_module._k_interval_fast_curves(half, a, b) == cold_half
+    assert solver_module._k_interval_fast_curves(plane, a, b) == cold_plane
+    # the same punctures in another order: another key, an equal result
+    swapped = FiniteComplement(punctures[::-1])
+    assert solver_module._k_interval_fast_curves(swapped, a, b)[0] == cold_plane[0]
+    assert solver_module._last_fast[0] != solver_module._domain_key(plane)
 
 
 def test_fast_interval_ordering_and_speed_shape():
