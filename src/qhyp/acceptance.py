@@ -13,7 +13,7 @@ import numpy as np
 
 from .constants import KAPPA
 from .geometry import Annulus, is_infinite
-from .domains import FiniteComplement, UpperHalfPlane
+from .domains import ComplementPoint, FiniteComplement, UpperHalfPlane
 from .densities import (
     h_interval,
     halfplane_distance,
@@ -22,8 +22,6 @@ from .densities import (
 )
 from .beta import (
     UPCircleFamily,
-    UPPoint,
-    UPSet,
     beta,
     bp_lambda_bounds,
     check_abc,
@@ -200,11 +198,8 @@ def criterion_09_uniform_perfectness() -> Tuple[bool, str]:
     """Supremum of separating moduli: exactly log 4 for the geometric circle
     family, unbounded with isolated points for the three-point set, and the
     chordal-to-euclidean conversion constants."""
-    fam = UPSet(points=(UPPoint(0.0),),
-                families=(UPCircleFamily(0.0, 4.0, 1.0),))
-    r1 = up_modulus_sup(fam)
-    three = UPSet(points=(UPPoint(0.0), UPPoint(1.0)))
-    r2 = up_modulus_sup(three)
+    r1 = up_modulus_sup((ComplementPoint(0.0), UPCircleFamily(0.0, 4.0, 1.0)))
+    r2 = up_modulus_sup((ComplementPoint(0.0), ComplementPoint(1.0)))
     iso = sorted("inf" if is_infinite(p) else f"{complex(p).real:g}"
                  for p in r2.isolated)
     conv = chordal_up_to_euclidean_bound(2.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .domains import (
     SchemaError,
     _parse_complex as cval,
     _parse_real as fval,
+    _require_fields,
     annulus_inside,
     circle_samples,
     rho_length,
@@ -396,14 +397,12 @@ def check_abc(domain: Domain, path: Polyline, mu: float, nu: float,
 # Uniform perfectness
 # ---------------------------------------------------------------------------
 
-# Points, disks, half-planes and disk exteriors of a set are the complement
-# components of the same name.
-UPPoint, UPDisk, UPHalfPlane, UPDiskExterior = (
-    ComplementPoint, ComplementDisk, ComplementHalfPlane, ComplementDiskExterior)
-
+# A set is a sequence of pieces, each a Component: the complement components
+# (points, closed disks, half-planes, disk exteriors) and the circles, rays
+# and circle families below.
 
 @dataclass(frozen=True)
-class UPCircle:
+class UPCircle(Component):
     center: complex
     radius: float
 
@@ -411,12 +410,9 @@ class UPCircle:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("circle radius must be finite and positive")
 
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        d = abs(o - self.center)
-        return [(abs(d - self.radius), d + self.radius)]
-
-    def distance_to(self, p: complex) -> float:
-        return abs(abs(p - self.center) - self.radius)
+    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
+        d = abs(zeta - self.center)
+        return (abs(d - self.radius), d + self.radius)
 
     def accumulates_at_infinity(self) -> bool:
         return False
@@ -426,7 +422,7 @@ class UPCircle:
 
 
 @dataclass(frozen=True)
-class UPRay:
+class UPRay(Component):
     origin: complex
     direction: complex
 
@@ -434,13 +430,10 @@ class UPRay:
         if self.direction == 0:
             raise ValueError("ray direction must be nonzero")
 
-    def distance_to(self, p: complex) -> float:
+    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
         u = self.direction / abs(self.direction)
-        s = max(0.0, ((p - self.origin) * u.conjugate()).real)
-        return abs(self.origin + s * u - p)
-
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        return [(self.distance_to(o), math.inf)]
+        s = max(0.0, ((zeta - self.origin) * u.conjugate()).real)
+        return (abs(self.origin + s * u - zeta), math.inf)
 
     def accumulates_at_infinity(self) -> bool:
         return True
@@ -450,11 +443,12 @@ class UPRay:
 
 
 @dataclass(frozen=True)
-class UPCircleFamily:
+class UPCircleFamily(Component):
     """The doubly infinite family of circles |z - center| = scale * ratio^n, n in Z.
 
     The family accumulates at its center and at infinity; both limit points
-    belong to the (closed) set it describes.
+    belong to the (closed) set it describes.  Its blocked distances come
+    from ``_family_intervals``, which needs the other pieces' extent.
     """
 
     center: complex
@@ -483,32 +477,6 @@ class UPCircleFamily:
 
     def centers(self) -> List[complex]:
         return [self.center]
-
-
-UPBlocker = Union[UPPoint, UPCircle, UPDisk, UPRay, UPHalfPlane,
-                  UPDiskExterior, UPCircleFamily]
-
-
-@dataclass(frozen=True)
-class UPSet:
-    """A closed set containing infinity, given by geometric parts."""
-
-    points: Tuple[UPPoint, ...] = ()
-    circles: Tuple[UPCircle, ...] = ()
-    disks: Tuple[UPDisk, ...] = ()
-    rays: Tuple[UPRay, ...] = ()
-    halfplanes: Tuple[UPHalfPlane, ...] = ()
-    disk_exteriors: Tuple[UPDiskExterior, ...] = ()
-    families: Tuple[UPCircleFamily, ...] = ()
-
-    def __post_init__(self):
-        for name in ("points", "circles", "disks", "rays", "halfplanes",
-                     "disk_exteriors", "families"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def blockers(self) -> Tuple[UPBlocker, ...]:
-        return self.points + self.circles + self.disks + self.rays \
-            + self.halfplanes + self.disk_exteriors + self.families
 
 
 @dataclass(frozen=True)
@@ -564,14 +532,17 @@ def _family_intervals(fam: UPCircleFamily, o: complex, ext_lo: float,
     return out
 
 
-def up_modulus_sup(E: UPSet, horizon: int = 8) -> UPReport:
-    """Supremum of annulus moduli over round annuli centered in E and
-    avoiding E (the uniform-perfectness functional of the set).
+def up_modulus_sup(parts: Sequence[Component], horizon: int = 8) -> UPReport:
+    """Supremum of annulus moduli over round annuli centered in the set E
+    of the given pieces and avoiding E (the uniform-perfectness functional
+    of the set).
 
-    Centers are taken from the finite members of E (points, circle samples,
-    disk centers, ray and half-plane origins, family accumulation centers).
-    An isolated finite point, or an isolated point at infinity, makes the
-    supremum infinite; the report then lists the isolated members.
+    Centers are taken from the pieces' ``centers``, in the order the pieces
+    are given (points, circle samples, disk centers, ray and half-plane
+    origins, family accumulation centers); the first center reaching the
+    supremum gives the witness.  An isolated finite point, or an isolated
+    point at infinity, makes the supremum infinite; the report then lists
+    the isolated points.
 
     ``horizon`` is the number of spare circles each circle family
     enumerates past the other blockers' extent, at each end.  It must be at
@@ -580,40 +551,32 @@ def up_modulus_sup(E: UPSet, horizon: int = 8) -> UPReport:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    blockers = E.blockers()
+    parts = tuple(parts)
     isolated: List[ExtPoint] = []
-    for pt in E.points:
-        others = [b for b in blockers if b is not pt]
-        if not others:
+    for pt in [b for b in parts if isinstance(b, ComplementPoint)]:
+        gaps = [b.distance_to(pt.point) for b in parts if b is not pt]
+        if not gaps or min(gaps) > 1e-12 * max(1.0, abs(pt.point)):
             isolated.append(pt.point)
-            continue
-        d_iso = min(b.distance_to(pt.point) for b in others)
-        if d_iso > 1e-12 * max(1.0, abs(pt.point)):
-            isolated.append(pt.point)
-    if not any(b.accumulates_at_infinity() for b in blockers):
+    if not any(b.accumulates_at_infinity() for b in parts):
         isolated.append(INF)
     if isolated:
         return UPReport(unbounded=True, sup_modulus=math.inf, witness=None,
                         isolated=tuple(isolated), centers_examined=0)
 
-    centers = _unique_points(c for b in blockers for c in b.centers())
+    centers = _unique_points(c for b in parts for c in b.centers())
+    families = [b for b in parts if isinstance(b, UPCircleFamily)]
+    plain_parts = [b for b in parts if not isinstance(b, UPCircleFamily)]
 
     best = 0.0
     witness: Optional[Annulus] = None
     for o in centers:
-        plain: List[Tuple[float, float]] = []
-        for b in blockers:
-            if isinstance(b, UPCircleFamily):
-                continue
-            plain.extend(b.blocked(o))
+        plain = [iv for b in plain_parts for iv in b.blocked(o)]
         finite_endpoints = [x for pair in plain for x in pair
                             if math.isfinite(x) and x > 0.0]
         ext_lo = min(finite_endpoints) if finite_endpoints else math.inf
         ext_hi = max(finite_endpoints) if finite_endpoints else 0.0
-        intervals = list(plain)
-        for b in blockers:
-            if isinstance(b, UPCircleFamily):
-                intervals.extend(_family_intervals(b, o, ext_lo, ext_hi, horizon))
+        intervals = plain + [iv for fam in families
+                             for iv in _family_intervals(fam, o, ext_lo, ext_hi, horizon)]
         if not intervals:
             continue
         intervals.sort()
@@ -640,57 +603,45 @@ def up_modulus_sup(E: UPSet, horizon: int = 8) -> UPReport:
                     isolated=(), centers_examined=len(centers))
 
 
-def up_set_from_json(obj: dict) -> UPSet:
-    """Strict parser for the uniform-perfectness set wire format."""
+# JSON key -> (piece, its fields in constructor order); points are bare
+# [re, im] pairs.  The order is the order of the pieces in the set.
+_SET_PIECES = {
+    "points": (ComplementPoint, None),
+    "circles": (UPCircle, ("center", "radius")),
+    "disks": (ComplementDisk, ("center", "radius")),
+    "rays": (UPRay, ("origin", "direction")),
+    "halfplanes": (ComplementHalfPlane, ("origin", "direction")),
+    "disk_exteriors": (ComplementDiskExterior, ("center", "radius")),
+    "families": (UPCircleFamily, ("center", "ratio", "scale")),
+}
+_REAL_FIELDS = ("radius", "ratio", "scale")
+
+
+def up_set_from_json(obj: dict) -> Tuple[Component, ...]:
+    """Strict parser for the uniform-perfectness set wire format: the
+    pieces, points first, then circles, disks, rays, half-planes, disk
+    exteriors and families, each in the order given."""
     if not isinstance(obj, dict):
         raise SchemaError("set description must be a JSON object")
-    known = {"points", "circles", "disks", "rays", "halfplanes",
-             "disk_exteriors", "families", "includes_infinity"}
-    for key in obj:
-        if key not in known:
-            raise SchemaError(f"unknown field {key!r} in set description")
+    _require_fields(obj, "set description", (), (*_SET_PIECES, "includes_infinity"))
     if "includes_infinity" in obj and obj["includes_infinity"] is not True:
         raise SchemaError("these sets always contain infinity")
-
-    def items(key, fields, builder):
+    parts: List[Component] = []
+    for key, (piece, fields) in _SET_PIECES.items():
         rows = obj.get(key, [])
         if not isinstance(rows, list):
             raise SchemaError(f"{key} must be a list")
-        out = []
         for i, row in enumerate(rows):
-            if key == "points":
-                out.append(builder(cval(row, f"points[{i}]")))
+            where = f"{key}[{i}]"
+            if fields is None:
+                parts.append(piece(cval(row, where)))
                 continue
             if not isinstance(row, dict):
-                raise SchemaError(f"{key}[{i}] must be an object")
-            for f in row:
-                if f not in fields:
-                    raise SchemaError(f"unknown field {f!r} in {key}[{i}]")
-            for f in fields:
-                if f not in row:
-                    raise SchemaError(f"missing field {f!r} in {key}[{i}]")
-            out.append(builder(row, i))
-        return out
-
-    points = items("points", None, lambda p: UPPoint(p))
-    circles = items("circles", ("center", "radius"), lambda r, i: UPCircle(
-        cval(r["center"], f"circles[{i}].center"), fval(r["radius"], f"circles[{i}].radius")))
-    disks = items("disks", ("center", "radius"), lambda r, i: UPDisk(
-        cval(r["center"], f"disks[{i}].center"), fval(r["radius"], f"disks[{i}].radius")))
-    rays = items("rays", ("origin", "direction"), lambda r, i: UPRay(
-        cval(r["origin"], f"rays[{i}].origin"), cval(r["direction"], f"rays[{i}].direction")))
-    halfplanes = items("halfplanes", ("origin", "direction"), lambda r, i: UPHalfPlane(
-        cval(r["origin"], f"halfplanes[{i}].origin"),
-        cval(r["direction"], f"halfplanes[{i}].direction")))
-    exteriors = items("disk_exteriors", ("center", "radius"), lambda r, i: UPDiskExterior(
-        cval(r["center"], f"disk_exteriors[{i}].center"),
-        fval(r["radius"], f"disk_exteriors[{i}].radius")))
-    families = items("families", ("center", "ratio", "scale"), lambda r, i: UPCircleFamily(
-        cval(r["center"], f"families[{i}].center"), fval(r["ratio"], f"families[{i}].ratio"),
-        fval(r["scale"], f"families[{i}].scale")))
-    return UPSet(points=tuple(points), circles=tuple(circles), disks=tuple(disks),
-                 rays=tuple(rays), halfplanes=tuple(halfplanes),
-                 disk_exteriors=tuple(exteriors), families=tuple(families))
+                raise SchemaError(f"{where} must be an object")
+            _require_fields(row, where, fields)
+            parts.append(piece(*((fval if f in _REAL_FIELDS else cval)(row[f], f"{where}.{f}")
+                                 for f in fields)))
+    return tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .domains import (
     _parse_complex as _json_complex,
     _parse_points,
     _parse_real as _json_real,
+    _require_fields,
     domain_from_json_text,
 )
 from .equivalence import (
@@ -93,9 +94,7 @@ def _puncture_config(raw) -> PunctureConfig:
     """The chart layout given to ``qi-verify --config``."""
     if not isinstance(raw, dict):
         raise SchemaError("chart layout must be a JSON object")
-    for key in ("punctures", "radii", "xis", "r_inf", "xi_inf"):
-        if key not in raw:
-            raise SchemaError(f"chart layout is missing field {key!r}")
+    _require_fields(raw, "chart layout", ("punctures", "radii", "xis", "r_inf", "xi_inf"))
     if not isinstance(raw["radii"], list):
         raise SchemaError("radii must be a list of numbers")
     return PunctureConfig(
@@ -228,8 +227,7 @@ def _cmd_beta_map(args) -> int:
 
 
 def _cmd_up_check(args) -> int:
-    E = up_set_from_json(_load_json(args.set))
-    rep = up_modulus_sup(E, horizon=args.horizon)
+    rep = up_modulus_sup(up_set_from_json(_load_json(args.set)), horizon=args.horizon)
     _emit(rep.as_dict())
     return 0
 

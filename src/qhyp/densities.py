@@ -85,7 +85,7 @@ def chordal_quasihyperbolic_density(domain: Domain) -> Callable[[np.ndarray], np
     a running minimum."""
     def rho(z):
         z = np.asarray(z, dtype=np.complex128)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return (2.0 / (1.0 + np.abs(z) ** 2)) / domain.chordal_boundary_distance_field(z)
     return rho
 
@@ -253,13 +253,14 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     The lower bound is the best of the comparison-domain bounds: the model
     distance (``Component.h_lower``) in the disk or half-plane that a
     complement component bounds, which is exact when that component is the
-    domain's only one, and the twice-punctured-plane bound over anchor
-    pairs.  The upper bound is the best of the model estimates and twice a
-    quasihyperbolic upper bound.  The punctured-disk estimate about a
-    puncture p applies when both points lie within r_p of p, the distance
-    from p to the rest of the boundary, and the nearer one within r_p/2;
-    the disk-exterior estimate when both lie outside the disk of radius R
-    and the farther one at least 2R from its center.
+    domain's only one and infinity is not a boundary point, and the
+    twice-punctured-plane bound over anchor pairs.  The upper bound is the
+    best of the model estimates and twice a quasihyperbolic upper bound.
+    The punctured-disk estimate about a puncture p applies when both points
+    lie within r_p of p, the distance from p to the rest of the boundary,
+    and the nearer one within r_p/2; the disk-exterior estimate when both
+    lie outside the disk of radius R and the farther one at least 2R from
+    its center.
 
     The doubling holds because the domain contains the disk B(z, delta(z)),
     so the hyperbolic density is at most 2/delta and h <= 2k.  When no model
@@ -291,7 +292,7 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
         if model is None:
             continue
         v, name = model
-        if len(comps) == 1:
+        if len(comps) == 1 and not domain.sphere_boundary_includes_infinity():
             return DistanceInterval(v, v, f"{name}-exact", f"{name}-exact")
         if v > lower:
             lower, lower_src = v, f"{name}-lower"

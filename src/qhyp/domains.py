@@ -87,7 +87,8 @@ def hyperbolic_disk_distance(a: complex, b: complex) -> float:
 
 class Component:
     """A closed component of a domain's complement.  Uniform perfectness sees
-    one through ``blocked``, ``distance_to`` and ``centers``."""
+    one through ``blocked``, ``distance_to``, ``centers`` and
+    ``accumulates_at_infinity``."""
 
     def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
         raise NotImplementedError
@@ -109,8 +110,9 @@ class Component:
 
     def h_lower(self, a: complex, b: complex) -> Optional[Tuple[float, str]]:
         """A lower bound for h: (h in the model domain that is the
-        component's complement, the model's name), or None.  It is exact
-        when the component is the domain's only one."""
+        component's complement on the sphere, the model's name), or None.
+        It is exact when the component is the domain's only one and
+        infinity is not on the domain's boundary."""
         return None
 
 
@@ -210,6 +212,19 @@ class ComplementDisk(_RoundComponent):
 
     def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
         return k_star_exact(a, b, self.center), f"winding({self.center:g})"
+
+    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        # z -> w = radius / (z - center) maps the sphere outside the disk
+        # onto the unit disk, where cosh h = 1 + 2 |w_a - w_b|^2 / ((1 -
+        # |w_a|^2)(1 - |w_b|^2)).  Written in z, its factors |z - center| -
+        # radius are the points' distances to the disk, taken as
+        # distance_field takes them, so no point of the domain rounds onto
+        # the circle.  The model contains infinity: it is exact only for a
+        # domain that does.
+        ra, rb = (float(x) for x in np.abs(np.array([a, b]) - self.center))
+        r = self.radius
+        s = 2.0 * (r * abs(a - b)) ** 2 / ((ra - r) * (ra + r) * (rb - r) * (rb + r))
+        return math.log1p(s + math.sqrt(s * (s + 2.0))), "disk"
 
     def accumulates_at_infinity(self) -> bool:
         return False
@@ -590,14 +605,17 @@ class TranslatedScaled(Domain):
 # JSON wire format (strict)
 # ---------------------------------------------------------------------------
 
-def _require_fields(obj: dict, dtype: str, required: Sequence[str],
+def _require_fields(obj: dict, where: str, required: Sequence[str],
                     optional: Sequence[str] = ()) -> None:
+    """Reject a JSON object with a field outside ``required`` and
+    ``optional``, or without one of ``required``; ``where`` names the
+    object in the message."""
     for key in obj:
-        if key != "type" and key not in required and key not in optional:
-            raise SchemaError(f"unknown field {key!r} for domain type {dtype!r}")
+        if key not in required and key not in optional:
+            raise SchemaError(f"unknown field {key!r} in {where}")
     for key in required:
         if key not in obj:
-            raise SchemaError(f"missing field {key!r} for domain type {dtype!r}")
+            raise SchemaError(f"missing field {key!r} in {where}")
 
 
 def _parse_real(value, where: str) -> float:
@@ -621,34 +639,30 @@ def _parse_points(value, where: str) -> List[complex]:
     return [_parse_complex(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+_MODEL_DOMAINS = {"unit_disk": UnitDisk, "punctured_unit_disk": PuncturedUnitDisk,
+                  "exterior_unit_disk": ExteriorUnitDisk, "upper_half_plane": UpperHalfPlane}
+
+
 def domain_from_json(obj: dict) -> Domain:
     if not isinstance(obj, dict):
         raise SchemaError("domain description must be a JSON object")
     dtype = obj.get("type")
+    where = f"domain type {dtype!r}"
+    if isinstance(dtype, str) and dtype in _MODEL_DOMAINS:
+        _require_fields(obj, where, (), ("type",))
+        return _MODEL_DOMAINS[dtype]()
     if dtype == "finite_complement":
-        _require_fields(obj, dtype, ["punctures"], ["contains_infinity"])
+        _require_fields(obj, where, ("punctures",), ("type", "contains_infinity"))
         ci = obj.get("contains_infinity", False)
         if not isinstance(ci, bool):
             raise SchemaError("contains_infinity must be a boolean")
         return FiniteComplement(_parse_points(obj["punctures"], "punctures"), ci)
-    if dtype == "unit_disk":
-        _require_fields(obj, dtype, [])
-        return UnitDisk()
-    if dtype == "punctured_unit_disk":
-        _require_fields(obj, dtype, [])
-        return PuncturedUnitDisk()
-    if dtype == "exterior_unit_disk":
-        _require_fields(obj, dtype, [])
-        return ExteriorUnitDisk()
-    if dtype == "upper_half_plane":
-        _require_fields(obj, dtype, [])
-        return UpperHalfPlane()
     if dtype == "punctured_subdomain":
-        _require_fields(obj, dtype, ["base", "punctures"])
+        _require_fields(obj, where, ("base", "punctures"), ("type",))
         return PuncturedSubdomain(domain_from_json(obj["base"]),
                                   _parse_points(obj["punctures"], "punctures"))
     if dtype == "translated_scaled":
-        _require_fields(obj, dtype, ["base", "scale", "shift"])
+        _require_fields(obj, where, ("base", "scale", "shift"), ("type",))
         return TranslatedScaled(domain_from_json(obj["base"]),
                                 _parse_complex(obj["scale"], "scale"),
                                 _parse_complex(obj["shift"], "shift"))

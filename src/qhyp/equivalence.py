@@ -22,9 +22,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constants import KAPPA
-from .beta import UPDisk, UPDiskExterior, UPSet, up_modulus_sup
+from .beta import up_modulus_sup
 from .densities import h_interval, h_upper_three_punct
-from .domains import ComplementPoint, Domain
+from .domains import ComplementDisk, ComplementDiskExterior, ComplementPoint, Domain
 from .solver import VerdictCounts, k_interval_fast, k_star_exact
 
 
@@ -245,9 +245,8 @@ def build_global_qi_map(domain: Domain,
         if not any(abs(p - q) <= 1e-12 * max(1.0, abs(q))
                    for q in domain.finite_boundary_points()):
             raise ValueError("config punctures must match the domain")
-    E = UPSet(disks=tuple(UPDisk(p, r) for p, r in zip(cfg.punctures, cfg.radii)),
-              disk_exteriors=(UPDiskExterior(0.0, cfg.r_inf),))
-    rep = up_modulus_sup(E)
+    rep = up_modulus_sup([ComplementDisk(p, r) for p, r in zip(cfg.punctures, cfg.radii)]
+                         + [ComplementDiskExterior(0.0, cfg.r_inf)])
     M = rep.sup_modulus
     if rep.unbounded or not math.isfinite(M):
         if not allow_unbounded:

@@ -186,7 +186,8 @@ def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
     that is not finite and positive, or a dive toward a removed point, as
     judged by ``_clear_of_punctures`` in one pass)."""
     length = np.abs(v - u)
-    w = length * (ru + 4.0 * rm + rv) / 6.0
+    with np.errstate(over="ignore"):  # densities near 1e308, as at a subnormal distance
+        w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
     if len(punctures):
@@ -525,7 +526,8 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 continue
             idx, zm, zc, zp, chord, clen = (idx[ok], zm[ok], zc[ok], zp[ok],
                                             chord[ok], clen[ok])
-            normal = 1j * chord / clen
+            with np.errstate(over="ignore"):  # a subnormal chord
+                normal = 1j * chord / clen
             if punctures:
                 dq = np.abs(zc - q_col).min(axis=0)
             else:

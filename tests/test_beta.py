@@ -11,6 +11,9 @@ from qhyp import (
     INF,
     KAPPA,
     Annulus,
+    ComplementDisk,
+    ComplementDiskExterior,
+    ComplementHalfPlane,
     ComplementPoint,
     DomainError,
     ExteriorUnitDisk,
@@ -21,11 +24,9 @@ from qhyp import (
     SchemaError,
     TranslatedScaled,
     UnitDisk,
+    UPCircle,
     UPCircleFamily,
-    UPDisk,
-    UPDiskExterior,
-    UPPoint,
-    UPSet,
+    UPRay,
     beta,
     beta_field,
     bp_lambda_bounds,
@@ -286,8 +287,7 @@ def test_abc_finds_candidates_itself():
 # ---------------------------------------------------------------------------
 
 def test_up_geometric_circle_family():
-    E = UPSet(points=(UPPoint(0.0),),
-              families=(UPCircleFamily(0.0, 4.0, 1.0),))
+    E = (ComplementPoint(0.0), UPCircleFamily(0.0, 4.0, 1.0))
     report = up_modulus_sup(E)
     assert not report.unbounded
     assert report.sup_modulus == pytest.approx(math.log(4.0), abs=1e-15)
@@ -297,8 +297,7 @@ def test_up_geometric_circle_family():
 
 @pytest.mark.parametrize("horizon", [1, 0, -1])
 def test_up_horizon_must_be_at_least_one(horizon):
-    E = UPSet(points=(UPPoint(0.0),),
-              families=(UPCircleFamily(0.0, 4.0, 1.0),))
+    E = (ComplementPoint(0.0), UPCircleFamily(0.0, 4.0, 1.0))
     if horizon >= 1:
         assert up_modulus_sup(E, horizon=horizon).sup_modulus == pytest.approx(
             math.log(4.0), abs=1e-15)
@@ -309,7 +308,7 @@ def test_up_horizon_must_be_at_least_one(horizon):
 
 
 def test_up_isolated_points_unbounded():
-    E = UPSet(points=(UPPoint(0.0), UPPoint(1.0)))
+    E = (ComplementPoint(0.0), ComplementPoint(1.0))
     report = up_modulus_sup(E)
     assert report.unbounded
     assert math.isinf(report.sup_modulus)
@@ -322,8 +321,8 @@ def test_up_disk_pair_modulus():
     # two unit disks with centers 2e apart: the best separating annulus is
     # centered on one disk and runs from its rim to the other's near edge
     gap = 2.0 * math.e
-    E = UPSet(disks=(UPDisk(0.0, 1.0), UPDisk(gap, 1.0)),
-              disk_exteriors=(UPDiskExterior(0.0, 100.0),))
+    E = (ComplementDisk(0.0, 1.0), ComplementDisk(gap, 1.0),
+         ComplementDiskExterior(0.0, 100.0))
     report = up_modulus_sup(E)
     assert not report.unbounded
     assert report.sup_modulus >= math.log(gap - 1.0) - 1e-9
@@ -331,11 +330,8 @@ def test_up_disk_pair_modulus():
 
 
 def test_up_monotone_under_more_blockers():
-    base = UPSet(points=(UPPoint(0.0),),
-                 families=(UPCircleFamily(0.0, 16.0, 1.0),))
-    thick = UPSet(points=(UPPoint(0.0),),
-                  families=(UPCircleFamily(0.0, 16.0, 1.0),
-                            UPCircleFamily(0.0, 16.0, 2.0)))
+    base = (ComplementPoint(0.0), UPCircleFamily(0.0, 16.0, 1.0))
+    thick = base + (UPCircleFamily(0.0, 16.0, 2.0),)
     sup_base = up_modulus_sup(base).sup_modulus
     sup_thick = up_modulus_sup(thick).sup_modulus
     assert sup_thick <= sup_base + 1e-12
@@ -345,7 +341,7 @@ def test_up_json_parser_strict():
     E = up_set_from_json({"points": [[0, 0]],
                           "families": [{"center": [0, 0], "ratio": 4.0, "scale": 1.0}],
                           "includes_infinity": True})
-    assert len(E.points) == 1 and len(E.families) == 1
+    assert E == (ComplementPoint(0j), UPCircleFamily(0j, 4.0, 1.0))
     with pytest.raises(SchemaError):
         up_set_from_json({"blobs": []})
     with pytest.raises(SchemaError):
@@ -354,6 +350,68 @@ def test_up_json_parser_strict():
         up_set_from_json({"disks": [{"center": [0, 0]}]})
     with pytest.raises(SchemaError):
         up_set_from_json({"disks": [{"center": [0, 0], "radius": 1.0, "color": "red"}]})
+
+
+def test_up_circle_and_ray():
+    # seen from the circle's sample at -1 the circle spans [0, 2] and the
+    # ray [6, inf): the widest empty annulus runs from 2 to 6, modulus log 3
+    E = (UPCircle(0.0, 1.0), UPRay(5.0, 1.0))
+    report = up_modulus_sup(E)
+    assert not report.unbounded
+    assert report.sup_modulus == 1.0986122886681098
+    assert report.witness.center == pytest.approx(-1.0, abs=1e-15)
+    assert (report.witness.inner, report.witness.outer) == (2.0, 6.0)
+    assert report.centers_examined == 9
+
+
+README_SET = {
+    "points": [[0, 0]],
+    "circles": [{"center": [0, 0], "radius": 2.0}],
+    "disks": [{"center": [3, 0], "radius": 0.5}],
+    "disk_exteriors": [{"center": [0, 0], "radius": 100.0}],
+    "rays": [{"origin": [0, 0], "direction": [1, 0]}],
+    "halfplanes": [{"origin": [0, -5], "direction": [0, -1]}],
+    "families": [{"center": [0, 0], "ratio": 4.0, "scale": 1.0}],
+    "includes_infinity": True,
+}
+
+
+def test_up_readme_example_set():
+    E = (ComplementPoint(0.0), UPCircle(0.0, 2.0), ComplementDisk(3.0, 0.5),
+         UPRay(0.0, 1.0), ComplementHalfPlane(-5j, -1j),
+         ComplementDiskExterior(0.0, 100.0), UPCircleFamily(0.0, 4.0, 1.0))
+    assert up_set_from_json(README_SET) == E
+    for parts in (E, list(E)):
+        report = up_modulus_sup(parts)
+        assert not report.unbounded
+        assert report.sup_modulus == 0.0 and report.witness is None
+        assert report.centers_examined == 27
+
+
+_ROWS = {"circles": {"center": [0, 0], "radius": 1.0},
+         "disks": {"center": [0, 0], "radius": 1.0},
+         "rays": {"origin": [0, 0], "direction": [1, 0]},
+         "halfplanes": {"origin": [0, 0], "direction": [1, 0]},
+         "disk_exteriors": {"center": [0, 0], "radius": 1.0},
+         "families": {"center": [0, 0], "ratio": 4.0, "scale": 1.0}}
+
+
+@pytest.mark.parametrize("key", ["points"] + sorted(_ROWS))
+def test_up_json_rejects_malformed_rows(key):
+    with pytest.raises(SchemaError, match=f"{key} must be a list"):
+        up_set_from_json({key: {}})
+    with pytest.raises(SchemaError, match=rf"{key}\[0\]"):
+        up_set_from_json({key: [7]})
+    if key == "points":
+        return
+    row = _ROWS[key]
+    up_set_from_json({key: [row]})
+    with pytest.raises(SchemaError, match=rf"unknown field 'color' in {key}\[0\]"):
+        up_set_from_json({key: [dict(row, color="red")]})
+    for field in row:
+        short = {f: v for f, v in row.items() if f != field}
+        with pytest.raises(SchemaError, match=rf"missing field '{field}' in {key}\[0\]"):
+            up_set_from_json({key: [short]})
 
 
 def test_up_chordal_conversion():

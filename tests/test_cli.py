@@ -328,6 +328,14 @@ def test_qi_verify_config_missing_key_is_exit_2(tmp_path, capsys, key):
     assert err.startswith("error:") and repr(key) in err
 
 
+def test_qi_verify_config_unknown_key_is_exit_2(capsys):
+    extra = json.dumps(dict(CHARTS, r_zero=1.0))
+    rc, out, err = run(capsys, "qi-verify", "--domain", TWO_PUNCT, "--mode", "global",
+                       "--pairs", "1", "--config", extra)
+    assert rc == 2 and out == ""
+    assert err == "error: unknown field 'r_zero' in chart layout\n"
+
+
 def test_qi_verify_config_malformed_value_is_exit_2(capsys):
     bad = json.dumps(dict(CHARTS, radii=[0.25, "wide"]))
     rc, _, err = run(capsys, "qi-verify", "--domain", TWO_PUNCT, "--mode", "global",

@@ -268,6 +268,37 @@ def test_h_interval_upper_at_least_disk_distance(w_a, w_b, exterior):
     assert iv.upper >= hyperbolic_disk_distance(w_a, w_b) * (1.0 - 1e-12)
 
 
+@settings(deadline=None, max_examples=40)
+@given(_disk_point, _disk_point, st.booleans())
+# the points of the gap once left open: the lower bound was 0 at 1.1, -1.1
+# and 0.0233 at 2, 3i
+@example(1 / 1.1 + 0j, -1 / 1.1 + 0j, False)
+@example(0.5 + 0j, -1j / 3.0, False)
+@example(0.5 + 0j, -1j / 3.0, True)
+def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
+    # outside a closed disk h is at least the distance in the sphere minus
+    # the disk, which z -> 1/z maps onto the unit disk; infinity is on the
+    # boundary, so that distance is never exact
+    assume(w_a != w_b)
+    a, b = 1 / w_a, 1 / w_b
+    dom = ExteriorUnitDisk()
+    if moved:
+        s, c = 2.0 - 1.0j, 3.0 + 0.5j
+        dom, a, b = TranslatedScaled(dom, s, c), s * a + c, s * b + c
+    iv = h_interval(dom, a, b)
+    assert iv.lower >= hyperbolic_disk_distance(w_a, w_b) * (1.0 - 1e-12)
+    # near infinity the twice-punctured bound about two boundary points,
+    # which counts infinity as a boundary point, can be the better one
+    assert "exact" not in iv.lower_source and "exact" not in iv.upper_source
+
+
+@pytest.mark.parametrize("a, b, lower", [(1.1, -1.1, 6.089), (2.0, 3.0j, 1.364)])
+def test_h_interval_lower_outside_the_unit_disk_pins(a, b, lower):
+    iv = h_interval(ExteriorUnitDisk(), a, b)
+    assert iv.lower == pytest.approx(lower, abs=5e-4)
+    assert iv.lower_source == "disk-lower" and iv.upper > iv.lower
+
+
 @pytest.mark.parametrize("dom, a, b, estimate", [
     (PuncturedUnitDisk(), 0.5, -0.9, True),
     (PuncturedUnitDisk(), 0.51, -0.9, False),

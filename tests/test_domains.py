@@ -1,5 +1,6 @@
 """Plane domains: membership, boundary distances, JSON wire format, path length."""
 
+import cmath
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qhyp import (
     INF,
+    ComplementDisk,
     ComplementHalfPlane,
     ComplementPoint,
     DomainError,
@@ -298,10 +300,12 @@ def test_finite_complement_components_built_once():
 def test_json_rejects_unknown_type():
     with pytest.raises(SchemaError):
         domain_from_json({"type": "pac_man"})
+    with pytest.raises(SchemaError, match="unknown domain type"):
+        domain_from_json({"type": ["unit_disk"]})
 
 
 def test_json_rejects_unknown_keys():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="unknown field 'radius' in domain type 'unit_disk'"):
         domain_from_json({"type": "unit_disk", "radius": 2.0})
     with pytest.raises(SchemaError):
         domain_from_json(
@@ -321,8 +325,21 @@ def test_json_rejects_malformed_points():
 def test_json_missing_required_field():
     with pytest.raises(SchemaError):
         domain_from_json({"type": "finite_complement"})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError,
+                       match="missing field 'scale' in domain type 'translated_scaled'"):
         domain_from_json({"type": "translated_scaled", "base": {"type": "unit_disk"}})
+
+
+def test_disk_h_lower_a_few_ulps_outside_the_circle():
+    # the distance to the disk is taken as distance_field takes it, so a
+    # point the domain contains never maps onto the unit circle
+    disk = ComplementDisk(0.0, 1.0)
+    for k in range(64):
+        for ulps in range(1, 6):
+            a = cmath.exp(2j * math.pi * k / 64) * (1.0 + ulps * 2.2e-16)
+            if disk.distance_field(np.asarray(a)) > 0:
+                v, name = disk.h_lower(a, 2.0 + 1.0j)
+                assert math.isfinite(v) and v > 0 and name == "disk"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -368,7 +368,8 @@ def _edge_weights_reference(u, v, ru, rm, rv, punctures, clearance, work):
     """The edge weights and clearance test as they ran before the one-pass
     clearance: the cheap test and then the exact one, puncture by puncture."""
     length = np.abs(v - u)
-    w = length * (ru + 4.0 * rm + rv) / 6.0
+    with np.errstate(over="ignore"):
+        w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
     slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
@@ -423,7 +424,8 @@ def _relax_path_reference(points, density, punctures, res):
                 continue
             idx, zm, zc, zp, chord, clen = (idx[ok], zm[ok], zc[ok], zp[ok],
                                             chord[ok], clen[ok])
-            normal = 1j * chord / clen
+            with np.errstate(over="ignore"):
+                normal = 1j * chord / clen
             if punctures:
                 dq = np.min(np.stack([np.abs(zc - q) for q in punctures]), axis=0)
             else:
@@ -498,6 +500,13 @@ def _assert_relaxation_matches_reference(punctures, density, points):
 @given(st.sampled_from([[0.0, 1.0], FOUR]),
        st.sampled_from([quasihyperbolic_density, chordal_quasihyperbolic_density]),
        st.lists(_vertex, min_size=2, max_size=9))
+# a last vertex a subnormal distance from the puncture 1: the chord, the
+# chordal density and the edge weights overflow, and production must not warn
+@example([0.0, 1.0], quasihyperbolic_density, [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)])
+@example([0.0, 1.0], chordal_quasihyperbolic_density,
+         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)])
+@example([0.0, 1.0], quasihyperbolic_density,
+         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 2.2250738585072014e-308)])
 def test_relax_path_equals_reference(punctures, density, vertices):
     _assert_relaxation_matches_reference(punctures, density, _polyline(punctures, vertices))
 
