@@ -21,8 +21,6 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
-    halfplane_distance,  # re-exported with hyperbolic_disk_distance
-    hyperbolic_disk_distance,
     rho_length,
 )
 from .geometry import Polyline, _unique_points, as_finite
@@ -320,7 +318,7 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
             if v < upper:
                 upper, upper_src = v, f"punctured-disk-estimate({p:.6g})"
     if (len(comps) == 1 and isinstance(comps[0], ComplementDisk)
-            and not domain._contains_infinity()):
+            and not domain.contains_infinity):
         disk = comps[0]
         near, far = sorted((abs(a - disk.center), abs(b - disk.center)))
         if near > disk.radius and far >= 2.0 * disk.radius:

@@ -1,9 +1,10 @@
 """Plane domains, their boundary geometry, and path length under a density.
 
-Every domain is described by the closed components of its complement; the
-distance-to-boundary field, the nearest boundary points, the chordal
-boundary distance, the model lower bounds for h and k, and the strict JSON
-wire format are all derived from that list.
+A domain is plain data: the closed components of its complement, whether
+it contains infinity, and its JSON description.  The distance-to-boundary
+field, the nearest boundary points, the chordal boundary distance and the
+model lower bounds for h and k are all derived from the components; the
+``Domain`` subclasses only build the three.
 """
 
 from __future__ import annotations
@@ -185,6 +186,20 @@ class _RoundComponent(Component):
         return np.where(self.distance_field(z) > 0, 2.0 * np.abs(z - proj) / (lift_z * lift_p),
                         0.0)
 
+    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
+        # w = (z - center) / radius maps the inside of the circle, and w =
+        # radius / (z - center) its outside on the sphere, onto the unit
+        # disk, where cosh h = 1 + 2 |w_a - w_b|^2 / ((1 - |w_a|^2)(1 -
+        # |w_b|^2)).  Written in z, both give the expression below, whose
+        # factors |z - center| - radius are the points' distances to the
+        # circle, taken as distance_field takes them, so no point of the
+        # domain rounds onto the circle.  A disk's model contains infinity:
+        # it is exact only for a domain that does.
+        ra, rb = (float(x) for x in np.abs(np.array([a, b]) - self.center))
+        r = self.radius
+        s = 2.0 * (r * abs(a - b)) ** 2 / ((ra - r) * (ra + r) * (rb - r) * (rb + r))
+        return math.log1p(s + math.sqrt(s * (s + 2.0))), "disk"
+
     def transformed(self, scale: complex, shift: complex) -> "_RoundComponent":
         return type(self)(scale * self.center + shift, abs(scale) * self.radius)
 
@@ -213,19 +228,6 @@ class ComplementDisk(_RoundComponent):
     def k_lower(self, a: complex, b: complex) -> Tuple[float, str]:
         return k_star_exact(a, b, self.center), f"winding({self.center:g})"
 
-    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
-        # z -> w = radius / (z - center) maps the sphere outside the disk
-        # onto the unit disk, where cosh h = 1 + 2 |w_a - w_b|^2 / ((1 -
-        # |w_a|^2)(1 - |w_b|^2)).  Written in z, its factors |z - center| -
-        # radius are the points' distances to the disk, taken as
-        # distance_field takes them, so no point of the domain rounds onto
-        # the circle.  The model contains infinity: it is exact only for a
-        # domain that does.
-        ra, rb = (float(x) for x in np.abs(np.array([a, b]) - self.center))
-        r = self.radius
-        s = 2.0 * (r * abs(a - b)) ** 2 / ((ra - r) * (ra + r) * (rb - r) * (rb + r))
-        return math.log1p(s + math.sqrt(s * (s + 2.0))), "disk"
-
     def accumulates_at_infinity(self) -> bool:
         return False
 
@@ -253,10 +255,6 @@ class ComplementDiskExterior(_RoundComponent):
         u = zeta - self.center
         u = u / abs(u) if u != 0 else 1.0
         return zeta + t * u
-
-    def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
-        return hyperbolic_disk_distance((a - self.center) / self.radius,
-                                        (b - self.center) / self.radius), "disk"
 
     def accumulates_at_infinity(self) -> bool:
         return True
@@ -341,24 +339,29 @@ class ComplementHalfPlane(Component):
 # ---------------------------------------------------------------------------
 
 class Domain:
-    """Base class; concrete variants provide complement components and flags."""
+    """A plane domain as data: the closed components of its complement,
+    whether it contains infinity, and its JSON description.  The subclasses
+    are its constructors; each builds the three and passes them here."""
+
+    def __init__(self, components: Sequence[Component], contains_infinity: bool,
+                 spec: dict):
+        self._components = tuple(components)
+        self.contains_infinity = bool(contains_infinity)
+        self._json = json.dumps(spec)
 
     def complement_components(self) -> Tuple[Component, ...]:
-        raise NotImplementedError
-
-    def _contains_infinity(self) -> bool:
-        return False
+        return self._components
 
     def sphere_boundary_includes_infinity(self) -> bool:
         """Whether infinity is a boundary point of the domain on the sphere."""
-        return not self._contains_infinity() and not any(
+        return not self.contains_infinity and not any(
             comp.accumulates_at_infinity() for comp in self.complement_components())
 
     # -- membership and boundary distance -----------------------------------
 
     def contains(self, z: ExtPoint) -> bool:
         if is_infinite(z):
-            return self._contains_infinity()
+            return self.contains_infinity
         try:
             z = as_finite(z)
         except ValueError:
@@ -408,7 +411,7 @@ class Domain:
         """Chordal distance from a point of the domain to its sphere
         boundary; raises outside, like ``delta``."""
         if is_infinite(z):
-            if not self._contains_infinity():
+            if not self.contains_infinity:
                 raise OutsideDomainError("the point at infinity is not in the domain")
             best = math.inf
             for comp in self.complement_components():
@@ -430,36 +433,28 @@ class Domain:
         return tuple(comp.point for comp in self.complement_components()
                      if isinstance(comp, ComplementPoint))
 
-    def sphere_boundary_point_count(self) -> float:
-        """Number of sphere-boundary points; math.inf for continuum components."""
-        count = 0.0
-        for comp in self.complement_components():
-            if isinstance(comp, ComplementPoint):
-                count += 1
-            else:
-                return math.inf
-        if self.sphere_boundary_includes_infinity():
-            count += 1
-        return count
-
     @property
     def is_hyperbolic(self) -> bool:
-        """At least three boundary points on the sphere."""
-        return self.sphere_boundary_point_count() >= 3
+        """At least three boundary points on the sphere; a component that is
+        not a point is a continuum of them."""
+        comps = self.complement_components()
+        if not all(isinstance(comp, ComplementPoint) for comp in comps):
+            return True
+        return len(comps) + self.sphere_boundary_includes_infinity() >= 3
 
     # -- serialization ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        return json.loads(self._json)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_json_dict()!r})"
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.to_json_dict() == other.to_json_dict()
+        return isinstance(other, Domain) and self._json == other._json
 
     def __hash__(self) -> int:
-        return hash(json.dumps(self.to_json_dict(), sort_keys=True))
+        return hash(self._json)
 
 
 def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
@@ -485,94 +480,56 @@ class FiniteComplement(Domain):
     """The plane (or sphere, when ``contains_infinity``) minus finitely many points."""
 
     def __init__(self, punctures: Sequence[ExtPoint], contains_infinity: bool = False):
-        self._punctures = _distinct_points(punctures)
-        self._contains_inf = bool(contains_infinity)
-        self._components = tuple(ComplementPoint(p) for p in self._punctures)
-
-    @property
-    def punctures(self) -> Tuple[complex, ...]:
-        return self._punctures
-
-    def _contains_infinity(self) -> bool:
-        return self._contains_inf
-
-    def complement_components(self) -> Tuple[Component, ...]:
-        return self._components
-
-    def to_json_dict(self) -> dict:
-        out = {"type": "finite_complement",
-               "punctures": [[p.real, p.imag] for p in self._punctures]}
-        if self._contains_inf:
-            out["contains_infinity"] = True
-        return out
+        self.punctures = _distinct_points(punctures)
+        spec = {"type": "finite_complement",
+                "punctures": [[p.real, p.imag] for p in self.punctures]}
+        if contains_infinity:
+            spec["contains_infinity"] = True
+        super().__init__([ComplementPoint(p) for p in self.punctures], contains_infinity, spec)
 
 
 class UnitDisk(Domain):
     """The open unit disk."""
 
-    def complement_components(self) -> Tuple[Component, ...]:
-        return (ComplementDiskExterior(0.0, 1.0),)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "unit_disk"}
+    def __init__(self):
+        super().__init__([ComplementDiskExterior(0.0, 1.0)], False, {"type": "unit_disk"})
 
 
 class PuncturedUnitDisk(Domain):
     """The open unit disk minus the origin."""
 
-    def complement_components(self) -> Tuple[Component, ...]:
-        return (ComplementPoint(0.0), ComplementDiskExterior(0.0, 1.0))
-
-    def to_json_dict(self) -> dict:
-        return {"type": "punctured_unit_disk"}
+    def __init__(self):
+        super().__init__([ComplementPoint(0.0), ComplementDiskExterior(0.0, 1.0)], False,
+                         {"type": "punctured_unit_disk"})
 
 
 class ExteriorUnitDisk(Domain):
     """The open region outside the closed unit disk (infinity excluded)."""
 
-    def complement_components(self) -> Tuple[Component, ...]:
-        return (ComplementDisk(0.0, 1.0),)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "exterior_unit_disk"}
+    def __init__(self):
+        super().__init__([ComplementDisk(0.0, 1.0)], False, {"type": "exterior_unit_disk"})
 
 
 class UpperHalfPlane(Domain):
     """The open upper half-plane Im z > 0."""
 
-    def complement_components(self) -> Tuple[Component, ...]:
-        return (ComplementHalfPlane(0.0, 1.0),)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "upper_half_plane"}
+    def __init__(self):
+        super().__init__([ComplementHalfPlane(0.0, 1.0)], False, {"type": "upper_half_plane"})
 
 
 class PuncturedSubdomain(Domain):
     """A base domain with finitely many interior points removed."""
 
     def __init__(self, base: Domain, punctures: Sequence[ExtPoint]):
-        pts = _distinct_points(punctures)
-        for p in pts:
+        self.punctures = _distinct_points(punctures)
+        for p in self.punctures:
             if not base.contains(p):
                 raise DomainError(f"puncture {p!r} is not inside the base domain")
-        self.base = base
-        self._punctures = pts
-
-    @property
-    def punctures(self) -> Tuple[complex, ...]:
-        return self._punctures
-
-    def _contains_infinity(self) -> bool:
-        return self.base._contains_infinity()
-
-    def complement_components(self) -> Tuple[Component, ...]:
-        return self.base.complement_components() + tuple(
-            ComplementPoint(p) for p in self._punctures)
-
-    def to_json_dict(self) -> dict:
-        return {"type": "punctured_subdomain",
-                "base": self.base.to_json_dict(),
-                "punctures": [[p.real, p.imag] for p in self._punctures]}
+        super().__init__(
+            base.complement_components() + tuple(ComplementPoint(p) for p in self.punctures),
+            base.contains_infinity,
+            {"type": "punctured_subdomain", "base": base.to_json_dict(),
+             "punctures": [[p.real, p.imag] for p in self.punctures]})
 
 
 class TranslatedScaled(Domain):
@@ -582,23 +539,12 @@ class TranslatedScaled(Domain):
         scale = as_finite(scale)
         if scale == 0:
             raise DomainError("scale must be nonzero")
-        self.base = base
-        self.scale = scale
-        self.shift = as_finite(shift)
-        self._components = tuple(comp.transformed(scale, self.shift)
-                                 for comp in base.complement_components())
-
-    def _contains_infinity(self) -> bool:
-        return self.base._contains_infinity()
-
-    def complement_components(self) -> Tuple[Component, ...]:
-        return self._components
-
-    def to_json_dict(self) -> dict:
-        return {"type": "translated_scaled",
-                "base": self.base.to_json_dict(),
-                "scale": [self.scale.real, self.scale.imag],
-                "shift": [self.shift.real, self.shift.imag]}
+        shift = as_finite(shift)
+        super().__init__(
+            [comp.transformed(scale, shift) for comp in base.complement_components()],
+            base.contains_infinity,
+            {"type": "translated_scaled", "base": base.to_json_dict(),
+             "scale": [scale.real, scale.imag], "shift": [shift.real, shift.imag]})
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ import numpy as np
 from .constants import KAPPA
 from .beta import up_modulus_sup
 from .densities import h_interval, h_upper_three_punct
-from .domains import ComplementDisk, ComplementDiskExterior, ComplementPoint, Domain
-from .solver import VerdictCounts, k_interval_fast, k_star_exact
+from .domains import ComplementDisk, ComplementDiskExterior, ComplementPoint, Domain, k_star_exact
+from .solver import VerdictCounts, k_interval_fast
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ density on it.  The last grid is kept in one module-level slot (about 18 MB
 at 128x128 on four punctures) and reused when the same domain, anchors and
 ``Resolution`` come again, as they do for ``k_chordal_numeric`` after
 ``k_numeric`` on the same pair, and for either solver with the endpoints
-swapped.
+swapped.  Both slots key on the domain itself: two domains are equal when
+their JSON descriptions are.
 
 ``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
 are kept in a second slot, keyed on the domain and the bytes of the two
@@ -38,7 +39,6 @@ whose clearance needed the exact segment distance).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import time
@@ -109,10 +109,6 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 # Closed forms and analytic lower bounds
 # ---------------------------------------------------------------------------
-
-# On the upper half-plane the quasihyperbolic and hyperbolic distances agree.
-k_halfplane_exact = halfplane_distance
-
 
 def gp_lower_bound(domain: Domain, a: complex, b: complex) -> float:
     """log(1 + |a-b| / min(delta(a), delta(b)))."""
@@ -369,17 +365,11 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
 _last_grid: Optional[Tuple[tuple, _Grid]] = None
 
 
-def _domain_key(domain: Domain) -> tuple:
-    """What the slots key a domain on: two domains with equal keys give
-    equal results."""
-    return type(domain), json.dumps(domain.to_json_dict(), sort_keys=True)
-
-
 def _grid_for(domain: Domain, anchors: Sequence[complex],
               res: Resolution) -> Tuple[_Grid, bool]:
     """The grid of (domain, anchors, res), and whether it was reused."""
     global _last_grid
-    key = (_domain_key(domain), np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
+    key = (domain, np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
     last = _last_grid
     if last is not None and last[0] == key:
         return last[1], True
@@ -397,12 +387,13 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     ``delta_field > 0``, the chart stitching, the anchors (appended as
     explicit nodes wired to their nearest grid nodes) and the edges that
     pass the clearance test, each stored once as (lower id, higher id).  The
-    last grid is kept in one module-level slot, keyed by the domain's type
-    and JSON, the anchors bit for bit and the ``Resolution``, and is reused
-    when the same key comes again: ``k_chordal_numeric`` after ``k_numeric``
-    on the same problem, or either solver with the endpoints swapped (the
-    anchors are put in canonical order).  At 128x128 on four punctures the
-    slot holds about 18 MB; a miss empties it before building.
+    last grid is kept in one module-level slot, keyed by the domain itself
+    (domains are equal when their JSON descriptions are), the anchors bit
+    for bit and the ``Resolution``, and is reused when the same key comes
+    again: ``k_chordal_numeric`` after ``k_numeric`` on the same problem, or
+    either solver with the endpoints swapped (the anchors are put in
+    canonical order).  At 128x128 on four punctures the slot holds about
+    18 MB; a miss empties it before building.
 
     The weighting is per density: the density at every node and edge
     midpoint, the three-point quadrature weight, the drop of edges whose
@@ -645,7 +636,8 @@ def k_numeric(domain: Domain, a: complex, b: complex,
     density = quasihyperbolic_density(domain)
     comps = domain.complement_components()
     if comps == (ComplementHalfPlane(),):
-        lower = (k_halfplane_exact(a, b), "halfplane-exact")
+        # the quasihyperbolic and hyperbolic distances of a half-plane agree
+        lower = (halfplane_distance(a, b), "halfplane-exact")
     elif len(comps) == 1 and isinstance(comps[0], ComplementPoint):
         lower = (k_star_exact(a, b, comps[0].point), "one-puncture-exact")
     else:
@@ -702,7 +694,7 @@ def _k_interval_fast_curves(domain: Domain, a: complex, b: complex
     a, b = complex(a), complex(b)
     # bytes, not values: -0.0 and 0.0 are different keys, as cmath.phase
     # tells them apart
-    key = (_domain_key(domain), np.array([a, b], dtype=np.complex128).tobytes())
+    key = (domain, np.array([a, b], dtype=np.complex128).tobytes())
     last = _last_fast
     if last is None or last[0] != key:
         iv, curves = _measure_fast(domain, a, b)

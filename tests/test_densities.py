@@ -292,6 +292,51 @@ def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
     assert "exact" not in iv.lower_source and "exact" not in iv.upper_source
 
 
+def _inside_the_unit_circle(angle: float, ulps: int) -> complex:
+    r = 1.0
+    for _ in range(ulps):
+        r = math.nextafter(r, 0.0)
+    return r * complex(math.cos(angle), math.sin(angle))
+
+
+_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+_near_circle = st.builds(_inside_the_unit_circle, _angle, st.integers(min_value=1, max_value=5))
+_deep_disk_point = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                             st.floats(min_value=0.0, max_value=0.99), _angle)
+
+
+def _unit_disk_or_image(moved: bool, w_a: complex, w_b: complex):
+    """The unit disk and two of its points, or their images under z -> s z + c."""
+    if not moved:
+        return UnitDisk(), w_a, w_b
+    s, c = 2.0 - 1.0j, 3.0 + 0.5j
+    return TranslatedScaled(UnitDisk(), s, c), s * w_a + c, s * w_b + c
+
+
+@settings(deadline=None, max_examples=80)
+@given(_near_circle, _deep_disk_point, st.booleans())
+# a point the disk contains whose image (a - c) / R once rounded onto the
+# circle, where atanh's argument reached 1 and h_interval raised
+@example(-0.8825268774496718 + 0.47026195952780553j, 0.5 + 0j, False)
+def test_h_interval_a_few_ulps_inside_the_unit_circle(w_a, w_b, moved):
+    dom, a, b = _unit_disk_or_image(moved, w_a, w_b)
+    assume(dom.contains(a))
+    iv = h_interval(dom, a, b)
+    assert iv.lower_source == "disk-exact"
+    assert math.isfinite(iv.lower) and iv.lower == iv.upper > 0.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(_deep_disk_point, _deep_disk_point, st.booleans())
+def test_h_interval_on_the_unit_disk_is_the_disk_distance(w_a, w_b, moved):
+    # the z-form of the model distance is the atanh form, up to rounding
+    assume(abs(w_a - w_b) >= 1e-2)
+    dom, a, b = _unit_disk_or_image(moved, w_a, w_b)
+    iv = h_interval(dom, a, b)
+    assert iv.lower_source == "disk-exact"
+    assert iv.lower == pytest.approx(hyperbolic_disk_distance(w_a, w_b), rel=1e-12)
+
+
 @pytest.mark.parametrize("a, b, lower", [(1.1, -1.1, 6.089), (2.0, 3.0j, 1.364)])
 def test_h_interval_lower_outside_the_unit_disk_pins(a, b, lower):
     iv = h_interval(ExteriorUnitDisk(), a, b)

@@ -282,6 +282,69 @@ def test_json_roundtrip(dom):
     assert hash(back) == hash(dom)
 
 
+PINNED_IDS = ["sphere-minus-three", "plane-minus-one", "disk", "punctured-disk", "exterior",
+              "halfplane", "punctured-subdomain", "translated-scaled"]
+PINNED_DESCRIPTIONS = [
+    (FiniteComplement([0.0, 1.0, -2.0j], contains_infinity=True),
+     "FiniteComplement({'type': 'finite_complement', 'punctures': [[0.0, 0.0], [1.0, 0.0], "
+     "[-0.0, -2.0]], 'contains_infinity': True})",
+     '{"type": "finite_complement", "punctures": [[0.0, 0.0], [1.0, 0.0], [-0.0, -2.0]], '
+     '"contains_infinity": true}'),
+    (FiniteComplement([0.5]),
+     "FiniteComplement({'type': 'finite_complement', 'punctures': [[0.5, 0.0]]})",
+     '{"type": "finite_complement", "punctures": [[0.5, 0.0]]}'),
+    (UnitDisk(), "UnitDisk({'type': 'unit_disk'})", '{"type": "unit_disk"}'),
+    (PuncturedUnitDisk(), "PuncturedUnitDisk({'type': 'punctured_unit_disk'})",
+     '{"type": "punctured_unit_disk"}'),
+    (ExteriorUnitDisk(), "ExteriorUnitDisk({'type': 'exterior_unit_disk'})",
+     '{"type": "exterior_unit_disk"}'),
+    (UpperHalfPlane(), "UpperHalfPlane({'type': 'upper_half_plane'})",
+     '{"type": "upper_half_plane"}'),
+    (PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]),
+     "PuncturedSubdomain({'type': 'punctured_subdomain', 'base': {'type': 'unit_disk'}, "
+     "'punctures': [[0.0, 0.25], [-0.3, 0.0]]})",
+     '{"type": "punctured_subdomain", "base": {"type": "unit_disk"}, '
+     '"punctures": [[0.0, 0.25], [-0.3, 0.0]]}'),
+    (TranslatedScaled(PuncturedUnitDisk(), 2.0j, 1.0),
+     "TranslatedScaled({'type': 'translated_scaled', 'base': {'type': 'punctured_unit_disk'}, "
+     "'scale': [0.0, 2.0], 'shift': [1.0, 0.0]})",
+     '{"type": "translated_scaled", "base": {"type": "punctured_unit_disk"}, '
+     '"scale": [0.0, 2.0], "shift": [1.0, 0.0]}'),
+]
+
+
+@pytest.mark.parametrize("dom, text, wire", PINNED_DESCRIPTIONS, ids=PINNED_IDS)
+def test_repr_and_json_dict_pinned_with_key_order(dom, text, wire):
+    assert repr(dom) == text
+    assert json.dumps(dom.to_json_dict()) == wire
+
+
+@pytest.mark.parametrize("dom", [d for d, _, _ in PINNED_DESCRIPTIONS], ids=PINNED_IDS)
+def test_mutating_the_json_dict_leaves_the_domain_unchanged(dom):
+    before = json.dumps(dom.to_json_dict())
+    out = dom.to_json_dict()
+    out["type"] = "mutated"
+    for value in out.values():
+        if isinstance(value, list):
+            value.append([9.0, 9.0])
+        if isinstance(value, dict):
+            value.clear()
+    assert json.dumps(dom.to_json_dict()) == before
+    assert dom == domain_from_json_text(before)
+
+
+def test_a_translated_scaled_copy_is_another_domain():
+    disk, image = UnitDisk(), TranslatedScaled(UnitDisk(), 1.0, 0.0)
+    assert disk != image and image != disk
+    assert image == TranslatedScaled(UnitDisk(), 1.0, 0.0)
+    assert hash(image) == hash(TranslatedScaled(UnitDisk(), 1.0, 0.0))
+
+
+@pytest.mark.parametrize("dom", [d for d, _, _ in PINNED_DESCRIPTIONS], ids=PINNED_IDS)
+def test_components_built_once(dom):
+    assert dom.complement_components() is dom.complement_components()
+
+
 def test_finite_complement_components_built_once():
     dom = FiniteComplement([0.0, 1.0, -2.0j], contains_infinity=True)
     comps = dom.complement_components()

@@ -15,13 +15,15 @@ from qhyp import (
     FiniteComplement,
     PuncturedSubdomain,
     Resolution,
+    TranslatedScaled,
+    UnitDisk,
     UpperHalfPlane,
     annulus_inside,
     check_annulus_k_comparison,
     chordal_gp_lower,
     gp_lower_bound,
+    halfplane_distance,
     k_chordal_numeric,
-    k_halfplane_exact,
     k_interval_fast,
     k_lower_analytic,
     k_numeric,
@@ -56,8 +58,8 @@ def test_k_star_exact_values():
 
 
 def test_k_halfplane_matches_hyperbolic():
-    assert k_halfplane_exact(1.0j, 2.0j) == pytest.approx(math.log(2.0), abs=1e-15)
-    assert k_halfplane_exact(-1.0 + 1.0j, 1.0 + 1.0j) == pytest.approx(
+    assert halfplane_distance(1.0j, 2.0j) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert halfplane_distance(-1.0 + 1.0j, 1.0 + 1.0j) == pytest.approx(
         math.acosh(3.0), abs=1e-12
     )
 
@@ -121,7 +123,7 @@ def test_numeric_halfplane_contains_exact():
     dom = UpperHalfPlane()
     a, b = 0.3 + 0.2j, -1.0 + 2.5j
     result = k_numeric(dom, a, b, RES)
-    exact = k_halfplane_exact(a, b)
+    exact = halfplane_distance(a, b)
     assert result.distance.lower == pytest.approx(exact, abs=1e-12)
     assert result.distance.upper >= exact - 1e-12
     assert result.distance.upper <= exact * 1.05
@@ -588,7 +590,23 @@ def test_fast_slot_tells_domains_with_the_same_punctures_apart():
     # the same punctures in another order: another key, an equal result
     swapped = FiniteComplement(punctures[::-1])
     assert solver_module._k_interval_fast_curves(swapped, a, b)[0] == cold_plane[0]
-    assert solver_module._last_fast[0] != solver_module._domain_key(plane)
+    kept_for = solver_module._last_fast[0][0]
+    assert kept_for == swapped and kept_for != plane
+
+
+def test_fast_slot_keeps_a_translated_scaled_copy_apart(monkeypatch):
+    # the same set, built two ways: two domains, so each is measured
+    disk, image = UnitDisk(), TranslatedScaled(UnitDisk(), 1.0, 0.0)
+    a, b = 0.3 + 0.4j, -0.5 + 0.1j
+    solver_module._last_fast = None
+    measured = []
+    real_measure = solver_module._measure_fast
+    monkeypatch.setattr(solver_module, "_measure_fast",
+                        lambda dom, a, b: measured.append(dom) or real_measure(dom, a, b))
+    for dom in (disk, disk, image, image, disk):
+        solver_module._k_interval_fast_curves(dom, a, b)
+    assert measured == [disk, image, disk]
+    assert [type(d) for d in measured] == [UnitDisk, TranslatedScaled, UnitDisk]
 
 
 def test_fast_interval_ordering_and_speed_shape():
