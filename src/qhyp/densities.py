@@ -214,9 +214,15 @@ def _anchor_points(domain: Domain, a: complex, b: complex) -> List[complex]:
 
 
 def _twice_punctured_lower(a: complex, b: complex, p: complex, q: complex) -> Optional[float]:
-    """Lower bound via the inclusion of the domain in the plane minus {p, q}."""
+    """Lower bound via the inclusion of the domain in the plane minus {p, q},
+    or None when there is none: the points lie on either side of the circle
+    |z - p| = |q - p|, or the image z -> (z - p)/(q - p) of one of them rounds
+    onto 0 or 1 (a point within about 1e-16 |q - p| of p, as e^-64 is of 0)."""
     w = q - p
-    val, ok = h01_lower((a - p) / w, (b - p) / w)
+    za, zb = (a - p) / w, (b - p) / w
+    if za in (0, 1) or zb in (0, 1):
+        return None
+    val, ok = h01_lower(za, zb)
     return val if ok else None
 
 

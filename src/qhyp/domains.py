@@ -9,7 +9,6 @@ model lower bounds for h and k are all derived from the components; the
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -57,12 +56,15 @@ def circle_samples(center: complex, radius: float) -> List[complex]:
 
 def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
     """Quasihyperbolic distance in the plane punctured at one point:
-    the hypotenuse of the log-radius change and the minimal winding angle."""
+    the hypotenuse of the log-radius change and the minimal winding angle.
+    The angles are ``math.atan2``'s, the values of ``cmath.phase``, which
+    raises where the angle underflows (at 2 + 5e-324j)."""
     va, vb = complex(a) - center, complex(b) - center
     if va == 0 or vb == 0:
         raise ValueError("points must avoid the puncture")
     dlog = math.log(abs(vb)) - math.log(abs(va))
-    dang = math.remainder(cmath.phase(vb) - cmath.phase(va), 2.0 * math.pi)
+    dang = math.remainder(math.atan2(vb.imag, vb.real) - math.atan2(va.imag, va.real),
+                          2.0 * math.pi)
     return math.hypot(dlog, dang)
 
 
@@ -78,12 +80,18 @@ def halfplane_distance(a: complex, b: complex) -> float:
 
 def hyperbolic_disk_distance(a: complex, b: complex) -> float:
     """Hyperbolic distance in the unit disk (curvature -1 normalization
-    matching the density 2/(1-|z|^2))."""
+    matching the density 2/(1-|z|^2)): cosh h = 1 + 2 |a - b|^2 / ((1 - |a|^2)
+    (1 - |b|^2)), so h = 2 asinh(|a - b| / sqrt((1 - |a|^2)(1 - |b|^2))).
+    Each 1 - |z|^2 is taken as (1 - |z|)(1 + |z|), as
+    ``_RoundComponent.h_lower`` takes it, so that distinct points a few ulps
+    inside the circle keep a finite, positive distance; |a - b| is not
+    squared, so that it does not underflow."""
     a, b = as_finite(a), as_finite(b)
-    if not (abs(a) < 1.0 and abs(b) < 1.0):
+    ra, rb = abs(a), abs(b)
+    if not (ra < 1.0 and rb < 1.0):
         raise DomainError("points must lie in the open unit disk")
-    t = abs((a - b) / (1.0 - a.conjugate() * b))
-    return 2.0 * math.atanh(t)
+    return 2.0 * math.asinh(abs(a - b) / math.sqrt(((1.0 - ra) * (1.0 + ra))
+                                                     * ((1.0 - rb) * (1.0 + rb))))
 
 
 class Component:
@@ -683,3 +691,258 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
         total += float(np.sum(coarse))
     return total
 
+
+# ---------------------------------------------------------------------------
+# Closed-form k-length in the plane minus finitely many points
+# ---------------------------------------------------------------------------
+
+_ROUND = 2.0 ** -53        # unit roundoff of a double
+_ERR = 16.0 * _ROUND       # relative error budget of a derived coordinate
+_PAD = 64.0 * _ROUND       # relative pad of each evaluated piece
+_ABS = 2.0 ** -1068        # absolute error budget of a coordinate, for underflow
+_TINY = 2.0 ** -1060       # absolute pad of each evaluated piece, for underflow
+
+
+def _asinh_ratio(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """asinh(x / d) for x, d >= 0, without overflowing x / d; 0 where x is 0."""
+    r = x / d
+    big = ~(r < 1e300)  # also nan, at x = d = 0
+    val = np.arcsinh(np.where(big, 0.0, r))
+    if big.any():
+        val = np.where(big, np.log(x + np.hypot(x, d)) - np.log(d), val)
+    return np.where(x > 0, val, 0.0)
+
+
+def _one_side(a: np.ndarray, ell: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """asinh((a + ell) / d) - asinh(a / d) for a, ell, d >= 0, the integral of
+    1/sqrt(s^2 + d^2) over [a, a + ell], written as log1p of a sum of
+    positive terms, so that a short piece far from its puncture keeps its
+    relative accuracy; |log((a + ell) / a)| when d is 0.  Meaningless where
+    ell is 0, which ``_piece_upper`` masks."""
+    b = a + ell
+    ra, rb = np.hypot(a, d), np.hypot(b, d)
+    x = ell * (1.0 + (a + b) / (ra + rb)) / (a + ra)
+    fine = x < 1e300
+    return np.where(fine, np.log1p(np.where(fine, x, 0.0)), np.log(b + rb) - np.log(a + ra))
+
+
+def _piece_upper(s0: Tuple[np.ndarray, np.ndarray], s1: Tuple[np.ndarray, np.ndarray],
+                 ell: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """An upper bound of the integral of 1/sqrt((t - t_p)^2 + d_p^2) over a
+    piece [t0, t1] of length at most ``ell``, where t0 - t_p lies in the
+    enclosure ``s0`` = (lo, hi), t1 - t_p in ``s1``, and d_p >= ``d``.
+
+    The integral grows with the length, shrinks as the piece moves away from
+    the foot t_p, and shrinks with d_p; a piece that may contain the foot is
+    bounded by the two sides' reaches and by the centred piece
+    2 asinh(ell / 2d), and is infinite when d is 0."""
+    right, left = s0[0] >= 0.0, s1[1] <= 0.0
+    a = np.where(right, s0[0], np.where(left, -s1[1], 0.0))
+    val = _one_side(a, ell, d)
+    across = np.flatnonzero(~(right | left))
+    if across.size:
+        da = d[across]
+        val[across] = np.where(da > 0, np.minimum(
+            _asinh_ratio(np.maximum(-s0[0][across], 0.0), da)
+            + _asinh_ratio(np.maximum(s1[1][across], 0.0), da),
+            2.0 * _asinh_ratio(0.5 * ell[across], da)), np.inf)
+    return np.where(ell > 0, val * (1.0 + _PAD) + _TINY, 0.0)
+
+
+def punctured_k_length(path, punctures: Sequence[complex]) -> float:
+    """The quasihyperbolic length of a polyline in the plane minus the finite
+    set ``punctures``, in closed form and rounded outward: never below the
+    exact integral of 1/delta, and infinite when the path meets a puncture.
+
+    Each segment [u, v] is parametrised as u + t e, |e| = 1, t in [0, L],
+    from its end nearer the punctures.  For a puncture p, w = (p - u) conj(e)
+    gives the foot t_p = Re w and the distance d_p = |Im w| of p from the
+    segment's line, and |z - p|^2 = (t - t_p)^2 + d_p^2.  The nearest
+    puncture changes where the segment crosses a perpendicular bisector, so
+    the segment splits into at most P pieces, on each of which 1/delta has
+    the antiderivative asinh((t - t_p) / d_p) (a log when d_p is 0).
+
+    Error budget.  With U = 2^-53, every coordinate below is enclosed by its
+    computed value plus or minus 16 U times the size it is derived from
+    (about twice a first-order count of the roundings involved: U for p - u,
+    5 U for the direction e, 3 U for the product), plus 2^-1068 for
+    underflow:
+    - the offsets t - t_p of u and of v from each foot, within 16 U |p - u|
+      and 16 U |p - v|; an interior cut point t uses the enclosure from u or
+      from v, whichever is narrower, the latter widened by L's own error of
+      4 U L;
+    - d_p, taken from the end nearer p, within 16 U min(|p - u|, |p - v|);
+    - the side of the bisector of c and q at t, f(t) = Re((z - m) conj(n)),
+      m = (c + q)/2, n = (q - c)/|q - c|, as -num + t den with num within
+      16 U (|c - u| + |q - u|) and den within 16 U.
+    Where f's upper bound is negative for every other q, c is surely the
+    nearest puncture: on that core the piece is evaluated at the ends of the
+    enclosures that make it largest, as ``_piece_upper`` says.  Between the
+    cores lies the uncertainty about the breakpoints; there the smallest of
+    four bounds is charged:
+    - the 1-Lipschitz bound on delta, delta(t) >= delta(x) - |t - x| from
+      either end x of the gap, whose integral is log(delta / (delta - w))
+      over a gap of width w;
+    - the piece of the puncture c of the core on either side, with d_c^2
+      lowered by Q = max over q of 2 |q - c| f_cq, since |z - c|^2 - |z - q|^2
+      = 2 |q - c| f_cq(z).
+    Every evaluated piece is then padded by 64 U and 2^-1060, their sum by
+    2 n U for its n terms, and the total rounded up once with
+    ``math.nextafter``.  The error in d_p is what limits the accuracy: where
+    a segment passes its foot, the integral moves by about 2 dd / d_p, so
+    the result is within about 1e-12 relative of the exact integral where
+    every d_p exceeds 1e-3 of the segment's length.  Memory is O(P S) for P
+    punctures and S segments: the cores and the gaps take one pass over the
+    punctures each.
+    """
+    if isinstance(path, Polyline):
+        pts = path.as_array()
+    else:
+        pts = np.asarray(list(path), dtype=np.complex128)
+    p = np.asarray(list(punctures), dtype=np.complex128)[:, None]
+    u, v = pts[:-1], pts[1:]
+    if u.size == 0:
+        return 0.0
+    if p.size == 0:
+        raise ValueError("need at least one puncture")
+    with np.errstate(all="ignore"):
+        parts = _punctured_pieces(u, v, p)
+    if not np.all(parts < math.inf):
+        return math.inf
+    # a sum of n non-negative terms is off by less than (n - 1) U of itself
+    return math.nextafter(float(np.sum(parts)) * (1.0 + 2.0 * parts.size * _ROUND), math.inf)
+
+
+def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The padded upper bounds of every core and gap of every segment, for
+    ``punctured_k_length``; ``p`` is the (P, 1) column of punctures."""
+    pu, pv = p - u, p - v
+    ru, rv = np.abs(pu), np.abs(pv)
+    flip = rv.min(axis=0) < ru.min(axis=0)   # start from the end nearer the punctures
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    pu, pv, ru, rv = (np.where(flip, pv, pu), np.where(flip, pu, pv),
+                      np.where(flip, rv, ru), np.where(flip, ru, rv))
+    seg = v - u
+    length = np.abs(seg)
+    live = length > 0
+    if not live.all():
+        u, seg, length, pu, pv, ru, rv = (u[live], seg[live], length[live], pu[:, live],
+                                          pv[:, live], ru[:, live], rv[:, live])
+    nseg = u.size
+    if nseg == 0:
+        return np.zeros(0)
+    e = seg / length
+    ec = np.conj(e)
+    l_hi, l_lo = length * (1.0 + 4.0 * _ROUND), length * (1.0 - 4.0 * _ROUND)
+    wu, wv = pu * ec, pv * ec
+    eu, ev = _ERR * ru + _ABS, _ERR * rv + _ABS
+    su, sv = -wu.real, -wv.real          # offsets of u and v from each foot
+    near_u = ru <= rv
+    d = np.where(near_u, np.abs(wu.imag), np.abs(wv.imag))
+    d_lo = np.maximum(0.0, (d - np.where(near_u, eu, ev)) * (1.0 - 2.0 * _ROUND))
+
+    def offsets(rows, cols, t, at_v):
+        """(lo, hi) of t - t_p for the puncture ``rows`` on the segment
+        ``cols`` (index arrays that broadcast); ``at_v`` marks v itself."""
+        s_u, s_v, e_u, e_v = su[rows, cols], sv[rows, cols], eu[rows, cols], ev[rows, cols]
+        lh, ll = l_hi[cols], l_lo[cols]
+        mid = s_u + t
+        err_u = e_u + 2.0 * _ROUND * np.abs(mid)
+        lo_v, hi_v = s_v - (lh - t), s_v - (ll - t)
+        err_v = e_v + 4.0 * _ROUND * (np.abs(s_v) + lh)
+        by_u = 2.0 * err_u <= hi_v - lo_v + 2.0 * err_v
+        lo = np.where(at_v, s_v - e_v, np.where(by_u, mid - err_u, lo_v - err_v))
+        hi = np.where(at_v, s_v + e_v, np.where(by_u, mid + err_u, hi_v + err_v))
+        return lo, hi
+
+    def bisector_bounds(c_idx, cols):
+        """(A, B) with f_cq(t) <= -A + t B for t >= 0, for every q (rows)
+        and the puncture ``c_idx`` (one, or one per column) on the segments
+        ``cols``, and 2 |q - c| rounded up; rows q = c hold nan."""
+        n = p - p[c_idx, 0]
+        nn = np.abs(n)
+        nh_c = np.conj(n / nn)
+        num = (0.5 * (pu[c_idx, cols] + pu[:, cols]) * nh_c).real
+        a = num - (_ERR * (ru[c_idx, cols] + ru[:, cols]) + _ABS)
+        return a, (e[cols] * nh_c).real + _ERR, 2.0 * (1.0 + 4.0 * _ROUND) * nn
+
+    # cores: where f's upper bound, -A + t B, is negative for every other q
+    npunct = p.shape[0]
+    alpha = np.empty((npunct, nseg))
+    beta = np.empty((npunct, nseg))
+    for c in range(npunct):
+        a, b, _ = bisector_bounds(c, slice(None))
+        rising = b > 0
+        r = np.nextafter(a / b, np.where(rising, -np.inf, np.inf))  # rounded inward
+        keep_all = a > 0
+        lo = np.where(b < 0, r, np.where(rising | keep_all, -np.inf, np.inf))
+        hi = np.where(rising, r, np.where((b < 0) | keep_all, np.inf, -np.inf))
+        lo[c], hi[c] = -np.inf, np.inf
+        alpha[c] = np.maximum(0.0, lo.max(axis=0))
+        beta[c] = np.minimum(hi.min(axis=0), l_hi)
+    reach = beta >= l_hi                 # the core ends at v itself
+    core = alpha < beta
+    rows_c, cols_c = np.nonzero(core)
+    pieces = [(rows_c, cols_c, alpha[core], np.zeros(rows_c.size, dtype=bool), beta[core],
+               reach[core], (beta[core] - alpha[core]) * (1.0 + 2.0 * _ROUND), d_lo[core])]
+
+    # the gaps: from u to the first core, and from each core to the next
+    # one or to v, each with the cores on either side (-1 for none)
+    alpha_m = np.where(core, alpha, np.inf)
+
+    def next_core(after):
+        end = after.min(axis=0)
+        return end, np.where(end < np.inf, after.argmin(axis=0), -1)
+
+    gaps = [(np.zeros(nseg), np.zeros(nseg, dtype=bool), np.full(nseg, -1),
+             *next_core(alpha_m))]
+    for c in range(npunct):
+        gaps.append((np.where(core[c], beta[c], l_hi), reach[c], np.full(nseg, c),
+                     *next_core(np.where(alpha_m >= beta[c], alpha_m, np.inf))))
+    starts, start_v, left, ends, right = (np.array(x) for x in zip(*gaps))
+    last = ends == np.inf                # the gap that ends at v
+    ends = np.where(last, l_hi, ends)
+    width = np.maximum(0.0, (ends - starts) * (1.0 + 2.0 * _ROUND))
+    gj, gs = np.nonzero(width > 0)
+    ngap = gs.size
+    if ngap:
+        w, t0, t1 = width[gj, gs], starts[gj, gs], ends[gj, gs]
+        at0, at1 = start_v[gj, gs], last[gj, gs]
+        left, right = left[gj, gs], right[gj, gs]
+        # the candidate pieces: the puncture of the core on either side, or
+        # the nearest one at that end of the segment
+        cand = np.concatenate([np.where(left >= 0, left, np.argmin(ru[:, gs], axis=0)),
+                               np.where(right >= 0, right, np.argmin(rv[:, gs], axis=0))])
+        cols_g = np.concatenate([gs, gs])
+        a, b, twice_n = bisector_bounds(cand, cols_g)
+        t0_2, t1_2 = np.concatenate([t0, t0]), np.concatenate([t1, t1])
+        f_top = np.maximum(np.maximum(t0_2 * b, t1_2 * b) - a, 0.0)
+        q = np.where(np.arange(npunct)[:, None] == cand, 0.0, twice_n * f_top).max(axis=0)
+        dc = d_lo[cand, cols_g]
+        shrink = q / dc / dc * (1.0 + 4.0 * _ROUND)
+        reducible = (q == 0) | (shrink < 1.0)
+        d_red = np.where(q > 0, dc * np.sqrt(np.maximum(0.0, 1.0 - shrink))
+                         * (1.0 - 4.0 * _ROUND), dc)
+        pieces.append((cand, cols_g, t0_2, np.concatenate([at0, at0]), t1_2,
+                       np.concatenate([at1, at1]), np.concatenate([w, w]), d_red))
+
+    rows, cols, ta, va, tb, vb, ell, dd = (np.concatenate(x) for x in zip(*pieces))
+    lo, hi = offsets(np.concatenate([rows, rows]), np.concatenate([cols, cols]),
+                     np.concatenate([ta, tb]), np.concatenate([va, vb]))
+    n = rows.size
+    vals = _piece_upper((lo[:n], hi[:n]), (lo[n:], hi[n:]), ell, dd)
+    ncore = rows_c.size
+    if not ngap:
+        return vals
+    # the 1-Lipschitz bound from either end of each gap
+    lo, hi = offsets(np.arange(npunct)[:, None], np.concatenate([gs, gs]),
+                     np.concatenate([t0, t1]), np.concatenate([at0, at1]))
+    dist = np.hypot(np.maximum(0.0, np.maximum(lo, -hi)), d_lo[:, np.concatenate([gs, gs])])
+    ratio = (np.concatenate([w, w]) / (dist.min(axis=0) * (1.0 - 4.0 * _ROUND))
+             * (1.0 + 2.0 * _ROUND))
+    fits = ratio < 1.0
+    lipschitz = (np.where(fits, -np.log1p(-np.where(fits, ratio, 0.0)), np.inf)
+                 * (1.0 + _PAD) + _TINY)
+    reduced = np.where(reducible, vals[ncore:], np.inf)
+    charge = np.minimum(lipschitz, reduced).reshape(2, ngap).min(axis=0)
+    return np.concatenate([vals[:ncore], charge])

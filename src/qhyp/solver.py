@@ -3,10 +3,15 @@
 The solver builds overlapping log-polar grids around each removed point (or a
 height-graded Cartesian grid for a half-plane), runs a shortest-path search
 with quadrature edge weights, straightens the discrete path by local
-perpendicular relaxation, and then measures the final curve with adaptive
-quadrature.  The measured length is a genuine upper bound for the distance;
-the lower bound comes from closed-form estimates, so the returned interval is
-certified up to quadrature tolerance.
+perpendicular relaxation, and then measures the final curve.  The measured
+length is a genuine upper bound for the distance; the lower bound comes from
+closed-form estimates.  On the plane minus finitely many points the k-length
+of a polyline has a closed form, which ``domains.punctured_k_length``
+evaluates rounded outward, so there the interval holds without a tolerance.
+Off point complements (the half-plane), and for the chordal density, the
+curve is measured by adaptive quadrature, and the interval is certified up to
+quadrature tolerance (``MEASURE_TOL``).  An upper bound that comes out below
+the lower one raises ``InconsistentIntervalError``.
 
 The graph is built in two steps.  The grid is free of the density: the
 charts, the nodes inside the domain, the stitched edges, the anchors and the
@@ -64,6 +69,7 @@ from .domains import (
     annulus_inside,
     halfplane_distance,
     k_star_exact,
+    punctured_k_length,
     rho_length,
 )
 from .geometry import Annulus, Polyline, chi_arc, segment_point_distance
@@ -76,7 +82,7 @@ class SolverError(RuntimeError):
 MARGIN = 0.7         # extra log-radius padding of each chart around the data
 STITCH_K = 8         # neighbours tried when stitching a chart to the earlier ones
 ENDPOINT_K = 12      # grid nodes wired to each anchor
-MEASURE_TOL = 1e-9   # tolerance, and outward pad, of the final length measurement
+MEASURE_TOL = 1e-9   # quadrature tolerance, and outward pad, off point complements
 
 
 @dataclass(frozen=True)
@@ -111,13 +117,23 @@ class GeodesicResult:
 # ---------------------------------------------------------------------------
 
 def gp_lower_bound(domain: Domain, a: complex, b: complex) -> float:
-    """log(1 + |a-b| / min(delta(a), delta(b)))."""
-    return math.log1p(abs(a - b) / min(domain.delta(a), domain.delta(b)))
+    """log(1 + |a-b| / min(delta(a), delta(b))), or log |a-b| - log min(delta)
+    where the quotient overflows, which is smaller by under 1e-308."""
+    gap, near = abs(a - b), min(domain.delta(a), domain.delta(b))
+    ratio = gap / near
+    if ratio < math.inf:
+        return math.log1p(ratio)
+    return math.log(gap) - math.log(near)
 
 
 def gp_ratio_lower_bound(domain: Domain, a: complex, b: complex) -> float:
-    """|log(delta(a) / delta(b))|."""
-    return abs(math.log(domain.delta(a) / domain.delta(b)))
+    """|log(delta(a) / delta(b))|, as a difference of logs where the
+    quotient is not a normal float."""
+    da, db = domain.delta(a), domain.delta(b)
+    ratio = da / db
+    if sys.float_info.min <= ratio < math.inf:
+        return abs(math.log(ratio))
+    return abs(math.log(da) - math.log(db))
 
 
 def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str]:
@@ -246,13 +262,21 @@ def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
     return _Chart(z.ravel(), spacing, _grid_pairs(nt, nx, wrap=False))
 
 
+def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
+    """The punctures when the domain is the plane minus finitely many
+    points (its complement components are all points), else None."""
+    comps = domain.complement_components()
+    if comps and all(isinstance(c, ComplementPoint) for c in comps):
+        return tuple(c.point for c in comps)
+    return None
+
+
 def _charts_for(domain: Domain, a: complex, b: complex,
                 res: Resolution) -> List[_Chart]:
-    comps = domain.complement_components()
-    if comps == (ComplementHalfPlane(),):
+    if domain.complement_components() == (ComplementHalfPlane(),):
         return [_halfplane_chart(a, b, res)]
-    if comps and all(isinstance(c, ComplementPoint) for c in comps):
-        punctures = [c.point for c in comps]
+    punctures = _point_punctures(domain)
+    if punctures is not None:
         charts = []
         for p in punctures:
             others = [q for q in punctures if q != p]
@@ -587,8 +611,18 @@ def _canonical(a: complex, b: complex) -> Tuple[complex, complex, bool]:
     return b, a, True
 
 
+def _quadrature_length(density):
+    """The measurement off point complements, as (value, upper bound):
+    ``rho_length`` at ``MEASURE_TOL``, and that value padded outward by the
+    same factor."""
+    def measure(path: Polyline) -> Tuple[float, float]:
+        measured = rho_length(path, density, rel_tol=MEASURE_TOL)
+        return measured, measured * (1.0 + MEASURE_TOL)
+    return measure
+
+
 def _geodesic(domain: Domain, a: complex, b: complex, density,
-              lower: Tuple[float, str], res: Resolution) -> GeodesicResult:
+              lower: Tuple[float, str], res: Resolution, measure) -> GeodesicResult:
     a, b = complex(a), complex(b)
     domain.delta(a)
     domain.delta(b)
@@ -609,18 +643,13 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     meta["relax_sweeps"] = sweeps
     t3 = time.perf_counter()
     path = Polyline.cleaned(relaxed)
-    measured = rho_length(path, density, rel_tol=MEASURE_TOL)
-    upper = measured * (1.0 + MEASURE_TOL)
-    meta["measured"] = measured
+    meta["measured"], upper = measure(path)
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
     meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t3 - t2,
                 measure_s=time.perf_counter() - t3)
 
     lo_val, lo_src = lower
-    if upper < lo_val:
-        # quadrature noise on exactly known pairs; tie the interval together
-        upper = lo_val
     iv = DistanceInterval(lo_val, upper, lo_src, "relaxed-grid-path")
     if flipped:
         path = path.reversed()
@@ -631,9 +660,19 @@ def k_numeric(domain: Domain, a: complex, b: complex,
               resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the quasihyperbolic distance along with the
     discrete near-geodesic.  Lower bounds are exact for one removed point and
-    for the half-plane."""
+    for the half-plane.  On the plane minus finitely many points the path is
+    measured in closed form and rounded outward (``punctured_k_length``), so
+    the upper bound holds without a tolerance; on the half-plane it is
+    certified up to the quadrature tolerance ``MEASURE_TOL``."""
     res = resolution or Resolution()
     density = quasihyperbolic_density(domain)
+    punctures = _point_punctures(domain)
+    if punctures is None:
+        measure = _quadrature_length(density)
+    else:
+        def measure(path: Polyline) -> Tuple[float, float]:
+            length = punctured_k_length(path, punctures)
+            return length, length
     comps = domain.complement_components()
     if comps == (ComplementHalfPlane(),):
         # the quasihyperbolic and hyperbolic distances of a half-plane agree
@@ -642,7 +681,7 @@ def k_numeric(domain: Domain, a: complex, b: complex,
         lower = (k_star_exact(a, b, comps[0].point), "one-puncture-exact")
     else:
         lower = k_lower_analytic(domain, a, b)
-    return _geodesic(domain, a, b, density, lower, res)
+    return _geodesic(domain, a, b, density, lower, res, measure)
 
 
 def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
@@ -665,7 +704,7 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
     lo_euc = k_lower_analytic(domain, a, b)
     lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
         (0.25 * lo_euc[0], f"quarter-euclidean[{lo_euc[1]}]")
-    return _geodesic(domain, a, b, density, lower, res)
+    return _geodesic(domain, a, b, density, lower, res, _quadrature_length(density))
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +714,12 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
 def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Two-sided quasihyperbolic enclosure from closed-form lower bounds and
     measured candidate curves (straight segment, circular-arc detours around
-    each removed point).  No grid; looser than the numeric solver."""
+    each removed point).  No grid; looser than the numeric solver.  On the
+    plane minus finitely many points each curve is measured in closed form,
+    rounded outward (``punctured_k_length``), and a curve that meets a
+    puncture is dropped; elsewhere it is measured by quadrature at 1e-9 and
+    padded by that factor, so the upper bound is certified up to that
+    tolerance."""
     return _k_interval_fast_curves(domain, a, b)[0]
 
 
@@ -687,7 +731,7 @@ _last_fast: Optional[Tuple[tuple, tuple]] = None
 def _k_interval_fast_curves(domain: Domain, a: complex, b: complex
                             ) -> Tuple[DistanceInterval, List[Tuple[Polyline, str]]]:
     """``k_interval_fast``'s enclosure, and the candidate curves it measured
-    (those along which the density is finite), each with its name.  The last
+    (those of finite k-length), each with its name.  The last
     result is kept, so ``h_interval`` and then ``k_interval_fast`` on the
     same pair measure the curves once."""
     global _last_fast
@@ -711,6 +755,7 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     if a == b:
         return DistanceInterval(0.0, 0.0, "coincident", "coincident"), []
     lo_val, lo_src = k_lower_analytic(domain, a, b)
+    punctures = _point_punctures(domain)
     density = quasihyperbolic_density(domain)
 
     upper = math.inf
@@ -739,23 +784,33 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     for path, name in candidates:
         if len(path) < 2:
             continue  # collapsed to a point: its length 0 bounds nothing
-        probe = path.as_array()
-        vals = density(probe)
-        mids = density(0.5 * (probe[:-1] + probe[1:]))
-        if not (np.all(np.isfinite(vals)) and np.all(vals > 0)
-                and np.all(np.isfinite(mids)) and np.all(mids > 0)):
-            continue
-        try:
-            # a candidate cut off above the best so far loses either way
-            val = rho_length(path, density, rel_tol=1e-9, stop_above=upper) * (1.0 + 1e-9)
-        except OutsideDomainError:
-            continue
+        if punctures is not None:
+            val = punctured_k_length(path, punctures)
+        else:
+            val = _quadrature_fast(path, density, upper)
+        if val == math.inf:
+            continue  # the curve meets the boundary
         curves.append((path, name))
         if val < upper:
             upper, up_src = val, name
-    if upper < lo_val:
-        upper = lo_val
     return DistanceInterval(lo_val, upper, lo_src, up_src), curves
+
+
+def _quadrature_fast(path: Polyline, density, best: float) -> float:
+    """A candidate's k-length off point complements: ``rho_length`` at 1e-9,
+    padded outward by the same factor, or inf where the density is not
+    finite and positive on the curve.  A candidate cut off above ``best``
+    loses either way."""
+    probe = path.as_array()
+    vals = density(probe)
+    mids = density(0.5 * (probe[:-1] + probe[1:]))
+    if not (np.all(np.isfinite(vals)) and np.all(vals > 0)
+            and np.all(np.isfinite(mids)) and np.all(mids > 0)):
+        return math.inf
+    try:
+        return rho_length(path, density, rel_tol=1e-9, stop_above=best) * (1.0 + 1e-9)
+    except OutsideDomainError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,8 @@ _plane_point = st.tuples(st.floats(min_value=-3.0, max_value=3.0),
 @given(_plane_point, _plane_point)
 # the segment passes 1 at a subnormal distance, where 1/delta overflows
 @example(2 + 2.225073858507203e-309j, 0.5 + 0j)
+# the winding angle of b about 0 underflows, where cmath.phase raises
+@example(1j, 2 + 5e-324j)
 def test_h_interval_upper_at_most_twice_k(a, b):
     dom = FiniteComplement([0.0, 1.0])
     assume(min(abs(a), abs(a - 1.0), abs(b), abs(b - 1.0)) > 0.05 and a != b)
@@ -489,3 +491,29 @@ def test_k_and_h_equal_with_cold_and_warm_fast_slot():
             h_interval(dom, a, b)
             assert k_interval_fast(dom, a, b) == cold_k  # warm from h, when it measured k
             assert h_interval(dom, a, b) == cold_h
+
+
+# ---------------------------------------------------------------------------
+# Points many decades apart
+# ---------------------------------------------------------------------------
+
+# h_interval at e^-L, e^L on the plane minus {0, 1}, L = 1, 2, ..., 32 (the
+# rows of counterexample_divergence): (lower, upper, upper source).
+_DIVERGENCE_H = [
+    (0.0, 8.641553131176948), (0.0, 10.827184608397387), (0.0, 12.839211774156235),
+    (0.0, 14.89231506113682), (0.0, 16.998913518121046), (0.0, 19.141733564808593),
+]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_h_interval_on_the_divergence_rows(n):
+    dom = FiniteComplement([0.0, 1.0])
+    L = 2.0 ** (n - 1)
+    iv = h_interval(dom, math.exp(-L), math.exp(L))
+    if n <= 6:
+        assert (iv.lower, iv.upper) == _DIVERGENCE_H[n - 1]
+        assert iv.upper_source == "density-bound(arc(1+0j))"
+    else:
+        # e^-L rounds onto the puncture in the twice-punctured bound's
+        # coordinates, and every candidate curve meets a puncture
+        assert (iv.lower, iv.upper) == (0.0, math.inf)

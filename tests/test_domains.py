@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from qhyp import (
     chordal_distance_field,
     domain_from_json,
     domain_from_json_text,
+    hyperbolic_disk_distance,
+    punctured_k_length,
     quasihyperbolic_density,
     rho_length,
 )
@@ -481,3 +484,166 @@ def test_rho_length_radial_quasihyperbolic(r1, r2):
     val = rho_length(path, quasihyperbolic_density(dom), rel_tol=1e-11)
     assert val == pytest.approx(abs(math.log(r1 / r2)), rel=1e-8)
 
+
+
+# ---------------------------------------------------------------------------
+# Closed-form k-length in the plane minus finitely many points
+# ---------------------------------------------------------------------------
+
+def _dec_asinh(x: Decimal) -> Decimal:
+    if x < 0:
+        return -_dec_asinh(-x)
+    if x < Decimal("1e-20"):
+        return x - x * x * x / 6
+    return (x + (x * x + 1).sqrt()).ln()
+
+
+def _dec_asinh_gap(x0: Decimal, x1: Decimal) -> Decimal:
+    """asinh(x1) - asinh(x0) for x0 < x1, without cancellation: on one side
+    of 0 it is asinh of sinh(A - B) = (x1 - x0)(x1 + x0) / (x1 sqrt(1 + x0^2)
+    + x0 sqrt(1 + x1^2))."""
+    if x0 < 0 < x1:
+        return _dec_asinh(x1) + _dec_asinh(-x0)
+    if x1 <= 0:
+        x0, x1 = -x1, -x0
+    return _dec_asinh((x1 - x0) * (x1 + x0)
+                      / (x1 * (1 + x0 * x0).sqrt() + x0 * (1 + x1 * x1).sqrt()))
+
+
+def _dec_k_length(points, punctures):
+    """The exact k-length of a polyline in the plane minus ``punctures``,
+    evaluated with 50 significant digits: each segment is cut where the
+    nearest puncture changes, and each piece integrated by its asinh terms
+    (a log where the segment's line meets the puncture).
+    Returns (length, smallest d_p / L over the segments)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        punct = [(Decimal(q.real), Decimal(q.imag)) for q in punctures]
+        total, thinnest = Decimal(0), Decimal("Infinity")
+        for z0, z1 in zip(points[:-1], points[1:]):
+            # from the end nearer the punctures, where the cuts lie best
+            if min(abs(q - z1) for q in punctures) < min(abs(q - z0) for q in punctures):
+                z0, z1 = z1, z0
+            ux, uy = Decimal(z0.real), Decimal(z0.imag)
+            dx, dy = Decimal(z1.real) - ux, Decimal(z1.imag) - uy
+            length = (dx * dx + dy * dy).sqrt()
+            ex, ey = dx / length, dy / length
+            feet = [(px - ux) * ex + (py - uy) * ey for px, py in punct]
+            dists = [abs((py - uy) * ex - (px - ux) * ey) for px, py in punct]
+            thinnest = min([thinnest] + [dp / length for dp in dists])
+            cuts = {Decimal(0), length}
+            for i, (pix, piy) in enumerate(punct):
+                for qx, qy in punct[i + 1:]:
+                    nx, ny = qx - pix, qy - piy
+                    den = ex * nx + ey * ny
+                    if den != 0:
+                        t = (((pix + qx) / 2 - ux) * nx + ((piy + qy) / 2 - uy) * ny) / den
+                        if 0 < t < length:
+                            cuts.add(t)
+            cuts = sorted(cuts)
+            for t0, t1 in zip(cuts[:-1], cuts[1:]):
+                tm = (t0 + t1) / 2
+                k = min(range(len(punct)), key=lambda i: (tm - feet[i]) ** 2 + dists[i] ** 2)
+                s0, s1, dp = t0 - feet[k], t1 - feet[k], dists[k]
+                if dp == 0:
+                    if s0 * s1 <= 0:
+                        return math.inf, thinnest
+                    total += abs((s1 / s0).ln())
+                else:
+                    total += _dec_asinh_gap(s0 / dp, s1 / dp)
+        return total, thinnest
+
+
+def _scaled_vertex(draw, punctures):
+    p = punctures[draw(st.integers(0, len(punctures) - 1))]
+    r = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return p + r * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+@st.composite
+def _scale_spanning_polyline(draw):
+    """1-4 punctures in [-2, 2]^2 and a polyline whose vertices lie at radii
+    log-uniform in [1e-300, 1e300] about them."""
+    coord = st.floats(-2.0, 2.0)
+    punctures = draw(st.lists(st.builds(complex, coord, coord), min_size=1, max_size=4,
+                              unique=True))
+    vertices = [_scaled_vertex(draw, punctures) for _ in range(draw(st.integers(2, 5)))]
+    return punctures, vertices
+
+
+@settings(deadline=None, max_examples=60)
+@given(_scale_spanning_polyline())
+def test_punctured_k_length_bounds_the_decimal_reference(case):
+    punctures, vertices = case
+    if any(v in punctures for v in vertices) or any(
+            v == w for v, w in zip(vertices[:-1], vertices[1:])):
+        return  # a vertex on a puncture, or a segment of length 0
+    got = punctured_k_length(vertices, punctures)
+    exact, thinnest = _dec_k_length(vertices, punctures)
+    if exact == math.inf:
+        assert got == math.inf
+        return
+    assert Decimal(got) >= exact
+    # d_p is known to about 16 ulps of |p - u|, and the integral moves by
+    # 2 dd / d_p where the segment passes its foot: so the bound is tight to
+    # 1e-12 only where no segment passes closer than 1e-3 of its length
+    if thinnest > Decimal("1e-3") and got < math.inf:
+        assert Decimal(got) <= exact * (1 + Decimal("1e-12"))
+
+
+@pytest.mark.parametrize("r", [1e-12, 1e-17, 1e-19, 1e-25, 1e-40])
+def test_punctured_k_length_across_scales_matches_asinh_terms(r):
+    # the segment from r (1 + i/3) to 1 + 0.5i about the puncture 0, where
+    # adaptive quadrature stops counting once r falls below about 1e-17
+    u, v = r * (1.0 + 1.0j / 3.0), 1.0 + 0.5j
+    got = punctured_k_length([u, v], [0.0])
+    exact, _ = _dec_k_length([u, v], [0.0])
+    assert exact <= Decimal(got) <= exact * (1 + Decimal("1e-13"))
+    if r <= 1e-25:
+        assert got > 57.6
+
+
+def test_punctured_k_length_through_a_puncture_is_infinite():
+    assert punctured_k_length([-1.0, 2.0], [0.0, 5.0j]) == math.inf
+    assert punctured_k_length([1.0, 2.0 + 1.0j, 1.0j], [1.0j, 7.0]) == math.inf
+    # collinear with the puncture but short of it: the log term
+    assert punctured_k_length([1.0, 2.0], [0.0]) == pytest.approx(math.log(2.0), rel=1e-14)
+    assert punctured_k_length([complex(-1.0, -0.0), complex(-2.0, 0.0)], [0.0]) >= math.log(2.0)
+
+
+def test_punctured_k_length_agrees_with_quadrature_on_thick_curves():
+    dom = FiniteComplement([0.0, 1.0, 1.0j])
+    path = Polyline([-0.5 + 0.3j, 0.5 + 0.5j, 2.1 - 1.0j, 3.0 + 2.0j, -1.0 + 2.0j])
+    quad = rho_length(path, quasihyperbolic_density(dom), rel_tol=1e-12)
+    assert punctured_k_length(path, dom.finite_boundary_points()) == pytest.approx(quad, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The disk's hyperbolic distance near its circle
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi),
+       st.integers(1, 5), st.integers(1, 5))
+def test_hyperbolic_disk_distance_a_few_ulps_inside_the_circle(ta, tb, ka, kb):
+    ra, rb = 1.0, 1.0
+    for _ in range(ka):
+        ra = math.nextafter(ra, 0.0)
+    for _ in range(kb):
+        rb = math.nextafter(rb, 0.0)
+    a, b = ra * cmath.exp(1j * ta), rb * cmath.exp(1j * tb)
+    if not (abs(a) < 1.0 and abs(b) < 1.0):
+        return  # the rotation rounded the point onto or past the circle
+    d = hyperbolic_disk_distance(a, b)
+    assert math.isfinite(d) and d >= 0.0
+    assert d == hyperbolic_disk_distance(b, a)
+    if a != b:
+        assert d > 0.0
+
+
+def test_hyperbolic_disk_distance_of_antipodes_an_ulp_inside():
+    # twice the distance 2 atanh(r) from 0, with 2 atanh(r) = log((1 + r)/(1 - r))
+    # = log(2^54 - 1) at r = 1 - 2^-53; the atanh form raised here
+    r = math.nextafter(1.0, 0.0)
+    assert hyperbolic_disk_distance(r, -r) == pytest.approx(2.0 * math.log(2.0 ** 54 - 1.0),
+                                                            rel=1e-15)

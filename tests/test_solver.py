@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qhyp import (
     Annulus,
     FiniteComplement,
+    InconsistentIntervalError,
     PuncturedSubdomain,
     Resolution,
     TranslatedScaled,
@@ -138,15 +139,19 @@ def test_numeric_coincident_endpoints():
 # Exact results of the grid solver at 32x32, recorded before the relaxation
 # probes and the graph's node densities were batched: (lower, upper, path
 # vertices, relaxation sweeps).  Batching changes no probe, comparison or
-# sum, so every value must stay bit-identical.
+# sum, so every value must stay bit-identical.  The k_numeric uppers were
+# re-recorded when the final path came to be measured in closed form
+# (``punctured_k_length``): 3.7849148559847303 -> 3.7849148525807856 and
+# 4.949933776468884 -> 4.949933771532068, each within 2e-14 above the exact
+# length of its path.
 PINNED_RES = Resolution(radial=32, angular=32)
 PINNED = [
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
-     (3.3451138067704846, 3.7849148559847303, 17, 28)),
+     (3.3451138067704846, 3.7849148525807856, 17, 28)),
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
      (1.2559490532982982, 2.8326905064784618, 20, 28)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
-     (2.9213342628373624, 4.949933776468884, 24, 18)),
+     (2.9213342628373624, 4.949933771532068, 24, 18)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_chordal_numeric,
      (1.3283243296961784, 3.1122782462876573, 25, 14)),
 ]
@@ -607,6 +612,46 @@ def test_fast_slot_keeps_a_translated_scaled_copy_apart(monkeypatch):
         solver_module._k_interval_fast_curves(dom, a, b)
     assert measured == [disk, image, disk]
     assert [type(d) for d in measured] == [UnitDisk, TranslatedScaled, UnitDisk]
+
+
+@pytest.mark.parametrize("L", [64.0, 128.0, 256.0, 512.0, 700.0])
+def test_fast_interval_lower_bound_across_decades(L):
+    # delta(a)/delta(b) underflows and |a - b|/delta(a) overflows here
+    iv = k_interval_fast(FiniteComplement([0.0, 1.0]), math.exp(-L), math.exp(L))
+    assert math.isfinite(iv.lower)
+    assert iv.lower == pytest.approx(2.0 * L, rel=1e-12)
+
+
+def test_fast_interval_drops_the_segment_through_a_puncture():
+    # the segment from e^-32 to e^32 runs through the puncture 1: quadrature
+    # used to give it a finite length and report it as the upper bound
+    dom = FiniteComplement([0.0, 1.0])
+    solver_module._last_fast = None
+    iv, curves = solver_module._k_interval_fast_curves(dom, math.exp(-32.0), math.exp(32.0))
+    assert iv.upper_source == "arc(1+0j)"
+    assert iv.lower == 64.0 and 66.8 < iv.upper < 66.9
+    assert [name for _, name in curves] == ["arc(1+0j)"]
+
+
+def test_fast_interval_is_exact_to_rounding_across_scales():
+    # the pair 1e-25 e^(2i), 0.5 + 0.8i, whose quadrature upper bound used to
+    # fall below the lower one and be tied to it
+    dom = FiniteComplement([0.0, 1.0])
+    iv = k_interval_fast(dom, 1e-25 * cmath.exp(2j), 0.5 + 0.8j)
+    assert iv.lower == pytest.approx(57.5148, abs=1e-4)
+    assert iv.upper == pytest.approx(57.7609, abs=1e-4)
+
+
+def test_an_upper_bound_below_the_lower_one_raises(monkeypatch):
+    # no clamp ties an inverted enclosure together any more
+    dom = FiniteComplement([0.0, 1.0])
+    monkeypatch.setattr(solver_module, "punctured_k_length", lambda path, punctures: 1.0)
+    solver_module._last_fast = None
+    with pytest.raises(InconsistentIntervalError):
+        k_interval_fast(dom, -0.5 + 0.3j, 2.1 - 1.0j)
+    with pytest.raises(InconsistentIntervalError):
+        k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
+    solver_module._last_fast = None
 
 
 def test_fast_interval_ordering_and_speed_shape():
