@@ -21,6 +21,7 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
+    OutsideDomainError,
     rho_length,
 )
 from .geometry import Polyline, _unique_points, as_finite
@@ -135,6 +136,12 @@ class DistanceInterval:
 # Hyperbolic distance estimates
 # ---------------------------------------------------------------------------
 
+def _log_quotient(x: float, y: float) -> float:
+    """log(x / y), or log x - log y where the quotient overflows."""
+    q = x / y
+    return math.log(q) if q < math.inf else math.log(x) - math.log(y)
+
+
 def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
                   radius: float = 1.0) -> float:
     """Upper bound for the hyperbolic distance in a punctured disk:
@@ -146,8 +153,8 @@ def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
     radius/2; farther out the value can fall below the distance.
     """
     a, b = as_finite(a), as_finite(b)
-    la = math.log(radius / abs(a - center))
-    lb = math.log(radius / abs(b - center))
+    la = _log_quotient(radius, abs(a - center))
+    lb = _log_quotient(radius, abs(b - center))
     if not (la > 0.0 and lb > 0.0):
         raise DomainError("points must lie strictly inside the punctured disk")
     return abs(math.log(la / lb)) + PI_OVER_LOG2
@@ -159,8 +166,8 @@ def h_upper_disk_exterior(a: complex, b: complex, center: complex = 0.0,
     inversion about the circle): an upper bound when the farther point lies
     at least 2 radius from the center."""
     a, b = as_finite(a), as_finite(b)
-    la = math.log(abs(a - center) / radius)
-    lb = math.log(abs(b - center) / radius)
+    la = _log_quotient(abs(a - center), radius)
+    lb = _log_quotient(abs(b - center), radius)
     if not (la > 0.0 and lb > 0.0):
         raise DomainError("points must lie strictly outside the closed disk")
     return abs(math.log(la / lb)) + PI_OVER_LOG2
@@ -232,23 +239,34 @@ def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
     rho+ = min(2/delta, (pi/2)/(delta beta)) along the one of ``curves``
     whose integral to 1e-3 is smallest, with that curve's name.  It stops
     once it exceeds ``cap``, so a value above ``cap`` only says that the
-    curve does not beat it.  2/delta holds as the domain contains the disk
-    B(z, delta(z)); the Beardon-Pommerenke factor, infinite where beta
-    vanishes, is an upper density only where ``beta_field`` does not exceed
-    the true gap exponent, the same assumption ``bp_upper_density`` makes."""
+    curve does not beat it.  An integral is infinite where the quadrature
+    does not converge or rho+ overflows (delta subnormal), and the result is
+    (inf, "") when no rough integral is finite.  2/delta holds as the domain
+    contains the disk B(z, delta(z)); the Beardon-Pommerenke factor,
+    infinite where beta vanishes, is an upper density only where
+    ``beta_field`` does not exceed the true gap exponent, the same
+    assumption ``bp_upper_density`` makes."""
     from .beta import beta_field  # deferred: beta builds on this module
 
     def rho(z):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return (np.minimum(2.0, (math.pi / 2.0) / beta_field(domain, z))
                     / domain.delta_field(z))
 
+    def length(curve: Polyline, rel_tol: float, stop_above: float) -> float:
+        try:
+            return rho_length(curve, rho, rel_tol=rel_tol, stop_above=stop_above)
+        except OutsideDomainError:  # rho+ is not finite on the curve
+            return math.inf
+
     best, path, name = math.inf, None, ""
     for curve, curve_name in curves:
-        rough = rho_length(curve, rho, rel_tol=1e-3, stop_above=best)
+        rough = length(curve, 1e-3, best)
         if rough < best:
             best, path, name = rough, curve, curve_name
-    return rho_length(path, rho, rel_tol=1e-8, stop_above=cap) * (1.0 + 1e-8), name
+    if path is None:
+        return math.inf, ""
+    return length(path, 1e-8, cap) * (1.0 + 1e-8), name
 
 
 def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:

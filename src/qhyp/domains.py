@@ -197,16 +197,17 @@ class _RoundComponent(Component):
     def h_lower(self, a: complex, b: complex) -> Tuple[float, str]:
         # w = (z - center) / radius maps the inside of the circle, and w =
         # radius / (z - center) its outside on the sphere, onto the unit
-        # disk, where cosh h = 1 + 2 |w_a - w_b|^2 / ((1 - |w_a|^2)(1 -
-        # |w_b|^2)).  Written in z, both give the expression below, whose
+        # disk, where h = 2 asinh(|w_a - w_b| / sqrt((1 - |w_a|^2)(1 -
+        # |w_b|^2))).  Written in z, both give the expression below, whose
         # factors |z - center| - radius are the points' distances to the
         # circle, taken as distance_field takes them, so no point of the
-        # domain rounds onto the circle.  A disk's model contains infinity:
-        # it is exact only for a domain that does.
+        # domain rounds onto the circle; r |a - b| is not squared, so that
+        # it does not underflow.  A disk's model contains infinity: it is
+        # exact only for a domain that does.
         ra, rb = (float(x) for x in np.abs(np.array([a, b]) - self.center))
         r = self.radius
-        s = 2.0 * (r * abs(a - b)) ** 2 / ((ra - r) * (ra + r) * (rb - r) * (rb + r))
-        return math.log1p(s + math.sqrt(s * (s + 2.0))), "disk"
+        return 2.0 * math.asinh(r * abs(a - b) / math.sqrt(
+            (abs(ra - r) * (ra + r)) * (abs(rb - r) * (rb + r)))), "disk"
 
     def transformed(self, scale: complex, shift: complex) -> "_RoundComponent":
         return type(self)(scale * self.center + shift, abs(scale) * self.radius)
@@ -641,10 +642,11 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
 
     Adaptive midpoint quadrature, refined breadth-first with all active
     subintervals evaluated in one vectorized call per level.  The result is
-    accurate to ``rel_tol`` relative error for smooth densities; pieces
-    still unconverged after 60 levels contribute their last estimate.  A
-    density value at a quadrature point that is not finite, or is negative,
-    raises ``OutsideDomainError``.
+    accurate to ``rel_tol`` relative error for smooth densities.  A piece
+    still unconverged after 60 levels makes the result infinite: its last
+    estimate bounds nothing, and it is wrong by any factor where the density
+    spans more than about 2^60 along it.  A density value at a quadrature
+    point that is not finite, or is negative, raises ``OutsideDomainError``.
 
     ``stop_above`` ends the refinement early, returning the partial sum as
     soon as it exceeds that value.  A piece is accepted only when
@@ -687,9 +689,7 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
         starts = np.concatenate([starts[keep], mids[keep]])
         ends = np.concatenate([mids[keep], ends[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-    else:
-        total += float(np.sum(coarse))
-    return total
+    return math.inf if len(starts) else total
 
 
 # ---------------------------------------------------------------------------

@@ -348,25 +348,21 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _close_or_overflowing(z: np.ndarray) -> Optional[Tuple[int, bool]]:
-    """The first i where |z[i+1] - z[i]| <= 1e-15 max(1, |z[i]|, |z[i+1]|),
-    or where one of those moduli overflows as Python's ``abs`` raises on it,
-    with whether it overflows; None when there is no such i."""
+def _overflowing(z: np.ndarray) -> bool:
+    """Whether the modulus of a vertex, or of the difference of two
+    consecutive ones, overflows where Python's ``abs`` raises on it."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = _abs(z)
         dz = z[1:] - z[:-1]
         gap = _abs(dz)
-    overflow = np.isinf(r[:-1]) | np.isinf(r[1:]) | (np.isinf(gap) & np.isfinite(dz))
-    close = gap <= 1e-15 * np.maximum(1.0, np.maximum(r[:-1], r[1:]))
-    bad = np.flatnonzero(overflow | close)
-    if len(bad) == 0:
-        return None
-    i = int(bad[0])
-    return i, bool(overflow[i])
+    return bool(np.isinf(r[:-1]).any() or np.isinf(r[1:]).any()
+                or (np.isinf(gap) & np.isfinite(dz)).any())
 
 
 class Polyline:
-    """Immutable piecewise linear path with validated, pairwise-distinct vertices."""
+    """Immutable piecewise linear path through the finite vertices it is
+    given, in order.  Consecutive vertices may coincide: a zero-length
+    segment adds nothing to a length, and every measurement skips it."""
 
     __slots__ = ("points", "_length")
 
@@ -377,34 +373,13 @@ class Polyline:
             z = np.array([as_finite(p) for p in points], dtype=np.complex128)
         if len(z) == 0:
             raise ValueError("a polyline needs at least one point")
-        bad = _close_or_overflowing(z)
-        if bad is not None:
-            i, overflow = bad
-            if overflow:
-                raise OverflowError("absolute value too large")
-            raise ValueError(f"consecutive points {i} and {i + 1} coincide")
+        if _overflowing(z):
+            raise OverflowError("absolute value too large")
         object.__setattr__(self, "points", tuple(z.tolist()))
         object.__setattr__(self, "_length", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polyline is immutable")
-
-    @classmethod
-    def cleaned(cls, points: Sequence[ExtPoint]) -> "Polyline":
-        """Build a polyline, silently dropping near-duplicate consecutive points."""
-        z = _finite_array(points)
-        if z is not None and _close_or_overflowing(z) is None:
-            return cls(z)
-        # rare: drop each point against the last one kept
-        pts: List[complex] = []
-        for p in (points if z is None else z.tolist()):
-            w = as_finite(p)
-            if pts:
-                scale = max(1.0, abs(pts[-1]), abs(w))
-                if abs(w - pts[-1]) <= 1e-15 * scale:
-                    continue
-            pts.append(w)
-        return cls(pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -456,7 +431,10 @@ def chi_arc(a: ExtPoint, b: ExtPoint, center: ExtPoint = 0.0) -> Polyline:
     ``center`` followed by a radial segment out to the farther point.
 
     The arc takes the shorter angular route; an exact half-turn goes
-    counterclockwise.  Total length is at most (pi/2 + 1) |a - b|.
+    counterclockwise.  Total length is at most (pi/2 + 1) |a - b|.  The
+    interior vertices are computed about ``center`` and shifted back, but
+    the first and last vertex are ``a`` and ``b`` themselves, so the path
+    joins them at every scale.
     """
     c = as_finite(center)
     a = as_finite(a)
@@ -486,4 +464,4 @@ def chi_arc(a: ExtPoint, b: ExtPoint, center: ExtPoint = 0.0) -> Polyline:
         pts.append(vb)
     if flipped:
         pts.reverse()
-    return Polyline.cleaned(np.array(pts) + c)
+    return Polyline([a, *(np.array(pts[1:-1]) + c), b])

@@ -3,15 +3,19 @@
 The solver builds overlapping log-polar grids around each removed point (or a
 height-graded Cartesian grid for a half-plane), runs a shortest-path search
 with quadrature edge weights, straightens the discrete path by local
-perpendicular relaxation, and then measures the final curve.  The measured
-length is a genuine upper bound for the distance; the lower bound comes from
-closed-form estimates.  On the plane minus finitely many points the k-length
-of a polyline has a closed form, which ``domains.punctured_k_length``
-evaluates rounded outward, so there the interval holds without a tolerance.
-Off point complements (the half-plane), and for the chordal density, the
-curve is measured by adaptive quadrature, and the interval is certified up to
-quadrature tolerance (``MEASURE_TOL``).  An upper bound that comes out below
-the lower one raises ``InconsistentIntervalError``.
+perpendicular relaxation, and then measures the final curve.  Every curve
+measured, the relaxed path as well as ``k_interval_fast``'s segment and arcs,
+keeps the vertices it was built from, repeated ones included, so it runs
+from a to b exactly and its length is a genuine upper bound for the
+distance; the lower bound comes from closed-form estimates.  On the plane
+minus finitely many points the k-length of a polyline has a closed form,
+which ``domains.punctured_k_length`` evaluates rounded outward, so there the
+interval holds without a tolerance.  Off point complements (the half-plane),
+and for the chordal density, the curve is measured by adaptive quadrature,
+and the interval is certified up to quadrature tolerance (``MEASURE_TOL``);
+a quadrature that does not converge gives an infinite length.  An upper
+bound that comes out below the lower one raises
+``InconsistentIntervalError``.
 
 The graph is built in two steps.  The grid is free of the density: the
 charts, the nodes inside the domain, the stitched edges, the anchors and the
@@ -642,7 +646,7 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     relaxed, sweeps, work = _relax_path(raw, density, punctures, res)
     meta["relax_sweeps"] = sweeps
     t3 = time.perf_counter()
-    path = Polyline.cleaned(relaxed)
+    path = Polyline(relaxed)
     meta["measured"], upper = measure(path)
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
@@ -761,17 +765,7 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     upper = math.inf
     up_src = "none"
     curves: List[Tuple[Polyline, str]] = []
-    segment = Polyline.cleaned([a, b])
-    if len(segment) < 2:
-        # endpoints closer than rounding: nothing to integrate, but delta is
-        # 1-Lipschitz, so 1/delta <= 1/(min(delta(a), delta(b)) - |a-b|) on [a, b]
-        gap = math.nextafter(abs(a - b), math.inf)
-        near = min(domain.delta(a), domain.delta(b)) * (1.0 - 8.0 * sys.float_info.epsilon)
-        room = math.nextafter(near - gap, 0.0)
-        if room > 0.0:
-            upper, up_src = math.nextafter(gap / room, math.inf), "segment-lipschitz"
-
-    candidates: List[Tuple[Polyline, str]] = [(segment, "segment")]
+    candidates: List[Tuple[Polyline, str]] = [(Polyline([a, b]), "segment")]
     anchors = list(domain.finite_boundary_points())
     for comp in domain.complement_components():
         c = getattr(comp, "center", None)
@@ -782,14 +776,12 @@ def _measure_fast(domain: Domain, a: complex, b: complex
             candidates.append((chi_arc(a, b, c), f"arc({c:g})"))
 
     for path, name in candidates:
-        if len(path) < 2:
-            continue  # collapsed to a point: its length 0 bounds nothing
         if punctures is not None:
             val = punctured_k_length(path, punctures)
         else:
             val = _quadrature_fast(path, density, upper)
         if val == math.inf:
-            continue  # the curve meets the boundary
+            continue  # the curve meets the boundary, or quadrature did not converge
         curves.append((path, name))
         if val < upper:
             upper, up_src = val, name
@@ -799,8 +791,8 @@ def _measure_fast(domain: Domain, a: complex, b: complex
 def _quadrature_fast(path: Polyline, density, best: float) -> float:
     """A candidate's k-length off point complements: ``rho_length`` at 1e-9,
     padded outward by the same factor, or inf where the density is not
-    finite and positive on the curve.  A candidate cut off above ``best``
-    loses either way."""
+    finite and positive on the curve or the quadrature does not converge.
+    A candidate cut off above ``best`` loses either way."""
     probe = path.as_array()
     vals = density(probe)
     mids = density(0.5 * (probe[:-1] + probe[1:]))

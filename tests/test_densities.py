@@ -1,6 +1,7 @@
 """Density formulas, model distances, and certified hyperbolic intervals."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from qhyp import (
     punctured_disk_density,
     quasihyperbolic_density,
 )
+from qhyp import densities as densities_module
 from qhyp import solver as solver_module
 
 
@@ -243,6 +245,32 @@ def test_h_interval_punctured_disk_lower_respects_disk_metric():
     assert iv.upper >= iv.lower
 
 
+def _dec_asinh(x: Decimal) -> Decimal:
+    if x < Decimal("1e-20"):
+        return x - x * x * x / 6
+    return (x + (x * x + 1).sqrt()).ln()
+
+
+def _outside_disk_distance(dom, a: complex, b: complex) -> float:
+    """The hyperbolic distance of a and b in the sphere minus the closed disk
+    that is ``dom``'s one complement component, 2 asinh(R |a - b| /
+    sqrt((|a - c|^2 - R^2)(|b - c|^2 - R^2))), evaluated at 60 digits from
+    the points actually passed and the component's own center and radius."""
+    (comp,) = dom.complement_components()
+    with localcontext() as ctx:
+        ctx.prec = 60
+        c, r = comp.center, Decimal(comp.radius)
+
+        def sq(z):  # |z - c|^2
+            x, y = Decimal(z.real) - Decimal(c.real), Decimal(z.imag) - Decimal(c.imag)
+            return x * x + y * y
+
+        dx = Decimal(a.real) - Decimal(b.real)
+        dy = Decimal(a.imag) - Decimal(b.imag)
+        ratio = r * (dx * dx + dy * dy).sqrt() / ((sq(a) - r * r) * (sq(b) - r * r)).sqrt()
+        return float(2 * _dec_asinh(ratio))
+
+
 _disk_point = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
                         st.floats(min_value=1e-3, max_value=0.98),
                         st.floats(min_value=-math.pi, max_value=math.pi))
@@ -262,10 +290,15 @@ def test_h_interval_upper_at_least_disk_distance(w_a, w_b, exterior):
     # under z -> 1/z: both exceed the unit disk's
     assume(w_a != w_b)
     if exterior:
-        iv = h_interval(ExteriorUnitDisk(), 1 / w_a, 1 / w_b)
+        # compared at the points passed: 1 / w_a and 1 / w_b may round
+        # closer together than w_a and w_b are, or onto one point
+        dom, a, b = ExteriorUnitDisk(), 1 / w_a, 1 / w_b
+        model = _outside_disk_distance(dom, a, b)
     else:
-        iv = h_interval(PuncturedUnitDisk(), w_a, w_b)
-    assert iv.upper >= hyperbolic_disk_distance(w_a, w_b) * (1.0 - 1e-12)
+        dom, a, b = PuncturedUnitDisk(), w_a, w_b
+        model = hyperbolic_disk_distance(w_a, w_b)
+    iv = h_interval(dom, a, b)
+    assert iv.upper >= model * (1.0 - 1e-12)
 
 
 @settings(deadline=None, max_examples=40)
@@ -275,10 +308,13 @@ def test_h_interval_upper_at_least_disk_distance(w_a, w_b, exterior):
 @example(1 / 1.1 + 0j, -1 / 1.1 + 0j, False)
 @example(0.5 + 0j, -1j / 3.0, False)
 @example(0.5 + 0j, -1j / 3.0, True)
+# w_a and w_b 5.6e-108 apart, whose images both round to 7 - 1.5i: h is 0
+@example(0.5 + 0j, 0.5 + 5.6232285572273996e-108j, True)
 def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
     # outside a closed disk h is at least the distance in the sphere minus
     # the disk, which z -> 1/z maps onto the unit disk; infinity is on the
-    # boundary, so that distance is never exact
+    # boundary, so that distance is never exact.  It is compared at the
+    # points passed, not at w_a and w_b, which z -> s/z + c moves by rounding
     assume(w_a != w_b)
     a, b = 1 / w_a, 1 / w_b
     dom = ExteriorUnitDisk()
@@ -286,7 +322,7 @@ def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
         s, c = 2.0 - 1.0j, 3.0 + 0.5j
         dom, a, b = TranslatedScaled(dom, s, c), s * a + c, s * b + c
     iv = h_interval(dom, a, b)
-    assert iv.lower >= hyperbolic_disk_distance(w_a, w_b) * (1.0 - 1e-12)
+    assert iv.lower >= _outside_disk_distance(dom, a, b) * (1.0 - 1e-12)
     # near infinity the twice-punctured bound about two boundary points,
     # which counts infinity as a boundary point, can be the better one
     assert "exact" not in iv.lower_source and "exact" not in iv.upper_source
@@ -335,6 +371,28 @@ def test_h_interval_on_the_unit_disk_is_the_disk_distance(w_a, w_b, moved):
     iv = h_interval(dom, a, b)
     assert iv.lower_source == "disk-exact"
     assert iv.lower == pytest.approx(hyperbolic_disk_distance(w_a, w_b), rel=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=-300.0, max_value=-100.0),
+       st.booleans(), st.booleans())
+@example(0.5, math.log10(1e-170), False, False)
+def test_h_interval_of_points_far_below_rounding_scale(x, log_gap, outside, moved):
+    # a = x and b = x + i d, 1e-300 <= d <= 1e-100, in the unit disk or,
+    # as 1/x and 1/x + i d, outside it, or both doubled in the disk of
+    # radius 2: r |a - b| is not squared, so h is positive, and 2 d / |1 - x^2|
+    # to first order
+    d = 10.0 ** log_gap
+    if outside:
+        assume(abs(x) >= 1e-2)
+        x = 1.0 / x
+    dom = ExteriorUnitDisk() if outside else UnitDisk()
+    a, b = complex(x), complex(x, d)
+    if moved:
+        dom, a, b = TranslatedScaled(dom, 2.0, 0.0), 2.0 * a, 2.0 * b
+    iv = h_interval(dom, a, b)
+    assert iv.lower > 0.0
+    assert iv.lower == pytest.approx(2.0 * d / abs(1.0 - x * x), rel=1e-12)
 
 
 @pytest.mark.parametrize("a, b, lower", [(1.1, -1.1, 6.089), (2.0, 3.0j, 1.364)])
@@ -498,10 +556,10 @@ def test_k_and_h_equal_with_cold_and_warm_fast_slot():
 # ---------------------------------------------------------------------------
 
 # h_interval at e^-L, e^L on the plane minus {0, 1}, L = 1, 2, ..., 32 (the
-# rows of counterexample_divergence): (lower, upper, upper source).
+# rows of counterexample_divergence): (lower, upper).
 _DIVERGENCE_H = [
     (0.0, 8.641553131176948), (0.0, 10.827184608397387), (0.0, 12.839211774156235),
-    (0.0, 14.89231506113682), (0.0, 16.998913518121046), (0.0, 19.141733564808593),
+    (0.0, 14.892315061136824), (0.0, 16.998913518133687), (0.0, 19.14170465771006),
 ]
 
 
@@ -515,5 +573,79 @@ def test_h_interval_on_the_divergence_rows(n):
         assert iv.upper_source == "density-bound(arc(1+0j))"
     else:
         # e^-L rounds onto the puncture in the twice-punctured bound's
-        # coordinates, and every candidate curve meets a puncture
-        assert (iv.lower, iv.upper) == (0.0, math.inf)
+        # coordinates, and the rho+ integral along the arc about 1 does not
+        # converge within its levels: the upper bound is twice k's
+        k = k_interval_fast(dom, math.exp(-L), math.exp(L))
+        assert (iv.lower, iv.upper) == (0.0, 2.0 * k.upper)
+        assert iv.upper_source == "double-quasihyperbolic"
+        assert math.isfinite(iv.upper)
+
+
+def test_bp_arc_upper_is_infinite_where_no_rough_integral_converges():
+    # at e^-64, e^64 the density spans far more than 2^60 along the arc
+    # about 1, whose rho+ integral is then infinite, not its last estimate
+    dom = FiniteComplement([0.0, 1.0])
+    _, curves = solver_module._k_interval_fast_curves(dom, math.exp(-64.0), math.exp(64.0))
+    assert [name for _, name in curves] == ["arc(1+0j)"]
+    assert densities_module._bp_arc_upper(dom, curves, math.inf) == (math.inf, "")
+
+
+_TWO_POINTS = FiniteComplement([0.0, 1.0])
+_FOUR_POINTS = FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j])
+# the pair whose arc about 1 ended at 1.2e-16i, 431.59 long against a lower
+# bound of 1033.27; a pair whose rho+ integral stopped counting below h's
+# lower bound; and a pair less than 1e-15 apart near 0, whose segment
+# collapsed to a point
+_ARC_PAIR = (-1.67e171 + 2.05e155j, 1.03e-278 - 2.84e-278j)
+_FAR_H_PAIR = (4367.092843910082 - 18394.65335901474j, 1.98397e32 + 2.96587e33j)
+_TINY_PAIR = (1e-17 + 0j, 2e-17j)
+
+
+@st.composite
+def _extreme_point(draw, punctures):
+    """A point at a radius log-uniform in [1e-300, 1e-1] about a puncture,
+    or in [1e1, 1e300] about 0, on an axis or at any angle."""
+    if draw(st.booleans()):
+        c, r = draw(st.sampled_from(punctures)), 10.0 ** draw(st.floats(-300.0, -1.0))
+    else:
+        c, r = 0.0, 10.0 ** draw(st.floats(1.0, 300.0))
+    t = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi]),
+                       st.floats(-math.pi, math.pi)))
+    return c + r * complex(math.cos(t), math.sin(t))
+
+
+@st.composite
+def _extreme_pair(draw):
+    dom = draw(st.sampled_from([_TWO_POINTS, _FOUR_POINTS]))
+    punctures = list(dom.finite_boundary_points())
+    return dom, draw(_extreme_point(punctures)), draw(_extreme_point(punctures))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_extreme_pair())
+@example((_TWO_POINTS, *_ARC_PAIR))
+@example((_TWO_POINTS, *_FAR_H_PAIR))
+@example((_TWO_POINTS, *_TINY_PAIR))
+@example((_FOUR_POINTS, *_ARC_PAIR))
+def test_extreme_pairs_get_consistent_intervals(case):
+    # each call gives 0 <= lower <= upper, or raises DomainError for a point
+    # that rounded onto a puncture
+    dom, a, b = case
+    inside = dom.contains(a) and dom.contains(b)
+    for distance in (k_interval_fast, h_interval):
+        if not inside:
+            with pytest.raises(DomainError):
+                distance(dom, a, b)
+            continue
+        iv = distance(dom, a, b)
+        assert 0.0 <= iv.lower <= iv.upper
+
+
+def test_extreme_pairs_pinned():
+    k = k_interval_fast(_TWO_POINTS, *_ARC_PAIR)
+    assert (k.lower, k.upper) == (1033.2697207195888, 1034.378035631701)
+    assert k.upper_source == "segment"
+    h = h_interval(_TWO_POINTS, *_FAR_H_PAIR)
+    assert h.lower == 1.7450712366618901 and h.upper == 140.138494039721
+    k = k_interval_fast(_TWO_POINTS, *_TINY_PAIR)
+    assert k.upper == 1.9248473002384348 and k.upper_source == "segment"

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -512,12 +512,16 @@ def _dec_asinh_gap(x0: Decimal, x1: Decimal) -> Decimal:
 
 def _dec_k_length(points, punctures):
     """The exact k-length of a polyline in the plane minus ``punctures``,
-    evaluated with 50 significant digits: each segment is cut where the
+    evaluated with 800 significant digits: each segment is cut where the
     nearest puncture changes, and each piece integrated by its asinh terms
-    (a log where the segment's line meets the puncture).
+    (a log where the segment's line meets the puncture).  800 digits exceed
+    the 632 decades from the smallest subnormal to the largest double, so
+    the difference of two coordinates keeps the smaller one to at least 160
+    digits; at 50, 1 - 1e-51 and 0.6991... - 1.3e-220 rounded to 1 and
+    0.6991...
     Returns (length, smallest d_p / L over the segments)."""
     with localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = 800
         punct = [(Decimal(q.real), Decimal(q.imag)) for q in punctures]
         total, thinnest = Decimal(0), Decimal("Infinity")
         for z0, z1 in zip(points[:-1], points[1:]):
@@ -573,6 +577,12 @@ def _scale_spanning_polyline(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(_scale_spanning_polyline())
+# pairs whose reference at 50 digits was wrong: infinite for the first,
+# where the exact length is 623.0177343306720..., and 230.424 for the
+# second, where it is 229.5425956581378...
+@example(([0j, 1 + 1.3359981496945882e-220j], [1 + 0j, 1e-51 + 0j]))
+@example(([0j, 1.3359981496945882e-220j, 0.6991032611908312j],
+          [1e-50 + 0.6991032611908312j, 1e-50 + 0j]))
 def test_punctured_k_length_bounds_the_decimal_reference(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -128,35 +128,16 @@ def test_annulus_crossing_count():
 # Polylines
 # ---------------------------------------------------------------------------
 
-def test_polyline_cleaned_drops_repeats():
-    p = Polyline.cleaned([0.0, 0.0, 1.0, 1.0, 1.0, 2.0j])
-    assert len(p) == 3
-    assert p[0] == 0.0 and p[-1] == 2.0j
-
-
 def _polyline_reference(points):
-    """The per-point checks of ``Polyline.__init__`` before they moved to numpy."""
+    """The per-point checks of ``Polyline.__init__`` before they moved to
+    numpy: every vertex finite, and Python's ``abs`` of each vertex and of
+    each consecutive difference raising where it overflows."""
     pts = [as_finite(p) for p in points]
     if not pts:
         raise ValueError("a polyline needs at least one point")
-    for i in range(len(pts) - 1):
-        scale = max(1.0, abs(pts[i]), abs(pts[i + 1]))
-        if abs(pts[i + 1] - pts[i]) <= 1e-15 * scale:
-            raise ValueError(f"consecutive points {i} and {i + 1} coincide")
+    for z, w in zip(pts[:-1], pts[1:]):
+        abs(z), abs(w), abs(w - z)
     return tuple(pts)
-
-
-def _cleaned_reference(points):
-    """``Polyline.cleaned`` before it moved to numpy."""
-    pts = []
-    for p in points:
-        z = as_finite(p)
-        if pts:
-            scale = max(1.0, abs(pts[-1]), abs(z))
-            if abs(z - pts[-1]) <= 1e-15 * scale:
-                continue
-        pts.append(z)
-    return _polyline_reference(pts)
 
 
 def _outcome(build, points):
@@ -201,7 +182,8 @@ def _vertex_runs(draw):
 @example([])
 @example([INF])
 @example([1.0, float("nan")])
-@example([1.0, 1.0 + 1e-15, 1.0 + 2e-15, 1.0 + 3e-15, 2.0])
+# repeated and nearly repeated vertices are kept as given
+@example([1.0, 1.0, 1.0 + 1e-15, 1.0 + 2e-15, 1.0 + 3e-15, 2.0])
 @example([0.0, -0.0, complex(0.0, -0.0), 1.0])
 @example([5e-324, -5e-324j, 1.0])
 # moduli that overflow, of points and of differences, and a difference
@@ -211,12 +193,8 @@ def _vertex_runs(draw):
 @example([1.0, 1.0, 1.5e308 + 1.5e308j, 0.0])
 @example([1.3e308, 1.3e308j, 0.0])
 @example([1e308, -1e308, 3.0])
-# gaps within an ulp of 1e-15, where np.abs and Python's abs disagree
-@example([0j, -9.66284959084453e-16 - 2.5747500431528743e-16j])
-@example([0j, 6.525646718978055e-16 - 7.577330327964525e-16j, 1.0])
 def test_polyline_checks_equal_per_point_reference(points):
     assert _outcome(Polyline, points) == _outcome(_polyline_reference, points)
-    assert _outcome(Polyline.cleaned, points) == _outcome(_cleaned_reference, points)
 
 
 def test_polyline_length_and_reverse():
@@ -267,3 +245,29 @@ def test_chi_arc_shifted_center():
     radii = np.abs(path.as_array() - c)
     assert radii.min() >= 1.0 - 1e-9
     assert radii.max() <= 4.0 + 1e-9
+
+
+_ANCHORS = [0.0, 1.0, 1.0j, -1.5 + 0.5j]
+
+
+@st.composite
+def _scale_spanning_point(draw):
+    """A point at a radius log-uniform in [1e-300, 1e300] about one of
+    ``_ANCHORS``, on an axis or at any angle."""
+    c = draw(st.sampled_from(_ANCHORS))
+    r = 10.0 ** draw(st.floats(-300.0, 300.0))
+    t = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi]),
+                       st.floats(-math.pi, math.pi)))
+    return c + r * complex(math.cos(t), math.sin(t))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_scale_spanning_point(), _scale_spanning_point(), st.sampled_from(_ANCHORS))
+# about 1, e^-64 once came back as (e^-64 - 1) + 1 = 0, a puncture of the
+# plane minus {0, 1}; the far end of this pair, as 1.2e-16i
+@example(math.exp(-64.0), math.exp(64.0), 1.0)
+@example(-1.67e171 + 2.05e155j, 1.03e-278 - 2.84e-278j, 1.0)
+def test_chi_arc_starts_at_a_and_ends_at_b(a, b, c):
+    assume(a != b and a != c and b != c)
+    path = chi_arc(a, b, c)
+    assert _outcome(Polyline, [path[0], path[-1]]) == _outcome(Polyline, [a, b])
