@@ -86,28 +86,34 @@ def _gap_terms(comps: Sequence[Component], z: np.ndarray, dists: np.ndarray,
                delta: np.ndarray):
     """The exponent's terms at the points ``z``, whose distances are
     ``dists`` to each component and ``delta`` to the boundary, for ``beta``
-    and ``beta_field`` alike.  For each component i nearest (within
-    NEAREST_BOUNDARY_SLACK) at some of the points: their mask, their nearest
-    points zeta on i, and the terms (j, t, |log(delta / t)|) over the
-    components j but a point i itself, with t the distance from zeta to j
-    closest to delta; a term is NaN where t is 0."""
+    and ``beta_field`` alike.
+
+    For each component c_i nearest (within NEAREST_BOUNDARY_SLACK) at some
+    m of the points, yields their mask, their nearest points zeta on c_i,
+    the J other components c_j (every component but c_i itself when c_i is a
+    point), and the (J, m) arrays of t, the distance from zeta to c_j
+    closest to delta, and |log(delta / t)|, which is not finite where t is
+    0.  Where c_i is a point p, zeta is p at all m points: zeta is then the
+    one-entry array [p], and its (J, 1) column of clamp ranges serves every
+    point.  The ranges always come from ``xi_range_field``, so a column
+    holds the bits the full arrays would."""
+    near = delta * (1.0 + NEAREST_BOUNDARY_SLACK)
     for i, ci in enumerate(comps):
-        mask = dists[i] <= delta * (1.0 + NEAREST_BOUNDARY_SLACK)
-        if not np.any(mask):
+        mask = dists[i] <= near
+        if not mask.any():
             continue
-        zeta = ci.nearest_point_field(z[mask])
-        yield mask, zeta, _pair_terms(comps, i, delta[mask], zeta)
-
-
-def _pair_terms(comps: Sequence[Component], i: int, d: np.ndarray, zeta: np.ndarray):
-    for j, cj in enumerate(comps):
-        if i == j and isinstance(cj, ComplementPoint):
+        point = isinstance(ci, ComplementPoint)
+        others = [cj for j, cj in enumerate(comps) if not (point and j == i)]
+        if not others:
             continue
-        lo, hi = cj.xi_range_field(zeta)
+        zm = z[mask]
+        zeta = ci.nearest_point_field(zm[:1] if point else zm)
+        lo, hi = (np.array(r) for r in zip(*(cj.xi_range_field(zeta) for cj in others)))
+        d = delta[mask]
         t = np.minimum(np.maximum(d, lo), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            contribution = np.abs(np.log(d / np.where(t > 0, t, np.nan)))
-        yield cj, t, contribution
+            contribution = np.abs(np.log(d / t))
+        yield mask, zeta, others, t, contribution
 
 
 def beta(domain: Domain, z: ExtPoint) -> BetaResult:
@@ -128,12 +134,12 @@ def beta(domain: Domain, z: ExtPoint) -> BetaResult:
     dists = np.stack([c.distance_field(zs) for c in comps])
 
     entries: List[Tuple[float, complex, complex, float]] = []
-    for _, zeta, terms in _gap_terms(comps, zs, dists, dists.min(axis=0)):
+    for _, zeta, others, ts, contributions in _gap_terms(comps, zs, dists, dists.min(axis=0)):
         zeta = complex(zeta[0])
-        for cj, t, contribution in terms:
-            if np.isfinite(contribution[0]):
-                t = float(t[0])
-                entries.append((float(contribution[0]), zeta, cj.witness_at(zeta, t), t))
+        for cj, t, contribution in zip(others, ts[:, 0], contributions[:, 0]):
+            if np.isfinite(contribution):
+                t = float(t)
+                entries.append((float(contribution), zeta, cj.witness_at(zeta, t), t))
     if not entries:
         raise DomainError("the exponent needs at least two boundary points")
 
@@ -150,21 +156,24 @@ def beta(domain: Domain, z: ExtPoint) -> BetaResult:
 
 
 def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
-    """Vectorized exponent values; NaN at points outside the domain."""
+    """Vectorized exponent values; NaN at points outside the domain.
+
+    One pass per nearest component: its (J, m) terms from ``_gap_terms``
+    reduce to their column minimum, with the terms that are not finite read
+    as infinite, so the cost grows with the points, not with the pairs of
+    components."""
     z = np.asarray(z, dtype=np.complex128)
     comps = domain.complement_components()
     if len(comps) == 0:
         raise DomainError("domain has empty boundary")
-    dists = np.stack([c.distance_field(z) for c in comps])
+    dists = np.array([c.distance_field(z) for c in comps])
     delta = dists.min(axis=0)
     valid = delta > 0.0
-    safe_delta = np.where(valid, delta, 1.0)
+    delta = np.where(valid, delta, 1.0)  # any positive distance serves outside
     out = np.full(z.shape, math.inf)
-    for mask, _, terms in _gap_terms(comps, z, dists, safe_delta):
-        best = out[mask]
-        for _, _, contribution in terms:
-            best = np.minimum(best, np.where(np.isfinite(contribution), contribution, math.inf))
-        out[mask] = best
+    for mask, _, _, _, contribution in _gap_terms(comps, z, dists, delta):
+        # a term is inf or NaN where it is not finite, and fmin skips NaN
+        out[mask] = np.fmin(out[mask], np.fmin.reduce(contribution, axis=0))
     if np.any(np.isinf(out[valid])):
         raise DomainError("the exponent needs at least two boundary points")
     return np.where(valid, out, math.nan)

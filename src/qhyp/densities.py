@@ -224,10 +224,12 @@ def _twice_punctured_lower(a: complex, b: complex, p: complex, q: complex) -> Op
     """Lower bound via the inclusion of the domain in the plane minus {p, q},
     or None when there is none: the points lie on either side of the circle
     |z - p| = |q - p|, or the image z -> (z - p)/(q - p) of one of them rounds
-    onto 0 or 1 (a point within about 1e-16 |q - p| of p, as e^-64 is of 0)."""
+    onto 0 or 1 (a point within about 1e-16 |q - p| of p, as e^-64 is of 0),
+    or overflows (a point beyond about 1e308 |q - p| from p)."""
     w = q - p
     za, zb = (a - p) / w, (b - p) / w
-    if za in (0, 1) or zb in (0, 1):
+    # hypot, as abs raises where the modulus overflows
+    if any(z in (0, 1) or not math.hypot(z.real, z.imag) < math.inf for z in (za, zb)):
         return None
     val, ok = h01_lower(za, zb)
     return val if ok else None

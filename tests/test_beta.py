@@ -124,12 +124,32 @@ BETA_DOMAINS = pytest.mark.parametrize("dom", [
 ], ids=["ring16", "punctured-disk", "disk-and-points", "unit-disk-and-points", "two-points"])
 
 
+def _ulps_off(z, k):
+    """z with each coordinate moved k ulps (toward -inf for k < 0)."""
+    x, y = z.real.copy(), z.imag.copy()
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+        y = np.nextafter(y, math.copysign(math.inf, k))
+    return x + 1j * y
+
+
 @BETA_DOMAINS
 def test_beta_field_equals_all_points_reference(dom):
     xs = np.linspace(-2.5, 2.5, 101)
     z = (xs[None, :] + 1j * xs[:, None]).ravel()
     # the bisector of 0 and 1, where both punctures are nearest
     z = np.concatenate([z, 0.5 + 1j * np.linspace(-3.0, 3.0, 61)])
+    # points at radii log-uniform in [1e-300, 1e300] about each finite
+    # boundary point, and points a few ulps off the bisector of each pair
+    rng = np.random.default_rng(0)
+    pts = dom.finite_boundary_points()
+    for p in pts:
+        z = np.concatenate([z, p + 10.0 ** rng.uniform(-300.0, 300.0, 40)
+                            * np.exp(2j * math.pi * rng.uniform(size=40))])
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            line = (p + q) / 2.0 + 1j * (q - p) * np.linspace(-3.0, 3.0, 7)
+            z = np.concatenate([z] + [_ulps_off(line, k) for k in (-3, -1, 1, 2)])
     got = beta_field(dom, z)
     assert np.array_equal(got, _beta_field_all_points(dom, z), equal_nan=True)
     assert np.array_equal(beta_field(dom, z.reshape(2, -1)), got.reshape(2, -1),

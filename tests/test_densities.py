@@ -1,6 +1,7 @@
 """Density formulas, model distances, and certified hyperbolic intervals."""
 
 import math
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -649,3 +650,40 @@ def test_extreme_pairs_pinned():
     assert h.lower == 1.7450712366618901 and h.upper == 140.138494039721
     k = k_interval_fast(_TWO_POINTS, *_TINY_PAIR)
     assert k.upper == 1.9248473002384348 and k.upper_source == "segment"
+
+
+# the outside of a closed disk of radius 1e-10 about 0
+_SMALL_DISK = TranslatedScaled(ExteriorUnitDisk(), 1e-10)
+
+
+def test_twice_punctured_lower_skips_an_anchor_pair_whose_image_overflows():
+    # anchors 1e-10 apart seen from 1e300: z -> (z - p)/(q - p) overflows
+    iv = h_interval(_SMALL_DISK, 1e300, 2e300j)
+    assert 0.0 < iv.lower <= iv.upper
+    assert densities_module._twice_punctured_lower(1e300, 2e300j, 1e-10, 1e-10j) is None
+    # the image is finite but its modulus overflows
+    assert densities_module._twice_punctured_lower(1e300 + 1e300j, 1.0, 0.0, 0.7e-8) is None
+
+
+def test_disk_lower_far_from_a_small_circle():
+    # (|ra - r|(ra + r))(|rb - r|(rb + r)) overflows here; the lower bound
+    # was 0 (trivial).  In the limit a -> infinity it is 2 asinh(1/sqrt(8)),
+    # which is log 2
+    iv = h_interval(_SMALL_DISK, 1e300, 3e-10)
+    assert iv.lower_source == "disk-lower"
+    assert iv.lower == pytest.approx(math.log(2.0), rel=1e-15)
+    assert iv.lower <= iv.upper
+
+
+def test_k_and_h_give_up_beside_the_circle_within_seconds():
+    # a point 2.2e-16 inside the unit circle: off point complements k is a
+    # quadrature, which refined this pair to 18M pieces at once (274 MiB);
+    # past its cap on refined pieces it is infinite instead
+    dom = PuncturedSubdomain(UnitDisk(), [0.25j, -0.3])
+    a, b = -0.8825268774496718 + 0.47026195952780553j, 0.5
+    for distance in (k_interval_fast, h_interval):
+        solver_module._last_fast = None
+        start = time.perf_counter()
+        iv = distance(dom, a, b)
+        assert time.perf_counter() - start < 60.0
+        assert 0.0 < iv.lower and iv.upper == math.inf

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qhyp import (
     INF,
     ComplementDisk,
+    ComplementDiskExterior,
     ComplementHalfPlane,
     ComplementPoint,
     DomainError,
@@ -27,6 +28,7 @@ from qhyp import (
     UnitDisk,
     UpperHalfPlane,
     beta,
+    beta_field,
     chordal_distance,
     chordal_distance_field,
     domain_from_json,
@@ -408,6 +410,16 @@ def test_disk_h_lower_a_few_ulps_outside_the_circle():
                 assert math.isfinite(v) and v > 0 and name == "disk"
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-10, 1e150])
+def test_round_h_lower_is_scale_invariant(scale):
+    # the product of the four factors underflows (1e-160) or overflows
+    # (1e150) on scaled circles; each factor's square root then stands alone
+    for comp, a, b in ((ComplementDisk(0.0, 1.0), 3.0, -2.0 + 1.5j),
+                       (ComplementDiskExterior(0.0, 1.0), 0.5, 0.25j)):
+        v, _ = comp.transformed(scale, 0.0).h_lower(scale * a, scale * b)
+        assert v == pytest.approx(comp.h_lower(a, b)[0], rel=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Density line integrals
 # ---------------------------------------------------------------------------
@@ -471,6 +483,90 @@ def test_rho_length_stop_above_is_bit_identical_when_not_reached():
     val = rho_length(path, density, rel_tol=1e-10)
     assert rho_length(path, density, rel_tol=1e-10, stop_above=val) == val
     assert rho_length(path, density, rel_tol=1e-10, stop_above=2.0 * val) == val
+
+
+def _rho_length_per_half(path, density, rel_tol=1e-8, stop_above=math.inf):
+    """``rho_length`` as it was with two density calls per level, one for
+    the left halves and one for the right: the reference for one call per
+    level."""
+    if isinstance(path, Polyline):
+        z1s, z2s = path.segments()
+    else:
+        arr = np.asarray(list(path), dtype=np.complex128)
+        z1s, z2s = arr[:-1], arr[1:]
+    if len(z1s) == 0:
+        return 0.0
+
+    def mid_value(a, b):
+        vals = np.asarray(density((a + b) / 2.0), dtype=float)
+        if np.any(~np.isfinite(vals)) or np.any(vals < 0.0):
+            raise OutsideDomainError("density is not finite and positive on the path")
+        return vals * np.abs(b - a)
+
+    starts = z1s.copy()
+    ends = z2s.copy()
+    coarse = mid_value(starts, ends)
+    total = 0.0
+    for _ in range(60):
+        if len(starts) == 0:
+            break
+        mids = (starts + ends) / 2.0
+        left = mid_value(starts, mids)
+        right = mid_value(mids, ends)
+        fine = left + right
+        err = np.abs(fine - coarse) / 3.0
+        done = err <= 0.5 * rel_tol * np.maximum(fine, 1e-300)
+        total += float(np.sum(np.where(done, fine + (fine - coarse) / 3.0, 0.0)))
+        if total > stop_above:
+            return total
+        keep = ~done
+        starts = np.concatenate([starts[keep], mids[keep]])
+        ends = np.concatenate([mids[keep], ends[keep]])
+        coarse = np.concatenate([left[keep], right[keep]])
+    return math.inf if len(starts) else total
+
+
+def _inverse_distance(p):
+    def rho(z):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(np.asarray(z) - p)
+    return rho
+
+
+def _rho_plus(dom):
+    """The finite Beardon-Pommerenke bound min(2/delta, (pi/2)/(delta beta))."""
+    def rho(z):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.minimum(2.0, (math.pi / 2.0) / beta_field(dom, z)) / dom.delta_field(z)
+    return rho
+
+
+_DENSITIES = {
+    "inverse-distance": _inverse_distance(0.25 + 0.125j),
+    "rho-plus-two-points": _rho_plus(FiniteComplement([0.0, 1.0])),
+    "rho-plus-disk-and-points": _rho_plus(PuncturedSubdomain(UnitDisk(), [0.25j, -0.3])),
+}
+_vertex = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(_vertex, min_size=2, max_size=5), st.sampled_from(sorted(_DENSITIES)),
+       st.sampled_from([1e-3, 1e-8]), st.sampled_from([math.inf, 1.5]))
+# segments whose first midpoint is the pole or a puncture
+@example([0.0, 0.5 + 0.25j], "inverse-distance", 1e-8, math.inf)
+@example([-0.5, 0.5, 0.5 + 1j], "rho-plus-two-points", 1e-3, 1.5)
+@example([0.1 + 0.25j, -0.1 + 0.25j], "rho-plus-disk-and-points", 1e-8, math.inf)
+def test_rho_length_equals_per_half_reference(vertices, name, rel_tol, stop_above):
+    # every density here is pointwise, so one call on both halves of a level
+    # gives the values, the errors and the early stop of two calls
+    density = _DENSITIES[name]
+    try:
+        want = _rho_length_per_half(vertices, density, rel_tol, stop_above)
+    except OutsideDomainError as exc:
+        with pytest.raises(OutsideDomainError, match=str(exc)):
+            rho_length(vertices, density, rel_tol=rel_tol, stop_above=stop_above)
+        return
+    assert rho_length(vertices, density, rel_tol=rel_tol, stop_above=stop_above) == want
 
 
 @settings(deadline=None, max_examples=30)
