@@ -97,10 +97,9 @@ def _gap_terms(comps: Sequence[Component], z: np.ndarray, dists: np.ndarray,
     one-entry array [p], and its (J, 1) column of clamp ranges serves every
     point.  The ranges always come from ``xi_range_field``, so a column
     holds the bits the full arrays would."""
-    near = delta * (1.0 + NEAREST_BOUNDARY_SLACK)
     for i, ci in enumerate(comps):
-        mask = dists[i] <= near
-        if not mask.any():
+        mask = dists[i] <= delta * (1.0 + NEAREST_BOUNDARY_SLACK)
+        if not np.any(mask):
             continue
         point = isinstance(ci, ComplementPoint)
         others = [cj for j, cj in enumerate(comps) if not (point and j == i)]
@@ -166,12 +165,12 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     comps = domain.complement_components()
     if len(comps) == 0:
         raise DomainError("domain has empty boundary")
-    dists = np.array([c.distance_field(z) for c in comps])
+    dists = np.stack([c.distance_field(z) for c in comps])
     delta = dists.min(axis=0)
     valid = delta > 0.0
-    delta = np.where(valid, delta, 1.0)  # any positive distance serves outside
+    safe_delta = np.where(valid, delta, 1.0)
     out = np.full(z.shape, math.inf)
-    for mask, _, _, _, contribution in _gap_terms(comps, z, dists, delta):
+    for mask, _, _, _, contribution in _gap_terms(comps, z, dists, safe_delta):
         # a term is inf or NaN where it is not finite, and fmin skips NaN
         out[mask] = np.fmin(out[mask], np.fmin.reduce(contribution, axis=0))
     if np.any(np.isinf(out[valid])):

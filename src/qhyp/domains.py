@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -204,19 +203,25 @@ class _RoundComponent(Component):
         # circle, taken as distance_field takes them, so no point of the
         # domain rounds onto the circle; r |a - b| is not squared, so that
         # it does not underflow.  A disk's model contains infinity: it is
-        # exact only for a domain that does.  Where the product of the four
-        # factors leaves the normal range (points far from a small circle,
-        # or a circle below about 1e-77), each factor's square root is taken
-        # on its own and r |a - b| is split between them.
+        # exact only for a domain that does.  Each length is taken as m 2^e
+        # with m in [1/2, 1), so that the product of the four factors cannot
+        # leave the normal range (points far from a small circle, or a circle
+        # below about 1e-77); scaling by a power of 2 is exact, so x keeps the
+        # bits of r |a - b| / sqrt(product) wherever those steps are normal.
+        # x itself stays below about 1e16: a factor |z - center| - radius of
+        # a point the domain contains is at least an ulp of the radius.
+        # Where a modulus overflowed, the bound is the trivial 0.
         ra, rb = (float(x) for x in np.abs(np.array([a, b]) - self.center))
         r = self.radius
-        product = (abs(ra - r) * (ra + r)) * (abs(rb - r) * (rb + r))
-        if sys.float_info.min <= product < math.inf:
-            x = r * abs(a - b) / math.sqrt(product)
-        else:
-            x = ((abs(a - b) / (math.sqrt(abs(ra - r)) * math.sqrt(abs(rb - r))))
-                 * (r / (math.sqrt(ra + r) * math.sqrt(rb + r))))
-        return 2.0 * math.asinh(x), "disk"
+        (mr, er), (mg, eg), (m1, e1), (m2, e2), (m3, e3), (m4, e4) = (
+            math.frexp(f) for f in (r, abs(a - b), abs(ra - r), ra + r, abs(rb - r), rb + r))
+        m, e = (m1 * m2) * (m3 * m4), e1 + e2 + e3 + e4
+        if e % 2:
+            m, e = 2.0 * m, e - 1
+        mx, ex = (mr * mg) / math.sqrt(m), er + eg - e // 2
+        if not math.isfinite(mx):
+            return 0.0, "disk"
+        return 2.0 * math.asinh(math.ldexp(mx, ex)), "disk"
 
     def transformed(self, scale: complex, shift: complex) -> "_RoundComponent":
         return type(self)(scale * self.center + shift, abs(scale) * self.radius)

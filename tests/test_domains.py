@@ -410,14 +410,30 @@ def test_disk_h_lower_a_few_ulps_outside_the_circle():
                 assert math.isfinite(v) and v > 0 and name == "disk"
 
 
-@pytest.mark.parametrize("scale", [1e-160, 1e-10, 1e150])
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-10, 1e150, 1e300])
 def test_round_h_lower_is_scale_invariant(scale):
-    # the product of the four factors underflows (1e-160) or overflows
-    # (1e150) on scaled circles; each factor's square root then stands alone
+    # the product of the four factors underflows (1e-160, 1e-300) or
+    # overflows (1e150, 1e300) on scaled circles; the factors' exponents are
+    # then set apart from their mantissas
     for comp, a, b in ((ComplementDisk(0.0, 1.0), 3.0, -2.0 + 1.5j),
                        (ComplementDiskExterior(0.0, 1.0), 0.5, 0.25j)):
         v, _ = comp.transformed(scale, 0.0).h_lower(scale * a, scale * b)
         assert v == pytest.approx(comp.h_lower(a, b)[0], rel=1e-14)
+
+
+def test_round_h_lower_at_the_ends_of_the_float_range():
+    # 1e308 and a point one ulp outside a circle of radius 1e-300: r |a - b|
+    # over the square roots of the two smaller factors overflows, although x
+    # is about 5.7e7
+    disk = ComplementDisk(0.0, 1e-300)
+    near = math.nextafter(1e-300, math.inf)
+    assert disk.distance_field(np.asarray(near)) > 0
+    log_x = math.log(1e-300) + math.log(1e308) - 0.5 * (
+        2.0 * math.log(1e308) + math.log(near - 1e-300) + math.log(near + 1e-300))
+    v, name = disk.h_lower(1e308, near)
+    assert name == "disk" and v == pytest.approx(2.0 * math.asinh(math.exp(log_x)), rel=1e-13)
+    # |a - b| overflows: the bound is the trivial 0, never above h
+    assert ComplementDisk(0.0, 1e-10).h_lower(1e308, -1e308) == (0.0, "disk")
 
 
 # ---------------------------------------------------------------------------
