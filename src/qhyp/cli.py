@@ -14,7 +14,8 @@ Conventions: complex numbers on the command line are written "re,im" (a bare
 real is accepted); randomness is controlled by --seed (default 0, a PCG64
 generator); JSON output prints floats with full round-trip precision; CSV
 uses the %.17g format.  Exit status is 0 on success, 1 when a requested
-check fails, 2 on bad input.
+check fails, 2 on bad input, 3 on an internal error (an enclosure with
+inconsistent bounds).
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from .beta import (
     up_modulus_sup,
     up_set_from_json,
 )
-from .densities import chordal_quasihyperbolic_density, h_interval, quasihyperbolic_density
+from .constants import BLOCK
+from .densities import (
+    InconsistentIntervalError,
+    chordal_quasihyperbolic_density,
+    h_interval,
+    quasihyperbolic_density,
+)
 from .domains import (
     ComplementDiskExterior,
     Domain,
@@ -189,10 +196,13 @@ def _cmd_heatmap(args) -> int:
     field = _FIELDS[args.field](dom)
     xs = np.linspace(x0, x1, args.nx)
     ys = np.linspace(y0, y1, args.ny)
-    Z = xs[None, :] + 1j * ys[:, None]
+    Z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    V = np.empty(Z.size)
     t0 = time.perf_counter()
-    V = np.asarray(field(Z), dtype=float)
+    for start in range(0, Z.size, BLOCK):
+        V[start:start + BLOCK] = field(Z[start:start + BLOCK])
     t1 = time.perf_counter()
+    V = V.reshape(ys.size, xs.size)
     with open(args.out, "w") as fh:
         write_fallback = write_grid_csv(fh, "re,im,value", xs, ys, V)
     t2 = time.perf_counter()
@@ -453,6 +463,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except InconsistentIntervalError as exc:
+        # a fault of the program on valid input, not bad input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (SchemaError, DomainError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,3 +16,12 @@ NEAREST_BOUNDARY_SLACK = 1e-9
 
 # Relative tolerance for incidence tests (point on circle, tangency).
 INCIDENCE_RTOL = 1e-9
+
+# Points per block wherever the package works on many points at once: the
+# heatmap CLI evaluates its field, solver._build_grid tests its edges'
+# clearance, solver._build_graph computes its densities and edge weights, and
+# gridcsv.write_grid_csv formats its values, one block at a time.
+# Every such step is pointwise, so the results do not depend on the block
+# size; blocks of this size keep the temporaries in cache, and their memory
+# does not grow with the number of points.
+BLOCK = 16384

@@ -2,8 +2,8 @@
 
 ``write_grid_csv`` writes one ``x,y,value`` line per grid point, with every
 number printed exactly as Python's ``format(x, ".17g")`` prints it, but
-formats the values with a few numpy passes per chunk instead of one Python
-call per value.
+formats the values with a few numpy passes per block of values instead of
+one Python call per value.
 
 The fast path follows the integer approach of Loitsch ("Printing
 floating-point numbers quickly and accurately with integers", PLDI 2010):
@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import Sequence, TextIO
 
 import numpy as np
+
+from .constants import BLOCK
 
 # 10**p for p in [_P_MIN, _P_MAX] as hi + lo, each correctly rounded; built
 # with integers, since int / int true division rounds correctly
@@ -94,9 +96,6 @@ def _digit_tables():
 _DIGITS4, _LAST_NONZERO4 = _digit_tables()
 
 _SLOTS = np.arange(18)[:, None]
-
-# values per chunk, so the writer's memory does not grow with the grid
-_CHUNK = 16384
 
 
 def _below_pow10(a, k):
@@ -209,8 +208,8 @@ def write_grid_csv(fh: TextIO, header: str, xs: Sequence[float],
     V = V.ravel()
     fh.write(header)
     fallback = 0
-    for start in range(0, V.size, _CHUNK):
-        stop = min(start + _CHUNK, V.size)
+    for start in range(0, V.size, BLOCK):
+        stop = min(start + BLOCK, V.size)
         yi, xi = np.divmod(np.arange(start, stop), X.size)
         text, slow = format_17g(V[start:stop])
         fallback += int(np.count_nonzero(slow))

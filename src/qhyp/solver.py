@@ -19,13 +19,16 @@ bound that comes out below the lower one raises
 
 The graph is built in two steps.  The grid is free of the density: the
 charts, the nodes inside the domain, the stitched edges, the anchors and the
-edges that keep clear of the removed points.  The weighting evaluates one
-density on it.  The last grid is kept in one module-level slot (about 18 MB
-at 128x128 on four punctures) and reused when the same domain, anchors and
-``Resolution`` come again, as they do for ``k_chordal_numeric`` after
-``k_numeric`` on the same pair, and for either solver with the endpoints
-swapped.  Both slots key on the domain itself: two domains are equal when
-their JSON descriptions are.
+edges that keep clear of the removed points, tested one block of
+``constants.BLOCK`` edges at a time.  The weighting evaluates one density on
+it, block by block too: the densities at the nodes, then the midpoint
+densities and weights of each block of edges.  So the temporaries of both
+passes stay in cache and do not grow with the grid.  The last grid is kept
+in one module-level slot (about 18 MB at 128x128 on four punctures) and
+reused when the same domain, anchors and ``Resolution`` come again, as they
+do for ``k_chordal_numeric`` after ``k_numeric`` on the same pair, and for
+either solver with the endpoints swapped.  Both slots key on the domain
+itself: two domains are equal when their JSON descriptions are.
 
 ``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
 are kept in a second slot, keyed on the domain and the bytes of the two
@@ -59,6 +62,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 from scipy.spatial import cKDTree
 
+from .constants import BLOCK
 from .densities import (
     DistanceInterval,
     chordal_quasihyperbolic_density,
@@ -365,18 +369,21 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
 
-    # the clearance test, with each node's distance to each removed point
-    # computed once and gathered for both ends of every edge
+    # the clearance test, one block of edges at a time, with each node's
+    # distance to each removed point computed once and gathered for both ends
+    # of every edge; gathering from one array per point is faster than from
+    # one (P, n) array
     t2 = time.perf_counter()
-    u, v = nodes[lo], nodes[hi]
-    length = np.abs(v - u)
     clear = np.ones(lo.size, dtype=bool)
     work = {"clearance_exact": 0}
-    # one puncture at a time: a (P, n) array over ~1M edges costs too much memory
-    for q in punctures:
-        dq = np.abs(nodes - q)
-        _clear_of_punctures(u, v, length, np.minimum(dq[lo], dq[hi])[None], (q,),
-                            res.clearance, clear, work)
+    dists = [np.abs(nodes - q) for q in punctures]
+    for start in range(0, lo.size, BLOCK):
+        i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
+        u, v = nodes[i], nodes[j]
+        length = np.abs(v - u)
+        for q, dq in zip(punctures, dists):
+            _clear_of_punctures(u, v, length, np.minimum(dq[i], dq[j])[None], (q,),
+                                res.clearance, clear[start:start + BLOCK], work)
     lo, hi = lo[clear], hi[clear]
     t3 = time.perf_counter()
 
@@ -425,7 +432,10 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
 
     The weighting is per density: the density at every node and edge
     midpoint, the three-point quadrature weight, the drop of edges whose
-    densities are not finite and positive, and the CSR matrix.
+    densities are not finite and positive, and the CSR matrix.  The
+    densities and weights are computed ``BLOCK`` nodes or edges at a time,
+    one ``_edge_weights`` call per block of edges; every step is pointwise,
+    so the weights are those of one call over all edges.
 
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     The node positions are the grid's read-only array.  The meta holds
@@ -444,9 +454,16 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     # the density once per node, gathered for both ends of every edge; the
     # grid's edges have passed the clearance test, so no puncture is passed
     t0 = time.perf_counter()
-    rho = density(nodes)
-    u, v = nodes[lo], nodes[hi]
-    w = _edge_weights(u, v, rho[lo], density(0.5 * (u + v)), rho[hi], (), res.clearance)
+    rho = np.empty(nodes.size)
+    for start in range(0, nodes.size, BLOCK):
+        rho[start:start + BLOCK] = density(nodes[start:start + BLOCK])
+    w = np.empty(lo.size)
+    blocks = range(0, lo.size, BLOCK)
+    for start in blocks:
+        i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
+        u, v = nodes[i], nodes[j]
+        w[start:start + BLOCK] = _edge_weights(u, v, rho[i], density(0.5 * (u + v)), rho[j],
+                                               (), res.clearance)
     t1 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
@@ -458,7 +475,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
             "stitch_s": 0.0 if reused else grid.stitch_s,
             "clearance_s": 0.0 if reused else grid.clearance_s,
             "weights_s": t1 - t0,
-            "weight_calls": 1, "density_points": int(nodes.size + u.size),
+            "weight_calls": len(blocks), "density_points": int(nodes.size + grid.lo.size),
             "clearance_exact": 0 if reused else grid.clearance_exact}
     return nodes, graph, list(grid.anchor_ids), meta
 

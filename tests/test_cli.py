@@ -15,7 +15,10 @@ import pytest
 
 from qhyp import FiniteComplement
 from qhyp.beta import beta_field
+from qhyp import cli
 from qhyp.cli import _FIELDS, _sample_pairs, main
+from qhyp.constants import BLOCK
+from qhyp.densities import InconsistentIntervalError
 from qhyp.domains import domain_from_json_text
 
 HALFPLANE = '{"type": "upper_half_plane"}'
@@ -208,6 +211,39 @@ def test_heatmap_csv_equals_reference_writer(tmp_path, capsys, dom_json, field, 
     V = np.asarray(_FIELDS[field](domain_from_json_text(dom_json))(Z), dtype=float)
     _heatmap_csv_reference(ref_csv, xs, ys, V)
     assert out_csv.read_bytes() == ref_csv.read_bytes()
+
+
+# 131 x 127 = 16,637 points: one full block and a partial one.  The dyadic
+# window puts grid points on both punctures of the two-puncture domain, where
+# beta is nan and bp-upper nan or inf; (nan, inf) says which of them occur.
+SEAM_WINDOW = (-1.0, 1.03125, -0.984375, 0.984375)
+
+
+@pytest.mark.parametrize("dom_json, field, window, non_finite", [
+    (TWO_PUNCT, "beta", SEAM_WINDOW, (True, False)),
+    (TWO_PUNCT, "bp-upper", SEAM_WINDOW, (True, True)),
+    (RING16, "bp-upper", (-2.0, 2.0, -2.0, 2.0), (False, False)),
+], ids=["two-punct-beta", "two-punct-bp-upper", "ring16-bp-upper"])
+def test_heatmap_blocks_equal_the_whole_array(tmp_path, capsys, dom_json, field, window,
+                                              non_finite):
+    nx, ny = 131, 127
+    assert BLOCK < nx * ny < 2 * BLOCK
+    out_csv, ref_csv = tmp_path / "map.csv", tmp_path / "ref.csv"
+    rc, _, _ = run(capsys, "heatmap", "--domain", dom_json, "--field", field,
+                   "--window", *map(repr, window), "--nx", str(nx), "--ny", str(ny),
+                   "--out", str(out_csv))
+    assert rc == 0
+    x0, x1, y0, y1 = window
+    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+    Z = xs[None, :] + 1j * ys[:, None]
+    V = np.asarray(_FIELDS[field](domain_from_json_text(dom_json))(Z), dtype=float)
+    _heatmap_csv_reference(ref_csv, xs, ys, V)
+    assert out_csv.read_bytes() == ref_csv.read_bytes()
+    finite = V[np.isfinite(V)]
+    sidecar = json.loads((tmp_path / "map.json").read_text())
+    assert (sidecar["finite_fraction"], sidecar["min"], sidecar["max"]) == (
+        finite.size / V.size, finite.min(), finite.max())
+    assert (np.isnan(V).any(), np.isinf(V).any()) == non_finite
 
 
 def test_heatmap_sidecar_counts_fallback_values(tmp_path, capsys):
@@ -492,6 +528,17 @@ def test_point_outside_domain_is_exit_2(capsys):
                      "--from", "0,0", "--to", "1,0")
     assert rc == 2
     assert "error:" in err
+
+
+def test_inconsistent_interval_is_an_internal_error_exit_3(capsys, monkeypatch):
+    def raise_inconsistent(*args, **kwargs):
+        raise InconsistentIntervalError("upper bound 1.0 below lower bound 2.0")
+
+    monkeypatch.setattr(cli, "k_interval_fast", raise_inconsistent)
+    rc, out, err = run(capsys, "distance", "--domain", ONE_PUNCT,
+                       "--from", "1,0", "--to", "2,0")
+    assert rc == 3 and out == ""
+    assert err == "internal error: upper bound 1.0 below lower bound 2.0\n"
 
 
 def test_usage_errors_are_exit_2(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from qhyp import (
     Annulus,
@@ -30,6 +31,7 @@ from qhyp import (
     k_numeric,
     k_star_exact,
 )
+from qhyp.constants import BLOCK
 from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
 from qhyp.geometry import segment_point_distance
 from qhyp import solver as solver_module
@@ -176,7 +178,8 @@ def test_numeric_meta_reports_stage_cost():
                 "clearance_s", "weights_s"):
         assert meta[key] >= 0.0
     assert meta["stitch_s"] + meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
-    # one weight evaluation for the graph, and at least one per relaxation step
+    # one weight evaluation per block of the graph's edges, and at least one
+    # per relaxation step
     assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
     assert meta["density_points"] > meta["nodes"] + meta["edges"]
     # two charts, stitched; the exact clearance test runs on a few edges only
@@ -313,6 +316,34 @@ def test_build_graph_pinned(punctures, pair, density, n_nodes, n_edges, digest):
     rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
     assert graph.nnz == meta["edges"]
     assert np.all(rows < graph.indices)
+
+
+@pytest.mark.parametrize("density", [quasihyperbolic_density, chordal_quasihyperbolic_density],
+                         ids=["k", "chordal"])
+def test_build_graph_blocks_equal_one_weight_call(density):
+    # the four-puncture 128x128 grid: about 1.05M edges, not a multiple of
+    # the block, weighted block by block, against one call over all edges
+    dom = FiniteComplement(FOUR)
+    dens = density(dom)
+    nodes, graph, ids, meta = _build_graph(dom, list(_first_sampled_pair(FOUR)),
+                                           Resolution(128, 128), dens)
+    _, grid = solver_module._last_grid
+    lo, hi = grid.lo, grid.hi
+    assert lo.size > 2 * BLOCK and lo.size % BLOCK
+    # the grid's clearance test, blocked too, ran the exact segment distance
+    # on as many edges as the unblocked test did
+    assert grid.clearance_exact == 1327
+    assert meta["weight_calls"] == -(-lo.size // BLOCK)
+    assert meta["density_points"] == nodes.size + lo.size
+    r = dens(nodes)
+    u, v = nodes[lo], nodes[hi]
+    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], (), Resolution(128, 128).clearance)
+    keep = np.isfinite(w)
+    want = csr_matrix((w[keep], (lo[keep], hi[keep])), shape=graph.shape)
+    assert meta["edges"] == np.count_nonzero(keep)
+    for got_arr, want_arr in ((graph.data, want.data), (graph.indices, want.indices),
+                              (graph.indptr, want.indptr)):
+        assert got_arr.tobytes() == want_arr.tobytes()
 
 
 def _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance):
