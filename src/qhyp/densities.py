@@ -10,6 +10,7 @@ by an explicit comparison domain or path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .constants import KAPPA, PI_OVER_LOG2
 from .domains import (
-    ComplementDisk,
+    Component,
+    ComplementDiskExterior,
     ComplementPoint,
     Domain,
     DomainError,
@@ -136,10 +138,25 @@ class DistanceInterval:
 # Hyperbolic distance estimates
 # ---------------------------------------------------------------------------
 
-def _log_quotient(x: float, y: float) -> float:
-    """log(x / y), or log x - log y where the quotient overflows."""
+_U = 2.0 ** -53  # unit roundoff of a double
+_NORMAL = sys.float_info.min  # the least positive normal double
+
+
+def _log_quotient(x: float, y: float) -> Tuple[float, float]:
+    """log(x / y) for positive x and y, and a bound on its error: the log of
+    the quotient, or log x - log y where the quotient is not normal.  With
+    ``math.log`` within an ulp (2 U of itself, U = 2^-53), the quotient's
+    rounding moves the log by at most U and the log's own by 2 U |log|; the
+    difference of logs is off by at most 2 U (|log x| + |log y|) plus U of
+    itself.  The bound is about twice that: 4 U (1 + |value|), plus
+    4 U (|log x| + |log y|) for the difference."""
     q = x / y
-    return math.log(q) if q < math.inf else math.log(x) - math.log(y)
+    if _NORMAL <= q < math.inf:
+        v = math.log(q)
+        return v, 4.0 * _U * (1.0 + abs(v))
+    lx, ly = math.log(x), math.log(y)
+    v = lx - ly
+    return v, 4.0 * _U * (1.0 + abs(v) + abs(lx) + abs(ly))
 
 
 def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
@@ -150,11 +167,12 @@ def h_upper_Dstar(a: complex, b: complex, center: complex = 0.0,
 
     It is the length of a radial segment plus a half-turn at the nearer
     point's radius, which pi/log 2 pays for only when that radius is at most
-    radius/2; farther out the value can fall below the distance.
+    radius/2; farther out the value can fall below the distance.  This is
+    the paper's estimate; ``h_Dstar`` gives the distance itself.
     """
     a, b = as_finite(a), as_finite(b)
-    la = _log_quotient(radius, abs(a - center))
-    lb = _log_quotient(radius, abs(b - center))
+    la = _log_quotient(radius, abs(a - center))[0]
+    lb = _log_quotient(radius, abs(b - center))[0]
     if not (la > 0.0 and lb > 0.0):
         raise DomainError("points must lie strictly inside the punctured disk")
     return abs(math.log(la / lb)) + PI_OVER_LOG2
@@ -166,11 +184,71 @@ def h_upper_disk_exterior(a: complex, b: complex, center: complex = 0.0,
     inversion about the circle): an upper bound when the farther point lies
     at least 2 radius from the center."""
     a, b = as_finite(a), as_finite(b)
-    la = _log_quotient(abs(a - center), radius)
-    lb = _log_quotient(abs(b - center), radius)
+    la = _log_quotient(abs(a - center), radius)[0]
+    lb = _log_quotient(abs(b - center), radius)[0]
     if not (la > 0.0 and lb > 0.0):
         raise DomainError("points must lie strictly outside the closed disk")
     return abs(math.log(la / lb)) + PI_OVER_LOG2
+
+
+def h_Dstar(a: complex, b: complex, center: complex = 0.0, radius: float = 1.0,
+            outside: bool = False) -> Optional[Tuple[float, float]]:
+    """Enclosure (lower, upper) of the hyperbolic distance between a and b in
+    the punctured disk {0 < |z - center| < radius}, or, with ``outside``, in
+    {|z - center| > radius}, its image under inversion (the disk about
+    infinity); None where a point does not lie in it far enough to tell.
+
+    z -> log z covers the punctured unit disk by the left half-plane, so
+    with u = log(radius / |z - center|) (log(|z - center| / radius) outside)
+    and theta in [-pi, pi] the angle between a - center and b - center,
+
+        h = 2 asinh(sqrt(((u_a - u_b)^2 + theta^2) / (4 u_a u_b))),
+
+    the form of cosh h = 1 + ((u_a - u_b)^2 + theta^2) / (2 u_a u_b) that
+    does not round to 0 for close pairs.
+
+    Error budget, with U = 2^-53.  Each u is ``_log_quotient``'s, whose
+    bound e_u is widened by 6 U for |z - center|, which is within 3 U of
+    itself (the subtraction and the modulus).  Being about twice each
+    error, e_u also covers the rounding of |u_a - u_b|, at most
+    U (u_a + u_b).  Where |z - center| or the radius is not a normal number,
+    or u is within e_u of 0, the result is None.  theta, the difference of
+    two ``math.atan2`` values reduced by ``math.remainder``, is within 32 U,
+    about twice the sum of the angle error of each rounded vector (U), the
+    atan2 roundings (an ulp of pi each), the difference (half an ulp of
+    2 pi) and the rounding of 2 pi.  The formula is evaluated at the ends
+    of these enclosures that make it smallest and largest; that evaluation
+    takes at most about 11 U of relative rounding (asinh within 2 ulps, and
+    its conditioning x asinh'(x) / asinh(x) at most 1), so each end is moved
+    out by 16 U and then by one ulp with ``math.nextafter``.
+    """
+    a, b = as_finite(a), as_finite(b)
+    if not _NORMAL <= radius < math.inf:
+        return None
+    us = []
+    for z in (a, b):
+        v = z - center
+        d = math.hypot(v.real, v.imag)  # abs raises where the modulus overflows
+        if not _NORMAL <= d < math.inf:
+            return None
+        u, e = _log_quotient(d, radius) if outside else _log_quotient(radius, d)
+        e += 6.0 * _U
+        if not u - e > 0.0:
+            return None
+        us.append((u, e))
+    (ua, ea), (ub, eb) = us
+    va, vb = a - center, b - center
+    theta = abs(math.remainder(math.atan2(vb.imag, vb.real) - math.atan2(va.imag, va.real),
+                               2.0 * math.pi))
+    s, e, et = abs(ua - ub), ea + eb, 32.0 * _U
+    hi = 2.0 * math.asinh(math.sqrt(((s + e) ** 2 + (theta + et) ** 2)
+                                    / (4.0 * ((ua - ea) * (ub - eb)))))
+    lo = 2.0 * math.asinh(math.sqrt((max(0.0, s - e) ** 2 + max(0.0, theta - et) ** 2)
+                                    / (4.0 * ((ua + ea) * (ub + eb)))))
+    if not math.isfinite(hi):
+        return None
+    return (max(0.0, math.nextafter(lo * (1.0 - 16.0 * _U), -math.inf)),
+            math.nextafter(hi * (1.0 + 16.0 * _U), math.inf))
 
 
 def h01_lower(a: complex, b: complex) -> Tuple[float, bool]:
@@ -271,6 +349,69 @@ def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
     return length(path, 1e-8, cap) * (1.0 + 1e-8), name
 
 
+def _clearance(p: complex, others: Sequence[Component]) -> float:
+    """A lower bound for the distance from the point p to the components
+    ``others``: the least ``distance_field`` value, less a bound on its
+    rounding.  |p - q| for a point q is within 3 U of itself, and is
+    lowered by 8 U of itself.  For a circle of centre c and radius R the
+    value is within about 4 U (|p| + |c| + R), and for a line through o
+    within about 7 U (|p| + |o|); both are lowered by 16 U (|p| + s), with s
+    the largest modulus among the component's ``centers()`` (for a circle
+    at least (|c| + R) cos(pi/8), for a line |o|)."""
+    r = math.inf
+    for comp in others:
+        d = float(comp.distance_field(np.asarray(p)))
+        if isinstance(comp, ComplementPoint):
+            d *= 1.0 - 8.0 * _U
+        else:
+            d -= 16.0 * _U * (abs(p) + max(abs(c) for c in comp.centers()))
+        r = min(r, d)
+    return r
+
+
+def _comparison_disks(domain: Domain) -> List[Tuple[complex, float, bool, str, bool]]:
+    """The punctured disks the domain contains, as (center, radius, outside,
+    name, exact) for ``h_Dstar``: one about each point component p, of
+    radius its distance to the rest of the complement, and, where infinity
+    is a boundary point, the outside of a closed disk that holds the whole
+    complement (centred on its bounding box).  ``exact`` marks the disk that
+    is the domain itself: a point and the outside of an open disk about it,
+    or one closed disk with infinity on the boundary.  The domain must be
+    hyperbolic, so that a lone component is not a point."""
+    comps = domain.complement_components()
+    disks = []
+    for comp in comps:
+        if not isinstance(comp, ComplementPoint):
+            continue
+        p = comp.point
+        others = [c for c in comps if c is not comp]
+        if not others:
+            continue
+        if (len(others) == 1 and isinstance(others[0], ComplementDiskExterior)
+                and others[0].center == p):
+            disks.append((p, others[0].radius, False, "", True))
+        else:
+            disks.append((p, _clearance(p, others), False, f"{p:.6g}", False))
+    if domain.sphere_boundary_includes_infinity():
+        # every component is then a point or a closed disk
+        if len(comps) == 1:
+            disks.append((comps[0].center, comps[0].radius, True, "", True))
+        else:
+            spans = [(c.point, 0.0) if isinstance(c, ComplementPoint) else (c.center, c.radius)
+                     for c in comps]
+            lo_x = min(z.real - r for z, r in spans)
+            hi_x = max(z.real + r for z, r in spans)
+            lo_y = min(z.imag - r for z, r in spans)
+            hi_y = max(z.imag + r for z, r in spans)
+            c = complex(0.5 * lo_x + 0.5 * hi_x, 0.5 * lo_y + 0.5 * hi_y)
+            # each |z - c| + r is within 4 U of itself; hypot, as abs raises
+            # where the modulus overflows
+            far = max(math.hypot((z - c).real, (z - c).imag) + r for z, r in spans)
+            radius = math.nextafter(far * (1.0 + 8.0 * _U), math.inf)
+            disks.append((c, radius, True, "inf", False))
+    return disks
+
+
 def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Certified interval for the hyperbolic distance between a and b.
 
@@ -278,22 +419,26 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     distance (``Component.h_lower``) in the disk or half-plane that a
     complement component bounds, which is exact when that component is the
     domain's only one and infinity is not a boundary point, and the
-    twice-punctured-plane bound over anchor pairs.  The upper bound is the
-    best of the model estimates and twice a quasihyperbolic upper bound.
-    The punctured-disk estimate about a puncture p applies when both points
-    lie within r_p of p, the distance from p to the rest of the boundary,
-    and the nearer one within r_p/2; the disk-exterior estimate when both
-    lie outside the disk of radius R and the farther one at least 2R from
-    its center.
+    twice-punctured-plane bound over anchor pairs.
 
+    The upper bound is the least of the exact distances in the punctured
+    disks the domain contains (``_comparison_disks``, measured by
+    ``h_Dstar``), since h only grows on a smaller domain, and twice
+    ``k_interval_fast``'s upper bound.  A disk counts when it holds both
+    points, labelled ``punctured-disk(p)`` about a point component p and
+    ``punctured-disk(inf)`` about infinity.  Where the disk is the domain
+    itself (``PuncturedUnitDisk`` and the outside of a closed disk, and
+    their images), both ends are its enclosure, ``punctured-disk-exact``,
+    returned at once, as the ``disk-exact`` intervals are, without k.
     The doubling holds because the domain contains the disk B(z, delta(z)),
-    so the hyperbolic density is at most 2/delta and h <= 2k.  When no model
-    estimate is finite, ``k_interval_fast``'s upper endpoint is doubled, and
-    the finite density bound min(2/delta, (pi/2)/(delta beta)) is integrated
-    along one of the curves ``k_interval_fast`` measured (see
-    ``_bp_arc_upper``).  That density never exceeds 2/delta, so the integral
-    is finite and stops at the doubled bound; it replaces it, labelled
-    ``density-bound(<curve>)``, only when it comes out strictly below.
+    so the hyperbolic density is at most 2/delta and h <= 2k.
+
+    Only when no comparison disk holds both points is the finite density
+    bound min(2/delta, (pi/2)/(delta beta)) integrated along one of the
+    curves ``k_interval_fast`` measured (see ``_bp_arc_upper``).  That
+    density never exceeds 2/delta, so the integral is finite and stops at
+    the doubled bound; it replaces it, labelled ``density-bound(<curve>)``,
+    only when it comes out strictly below.
     """
     a, b = as_finite(a), as_finite(b)
     if not (domain.contains(a) and domain.contains(b)):
@@ -320,6 +465,22 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
             return DistanceInterval(v, v, f"{name}-exact", f"{name}-exact")
         if v > lower:
             lower, lower_src = v, f"{name}-lower"
+
+    # comparison punctured disks, which the domain contains
+    for center, radius, outside, name, exact in _comparison_disks(domain):
+        bounds = h_Dstar(a, b, center, radius, outside)
+        if bounds is None:
+            continue
+        if exact:
+            # the model bound stays where the points are too close for the
+            # enclosure's rounding
+            if bounds[0] >= lower:
+                lower, lower_src = bounds[0], "punctured-disk-exact"
+            return DistanceInterval(lower, bounds[1], lower_src, "punctured-disk-exact")
+        if bounds[1] < upper:
+            upper, upper_src = bounds[1], f"punctured-disk({name})"
+    held = upper < math.inf
+
     anchors = _anchor_points(domain, a, b)
     for p in anchors:
         for q in anchors:
@@ -329,38 +490,14 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
             if v is not None and v > lower:
                 lower, lower_src = v, f"twice-punctured-lower({p:.6g},{q:.6g})"
 
-    # model upper bounds
-    for comp in comps:
-        if not isinstance(comp, ComplementPoint):
-            continue
-        p = comp.point
-        others = [c for c in comps if c is not comp]
-        if not others:
-            continue
-        r_p = min(float(c.distance_field(np.asarray(p))) for c in others)
-        near, far = sorted((abs(a - p), abs(b - p)))
-        if far < r_p and near <= 0.5 * r_p:
-            v = h_upper_Dstar(a, b, p, r_p)
-            if v < upper:
-                upper, upper_src = v, f"punctured-disk-estimate({p:.6g})"
-    if (len(comps) == 1 and isinstance(comps[0], ComplementDisk)
-            and not domain.contains_infinity):
-        disk = comps[0]
-        near, far = sorted((abs(a - disk.center), abs(b - disk.center)))
-        if near > disk.radius and far >= 2.0 * disk.radius:
-            v = h_upper_disk_exterior(a, b, disk.center, disk.radius)
-            if v < upper:
-                upper, upper_src = v, "disk-exterior-estimate"
+    from .solver import _k_interval_fast_curves  # deferred: solver builds on this module
 
-    if math.isinf(upper):
-        from .solver import _k_interval_fast_curves  # deferred: solver builds on this module
-
-        k_fast, curves = _k_interval_fast_curves(domain, a, b)
-        if 2.0 * k_fast.upper < upper:
-            upper, upper_src = 2.0 * k_fast.upper, "double-quasihyperbolic"
-        if curves:
-            v, name = _bp_arc_upper(domain, curves, upper)
-            if v < upper:
-                upper, upper_src = v, f"density-bound({name})"
+    k_fast, curves = _k_interval_fast_curves(domain, a, b)
+    if 2.0 * k_fast.upper < upper:
+        upper, upper_src = 2.0 * k_fast.upper, "double-quasihyperbolic"
+    if curves and not held:
+        v, name = _bp_arc_upper(domain, curves, upper)
+        if v < upper:
+            upper, upper_src = v, f"density-bound({name})"
 
     return DistanceInterval(lower, upper, lower_src, upper_src)

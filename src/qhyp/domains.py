@@ -69,13 +69,15 @@ def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
 
 
 def halfplane_distance(a: complex, b: complex) -> float:
-    """Hyperbolic (equals quasihyperbolic) distance in the upper half-plane."""
+    """Hyperbolic (equals quasihyperbolic) distance in the upper half-plane:
+    cosh h = 1 + |a - b|^2 / (2 Im a Im b), so h = 2 asinh(|a - b| /
+    (2 sqrt(Im a) sqrt(Im b))).  Neither |a - b| nor the heights are
+    squared or multiplied together, so the value neither underflows (at
+    1e-200i, 2e-200i, where h = log 2) nor overflows (at i, 1e160i)."""
     a, b = as_finite(a), as_finite(b)
     if not (a.imag > 0.0 and b.imag > 0.0):
         raise DomainError("points must lie in the upper half-plane")
-    s = abs(a - b) ** 2 / (2.0 * a.imag * b.imag)
-    # acosh(1 + s) computed stably for small s
-    return math.log1p(s + math.sqrt(s * (s + 2.0)))
+    return 2.0 * math.asinh(abs(a - b) / (2.0 * math.sqrt(a.imag) * math.sqrt(b.imag)))
 
 
 def hyperbolic_disk_distance(a: complex, b: complex) -> float:

@@ -1,8 +1,11 @@
 """Density formulas, model distances, and certified hyperbolic intervals."""
 
+import json
 import math
+import sys
 import time
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qhyp import (
     chordal_quasihyperbolic_density,
     disk_exterior_density,
     h01_lower,
+    h_Dstar,
     h_interval,
     h_upper_Dstar,
     h_upper_disk_exterior,
@@ -120,6 +124,13 @@ def test_disk_distance_symmetric_nonnegative(a, b):
     d2 = hyperbolic_disk_distance(b, a)
     assert d1 >= 0.0
     assert d1 == pytest.approx(d2, rel=1e-12, abs=1e-12)
+
+
+def test_halfplane_distance_at_extreme_heights():
+    # |a - b|^2 and Im a Im b once underflowed (ZeroDivisionError) and
+    # overflowed (OverflowError); h is log of the ratio of the heights
+    assert halfplane_distance(1e-200j, 2e-200j) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert halfplane_distance(1j, 1e160j) == pytest.approx(160.0 * math.log(10.0), rel=1e-15)
 
 
 def test_halfplane_distance_invariances():
@@ -324,9 +335,9 @@ def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
         dom, a, b = TranslatedScaled(dom, s, c), s * a + c, s * b + c
     iv = h_interval(dom, a, b)
     assert iv.lower >= _outside_disk_distance(dom, a, b) * (1.0 - 1e-12)
-    # near infinity the twice-punctured bound about two boundary points,
-    # which counts infinity as a boundary point, can be the better one
-    assert "exact" not in iv.lower_source and "exact" not in iv.upper_source
+    # the domain is the punctured disk about infinity, whose distance the
+    # interval is (unless the points coincide)
+    assert iv.lower_source in ("punctured-disk-exact", "coincident")
 
 
 def _inside_the_unit_circle(angle: float, ulps: int) -> complex:
@@ -398,21 +409,42 @@ def test_h_interval_of_points_far_below_rounding_scale(x, log_gap, outside, move
 
 @pytest.mark.parametrize("a, b, lower", [(1.1, -1.1, 6.089), (2.0, 3.0j, 1.364)])
 def test_h_interval_lower_outside_the_unit_disk_pins(a, b, lower):
-    iv = h_interval(ExteriorUnitDisk(), a, b)
-    assert iv.lower == pytest.approx(lower, abs=5e-4)
-    assert iv.lower_source == "disk-lower" and iv.upper > iv.lower
+    # the closed disk's model bound, which the exact distance of the domain
+    # (the punctured disk about infinity) now exceeds
+    dom = ExteriorUnitDisk()
+    (disk,) = dom.complement_components()
+    assert disk.h_lower(a, b)[0] == pytest.approx(lower, abs=5e-4)
+    iv = h_interval(dom, a, b)
+    assert iv.lower_source == "punctured-disk-exact" and iv.lower > lower
 
 
-@pytest.mark.parametrize("dom, a, b, estimate", [
-    (PuncturedUnitDisk(), 0.5, -0.9, True),
+@pytest.mark.parametrize("dom, a, b, outside", [
+    (PuncturedUnitDisk(), 0.5, -0.9, False),
     (PuncturedUnitDisk(), 0.51, -0.9, False),
     (ExteriorUnitDisk(), 2.0, -1.1, True),
-    (ExteriorUnitDisk(), 1.99, -1.1, False),
+    (ExteriorUnitDisk(), 1.99, -1.1, True),
 ], ids=["D*-near-at-r/2", "D*-near-beyond-r/2", "exterior-far-at-2R",
         "exterior-far-within-2R"])
-def test_h_interval_model_estimate_ranges(dom, a, b, estimate):
+def test_h_interval_model_estimate_ranges(dom, a, b, outside):
+    # the old estimates held only with the nearer point within r/2 of the
+    # puncture, or the farther one beyond 2R; the exact distance of the
+    # punctured disk holds on either side of those thresholds
     iv = h_interval(dom, a, b)
-    assert iv.upper_source.startswith(MODEL_ESTIMATES) == estimate
+    assert iv.lower_source == iv.upper_source == "punctured-disk-exact"
+    ref, _ = _dstar_reference(complex(a), complex(b), 0j, 1.0, outside)
+    assert Decimal(iv.lower) <= ref <= Decimal(iv.upper)
+
+
+@pytest.mark.parametrize("dom, a, b, lower, upper, h", [
+    (PuncturedUnitDisk(), 0.9, -0.9, 6.792440140737212, 6.792440140737287, 6.79244014073725),
+    (ExteriorUnitDisk(), 1.1, -1.1, 6.992535355895981, 6.99253535589606, 6.99253535589602),
+], ids=["punctured-disk", "exterior-disk"])
+def test_h_interval_exact_on_punctured_models_pinned(dom, a, b, lower, upper, h):
+    # h is an mpmath value of the distance
+    iv = h_interval(dom, a, b)
+    assert (iv.lower, iv.upper) == (lower, upper)
+    assert iv.lower_source == iv.upper_source == "punctured-disk-exact"
+    assert iv.contains(h, tol=1e-14) and iv.width <= 1e-13 * iv.upper
 
 
 @pytest.mark.parametrize("base, a, b", [
@@ -449,7 +481,6 @@ SLOW_ARC_PAIR = (1.7530809568010897 + 0.42654310306871945j,
                  2.151022309110887 + 0.9179862439359936j)
 DIVERGENT_ARC_PAIR = (1.9296171063502774 + 0.9186217857197763j,
                       -1.3656576987781426 - 1.297377517589764j)
-MODEL_ESTIMATES = ("punctured-disk-estimate", "disk-exterior-estimate")
 
 
 def test_h_interval_caps_upper_at_twice_k():
@@ -462,10 +493,12 @@ def test_h_interval_caps_upper_at_twice_k():
 
 
 def test_h_interval_finite_where_the_arc_diverges():
+    # both points lie outside the disk |z - 1/2| <= 1/2 that holds {0, 1}
     dom = FiniteComplement([0.0, 1.0])
     iv = h_interval(dom, *DIVERGENT_ARC_PAIR)
     assert math.isfinite(iv.upper)
-    assert iv.upper_source == "double-quasihyperbolic"
+    assert iv.upper_source == "punctured-disk(inf)"
+    assert iv.upper <= 2.0 * k_interval_fast(dom, *DIVERGENT_ARC_PAIR).upper
 
 
 _plane_point = st.tuples(st.floats(min_value=-3.0, max_value=3.0),
@@ -482,56 +515,37 @@ def test_h_interval_upper_at_most_twice_k(a, b):
     dom = FiniteComplement([0.0, 1.0])
     assume(min(abs(a), abs(a - 1.0), abs(b), abs(b - 1.0)) > 0.05 and a != b)
     iv = h_interval(dom, a, b)
-    assert iv.lower <= iv.upper
-    if not iv.upper_source.startswith(MODEL_ESTIMATES):
-        assert iv.upper <= 2.0 * k_interval_fast(dom, a, b).upper
+    assert iv.lower <= iv.upper <= 2.0 * k_interval_fast(dom, a, b).upper
 
 
-# h upper bounds before the Beardon-Pommerenke arc search was replaced by
-# one integral of min(2/delta, (pi/2)/(delta beta)), each with its label
-# then: the 12 pairs of `qhyp qi-verify --pairs 12 --seed 0` on the plane
-# minus {0, 1}, and 8 pairs of the same sampler on three more domains.  Two
-# were punctured-disk estimates with the nearer point beyond r/2 of the
-# puncture, where the estimate is no upper bound; they hold the bounds that
-# replace them: pair 11 on {0, 1} (was 5.558227689199934) and pair 1 on the
-# half-plane (was 6.00106903107248).
-DC, PD = "double-quasihyperbolic", "punctured-disk-estimate"
-PARENT_H_UPPERS = [
-    (FiniteComplement([0.0, 1.0]), 12, [
-        (1.5463600432036555, DC), (1.1096029134788106, DC), (6.844232812988417, DC),
-        (8.395501438501583, DC), (4.5122665993400695, DC), (0.587742797386243, DC),
-        (0.9392460441147782, DC), (5.745518653742398, PD), (7.8664299954291526, DC),
-        (5.585361449003673, DC), (5.952769487056822, "density-bound(segment)"),
-        (6.023597474110447, DC)]),
-    (FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]), 8, [
-        (1.6862824128696088, DC), (0.9990575887056213, DC), (6.561112296567703, DC),
-        (8.686570744945705, DC), (7.3050295917142085, DC), (0.5877427973862429, DC),
-        (0.7791890613874068, "density-bound-arc"), (6.063184338388292, DC)]),
-    (PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]), 8, [
-        (8.219117718067409, DC), (9.31318543458236, DC), (6.862036391265555, DC),
-        (3.1169299014841783, DC), (1.138080768866516, DC), (5.847248420390109, DC),
-        (2.4555567938972827, DC), (3.787738488224506, DC)]),
-    (PuncturedSubdomain(UpperHalfPlane(), [1.0j, 1.0 + 2.0j]), 8, [
-        (1.3229109077207113, DC), (17.754921267390564, DC), (3.2357096168350843, DC),
-        (0.48086387921735285, DC), (1.1922164393943877, DC), (5.785721425853508, PD),
-        (9.822185937236934, DC), (5.9564820561861795, DC)]),
+# the four domains of the pinned upper bounds below, each with the number of
+# pairs of `qhyp qi-verify --pairs n --seed 0` the fast-slot test checks
+_UPPER_DOMAINS = [
+    ("plane minus {0, 1}", FiniteComplement([0.0, 1.0]), 12),
+    ("plane minus {0, 1, i, -1.5+0.5i}", FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]), 8),
+    ("unit disk minus {0.25i, -0.3}", PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]), 8),
+    ("upper half-plane minus {i, 1+2i}",
+     PuncturedSubdomain(UpperHalfPlane(), [1.0j, 1.0 + 2.0j]), 8),
 ]
+# h upper bounds on the 60 pairs `_sample_pairs(domain, 60, 0)` draws in
+# each domain, with their labels, before the comparison punctured disks
+# replaced the r/2 and 2R model estimates
+_PARENT_H_UPPERS = json.loads(
+    (Path(__file__).parent / "data" / "h_uppers_before_comparison_disks.json").read_text())
 
 
 def test_h_interval_upper_not_above_parent():
     from qhyp.cli import _sample_pairs
 
     tightened = 0
-    for dom, n, recorded in PARENT_H_UPPERS:
-        for (a, b), (old, old_src) in zip(_sample_pairs(dom, n, 0), recorded):
+    for name, dom, _ in _UPPER_DOMAINS:
+        recorded = _PARENT_H_UPPERS[name]
+        for (a, b), (old, old_src) in zip(_sample_pairs(dom, len(recorded), 0), recorded):
             iv = h_interval(dom, a, b)
-            # the old arc integral was returned unpadded; its replacement on
-            # the same curve carries the (1 + 1e-8) outward pad
-            pad = 1e-8 if old_src == "density-bound-arc" else 0.0
-            assert iv.upper <= old * (1.0 + pad) * (1.0 + 1e-12), (a, b, iv, old_src)
-            if iv.upper < old and iv.upper_source.startswith("density-bound("):
-                tightened += 1
-    assert tightened >= 1
+            assert iv.upper <= old, (name, a, b, iv, old_src)
+            tightened += iv.upper < old
+    # 54, 53, 3 and 6 of the 60 pairs, when the comparison disks came in
+    assert tightened >= 116
 
 
 def test_k_and_h_equal_with_cold_and_warm_fast_slot():
@@ -539,7 +553,7 @@ def test_k_and_h_equal_with_cold_and_warm_fast_slot():
     # pinned sample it must change nothing, whichever comes first
     from qhyp.cli import _sample_pairs
 
-    for dom, n, _ in PARENT_H_UPPERS:
+    for _, dom, n in _UPPER_DOMAINS:
         for a, b in _sample_pairs(dom, n, 0):
             solver_module._last_fast = None
             cold_h = h_interval(dom, a, b)
@@ -550,6 +564,126 @@ def test_k_and_h_equal_with_cold_and_warm_fast_slot():
             h_interval(dom, a, b)
             assert k_interval_fast(dom, a, b) == cold_k  # warm from h, when it measured k
             assert h_interval(dom, a, b) == cold_h
+
+
+# ---------------------------------------------------------------------------
+# Exact distance in a punctured disk
+# ---------------------------------------------------------------------------
+
+_DEC_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _dec_atan(t: Decimal) -> Decimal:
+    """atan t for t >= 0, in the current decimal context: halve the angle
+    until t < 1e-3, then sum the Taylor series."""
+    if t > 1:
+        return _DEC_PI / 2 - _dec_atan(1 / t)
+    halvings = 0
+    while t > Decimal("1e-3"):
+        t = t / (1 + (1 + t * t).sqrt())
+        halvings += 1
+    total, power, k = Decimal(0), t, 0
+    while power > t * Decimal("1e-70"):
+        total += (-1) ** k * power / (2 * k + 1)
+        power *= t * t
+        k += 1
+    return total * 2 ** halvings
+
+
+def _dstar_reference(a: complex, b: complex, c: complex, r: float, outside: bool):
+    """h = 2 asinh(sqrt(((u_a - u_b)^2 + theta^2) / (4 u_a u_b))) in the
+    punctured disk about c of radius r (about infinity, outside B(c, r),
+    with ``outside``), evaluated at 60 digits from the points passed, and
+    the smaller u; h is None where a point is not in the disk."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ax, ay = Decimal(a.real) - Decimal(c.real), Decimal(a.imag) - Decimal(c.imag)
+        bx, by = Decimal(b.real) - Decimal(c.real), Decimal(b.imag) - Decimal(c.imag)
+
+        def u(x, y):
+            d = (x * x + y * y).sqrt()
+            return (d / Decimal(r) if outside else Decimal(r) / d).ln()
+
+        ua, ub = u(ax, ay), u(bx, by)
+        if min(ua, ub) <= 0:
+            return None, min(ua, ub)
+        cross, dot = abs(ax * by - ay * bx), ax * bx + ay * by
+        if dot == 0:
+            theta = _DEC_PI / 2
+        elif dot > 0:
+            theta = _dec_atan(cross / dot)
+        else:
+            theta = _DEC_PI - _dec_atan(cross / -dot)
+        x = (((ua - ub) ** 2 + theta ** 2) / (4 * ua * ub)).sqrt()
+        return 2 * _dec_asinh(x), min(ua, ub)
+
+
+@st.composite
+def _dstar_case(draw):
+    """Two points of a punctured disk about c of radius r, or of the disk
+    about infinity outside B(c, r): at a distance from c of r f, or r / f
+    outside, with f log-uniform in [1e-300, 1e-1] (the radii of the extreme
+    pairs below), uniform in [0.1, 1), or within 1e-8 of 1."""
+    c = draw(st.sampled_from([0j, 1 + 0.5j, -3e5 + 2j]))
+    r = draw(st.sampled_from([1.0, 1e-10, 3e7]))
+    outside = draw(st.booleans())
+
+    def point():
+        f = draw(st.one_of(st.floats(-300.0, -1.0).map(lambda e: 10.0 ** e),
+                           st.floats(0.1, 1.0, exclude_max=True),
+                           st.floats(-15.0, -8.0).map(lambda e: 1.0 - 10.0 ** e)))
+        t = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi]),
+                           st.floats(-math.pi, math.pi)))
+        return c + (r / f if outside else r * f) * complex(math.cos(t), math.sin(t))
+
+    return point(), point(), c, r, outside
+
+
+@settings(deadline=None, max_examples=200)
+@given(_dstar_case())
+# the two model pairs, and the radial pair e^-4, e^-2, where h = log 2
+@example((0.9 + 0j, -0.9 + 0j, 0j, 1.0, False))
+@example((1.1 + 0j, -1.1 + 0j, 0j, 1.0, True))
+@example((math.exp(-4.0) + 0j, math.exp(-2.0) + 0j, 0j, 1.0, False))
+# points 1e-280 and 1e-300 from the centre, where u is about 690
+@example((1e-280 + 0j, 1e-300j, 0j, 1.0, False))
+def test_h_Dstar_encloses_the_decimal_reference(case):
+    a, b, c, r, outside = case
+    assume(a != c and b != c)  # r f can round onto the centre
+    enc = h_Dstar(a, b, c, r, outside)
+    ref, u_min = _dstar_reference(a, b, c, r, outside)
+    if enc is None:
+        # only where a point lies within rounding of the circle or outside
+        # it, or nearer the centre than the least normal double
+        assert u_min < 1e-12 or min(abs(a - c), abs(b - c)) < sys.float_info.min
+    else:
+        assert Decimal(enc[0]) <= ref <= Decimal(enc[1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(_disk_point, _disk_point, st.floats(-math.pi, math.pi),
+       st.sampled_from([(0j, 1e-10), (1 + 0.5j, 0.25), (-3e5 + 2j, 3e7)]))
+def test_h_Dstar_symmetries(w_a, w_b, angle, disk):
+    enc = h_Dstar(w_a, w_b)
+    assert enc is not None
+    lo, hi = enc
+    # endpoint swap and conjugation give the same bits
+    assert h_Dstar(w_b, w_a) == enc
+    assert h_Dstar(w_a.conjugate(), w_b.conjugate()) == enc
+    # rotation about the puncture, the similarity onto another punctured
+    # disk, and z -> 1/z onto the disk about infinity outside the unit disk
+    rot = complex(math.cos(angle), math.sin(angle))
+    (c, r) = disk
+    for other in (h_Dstar(rot * w_a, rot * w_b),
+                  h_Dstar(c + r * w_a, c + r * w_b, c, r),
+                  h_Dstar(1 / w_a, 1 / w_b, 0j, 1.0, outside=True)):
+        assert other[0] == pytest.approx(lo, rel=1e-12, abs=1e-12)
+        assert other[1] == pytest.approx(hi, rel=1e-12, abs=1e-12)
+    # the punctured disk lies in the unit disk and in the plane minus
+    # {0, 1}: its distance is at least theirs, and their reported lower bounds
+    assert hi >= hyperbolic_disk_distance(w_a, w_b)
+    if w_a != w_b:
+        assert hi >= h_interval(FiniteComplement([0.0, 1.0]), w_a, w_b).lower
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +781,8 @@ def test_extreme_pairs_pinned():
     assert (k.lower, k.upper) == (1033.2697207195888, 1034.378035631701)
     assert k.upper_source == "segment"
     h = h_interval(_TWO_POINTS, *_FAR_H_PAIR)
-    assert h.lower == 1.7450712366618901 and h.upper == 140.138494039721
+    assert h.lower == 1.7450712366618901 and h.upper == 1.9998745844492865
+    assert h.upper_source == "punctured-disk(inf)"
     k = k_interval_fast(_TWO_POINTS, *_TINY_PAIR)
     assert k.upper == 1.9248473002384348 and k.upper_source == "segment"
 
@@ -669,10 +804,13 @@ def test_disk_lower_far_from_a_small_circle():
     # (|ra - r|(ra + r))(|rb - r|(rb + r)) overflows here; the lower bound
     # was 0 (trivial).  In the limit a -> infinity it is 2 asinh(1/sqrt(8)),
     # which is log 2
+    (disk,) = _SMALL_DISK.complement_components()
+    v, name = disk.h_lower(1e300, 3e-10)
+    assert name == "disk" and v == pytest.approx(math.log(2.0), rel=1e-15)
+    # the domain is the punctured disk about infinity, whose exact distance
+    # exceeds the disk's
     iv = h_interval(_SMALL_DISK, 1e300, 3e-10)
-    assert iv.lower_source == "disk-lower"
-    assert iv.lower == pytest.approx(math.log(2.0), rel=1e-15)
-    assert iv.lower <= iv.upper
+    assert iv.lower_source == "punctured-disk-exact" and v < iv.lower <= iv.upper
 
 
 def test_k_and_h_give_up_beside_the_circle_within_seconds():
