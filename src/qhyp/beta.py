@@ -418,9 +418,9 @@ class UPCircle(Component):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("circle radius must be finite and positive")
 
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
-        d = abs(zeta - self.center)
-        return (abs(d - self.radius), d + self.radius)
+    def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
+        return np.abs(d - self.radius), d + self.radius
 
     def accumulates_at_infinity(self) -> bool:
         return False
@@ -438,10 +438,11 @@ class UPRay(Component):
         if self.direction == 0:
             raise ValueError("ray direction must be nonzero")
 
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
+    def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        zeta = np.asarray(zeta, dtype=np.complex128)
         u = self.direction / abs(self.direction)
-        s = max(0.0, ((zeta - self.origin) * u.conjugate()).real)
-        return (abs(self.origin + s * u - zeta), math.inf)
+        s = np.maximum(0.0, ((zeta - self.origin) * u.conjugate()).real)
+        return np.abs(self.origin + s * u - zeta), np.full(zeta.shape, math.inf)
 
     def accumulates_at_infinity(self) -> bool:
         return True
@@ -578,7 +579,7 @@ def up_modulus_sup(parts: Sequence[Component], horizon: int = 8) -> UPReport:
     best = 0.0
     witness: Optional[Annulus] = None
     for o in centers:
-        plain = [iv for b in plain_parts for iv in b.blocked(o)]
+        plain = [tuple(float(x) for x in b.xi_range_field(o)) for b in plain_parts]
         finite_endpoints = [x for pair in plain for x in pair
                             if math.isfinite(x) and x > 0.0]
         ext_lo = min(finite_endpoints) if finite_endpoints else math.inf

@@ -472,11 +472,10 @@ def h_interval(domain: Domain, a: complex, b: complex) -> DistanceInterval:
         if bounds is None:
             continue
         if exact:
-            # the model bound stays where the points are too close for the
-            # enclosure's rounding
-            if bounds[0] >= lower:
-                lower, lower_src = bounds[0], "punctured-disk-exact"
-            return DistanceInterval(lower, bounds[1], lower_src, "punctured-disk-exact")
+            # the enclosure is the interval; its lower end is raised to the
+            # model bound where the points are too close for its rounding
+            return DistanceInterval(max(lower, bounds[0]), bounds[1], "punctured-disk-exact",
+                                    "punctured-disk-exact")
         if bounds[1] < upper:
             upper, upper_src = bounds[1], f"punctured-disk({name})"
     held = upper < math.inf

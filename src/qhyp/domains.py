@@ -73,11 +73,17 @@ def halfplane_distance(a: complex, b: complex) -> float:
     cosh h = 1 + |a - b|^2 / (2 Im a Im b), so h = 2 asinh(|a - b| /
     (2 sqrt(Im a) sqrt(Im b))).  Neither |a - b| nor the heights are
     squared or multiplied together, so the value neither underflows (at
-    1e-200i, 2e-200i, where h = log 2) nor overflows (at i, 1e160i)."""
+    1e-200i, 2e-200i, where h = log 2) nor overflows (at i, 1e160i).  Near
+    the overflow threshold the quotient is taken as |a/4 - b/4| / (sqrt(Im a)
+    sqrt(Im b) / 2) instead."""
     a, b = as_finite(a), as_finite(b)
     if not (a.imag > 0.0 and b.imag > 0.0):
         raise DomainError("points must lie in the upper half-plane")
-    return 2.0 * math.asinh(abs(a - b) / (2.0 * math.sqrt(a.imag) * math.sqrt(b.imag)))
+    sa, sb = math.sqrt(a.imag), math.sqrt(b.imag)
+    if max(abs(a.real), abs(b.real), a.imag, b.imag) < 1e307:  # |a - b| and 2 sa sb are finite
+        return 2.0 * math.asinh(abs(a - b) / (2.0 * sa * sb))
+    quarter = math.hypot(a.real / 4.0 - b.real / 4.0, a.imag / 4.0 - b.imag / 4.0)
+    return 2.0 * math.asinh(quarter / (0.5 * sa * sb))
 
 
 def hyperbolic_disk_distance(a: complex, b: complex) -> float:
@@ -98,18 +104,15 @@ def hyperbolic_disk_distance(a: complex, b: complex) -> float:
 
 class Component:
     """A closed component of a domain's complement.  Uniform perfectness sees
-    one through ``blocked``, ``distance_to``, ``centers`` and
+    one through ``xi_range_field``, ``distance_to``, ``centers`` and
     ``accumulates_at_infinity``."""
 
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
+    def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The least and greatest distance (perhaps inf) from each zeta to the component."""
         raise NotImplementedError
 
-    def blocked(self, o: complex) -> List[Tuple[float, float]]:
-        """The distances from o the component occupies, as intervals."""
-        return [self.distance_range_from(o)]
-
     def distance_to(self, p: complex) -> float:
-        return self.distance_range_from(p)[0]
+        return float(self.xi_range_field(p)[0])
 
     def witness_at(self, zeta: complex, t: float) -> complex:
         """A point of the component at distance t from zeta."""
@@ -139,10 +142,6 @@ class ComplementPoint(Component):
     def nearest_point_field(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         return np.full(z.shape, complex(self.point), dtype=np.complex128)
-
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
-        d = abs(zeta - self.point)
-        return (d, d)
 
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.point)
@@ -237,10 +236,6 @@ class ComplementDisk(_RoundComponent):
         r = np.abs(np.asarray(z, dtype=np.complex128) - self.center)
         return np.maximum(0.0, r - self.radius)
 
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
-        d = abs(zeta - self.center)
-        return (max(0.0, d - self.radius), d + self.radius)
-
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
         return np.maximum(0.0, d - self.radius), d + self.radius
@@ -267,10 +262,6 @@ class ComplementDiskExterior(_RoundComponent):
     def distance_field(self, z: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(z, dtype=np.complex128) - self.center)
         return np.maximum(0.0, self.radius - r)
-
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
-        d = abs(zeta - self.center)
-        return (max(0.0, self.radius - d), math.inf)
 
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         d = np.abs(np.asarray(zeta, dtype=np.complex128) - self.center)
@@ -314,10 +305,6 @@ class ComplementHalfPlane(Component):
         u = self._unit()
         s = np.maximum(0.0, ((z - self.origin) / u).imag)
         return z - 1j * s * u
-
-    def distance_range_from(self, zeta: complex) -> Tuple[float, float]:
-        s = ((zeta - self.origin) / self._unit()).imag
-        return (max(0.0, s), math.inf)
 
     def xi_range_field(self, zeta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         zeta = np.asarray(zeta, dtype=np.complex128)
@@ -485,7 +472,7 @@ class Domain:
 def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
     """Whether the open annulus avoids every complement component."""
     for comp in domain.complement_components():
-        lo, hi = comp.distance_range_from(ann.center)
+        lo, hi = comp.xi_range_field(ann.center)
         if hi > ann.inner * (1.0 + tol) and lo < ann.outer * (1.0 - tol):
             return False
     return True

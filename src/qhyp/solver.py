@@ -7,14 +7,15 @@ perpendicular relaxation, and then measures the final curve.  Every curve
 measured, the relaxed path as well as ``k_interval_fast``'s segment and arcs,
 keeps the vertices it was built from, repeated ones included, so it runs
 from a to b exactly and its length is a genuine upper bound for the
-distance; the lower bound comes from closed-form estimates.  On the plane
-minus finitely many points the k-length of a polyline has a closed form,
-which ``domains.punctured_k_length`` evaluates rounded outward, so there the
-interval holds without a tolerance.  Off point complements (the half-plane),
-and for the chordal density, the curve is measured by adaptive quadrature,
-and the interval is certified up to quadrature tolerance (``MEASURE_TOL``);
-a quadrature that does not converge gives an infinite length.  An upper
-bound that comes out below the lower one raises
+distance; the lower bound comes from closed-form estimates.  ``_k_length``
+measures every curve.  On the plane minus finitely many points it evaluates
+the closed form ``domains.punctured_k_length``, rounded outward, so there
+the interval holds without a tolerance.  Elsewhere (the half-plane), and for
+the chordal density, it probes the density at the vertices and segment
+midpoints and then integrates by adaptive quadrature, certified up to
+``MEASURE_TOL``, which is also the outward pad; a density that is not finite
+and positive there, or a quadrature that does not converge, gives an
+infinite length.  An upper bound that comes out below the lower one raises
 ``InconsistentIntervalError``.
 
 The graph is built in two steps.  The grid is free of the density: the
@@ -75,12 +76,11 @@ from .domains import (
     OutsideDomainError,
     UnsupportedDomainError,
     annulus_inside,
-    halfplane_distance,
     k_star_exact,
     punctured_k_length,
     rho_length,
 )
-from .geometry import Annulus, Polyline, chi_arc, segment_point_distance
+from .geometry import Annulus, Polyline, chi_arc, chordal_distance, segment_point_distance
 
 
 class SolverError(RuntimeError):
@@ -632,18 +632,9 @@ def _canonical(a: complex, b: complex) -> Tuple[complex, complex, bool]:
     return b, a, True
 
 
-def _quadrature_length(density):
-    """The measurement off point complements, as (value, upper bound):
-    ``rho_length`` at ``MEASURE_TOL``, and that value padded outward by the
-    same factor."""
-    def measure(path: Polyline) -> Tuple[float, float]:
-        measured = rho_length(path, density, rel_tol=MEASURE_TOL)
-        return measured, measured * (1.0 + MEASURE_TOL)
-    return measure
-
-
 def _geodesic(domain: Domain, a: complex, b: complex, density,
-              lower: Tuple[float, str], res: Resolution, measure) -> GeodesicResult:
+              lower: Tuple[float, str], res: Resolution,
+              punctures: Optional[Tuple[complex, ...]]) -> GeodesicResult:
     a, b = complex(a), complex(b)
     domain.delta(a)
     domain.delta(b)
@@ -652,7 +643,6 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         return GeodesicResult(iv, Polyline([a]), {"nodes": 0})
 
     ca, cb, flipped = _canonical(a, b)
-    punctures = domain.finite_boundary_points()
     t0 = time.perf_counter()
     nodes, graph, (ia, ib), meta = _build_graph(domain, [ca, cb], res, density)
     t1 = time.perf_counter()
@@ -660,11 +650,11 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     meta["graph_length"] = graph_len
     t2 = time.perf_counter()
 
-    relaxed, sweeps, work = _relax_path(raw, density, punctures, res)
+    relaxed, sweeps, work = _relax_path(raw, density, domain.finite_boundary_points(), res)
     meta["relax_sweeps"] = sweeps
     t3 = time.perf_counter()
     path = Polyline(relaxed)
-    meta["measured"], upper = measure(path)
+    upper = _k_length(path, density, punctures)
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
     meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t3 - t2,
@@ -680,34 +670,18 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
 def k_numeric(domain: Domain, a: complex, b: complex,
               resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the quasihyperbolic distance along with the
-    discrete near-geodesic.  Lower bounds are exact for one removed point and
-    for the half-plane.  On the plane minus finitely many points the path is
-    measured in closed form and rounded outward (``punctured_k_length``), so
-    the upper bound holds without a tolerance; on the half-plane it is
-    certified up to the quadrature tolerance ``MEASURE_TOL``."""
-    res = resolution or Resolution()
-    density = quasihyperbolic_density(domain)
-    punctures = _point_punctures(domain)
-    if punctures is None:
-        measure = _quadrature_length(density)
-    else:
-        def measure(path: Polyline) -> Tuple[float, float]:
-            length = punctured_k_length(path, punctures)
-            return length, length
-    comps = domain.complement_components()
-    if comps == (ComplementHalfPlane(),):
-        # the quasihyperbolic and hyperbolic distances of a half-plane agree
-        lower = (halfplane_distance(a, b), "halfplane-exact")
-    elif len(comps) == 1 and isinstance(comps[0], ComplementPoint):
-        lower = (k_star_exact(a, b, comps[0].point), "one-puncture-exact")
-    else:
-        lower = k_lower_analytic(domain, a, b)
-    return _geodesic(domain, a, b, density, lower, res, measure)
+    discrete near-geodesic.  The lower bound is ``k_lower_analytic``'s,
+    exact for one removed point and for the half-plane.  The path is
+    measured by ``_k_length``: in closed form, rounded outward, on the plane
+    minus finitely many points, so the upper bound holds without a
+    tolerance; by quadrature, certified up to ``MEASURE_TOL``, elsewhere."""
+    return _geodesic(domain, a, b, quasihyperbolic_density(domain),
+                     k_lower_analytic(domain, a, b), resolution or Resolution(),
+                     _point_punctures(domain))
 
 
 def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
     """Spherical analogue of the gap bound: log(1 + chordal gap ratio)."""
-    from .geometry import chordal_distance
     chi_ab = chordal_distance(a, b)
     da = domain.chordal_boundary_distance(a)
     db = domain.chordal_boundary_distance(b)
@@ -725,7 +699,7 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
     lo_euc = k_lower_analytic(domain, a, b)
     lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
         (0.25 * lo_euc[0], f"quarter-euclidean[{lo_euc[1]}]")
-    return _geodesic(domain, a, b, density, lower, res, _quadrature_length(density))
+    return _geodesic(domain, a, b, density, lower, res, punctures=None)
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +709,12 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
 def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Two-sided quasihyperbolic enclosure from closed-form lower bounds and
     measured candidate curves (straight segment, circular-arc detours around
-    each removed point).  No grid; looser than the numeric solver.  On the
-    plane minus finitely many points each curve is measured in closed form,
-    rounded outward (``punctured_k_length``), and a curve that meets a
-    puncture is dropped; elsewhere it is measured by quadrature at 1e-9 and
-    padded by that factor, so the upper bound is certified up to that
-    tolerance."""
+    each removed point).  No grid; looser than the numeric solver.  Each
+    curve is measured by ``_k_length``, and one of infinite length is
+    dropped: on the plane minus finitely many points in closed form,
+    rounded outward (``punctured_k_length``); elsewhere by quadrature at
+    ``MEASURE_TOL``, padded by that factor, so the upper bound is certified
+    up to that tolerance."""
     return _k_interval_fast_curves(domain, a, b)[0]
 
 
@@ -793,10 +767,7 @@ def _measure_fast(domain: Domain, a: complex, b: complex
             candidates.append((chi_arc(a, b, c), f"arc({c:g})"))
 
     for path, name in candidates:
-        if punctures is not None:
-            val = punctured_k_length(path, punctures)
-        else:
-            val = _quadrature_fast(path, density, upper)
+        val = _k_length(path, density, punctures, upper)
         if val == math.inf:
             continue  # the curve meets the boundary, or quadrature did not converge
         curves.append((path, name))
@@ -805,11 +776,16 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     return DistanceInterval(lo_val, upper, lo_src, up_src), curves
 
 
-def _quadrature_fast(path: Polyline, density, best: float) -> float:
-    """A candidate's k-length off point complements: ``rho_length`` at 1e-9,
-    padded outward by the same factor, or inf where the density is not
-    finite and positive on the curve or the quadrature does not converge.
-    A candidate cut off above ``best`` loses either way."""
+def _k_length(path: Polyline, density, punctures: Optional[Tuple[complex, ...]],
+              stop_above: float = math.inf) -> float:
+    """An upper bound of a curve's k-length under ``density``: in closed form
+    (``punctured_k_length``) on the plane minus ``punctures``; else (None)
+    ``rho_length`` at ``MEASURE_TOL``, padded outward by that factor, and inf
+    where the density is not finite and positive at a vertex, a segment
+    midpoint or on the curve, or the quadrature does not converge.  A length
+    cut off above ``stop_above`` still exceeds it."""
+    if punctures is not None:
+        return punctured_k_length(path, punctures)
     probe = path.as_array()
     vals = density(probe)
     mids = density(0.5 * (probe[:-1] + probe[1:]))
@@ -817,7 +793,8 @@ def _quadrature_fast(path: Polyline, density, best: float) -> float:
             and np.all(np.isfinite(mids)) and np.all(mids > 0)):
         return math.inf
     try:
-        return rho_length(path, density, rel_tol=1e-9, stop_above=best) * (1.0 + 1e-9)
+        return (rho_length(path, density, rel_tol=MEASURE_TOL, stop_above=stop_above)
+                * (1.0 + MEASURE_TOL))
     except OutsideDomainError:
         return math.inf
 

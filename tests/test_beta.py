@@ -372,6 +372,47 @@ def test_up_json_parser_strict():
         up_set_from_json({"disks": [{"center": [0, 0], "radius": 1.0, "color": "red"}]})
 
 
+RANGE_PIECES = [ComplementPoint(0.5 - 1j), ComplementDisk(3.0, 0.5),
+                ComplementDiskExterior(1j, 4.0), ComplementHalfPlane(-5j, 1.0 - 1j),
+                UPCircle(-1.0 + 2j, 1.5), UPRay(2.0 + 1j, -1.0 + 3j)]
+
+
+def _piece_samples(piece):
+    """Points of a piece, dense near the pieces' scale: its point, its
+    circle, or its boundary line or ray out to length 1e4."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 20001)
+    t = np.concatenate([np.linspace(0.0, 20.0, 40001), np.geomspace(20.0, 1e4, 2001)])
+    if isinstance(piece, ComplementPoint):
+        return np.array([piece.point])
+    if isinstance(piece, (ComplementDisk, ComplementDiskExterior, UPCircle)):
+        return piece.center + piece.radius * np.exp(1j * theta)
+    u = piece.direction / abs(piece.direction)
+    if isinstance(piece, UPRay):
+        return piece.origin + t * u
+    return piece.origin + np.concatenate([-t, t]) * u
+
+
+@pytest.mark.parametrize("piece", RANGE_PIECES, ids=lambda p: type(p).__name__)
+def test_xi_range_field_brackets_the_piece(piece):
+    zeta = np.array([0.0, 2.5 - 0.5j, -3.0 + 4.0j, 7.0 + 2j, 1j])
+    lo, hi = piece.xi_range_field(zeta)
+    assert lo.shape == hi.shape == zeta.shape
+    for k, z in enumerate(zeta):
+        # the scalar distance is the array range's lower end, bit for bit
+        assert piece.distance_to(complex(z)) == float(piece.xi_range_field(complex(z))[0])
+        d = np.abs(_piece_samples(piece) - z)
+        # every sampled point lies in [lo, hi], and lo is the nearest one's
+        # distance, except from inside a solid piece, where lo is 0
+        assert lo[k] <= d.min() * (1.0 + 1e-12) and d.max() <= hi[k] * (1.0 + 1e-12)
+        if not isinstance(piece, (ComplementHalfPlane, ComplementDiskExterior)) \
+                or lo[k] > 0.0:
+            assert d.min() == pytest.approx(lo[k], rel=1e-6, abs=1e-9)
+        if isinstance(piece, (ComplementPoint, ComplementDisk, UPCircle)):
+            assert d.max() == pytest.approx(hi[k], rel=1e-6)
+        else:
+            assert hi[k] == math.inf
+
+
 def test_up_circle_and_ray():
     # seen from the circle's sample at -1 the circle spans [0, 2] and the
     # ray [6, inf): the widest empty annulus runs from 2 to 6, modulus log 3

@@ -131,6 +131,15 @@ def test_halfplane_distance_at_extreme_heights():
     # overflowed (OverflowError); h is log of the ratio of the heights
     assert halfplane_distance(1e-200j, 2e-200j) == pytest.approx(math.log(2.0), rel=1e-15)
     assert halfplane_distance(1j, 1e160j) == pytest.approx(160.0 * math.log(10.0), rel=1e-15)
+    # near the overflow threshold a - b and 2 sqrt(Im a) sqrt(Im b) overflowed
+    # (inf, nan, 0 and OverflowError); h is invariant under z -> z / 1024
+    assert halfplane_distance(-1e308 + 1j, 1e308 + 1j) == 1419.778711645452
+    assert halfplane_distance(-1.5e308 + 1e308j, 1e308 + 1e308j) == 2.0951860252985175
+    for a, b in [(-1e308 + 1j, 1e308 + 1j), (-1.5e308 + 1e308j, 1e308 + 1e308j),
+                 (1.5e308j, 0.5e308 + 1.5e308j), (-6.5e307 + 1.3e308j, 6.5e307 + 1j),
+                 (-1.65e308 + 1.7e308j, 1.65e308 + 1j)]:
+        assert halfplane_distance(a, b) == pytest.approx(
+            halfplane_distance(a / 1024.0, b / 1024.0), rel=1e-15)
 
 
 def test_halfplane_distance_invariances():
@@ -322,6 +331,9 @@ def test_h_interval_upper_at_least_disk_distance(w_a, w_b, exterior):
 @example(0.5 + 0j, -1j / 3.0, True)
 # w_a and w_b 5.6e-108 apart, whose images both round to 7 - 1.5i: h is 0
 @example(0.5 + 0j, 0.5 + 5.6232285572273996e-108j, True)
+# distinct images 6e-232 apart: the enclosure's lower end is 0, the model's
+# 4e-232, and the interval is still the punctured disk's
+@example(0.5 + 0j, 0.5 + 1.5442849586115451e-232j, False)
 def test_h_interval_lower_outside_a_closed_disk(w_a, w_b, moved):
     # outside a closed disk h is at least the distance in the sphere minus
     # the disk, which z -> 1/z maps onto the unit disk; infinity is on the

@@ -132,6 +132,18 @@ def test_numeric_halfplane_contains_exact():
     assert result.distance.upper <= exact * 1.05
 
 
+@pytest.mark.parametrize("dom, a, b", [
+    (FiniteComplement([0.0]), 1.0 + 0.5j, -0.5 - 0.5j),
+    (UpperHalfPlane(), 0.3 + 0.2j, -1.0 + 2.5j),
+    (FiniteComplement([0.0, 1.0, 1.0j, -1.5 + 0.5j]), 0.8 + 1.2j, -2.0 - 0.7j),
+], ids=["one-point", "half-plane", "four-points"])
+def test_numeric_and_fast_share_the_lower_bound(dom, a, b):
+    # both take k_lower_analytic's bound, label included
+    numeric = k_numeric(dom, a, b, Resolution(radial=16, angular=16)).distance
+    fast = k_interval_fast(dom, a, b)
+    assert (numeric.lower, numeric.lower_source) == (fast.lower, fast.lower_source)
+
+
 def test_numeric_coincident_endpoints():
     dom = FiniteComplement([0.0])
     result = k_numeric(dom, 1.0j, 1.0j, RES)
@@ -199,7 +211,7 @@ def _fingerprint(result):
     return (iv.lower, iv.upper, iv.lower_source, iv.upper_source,
             result.path.as_array().tobytes(),
             tuple(result.meta[k] for k in ("nodes", "edges", "stitch_edges",
-                                           "graph_length", "relax_sweeps", "measured")))
+                                           "graph_length", "relax_sweeps")))
 
 
 def test_grid_reused_by_chordal_and_swapped_solves():
