@@ -75,15 +75,23 @@ def halfplane_distance(a: complex, b: complex) -> float:
     squared or multiplied together, so the value neither underflows (at
     1e-200i, 2e-200i, where h = log 2) nor overflows (at i, 1e160i).  Near
     the overflow threshold the quotient is taken as |a/4 - b/4| / (sqrt(Im a)
-    sqrt(Im b) / 2) instead."""
+    sqrt(Im b) / 2) instead.  Where the quotient x itself overflows (a gap
+    huge against the heights, as at 1e200 + 1e-200i, 1e-200i), 2 asinh x
+    equals 2 log 2x to the last bit, so h is taken as 2 (log |a - b| -
+    log sqrt(Im a) - log sqrt(Im b)), with |a - b| as 4 |a/4 - b/4|."""
     a, b = as_finite(a), as_finite(b)
     if not (a.imag > 0.0 and b.imag > 0.0):
         raise DomainError("points must lie in the upper half-plane")
     sa, sb = math.sqrt(a.imag), math.sqrt(b.imag)
     if max(abs(a.real), abs(b.real), a.imag, b.imag) < 1e307:  # |a - b| and 2 sa sb are finite
-        return 2.0 * math.asinh(abs(a - b) / (2.0 * sa * sb))
+        x = abs(a - b) / (2.0 * sa * sb)
+        if x < math.inf:
+            return 2.0 * math.asinh(x)
     quarter = math.hypot(a.real / 4.0 - b.real / 4.0, a.imag / 4.0 - b.imag / 4.0)
-    return 2.0 * math.asinh(quarter / (0.5 * sa * sb))
+    x = quarter / (0.5 * sa * sb)
+    if x < math.inf:
+        return 2.0 * math.asinh(x)
+    return 2.0 * (math.log(4.0) + math.log(quarter) - math.log(sa) - math.log(sb))
 
 
 def hyperbolic_disk_distance(a: complex, b: complex) -> float:

@@ -31,6 +31,13 @@ do for ``k_chordal_numeric`` after ``k_numeric`` on the same pair, and for
 either solver with the endpoints swapped.  Both slots key on the domain
 itself: two domains are equal when their JSON descriptions are.
 
+The grid solver is the only user of scipy (``cKDTree`` for the stitching,
+``csr_matrix`` for the graph, ``dijkstra`` for the search), and it imports
+each where it calls it.  So ``import qhyp`` loads numpy only, and scipy,
+though required, is loaded by the first grid solve: ``k_numeric``,
+``k_chordal_numeric``, ``qhyp distance --method numeric``, ``qhyp
+geodesic`` or acceptance criterion 12.
+
 ``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
 are kept in a second slot, keyed on the domain and the bytes of the two
 endpoints, and reused when the same pair comes again in the same order: the
@@ -56,12 +63,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _dijkstra
-from scipy.spatial import cKDTree
 
 from .constants import BLOCK
 from .densities import (
@@ -81,6 +85,9 @@ from .domains import (
     rho_length,
 )
 from .geometry import Annulus, Polyline, chi_arc, chordal_distance, segment_point_distance
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class SolverError(RuntimeError):
@@ -315,6 +322,8 @@ class _Grid:
 
 
 def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Grid:
+    from scipy.spatial import cKDTree
+
     charts = _charts_for(domain, anchors[0], anchors[-1], res)
     punctures = domain.finite_boundary_points()
 
@@ -448,6 +457,8 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     ``clearance_s`` and ``clearance_exact`` are 0, since that work was not
     done; ``stitch_edges`` still describes the graph.
     """
+    from scipy.sparse import csr_matrix
+
     grid, reused = _grid_for(domain, anchors, res)
     nodes, lo, hi = grid.nodes, grid.lo, grid.hi
 
@@ -482,8 +493,10 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
 
 def _shortest_path(nodes: np.ndarray, graph: csr_matrix, ia: int,
                    ib: int) -> Tuple[List[complex], float]:
-    dist, pred = _dijkstra(graph, directed=False, indices=ia,
-                           return_predecessors=True)
+    from scipy.sparse.csgraph import dijkstra
+
+    dist, pred = dijkstra(graph, directed=False, indices=ia,
+                          return_predecessors=True)
     if not math.isfinite(dist[ib]):
         raise SolverError("grid is disconnected between the endpoints; "
                           "raise the resolution")

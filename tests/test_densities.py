@@ -140,6 +140,36 @@ def test_halfplane_distance_at_extreme_heights():
                  (-1.65e308 + 1.7e308j, 1.65e308 + 1j)]:
         assert halfplane_distance(a, b) == pytest.approx(
             halfplane_distance(a / 1024.0, b / 1024.0), rel=1e-15)
+    # a gap huge against the heights: the quotient |a - b| / (2 sqrt(Im a)
+    # sqrt(Im b)) overflowed and h was inf (it is about 1842.07); 2 asinh x
+    # is 2 log 2x there
+    a, b = 1e200 + 1e-200j, 1e-200j
+    assert halfplane_distance(a, b) == pytest.approx(_halfplane_reference(a, b), rel=1e-15)
+
+
+def _halfplane_reference(a: complex, b: complex) -> float:
+    """2 asinh(|a - b| / (2 sqrt(Im a) sqrt(Im b))) at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dx = Decimal(a.real) - Decimal(b.real)
+        dy = Decimal(a.imag) - Decimal(b.imag)
+        x = (dx * dx + dy * dy).sqrt() / (2 * Decimal(a.imag).sqrt() * Decimal(b.imag).sqrt())
+        return float(2 * _dec_asinh(x))
+
+
+_log_uniform = st.floats(math.log(1e-320), math.log(1e308)).map(math.exp)
+_signed_log_uniform = st.tuples(st.booleans(), _log_uniform).map(lambda t: -t[1] if t[0] else t[1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(_signed_log_uniform, _log_uniform, _signed_log_uniform, _log_uniform)
+@example(1e200, 1e-200, 0.0, 1e-200)
+def test_halfplane_distance_is_finite_at_every_scale(xa, ya, xb, yb):
+    # about 15% of such pairs once gave inf, where the quotient overflows
+    a, b = complex(xa, ya), complex(xb, yb)
+    h = halfplane_distance(a, b)
+    assert math.isfinite(h)
+    assert h_interval(UpperHalfPlane(), a, b).upper == h
 
 
 def test_halfplane_distance_invariances():

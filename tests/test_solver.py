@@ -4,6 +4,10 @@ import cmath
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+import qhyp
 from qhyp import (
     Annulus,
     FiniteComplement,
@@ -148,6 +153,46 @@ def test_numeric_coincident_endpoints():
     dom = FiniteComplement([0.0])
     result = k_numeric(dom, 1.0j, 1.0j, RES)
     assert result.distance.lower == result.distance.upper == 0.0
+
+
+_SCIPY_CHILD = """
+import contextlib, io, json, sys
+import qhyp
+loaded = ["scipy" in sys.modules]
+from qhyp.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+d = qhyp.k_numeric(qhyp.FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j,
+                   qhyp.Resolution(radial=16, angular=16)).distance
+loaded.append("scipy" in sys.modules)
+print(json.dumps({"loaded": loaded, "interval": [d.lower, d.upper]}))
+"""
+
+
+def test_scipy_loads_on_the_first_grid_solve(tmp_path):
+    # this process has imported scipy already, so a fresh interpreter runs
+    # the commands that build no grid, then one grid solve
+    two = '{"type": "finite_complement", "punctures": [[0.0, 0.0], [1.0, 0.0]]}'
+    pair = ["--domain", two, "--from", "0.5,0.5", "--to", "2,1"]
+    commands = [["distance", *pair, "--metric", "k"], ["distance", *pair, "--metric", "h"],
+                ["qi-verify", "--domain", two, "--mode", "global", "--pairs", "2"],
+                ["heatmap", "--domain", two, "--field", "beta", "--window", "-1", "1", "-1", "1",
+                 "--nx", "4", "--ny", "4", "--out", str(tmp_path / "beta.csv")],
+                ["beta-map", "--domain", two, "--at", "0.5,0.5"],
+                ["verify-all", "--criteria", "1,3,4,5,7,10"]]
+    src = str(Path(qhyp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, "-c", _SCIPY_CHILD, json.dumps(commands)],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["loaded"] == [False] * (1 + len(commands)) + [True]
+    d = k_numeric(FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j,
+                  Resolution(radial=16, angular=16)).distance
+    assert report["interval"] == [d.lower, d.upper]
 
 
 # Exact results of the grid solver at 32x32, recorded before the relaxation
