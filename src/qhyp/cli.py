@@ -15,7 +15,7 @@ real is accepted); randomness is controlled by --seed (default 0, a PCG64
 generator); JSON output prints floats with full round-trip precision; CSV
 uses the %.17g format.  Exit status is 0 on success, 1 when a requested
 check fails, 2 on bad input, 3 on an internal error (an enclosure with
-inconsistent bounds).
+inconsistent bounds, or a grid search that found no path).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .equivalence import (
     verify_rough_isometry,
 )
 from .gridcsv import write_grid_csv
-from .solver import Resolution, k_chordal_numeric, k_interval_fast, k_numeric
+from .solver import Resolution, SolverError, k_chordal_numeric, k_interval_fast, k_numeric
 from .acceptance import CRITERIA, run_all
 
 
@@ -463,7 +463,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except InconsistentIntervalError as exc:
+    except (InconsistentIntervalError, SolverError) as exc:
         # a fault of the program on valid input, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

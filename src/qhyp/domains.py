@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -75,16 +76,24 @@ def halfplane_distance(a: complex, b: complex) -> float:
     squared or multiplied together, so the value neither underflows (at
     1e-200i, 2e-200i, where h = log 2) nor overflows (at i, 1e160i).  Near
     the overflow threshold the quotient is taken as |a/4 - b/4| / (sqrt(Im a)
-    sqrt(Im b) / 2) instead.  Where the quotient x itself overflows (a gap
-    huge against the heights, as at 1e200 + 1e-200i, 1e-200i), 2 asinh x
-    equals 2 log 2x to the last bit, so h is taken as 2 (log |a - b| -
-    log sqrt(Im a) - log sqrt(Im b)), with |a - b| as 4 |a/4 - b/4|."""
+    sqrt(Im b) / 2) instead, and where 2 sqrt(Im a) sqrt(Im b) is subnormal
+    (both heights below about 1e-294), a - b is divided by one root at a
+    time, before its modulus is taken, so that no step is subnormal.  Where
+    the quotient x itself overflows (a gap huge against the heights, as at
+    1e200 + 1e-200i, 1e-200i), 2 asinh x equals 2 log 2x to the last bit, so
+    h is taken as 2 (log |a - b| - log sqrt(Im a) - log sqrt(Im b)), with
+    |a - b| as 4 |a/4 - b/4|."""
     a, b = as_finite(a), as_finite(b)
     if not (a.imag > 0.0 and b.imag > 0.0):
         raise DomainError("points must lie in the upper half-plane")
     sa, sb = math.sqrt(a.imag), math.sqrt(b.imag)
     if max(abs(a.real), abs(b.real), a.imag, b.imag) < 1e307:  # |a - b| and 2 sa sb are finite
-        x = abs(a - b) / (2.0 * sa * sb)
+        den = 2.0 * sa * sb
+        if den >= sys.float_info.min:
+            x = abs(a - b) / den
+        else:  # a subnormal product: divide by one root at a time, the larger first
+            lo, hi = min(sa, sb), max(sa, sb)
+            x = math.hypot((a.real - b.real) / hi, (a.imag - b.imag) / hi) / (2.0 * lo)
         if x < math.inf:
             return 2.0 * math.asinh(x)
     quarter = math.hypot(a.real / 4.0 - b.real / 4.0, a.imag / 4.0 - b.imag / 4.0)
@@ -669,8 +678,9 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
     spans more than about 2^60 along it.  So does a level with more than
     ``_MAX_REFINED_PIECES`` active pieces beyond the path's own segments,
     which bounds the memory a level takes (about 0.5 GB at the cap for the
-    quasihyperbolic density on the unit disk minus two points).  A density
-    value at a quadrature point that is not finite, or is negative, raises
+    quasihyperbolic density on the unit disk minus two points).  So does a
+    piece whose density times length overflows.  A density value at a
+    quadrature point that is not finite, or is negative, raises
     ``OutsideDomainError``.
 
     ``stop_above`` ends the refinement early, returning the partial sum as
@@ -694,11 +704,14 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
                           dtype=float)
         if not (np.isfinite(vals).all() and (vals >= 0.0).all()):
             raise OutsideDomainError("density is not finite and positive on the path")
-        return vals * np.concatenate([np.abs(b - a) for a, b in pieces])
+        with np.errstate(over="ignore"):  # an infinite piece makes the length infinite
+            return vals * np.concatenate([np.abs(b - a) for a, b in pieces])
 
     starts, ends = z1s, z2s
     limit = len(starts) + _MAX_REFINED_PIECES
     coarse = mid_values((starts, ends))
+    if not np.isfinite(coarse).all():
+        return math.inf
     total = 0.0
     for _ in range(60):
         n = len(starts)
@@ -708,6 +721,8 @@ def rho_length(path, density: Callable[[np.ndarray], np.ndarray],
             return math.inf
         mids = (starts + ends) / 2.0
         halves = mid_values((starts, mids), (mids, ends))
+        if not np.isfinite(halves).all():
+            return math.inf
         left, right = halves[:n], halves[n:]
         fine = left + right
         err = np.abs(fine - coarse) / 3.0

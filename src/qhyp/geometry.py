@@ -102,15 +102,22 @@ def chordal_distance_field(z: np.ndarray, p: ExtPoint,
 def segment_point_distance(z1, z2, p):
     """Distance from point(s) ``p`` to the segment(s) [z1, z2].
 
-    All arguments broadcast; returns an ndarray (or scalar float).
+    All arguments broadcast; returns an ndarray (or scalar float).  The
+    foot's parameter is Re((p - z1) conj(w)) / |w|^2, w = z2 - z1; where that
+    square or product leaves the float range (lengths beyond about 1e154),
+    it is Re((p - z1) / w) instead, which numpy forms without squaring.
     """
     z1 = np.asarray(z1, dtype=np.complex128)
     z2 = np.asarray(z2, dtype=np.complex128)
     p = np.asarray(p, dtype=np.complex128)
     w = z2 - z1
-    ww = np.abs(w) ** 2
-    safe = np.where(ww > 0.0, ww, 1.0)
-    t = np.clip(((p - z1) * np.conjugate(w)).real / safe, 0.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ww = np.abs(w) ** 2
+        t = ((p - z1) * np.conjugate(w)).real / np.where(ww > 0.0, ww, 1.0)
+    huge = ~(np.isfinite(t) & (ww < math.inf))
+    if huge.any():
+        t = np.where(huge, ((p - z1) / np.where(w != 0, w, 1.0)).real, t)
+    t = np.clip(t, 0.0, 1.0)
     foot = z1 + t * w
     out = np.abs(foot - p)
     if out.ndim == 0:

@@ -1,8 +1,8 @@
 """Numeric quasihyperbolic geodesics with certified two-sided enclosures.
 
-The solver builds overlapping log-polar grids around each removed point (or a
-height-graded Cartesian grid for a half-plane), runs a shortest-path search
-with quadrature edge weights, straightens the discrete path by local
+The solver builds one quadtree graph over a square that holds the data,
+graded by the distance to the boundary, runs a shortest-path search with
+quadrature edge weights, straightens the discrete path by local
 perpendicular relaxation, and then measures the final curve.  Every curve
 measured, the relaxed path as well as ``k_interval_fast``'s segment and arcs,
 keeps the vertices it was built from, repeated ones included, so it runs
@@ -10,33 +10,39 @@ from a to b exactly and its length is a genuine upper bound for the
 distance; the lower bound comes from closed-form estimates.  ``_k_length``
 measures every curve.  On the plane minus finitely many points it evaluates
 the closed form ``domains.punctured_k_length``, rounded outward, so there
-the interval holds without a tolerance.  Elsewhere (the half-plane), and for
-the chordal density, it probes the density at the vertices and segment
-midpoints and then integrates by adaptive quadrature, certified up to
-``MEASURE_TOL``, which is also the outward pad; a density that is not finite
-and positive there, or a quadrature that does not converge, gives an
-infinite length.  An upper bound that comes out below the lower one raises
+the interval holds without a tolerance.  Elsewhere, and for the chordal
+density, it probes the density at the vertices and segment midpoints and
+then integrates by adaptive quadrature, certified up to ``MEASURE_TOL``,
+which is also the outward pad; a density that is not finite and positive
+there, or a quadrature that does not converge, gives an infinite length.
+An upper bound that comes out below the lower one raises
 ``InconsistentIntervalError``.
 
+The quadtree (``_quadtree``) splits a cell while its side exceeds eps times
+the larger of delta at its centre and half its distance to the nearer
+endpoint, eps = 1.6 * 2 pi / min(radial, angular), down to ``DEPTH_CAP``
+levels.  Its leaves whose centre lies in the domain are the nodes, and
+leaves whose squares touch are joined, so the edges grow linearly with the
+cells.  It needs only ``delta_field`` and the components' ``centers()``, so
+every domain type is served; ``k_chordal_numeric`` still raises where
+``chordal_boundary_distance_field`` does.
+
 The graph is built in two steps.  The grid is free of the density: the
-charts, the nodes inside the domain, the stitched edges, the anchors and the
-edges that keep clear of the removed points, tested one block of
-``constants.BLOCK`` edges at a time.  The weighting evaluates one density on
-it, block by block too: the densities at the nodes, then the midpoint
-densities and weights of each block of edges.  So the temporaries of both
-passes stay in cache and do not grow with the grid.  The last grid is kept
-in one module-level slot (about 18 MB at 128x128 on four punctures) and
+nodes, the edges between touching leaves, the anchors and the edges that
+keep clear of the removed points, tested one block of ``constants.BLOCK``
+edges at a time.  The weighting evaluates one density on it, block by block
+too: the densities at the nodes, then the midpoint densities and weights of
+each block of edges.  The last grid is kept in one module-level slot and
 reused when the same domain, anchors and ``Resolution`` come again, as they
 do for ``k_chordal_numeric`` after ``k_numeric`` on the same pair, and for
 either solver with the endpoints swapped.  Both slots key on the domain
 itself: two domains are equal when their JSON descriptions are.
 
-The grid solver is the only user of scipy (``cKDTree`` for the stitching,
-``csr_matrix`` for the graph, ``dijkstra`` for the search), and it imports
-each where it calls it.  So ``import qhyp`` loads numpy only, and scipy,
-though required, is loaded by the first grid solve: ``k_numeric``,
-``k_chordal_numeric``, ``qhyp distance --method numeric``, ``qhyp
-geodesic`` or acceptance criterion 12.
+The grid solver is the only user of scipy (``csr_matrix`` for the graph,
+``dijkstra`` for the search), and it imports each where it calls it.  So
+``import qhyp`` loads numpy only, and scipy, though required, is loaded by
+the first grid solve: ``k_numeric``, ``k_chordal_numeric``, ``qhyp distance
+--method numeric``, ``qhyp geodesic`` or acceptance criterion 12.
 
 ``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
 are kept in a second slot, keyed on the domain and the bytes of the two
@@ -48,11 +54,10 @@ immutable curves.
 
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
 (``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s``, and within the
-build ``stitch_s`` for the chart stitching, ``clearance_s`` for the
-clearance test and ``weights_s`` for the node and midpoint densities and the
-weights), whether the grid was reused (``grid_reused``; then ``stitch_s`` and
-``clearance_s`` are 0), the graph's ``nodes``, ``edges`` and
-``stitch_edges``, and the work of the graph and the relaxation together
+build ``clearance_s`` for the clearance test and ``weights_s`` for the node
+and midpoint densities and the weights), whether the grid was reused
+(``grid_reused``; then ``clearance_s`` is 0), the graph's ``nodes`` and
+``edges``, and the work of the graph and the relaxation together
 (``weight_calls``, ``density_points``, and ``clearance_exact``, the edges
 whose clearance needed the exact segment distance).
 """
@@ -63,7 +68,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,7 +79,6 @@ from .densities import (
     quasihyperbolic_density,
 )
 from .domains import (
-    ComplementHalfPlane,
     ComplementPoint,
     Domain,
     OutsideDomainError,
@@ -94,15 +98,15 @@ class SolverError(RuntimeError):
     """The discrete search could not produce a usable path."""
 
 
-MARGIN = 0.7         # extra log-radius padding of each chart around the data
-STITCH_K = 8         # neighbours tried when stitching a chart to the earlier ones
+DEPTH_CAP = 40       # deepest quadtree level: cell centres keep their bits
 ENDPOINT_K = 12      # grid nodes wired to each anchor
 MEASURE_TOL = 1e-9   # quadrature tolerance, and outward pad, off point complements
 
 
 @dataclass(frozen=True)
 class Resolution:
-    """Grid and relaxation budget for the numeric solver."""
+    """Grid and relaxation budget for the numeric solver.  The smaller of
+    ``radial`` and ``angular``, n, grades the quadtree: eps = 1.6 * 2 pi / n."""
 
     radial: int = 256
     angular: int = 256
@@ -224,59 +228,6 @@ def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
     return np.where(ok, w, np.inf)
 
 
-class _Chart:
-    __slots__ = ("nodes", "spacing", "pairs")
-
-    def __init__(self, nodes: np.ndarray, spacing: np.ndarray,
-                 pairs: np.ndarray):
-        self.nodes = nodes        # complex positions
-        self.spacing = spacing    # local grid spacing per node
-        self.pairs = pairs        # (m, 2) intra-chart edge index pairs
-
-
-def _grid_pairs(rows: int, cols: int, wrap: bool) -> np.ndarray:
-    """(m, 2) index pairs of the 8-neighbour stencil on a row-major grid;
-    with ``wrap`` the last column neighbours the first."""
-    pairs: List[np.ndarray] = []
-    jj = np.arange(cols)
-    for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        i0 = np.arange(0, rows - di)
-        j0 = jj if wrap else jj[max(0, -dj): cols - max(0, dj)]
-        a_idx = (i0[:, None] * cols + j0[None, :]).ravel()
-        b_idx = ((i0 + di)[:, None] * cols + ((j0 + dj) % cols)[None, :]).ravel()
-        pairs.append(np.stack([a_idx, b_idx], axis=1))
-    return np.concatenate(pairs, axis=0)
-
-
-def _log_polar_chart(p: complex, s_min: float, s_max: float,
-                     res: Resolution) -> _Chart:
-    ns, na = res.radial, res.angular
-    s = np.linspace(s_min, s_max, ns)
-    theta = np.arange(na) * (2.0 * math.pi / na)
-    z = p + np.exp(s[:, None] + 1j * theta[None, :])
-    ds = (s_max - s_min) / max(ns - 1, 1)
-    dth = 2.0 * math.pi / na
-    h = max(ds, dth)
-    spacing = (np.exp(s)[:, None] * h * np.ones((1, na))).ravel()
-    return _Chart(z.ravel(), spacing, _grid_pairs(ns, na, wrap=True))
-
-
-def _halfplane_chart(a: complex, b: complex, res: Resolution) -> _Chart:
-    span = max(abs(a - b), abs(a.imag), abs(b.imag), 1e-12)
-    x_lo = min(a.real, b.real) - 1.5 * span
-    x_hi = max(a.real, b.real) + 1.5 * span
-    y_lo = min(a.imag, b.imag) * math.exp(-MARGIN)
-    y_hi = max(a.imag, b.imag, 0.75 * abs(a - b)) * math.exp(MARGIN) * 2.0
-    nx, nt = res.angular, res.radial
-    x = np.linspace(x_lo, x_hi, nx)
-    t = np.linspace(math.log(y_lo), math.log(y_hi), nt)
-    z = x[None, :] + 1j * np.exp(t)[:, None]
-    dx = (x_hi - x_lo) / max(nx - 1, 1)
-    dt = (t[-1] - t[0]) / max(nt - 1, 1)
-    spacing = np.maximum(dx, np.exp(t)[:, None] * dt * np.ones((1, nx))).ravel()
-    return _Chart(z.ravel(), spacing, _grid_pairs(nt, nx, wrap=False))
-
-
 def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
     """The punctures when the domain is the plane minus finitely many
     points (its complement components are all points), else None."""
@@ -286,92 +237,127 @@ def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
     return None
 
 
-def _charts_for(domain: Domain, a: complex, b: complex,
-                res: Resolution) -> List[_Chart]:
-    if domain.complement_components() == (ComplementHalfPlane(),):
-        return [_halfplane_chart(a, b, res)]
-    punctures = _point_punctures(domain)
-    if punctures is not None:
-        charts = []
-        for p in punctures:
-            others = [q for q in punctures if q != p]
-            d_a, d_b = abs(a - p), abs(b - p)
-            reach = max([d_a, d_b] + [abs(q - p) for q in others])
-            lo = min([d_a, d_b] + [abs(q - p) / 2.0 for q in others])
-            s_min = math.log(lo) - MARGIN
-            s_max = math.log(2.0 * reach) + MARGIN
-            charts.append(_log_polar_chart(p, s_min, s_max, res))
-        return charts
-    raise UnsupportedDomainError(
-        "numeric geodesics support point-complement domains and the upper half-plane")
+class _Tree(NamedTuple):
+    """Every cell of a quadtree, internal ones included, in the order built:
+    depth by depth.  A cell at depth d has side ``side`` / 2^d, and its
+    lower-left corner is ``corner`` plus (ix, iy) times that side."""
+
+    corner: complex
+    side: float
+    level: np.ndarray       # depth
+    ix: np.ndarray
+    iy: np.ndarray
+    centre: np.ndarray
+    delta: np.ndarray       # delta at the centre
+    leaf: np.ndarray        # whether the cell was not split
+
+
+def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Tree:
+    """The delta-graded quadtree of a problem.
+
+    The root square is centred on the middle of the bounding box of the
+    anchors, the finite boundary points and every component's ``centers()``,
+    with 8 times the largest distance from there to those points as its
+    side.  A cell of side s and centre c above ``DEPTH_CAP`` is split while
+    s > eps max(delta(c), |c - a| / 2), with a the nearest anchor and
+    eps = 1.6 * 2 pi / min(radial, angular).  So cells shrink with the
+    distance to the boundary, but not below a fixed fraction of the distance
+    to the anchors: a continuum boundary far from them stays coarse."""
+    anchor_arr = np.asarray(anchors, dtype=np.complex128)
+    pts = np.concatenate([anchor_arr,
+                          np.asarray(domain.finite_boundary_points(), dtype=np.complex128),
+                          np.asarray([c for comp in domain.complement_components()
+                                      for c in comp.centers()], dtype=np.complex128)])
+    mid = complex(0.5 * (pts.real.min() + pts.real.max()),
+                  0.5 * (pts.imag.min() + pts.imag.max()))
+    side = 8.0 * float(np.abs(pts - mid).max())
+    corner = mid - 0.5 * side * (1.0 + 1.0j)
+    eps = 1.6 * 2.0 * math.pi / min(res.radial, res.angular)
+
+    cells = []
+    ix = iy = np.zeros(1, dtype=np.int64)
+    for depth in range(DEPTH_CAP + 1):
+        s = math.ldexp(side, -depth)
+        z = (corner.real + (ix + 0.5) * s) + 1j * (corner.imag + (iy + 0.5) * s)
+        delta = domain.delta_field(z)
+        near = np.abs(z - anchor_arr[:, None]).min(axis=0)
+        split = (s > eps * np.maximum(delta, 0.5 * near)) & (depth < DEPTH_CAP)
+        cells.append((np.full(ix.size, depth), ix, iy, z, delta, ~split))
+        ix, iy = 2 * ix[split], 2 * iy[split]
+        ix, iy = np.concatenate([ix, ix + 1, ix, ix + 1]), np.concatenate([iy, iy, iy + 1, iy + 1])
+    return _Tree(corner, side, *(np.concatenate(parts) for parts in zip(*cells)))
+
+
+def _touching_leaves(tree: _Tree) -> np.ndarray:
+    """(m, 2) cell indices of every pair of leaves whose closed squares
+    touch, each pair once, lower index first, sorted.
+
+    Each leaf looks at the 8 squares around it at its own depth.  Such a
+    square that is a cell is a leaf (a pair) or a split cell (whose leaves
+    find this one); one that is not lies in a coarser leaf, found by walking
+    up its ancestors.  A leaf no finer than this one that touches it holds
+    one of the 8 squares, so the pairs are exact.  A cell is looked up by
+    the key (depth 2^41 + ix) + i iy, exact in floating point."""
+    level, ix, iy, leaf = tree.level, tree.ix, tree.iy, tree.leaf
+    keys = (level * 2.0 ** 41 + ix) + 1j * iy
+    order = np.argsort(keys)
+    keys = keys[order]
+    found = [np.zeros((0, 2), dtype=np.int64)]   # a lone root has no neighbours
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        me = np.flatnonzero(leaf)
+        lv, nx, ny = level[me], ix[me] + dx, iy[me] + dy
+        inside = (nx >= 0) & (ny >= 0) & (nx < 2 ** lv) & (ny < 2 ** lv)
+        me, lv, nx, ny = me[inside], lv[inside], nx[inside], ny[inside]
+        same_depth = True
+        while me.size:
+            key = (lv * 2.0 ** 41 + nx) + 1j * ny
+            pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            hit = keys[pos] == key
+            other = order[pos[hit]]
+            pair = leaf[other] & ((not same_depth) | (me[hit] < other))
+            found.append(np.stack([me[hit][pair], other[pair]], axis=1))
+            miss = ~hit
+            me, lv, nx, ny = me[miss], lv[miss] - 1, nx[miss] >> 1, ny[miss] >> 1
+            same_depth = False
+    pairs = np.concatenate(found)
+    # a coarser leaf is found from up to three of the squares: sort, and keep
+    # the first of each run (np.unique hashes, and is many times slower)
+    code = np.sort(pairs.min(axis=1) * level.size + pairs.max(axis=1))
+    code = code[np.diff(code, prepend=-1) != 0]
+    return np.stack([code // level.size, code % level.size], axis=1)
 
 
 @dataclass(frozen=True)
 class _Grid:
     """The density-free part of a solver graph.  Its arrays are read-only."""
 
-    nodes: np.ndarray               # valid chart nodes, then the anchors
+    nodes: np.ndarray               # leaf centres inside the domain, then the anchors
     lo: np.ndarray                  # edges that pass the clearance test, as
     hi: np.ndarray                  # (lower id, higher id)
     anchor_ids: Tuple[int, ...]
-    charts: int
-    stitch_edges: int               # chart-to-chart candidates
-    stitch_s: float
     clearance_s: float
     clearance_exact: int
 
 
 def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Grid:
-    from scipy.spatial import cKDTree
-
-    charts = _charts_for(domain, anchors[0], anchors[-1], res)
+    tree = _quadtree(domain, anchors, res)
     punctures = domain.finite_boundary_points()
 
-    all_nodes: List[np.ndarray] = []
-    all_spacing: List[np.ndarray] = []
-    all_pairs: List[np.ndarray] = []
-    offset = 0
-    chart_slices: List[Tuple[int, int]] = []
-    for ch in charts:
-        valid = domain.delta_field(ch.nodes) > 0
-        remap = -np.ones(ch.nodes.size, dtype=np.int64)
-        remap[valid] = np.arange(int(valid.sum())) + offset
-        pairs = remap[ch.pairs]
-        pairs = pairs[(pairs >= 0).all(axis=1)]
-        all_nodes.append(ch.nodes[valid])
-        all_spacing.append(ch.spacing[valid])
-        all_pairs.append(pairs)
-        chart_slices.append((offset, offset + int(valid.sum())))
-        offset += int(valid.sum())
+    # the leaves whose centre lies in the domain are the nodes, in the
+    # cells' order, and touching ones are joined
+    is_node = tree.leaf & (tree.delta > 0)
+    node_id = np.cumsum(is_node) - 1
+    pairs = _touching_leaves(tree)
+    all_pairs = [node_id[pairs[is_node[pairs].all(axis=1)]]]
+    nodes = tree.centre[is_node]
 
-    nodes = np.concatenate(all_nodes)
-    spacing = np.concatenate(all_spacing)
-
-    # Stitch chart overlaps: chart j's tree, built once, takes every node of
-    # the earlier charts in one query.  Each pair links a chart to a later one
-    # and grid stencils hold no pair twice, so no undirected edge repeats.
-    t0 = time.perf_counter()
-    coords = np.stack([nodes.real, nodes.imag], axis=1)
-    for lo_j, hi_j in chart_slices[1:]:
-        d, idx = cKDTree(coords[lo_j:hi_j]).query(
-            coords[:lo_j], k=min(STITCH_K, hi_j - lo_j))
-        if d.ndim == 1:
-            d, idx = d[:, None], idx[:, None]
-        dst = idx + lo_j
-        keep = d <= 2.5 * np.maximum(spacing[:lo_j, None], spacing[dst])
-        all_pairs.append(np.stack([np.nonzero(keep)[0], dst[keep]], axis=1))
-    stitch_edges = sum(p.shape[0] for p in all_pairs[len(charts):])
-    t1 = time.perf_counter()
-
-    # anchors as explicit nodes, wired to their nearest grid nodes (by the
-    # squared distance a k-d tree would compare)
+    # anchors as explicit nodes, wired to their nearest grid nodes
     n0 = nodes.size
     k = min(ENDPOINT_K, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
     anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
     for aid, z0 in zip(anchor_ids, anchor_arr):
-        dx, dy = nodes.real - z0.real, nodes.imag - z0.imag
-        idx = np.argpartition(dx * dx + dy * dy, k - 1)[:k]
+        idx = np.argpartition(np.abs(nodes - z0), k - 1)[:k]
         all_pairs.append(np.stack([idx, np.full(k, aid)], axis=1))
     nodes = np.concatenate([nodes, anchor_arr])
     pairs = np.concatenate(all_pairs, axis=0)
@@ -382,7 +368,7 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     # distance to each removed point computed once and gathered for both ends
     # of every edge; gathering from one array per point is faster than from
     # one (P, n) array
-    t2 = time.perf_counter()
+    t0 = time.perf_counter()
     clear = np.ones(lo.size, dtype=bool)
     work = {"clearance_exact": 0}
     dists = [np.abs(nodes - q) for q in punctures]
@@ -394,12 +380,11 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
             _clear_of_punctures(u, v, length, np.minimum(dq[i], dq[j])[None], (q,),
                                 res.clearance, clear[start:start + BLOCK], work)
     lo, hi = lo[clear], hi[clear]
-    t3 = time.perf_counter()
+    t1 = time.perf_counter()
 
     for arr in (nodes, lo, hi):
         arr.flags.writeable = False
-    return _Grid(nodes, lo, hi, anchor_ids, len(charts), int(stitch_edges),
-                 t1 - t0, t3 - t2, work["clearance_exact"])
+    return _Grid(nodes, lo, hi, anchor_ids, t1 - t0, work["clearance_exact"])
 
 
 # The last grid built, as (key, grid), or None.  There is one slot: a miss
@@ -425,19 +410,19 @@ def _grid_for(domain: Domain, anchors: Sequence[complex],
 
 def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
                  density) -> Tuple[np.ndarray, csr_matrix, List[int], dict]:
-    """Assemble the stitched multi-chart graph in two steps.
+    """Assemble the quadtree graph in two steps.
 
-    The grid does not depend on the density: the charts, the nodes where
-    ``delta_field > 0``, the chart stitching, the anchors (appended as
-    explicit nodes wired to their nearest grid nodes) and the edges that
-    pass the clearance test, each stored once as (lower id, higher id).  The
-    last grid is kept in one module-level slot, keyed by the domain itself
-    (domains are equal when their JSON descriptions are), the anchors bit
-    for bit and the ``Resolution``, and is reused when the same key comes
-    again: ``k_chordal_numeric`` after ``k_numeric`` on the same problem, or
-    either solver with the endpoints swapped (the anchors are put in
-    canonical order).  At 128x128 on four punctures the slot holds about
-    18 MB; a miss empties it before building.
+    The grid does not depend on the density: the leaves of ``_quadtree``
+    whose centre lies in the domain, joined where their squares touch, the
+    anchors (appended as explicit nodes wired to their nearest grid nodes)
+    and the edges that pass the clearance test, each stored once as (lower
+    id, higher id).  The last grid is kept in one module-level slot, keyed
+    by the domain itself (domains are equal when their JSON descriptions
+    are), the anchors bit for bit and the ``Resolution``, and is reused
+    when the same key comes again: ``k_chordal_numeric`` after ``k_numeric``
+    on the same problem, or either solver with the endpoints swapped (the
+    anchors are put in canonical order).  A miss empties the slot before
+    building.
 
     The weighting is per density: the density at every node and edge
     midpoint, the three-point quadrature weight, the drop of edges whose
@@ -448,14 +433,12 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
 
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     The node positions are the grid's read-only array.  The meta holds
-    ``charts``, ``nodes``, ``edges`` (after dropping inadmissible ones),
-    ``stitch_edges`` (chart-to-chart candidates), ``grid_reused``,
-    ``stitch_s``, ``clearance_s`` and ``weights_s`` (perf_counter seconds of
-    the stitching, the clearance test and the densities and weights),
-    ``weight_calls``, ``density_points`` and ``clearance_exact`` (edges that
-    needed ``segment_point_distance``).  On a reused grid ``stitch_s``,
-    ``clearance_s`` and ``clearance_exact`` are 0, since that work was not
-    done; ``stitch_edges`` still describes the graph.
+    ``nodes``, ``edges`` (after dropping inadmissible ones), ``grid_reused``,
+    ``clearance_s`` and ``weights_s`` (perf_counter seconds of the clearance
+    test and of the densities and weights), ``weight_calls``,
+    ``density_points`` and ``clearance_exact`` (edges that needed
+    ``segment_point_distance``).  On a reused grid ``clearance_s`` and
+    ``clearance_exact`` are 0, since that work was not done.
     """
     from scipy.sparse import csr_matrix
 
@@ -481,9 +464,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     if not keep.any():
         raise SolverError("no admissible edges near the requested points")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
-    meta = {"charts": grid.charts, "nodes": int(nodes.size), "edges": int(w.size),
-            "stitch_edges": grid.stitch_edges, "grid_reused": reused,
-            "stitch_s": 0.0 if reused else grid.stitch_s,
+    meta = {"nodes": int(nodes.size), "edges": int(w.size), "grid_reused": reused,
             "clearance_s": 0.0 if reused else grid.clearance_s,
             "weights_s": t1 - t0,
             "weight_calls": len(blocks), "density_points": int(nodes.size + grid.lo.size),
@@ -687,7 +668,11 @@ def k_numeric(domain: Domain, a: complex, b: complex,
     exact for one removed point and for the half-plane.  The path is
     measured by ``_k_length``: in closed form, rounded outward, on the plane
     minus finitely many points, so the upper bound holds without a
-    tolerance; by quadrature, certified up to ``MEASURE_TOL``, elsewhere."""
+    tolerance; by quadrature, certified up to ``MEASURE_TOL``, elsewhere.
+    The plane and the sphere, whose density 1/delta is 0, are refused."""
+    if not domain.complement_components():
+        raise UnsupportedDomainError(
+            "a domain without finite boundary has no quasihyperbolic metric")
     return _geodesic(domain, a, b, quasihyperbolic_density(domain),
                      k_lower_analytic(domain, a, b), resolution or Resolution(),
                      _point_punctures(domain))

@@ -541,6 +541,16 @@ def test_inconsistent_interval_is_an_internal_error_exit_3(capsys, monkeypatch):
     assert err == "internal error: upper bound 1.0 below lower bound 2.0\n"
 
 
+def test_solver_failure_is_an_internal_error_exit_3(capsys):
+    # points about 1000 e-folds apart at 64x64: the grid's depth cap leaves
+    # no path from the point near 0 (the chart grid crashed with IndexError)
+    rc, out, err = run(capsys, "distance", "--domain", TWO_PUNCT, "--metric", "k",
+                       "--method", "numeric", "--resolution", "64",
+                       "--from=4.377491037053051e-223,0", "--to=2.2844135865397565e+222,0")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: grid is disconnected") and err.count("\n") == 1
+
+
 def test_usage_errors_are_exit_2(capsys):
     rc, _, _ = run(capsys, "distance", "--domain", ONE_PUNCT,
                    "--from", "1,0", "--to", "2,0", "--metric", "bogus")

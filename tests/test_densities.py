@@ -145,6 +145,10 @@ def test_halfplane_distance_at_extreme_heights():
     # is 2 log 2x there
     a, b = 1e200 + 1e-200j, 1e-200j
     assert halfplane_distance(a, b) == pytest.approx(_halfplane_reference(a, b), rel=1e-15)
+    # both heights below 1e-294: 2 sqrt(Im a) sqrt(Im b) is subnormal, and
+    # dividing by it gave 1368.6381734219956
+    a, b = -3.966460592445951e-294 + 3.94615e-319j, 2.927209777258398e-20 + 8.80496146e-316j
+    assert halfplane_distance(a, b) == _halfplane_reference(a, b) == 1368.638173460275
 
 
 def _halfplane_reference(a: complex, b: complex) -> float:

@@ -67,6 +67,9 @@ def test_segment_point_distance_cases():
     assert segment_point_distance(0.0, 1.0, 3.0) == pytest.approx(2.0)
     # degenerate segment
     assert segment_point_distance(1.0j, 1.0j, 0.0) == pytest.approx(1.0)
+    # a length whose square overflows: the foot is found without squaring
+    # (the foot was z1, at distance 1.3e200)
+    assert segment_point_distance(-1e200, 1e200, 3e199 + 1e199j) == pytest.approx(1e199)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,15 @@ from scipy.sparse import csr_matrix
 import qhyp
 from qhyp import (
     Annulus,
+    ExteriorUnitDisk,
     FiniteComplement,
     InconsistentIntervalError,
     PuncturedSubdomain,
+    PuncturedUnitDisk,
     Resolution,
     TranslatedScaled,
     UnitDisk,
+    UnsupportedDomainError,
     UpperHalfPlane,
     annulus_inside,
     check_annulus_k_comparison,
@@ -40,7 +44,7 @@ from qhyp.constants import BLOCK
 from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
 from qhyp.geometry import segment_point_distance
 from qhyp import solver as solver_module
-from qhyp.solver import _build_graph, _edge_weights
+from qhyp.solver import DEPTH_CAP, _build_graph, _edge_weights, _quadtree, _touching_leaves
 
 RES = Resolution(radial=96, angular=96)
 
@@ -149,6 +153,12 @@ def test_numeric_and_fast_share_the_lower_bound(dom, a, b):
     assert (numeric.lower, numeric.lower_source) == (fast.lower, fast.lower_source)
 
 
+def test_numeric_refuses_a_domain_without_boundary():
+    # its density 1/delta is 0, so no edge of the grid has a positive weight
+    with pytest.raises(UnsupportedDomainError):
+        k_numeric(FiniteComplement([]), 1.0, 2.0j, Resolution(radial=16, angular=16))
+
+
 def test_numeric_coincident_endpoints():
     dom = FiniteComplement([0.0])
     result = k_numeric(dom, 1.0j, 1.0j, RES)
@@ -195,24 +205,19 @@ def test_scipy_loads_on_the_first_grid_solve(tmp_path):
     assert report["interval"] == [d.lower, d.upper]
 
 
-# Exact results of the grid solver at 32x32, recorded before the relaxation
-# probes and the graph's node densities were batched: (lower, upper, path
-# vertices, relaxation sweeps).  Batching changes no probe, comparison or
-# sum, so every value must stay bit-identical.  The k_numeric uppers were
-# re-recorded when the final path came to be measured in closed form
-# (``punctured_k_length``): 3.7849148559847303 -> 3.7849148525807856 and
-# 4.949933776468884 -> 4.949933771532068, each within 2e-14 above the exact
-# length of its path.
+# Exact results of the grid solver at 32x32: (lower, upper, path vertices,
+# relaxation sweeps), recorded when the quadtree graph came in.  Every value
+# must stay bit-identical, in any order of the solves.
 PINNED_RES = Resolution(radial=32, angular=32)
 PINNED = [
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
-     (3.3451138067704846, 3.7849148525807856, 17, 28)),
+     (3.3451138067704846, 3.7871314295366503, 16, 28)),
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
-     (1.2559490532982982, 2.8326905064784618, 20, 28)),
+     (1.2559490532982982, 2.8363171159008744, 16, 19)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
-     (2.9213342628373624, 4.949933771532068, 24, 18)),
+     (2.9213342628373624, 4.952532225023112, 21, 14)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_chordal_numeric,
-     (1.3283243296961784, 3.1122782462876573, 25, 14)),
+     (1.3283243296961784, 3.115329778640269, 22, 25)),
 ]
 
 
@@ -231,16 +236,14 @@ def test_numeric_meta_reports_stage_cost():
     result = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
     meta = result.meta
     assert meta["grid_reused"] is False
-    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "stitch_s",
-                "clearance_s", "weights_s"):
+    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "clearance_s", "weights_s"):
         assert meta[key] >= 0.0
-    assert meta["stitch_s"] + meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
+    assert meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
     # one weight evaluation per block of the graph's edges, and at least one
     # per relaxation step
     assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
     assert meta["density_points"] > meta["nodes"] + meta["edges"]
-    # two charts, stitched; the exact clearance test runs on a few edges only
-    assert 0 < meta["stitch_edges"] < meta["edges"]
+    # the exact clearance test runs on a few edges only
     assert 0 < meta["clearance_exact"] < meta["edges"]
     assert json.loads(json.dumps(result.as_dict()))["meta"] == meta
 
@@ -255,8 +258,7 @@ def _fingerprint(result):
     iv = result.distance
     return (iv.lower, iv.upper, iv.lower_source, iv.upper_source,
             result.path.as_array().tobytes(),
-            tuple(result.meta[k] for k in ("nodes", "edges", "stitch_edges",
-                                           "graph_length", "relax_sweeps")))
+            tuple(result.meta[k] for k in ("nodes", "edges", "graph_length", "relax_sweeps")))
 
 
 def test_grid_reused_by_chordal_and_swapped_solves():
@@ -270,8 +272,8 @@ def test_grid_reused_by_chordal_and_swapped_solves():
     for result in reused:
         meta = result.meta
         assert meta["grid_reused"] is True
-        assert meta["stitch_s"] == meta["clearance_s"] == 0.0
-        assert meta["stitch_edges"] == first.meta["stitch_edges"] > 0
+        assert meta["clearance_s"] == 0.0
+        assert meta["nodes"] == first.meta["nodes"] > 0
     assert reused[1].distance == first.distance
     # each reused result equals a cold solve, byte for byte; its exact
     # clearance tests are the relaxation's alone
@@ -339,19 +341,20 @@ def _first_sampled_pair(punctures, seed=0):
 
 
 FOUR = [0.0, 1.0, 1.0j, -1.5 + 0.5j]
+# the benchmark's 16-point ring: radii 1 and 1.5 in turn
+RING = [cmath.exp(2j * math.pi * k / 16) * (1.0 + 0.5 * (k % 2)) for k in range(16)]
 # SHA-256 over the node positions, the CSR data, indices and indptr (as
 # int64) and the anchor ids of _build_graph at 128x128, with (nodes, edges),
-# recorded before the stitching, anchor lookup, dedupe and clearance test
-# were rewritten.  Every byte must stay the same.
+# recorded when the quadtree graph came in.  Every byte must stay the same.
 PINNED_GRAPHS = [
-    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), quasihyperbolic_density, 32770, 248862,
-     "8ea71c3e827d739846a981590d38ab5892c4cf772b42de87d2d842033826808f"),
-    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), chordal_quasihyperbolic_density, 32770, 248862,
-     "40a3a7b0f5275152c0b54a9acd1f4ba778b81ee3bea773bca9609ef7fde50c9a"),
-    (FOUR, _first_sampled_pair(FOUR), quasihyperbolic_density, 65538, 1045272,
-     "09fe9364934104139f100e510881199c9cde69fa99483f312517f9aa11ceaa75"),
-    (FOUR, _first_sampled_pair(FOUR), chordal_quasihyperbolic_density, 65538, 1045272,
-     "d1a540b3e1ab98b6dd161913fcc65c67a7e41cbaceb2504b9619ffda58415c3d"),
+    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), quasihyperbolic_density, 9543, 37701,
+     "84a993d3d8a258daf6d6905b2f32f4aea875d4ddb75ea21be69948d1d0371d07"),
+    ([0.0, 1.0], (-0.5 + 0.3j, 2.1 - 1.0j), chordal_quasihyperbolic_density, 9543, 37701,
+     "0ab4ab3696c53f39b19ed43e94d843fe1ade5a41a1a8bbb82dd78f5c5e63c0cf"),
+    (FOUR, _first_sampled_pair(FOUR), quasihyperbolic_density, 7086, 27975,
+     "1d4ab1d58668b8d73fa66ec11d1f6d549e05129d7ef65bdefbf53c759ea39324"),
+    (FOUR, _first_sampled_pair(FOUR), chordal_quasihyperbolic_density, 7086, 27975,
+     "faa2d6c320837c2a3eb8544687c1baf7daaf6e037416d6e806b0dbcf5833c1f4"),
 ]
 
 
@@ -378,18 +381,19 @@ def test_build_graph_pinned(punctures, pair, density, n_nodes, n_edges, digest):
 @pytest.mark.parametrize("density", [quasihyperbolic_density, chordal_quasihyperbolic_density],
                          ids=["k", "chordal"])
 def test_build_graph_blocks_equal_one_weight_call(density):
-    # the four-puncture 128x128 grid: about 1.05M edges, not a multiple of
-    # the block, weighted block by block, against one call over all edges
-    dom = FiniteComplement(FOUR)
+    # the 16-point ring's 128x128 grid: 87,467 edges, over five blocks and not
+    # a multiple of the block, weighted block by block, against one call
+    # over all edges
+    dom = FiniteComplement(RING)
     dens = density(dom)
-    nodes, graph, ids, meta = _build_graph(dom, list(_first_sampled_pair(FOUR)),
+    nodes, graph, ids, meta = _build_graph(dom, [0.1 + 0.1j, 1.9 + 0.3j],
                                            Resolution(128, 128), dens)
     _, grid = solver_module._last_grid
     lo, hi = grid.lo, grid.hi
     assert lo.size > 2 * BLOCK and lo.size % BLOCK
     # the grid's clearance test, blocked too, ran the exact segment distance
     # on as many edges as the unblocked test did
-    assert grid.clearance_exact == 1327
+    assert grid.clearance_exact == 336
     assert meta["weight_calls"] == -(-lo.size // BLOCK)
     assert meta["density_points"] == nodes.size + lo.size
     r = dens(nodes)
@@ -401,6 +405,100 @@ def test_build_graph_blocks_equal_one_weight_call(density):
     for got_arr, want_arr in ((graph.data, want.data), (graph.indices, want.indices),
                               (graph.indptr, want.indptr)):
         assert got_arr.tobytes() == want_arr.tobytes()
+
+
+TREES = [
+    (FiniteComplement([0.0, 1.0]), (-0.5 + 0.3j, 2.1 - 1.0j), Resolution(16, 16)),
+    (PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]), (-0.5 + 0.5j, 0.9 - 0.3j),
+     Resolution(16, 16)),
+    # at 8x8 the grading is coarse enough for leaves 2 levels apart to touch,
+    # and the point near 0 takes the tree to the depth cap
+    (FiniteComplement([0.0, 1.0]), (1e-20 + 1e-20j, 2.0 + 1.0j), Resolution(8, 8)),
+    (UpperHalfPlane(), (1e-20j, 3.0 + 4.0j), Resolution(8, 8)),
+]
+TREE_IDS = ["two", "disk-minus-two", "two-deep", "half-plane-deep"]
+
+
+def _touching_reference(tree):
+    """Every pair of leaves whose closed squares touch, lower index first,
+    sorted, by testing all pairs on the integer grid of the depth cap."""
+    leaves = np.flatnonzero(tree.leaf)
+    shift = DEPTH_CAP - tree.level[leaves]
+    x0, y0 = tree.ix[leaves] << shift, tree.iy[leaves] << shift
+    x1, y1 = (tree.ix[leaves] + 1) << shift, (tree.iy[leaves] + 1) << shift
+    touch = ((np.maximum(x0[:, None], x0) <= np.minimum(x1[:, None], x1))
+             & (np.maximum(y0[:, None], y0) <= np.minimum(y1[:, None], y1)))
+    i, j = np.nonzero(np.triu(touch, 1))
+    return np.stack([leaves[i], leaves[j]], axis=1)
+
+
+@pytest.mark.parametrize("dom, pair, res", TREES, ids=TREE_IDS)
+def test_touching_leaves_equal_all_pairs_test(dom, pair, res):
+    tree = _quadtree(dom, pair, res)
+    got = _touching_leaves(tree)
+    assert got.tolist() == _touching_reference(tree).tolist()
+    levels = tree.level[got]
+    assert np.abs(levels[:, 0] - levels[:, 1]).max() >= (2 if res.radial == 8 else 1)
+
+
+@pytest.mark.parametrize("dom, pair, res", TREES, ids=TREE_IDS)
+def test_quadtree_leaves_meet_the_split_rule(dom, pair, res):
+    tree = _quadtree(dom, pair, res)
+    eps = 1.6 * 2.0 * math.pi / min(res.radial, res.angular)
+
+    def split(level, ix, iy):
+        s = tree.side / 2.0 ** level
+        z = (tree.corner.real + (ix + 0.5) * s) + 1j * (tree.corner.imag + (iy + 0.5) * s)
+        near = np.minimum(np.abs(z - pair[0]), np.abs(z - pair[1]))
+        return s > eps * np.maximum(dom.delta_field(z), 0.5 * near)
+
+    level, ix, iy = tree.level[tree.leaf], tree.ix[tree.leaf], tree.iy[tree.leaf]
+    assert np.all((level == DEPTH_CAP) | ~split(level, ix, iy))
+    up = level > 0
+    assert np.all(split(level[up] - 1, ix[up] >> 1, iy[up] >> 1))
+    # the leaves tile the root square
+    assert sum(4 ** (DEPTH_CAP - int(d)) for d in level) == 4 ** DEPTH_CAP
+    # the nodes are the leaves whose centre lies in the domain, then the anchors
+    grid = solver_module._build_grid(dom, pair, res)
+    assert np.all(dom.delta_field(grid.nodes) > 0)
+    assert grid.nodes.size == np.count_nonzero(tree.leaf & (tree.delta > 0)) + 2
+
+
+def test_graph_counts_equal_across_images():
+    # conjugation and rotation by a power of i map the root square and the
+    # quadtree onto themselves, so the graph's size does not change
+    a, b = _first_sampled_pair(FOUR)
+    counts = set()
+    for image in range(8):
+        def move(z):
+            return (z.conjugate() if image & 1 else z) * 1j ** (image >> 1)
+
+        dom = FiniteComplement([move(p) for p in FOUR])
+        ca, cb, _ = solver_module._canonical(move(a), move(b))
+        meta = _build_graph(dom, [ca, cb], Resolution(128, 128), quasihyperbolic_density(dom))[3]
+        counts.add((meta["nodes"], meta["edges"]))
+    assert len(counts) == 1
+
+
+@pytest.mark.parametrize("dom, a, b", [
+    (PuncturedUnitDisk(), 0.9, -0.9),
+    (ExteriorUnitDisk(), 1.1, -1.1),
+    (PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]), 0.9 - 0.3j, -0.5 + 0.5j),
+], ids=["punctured-disk", "exterior-disk", "disk-minus-two"])
+def test_numeric_serves_disk_domains(dom, a, b):
+    numeric = k_numeric(dom, a, b, Resolution(64, 64)).distance
+    fast = k_interval_fast(dom, a, b)
+    assert math.isfinite(numeric.upper) and numeric.upper < fast.upper
+    assert max(numeric.lower, fast.lower) <= min(numeric.upper, fast.upper)
+
+
+def test_numeric_halfplane_near_the_boundary():
+    # a point 1e-20 above the line: the graded tree follows it down (the
+    # half-plane chart gave an upper bound of 4.2e9)
+    a, b = 1e-20j, 3.0 + 4.0j
+    iv = k_numeric(UpperHalfPlane(), a, b, Resolution(64, 64)).distance
+    assert iv.lower == halfplane_distance(a, b)
+    assert iv.lower <= iv.upper <= 1.001 * iv.lower
 
 
 def _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance):
@@ -749,6 +847,17 @@ def test_an_upper_bound_below_the_lower_one_raises(monkeypatch):
     with pytest.raises(InconsistentIntervalError):
         k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
     solver_module._last_fast = None
+
+
+def test_fast_interval_overflowing_piece_is_infinite():
+    # on every candidate curve some piece's density times length overflows:
+    # its length is inf, without the RuntimeWarnings of an overflow and then
+    # of inf - inf in the error estimate
+    solver_module._last_fast = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iv = k_interval_fast(UpperHalfPlane(), 1e200 + 1e-200j, 1e-200j)
+    assert (iv.lower, iv.upper) == (1842.0680743952366, math.inf)
 
 
 def test_fast_interval_ordering_and_speed_shape():
