@@ -174,8 +174,22 @@ def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str
 # Grid construction
 # ---------------------------------------------------------------------------
 
+class _Punctures(NamedTuple):
+    """Removed points with what the clearance test reads of them, built once
+    per grid or relaxation instead of once per call."""
+
+    points: Tuple[complex, ...]
+    col: np.ndarray         # (P, 1) complex column, to broadcast against segments
+    pads: np.ndarray        # (P,) 64 ulps of |q|: segment_point_distance's rounding
+
+
+def _punctures(points: Sequence[complex]) -> _Punctures:
+    return _Punctures(tuple(points), np.asarray(points, dtype=np.complex128).reshape(-1, 1),
+                      np.array([64.0 * sys.float_info.epsilon * abs(q) for q in points]))
+
+
 def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
-                        near: np.ndarray, punctures: Sequence[complex],
+                        near: np.ndarray, punctures: _Punctures,
                         clearance: float, ok: np.ndarray,
                         work: Optional[dict] = None) -> None:
     """Clear ``ok`` where the segment [u, v] passes too close to a removed
@@ -195,11 +209,10 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
     number is added to ``work["clearance_exact"]``.
     """
     slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
-    pads = np.array([64.0 * sys.float_info.epsilon * abs(q) for q in punctures])
-    fails = ~(length < slack * near - pads[:, None])
+    fails = ~(length < slack * near - punctures.pads[:, None])
     tests = zip(fails, near) if (fails & ok).any() else ()
     exact = 0
-    for q, (fail, near_q) in zip(punctures, tests):
+    for q, (fail, near_q) in zip(punctures.points, tests):
         hard = np.flatnonzero(ok & fail)
         if hard.size:
             d = segment_point_distance(u[hard], v[hard], q)
@@ -210,22 +223,24 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
 
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
-                  rv: np.ndarray, punctures: Sequence[complex],
+                  rv: np.ndarray, punctures: _Punctures, near: Optional[np.ndarray],
                   clearance: float, work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (a density
     that is not finite and positive, or a dive toward a removed point, as
-    judged by ``_clear_of_punctures`` in one pass)."""
+    judged by ``_clear_of_punctures`` in one pass from ``near``, the (P, n)
+    array min(|u - q|, |v - q|), None when there are no punctures)."""
     length = np.abs(v - u)
     with np.errstate(over="ignore"):  # densities near 1e308, as at a subnormal distance
         w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
-    if len(punctures):
-        q = np.asarray(punctures, dtype=np.complex128)[:, None]
-        near = np.minimum(np.abs(u - q), np.abs(v - q))
+    if punctures.points:
         _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
     return np.where(ok, w, np.inf)
+
+
+_NO_PUNCTURES = _punctures(())
 
 
 def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
@@ -372,12 +387,13 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     clear = np.ones(lo.size, dtype=bool)
     work = {"clearance_exact": 0}
     dists = [np.abs(nodes - q) for q in punctures]
+    singles = [_punctures((q,)) for q in punctures]
     for start in range(0, lo.size, BLOCK):
         i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
         u, v = nodes[i], nodes[j]
         length = np.abs(v - u)
-        for q, dq in zip(punctures, dists):
-            _clear_of_punctures(u, v, length, np.minimum(dq[i], dq[j])[None], (q,),
+        for single, dq in zip(singles, dists):
+            _clear_of_punctures(u, v, length, np.minimum(dq[i], dq[j])[None], single,
                                 res.clearance, clear[start:start + BLOCK], work)
     lo, hi = lo[clear], hi[clear]
     t1 = time.perf_counter()
@@ -457,7 +473,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
         i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
         u, v = nodes[i], nodes[j]
         w[start:start + BLOCK] = _edge_weights(u, v, rho[i], density(0.5 * (u + v)), rho[j],
-                                               (), res.clearance)
+                                               _NO_PUNCTURES, None, res.clearance)
     t1 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
@@ -507,37 +523,40 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     and the unmoved vertex.  The segment ends, their densities and the
     probe points live in arrays allocated once per half-sweep; a probe
     writes its candidates and midpoints into them.  The ends zm and zp are
-    fixed for the half-sweep, so their densities are computed once per
-    half-sweep, and the density at a candidate once for both its segments.
-    The clearance test runs in one pass over all punctures, with the exact
-    test as an in-order fallback (see ``_clear_of_punctures``), so
-    ``clearance_exact`` counts what the puncture-by-puncture test counts.
-    Each probe, comparison and sum is that of scoring the probes one by
-    one.
+    fixed for the half-sweep, so their densities and their distances to the
+    punctures are computed once per half-sweep, and the density and the
+    distances at a candidate once for both its segments.  The punctures'
+    column and rounding pads are built once per relaxation.  The clearance
+    test runs in one pass over all punctures, with the exact test as an
+    in-order fallback (see ``_clear_of_punctures``), so ``clearance_exact``
+    counts what the puncture-by-puncture test counts.  Each probe,
+    comparison and sum is that of scoring the probes one by one.
 
     Returns the relaxed points, the sweeps run, and the work done as
     ``weight_calls``, ``density_points`` and ``clearance_exact``.
     """
     work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
+    punct = _punctures(punctures)
+    q_col = punct.col
 
     def rho(z):
         work["density_points"] += z.size
         return density(z)
 
-    def weights(u, v, ru, rm, rv):
+    def weights(u, v, ru, rm, rv, near):
         work["weight_calls"] += 1
-        return _edge_weights(u, v, ru, rm, rv, punctures, res.clearance, work)
+        return _edge_weights(u, v, ru, rm, rv, punct, near, res.clearance, work)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
         return list(points), 0, work
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    q_col = np.asarray(punctures, dtype=np.complex128)[:, None]
 
     def total(Q):
         u, v = Q[:-1], Q[1:]
         r = rho(Q)
-        return float(np.sum(weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:])))
+        near = np.minimum(np.abs(u - q_col), np.abs(v - q_col)) if punctures else None
+        return float(np.sum(weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:], near)))
 
     current = total(P)
     sweeps_done = 0
@@ -567,7 +586,8 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
 
             # two offsets per vertex, stacked: the first m and the last m.
             # Segments zm->cand fill the first 2m slots, cand->zp the last
-            # 2m; the fixed ends and their densities go in once.
+            # 2m; the fixed ends, their densities and their distances to the
+            # punctures go in once.
             m = idx.size
             n2 = 2 * m
             zc2, normal2 = np.tile(zc, 2), np.tile(normal, 2)
@@ -578,6 +598,11 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
             ru[:n2], rv[n2:] = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
             probes = np.empty(3 * n2, dtype=np.complex128)  # candidates, midpoints
             cand, mid = probes[:n2], probes[n2:]
+            if punctures:
+                d_m, d_p = np.tile(np.abs(zm - q_col), 2), np.tile(np.abs(zp - q_col), 2)
+                near = np.empty((len(punctures), 2 * n2))
+            else:
+                near = None
 
             def f(t):
                 np.multiply(t, normal2, out=cand)
@@ -586,7 +611,11 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 np.multiply(0.5, np.add(u, v, out=mid), out=mid)
                 r = rho(probes)
                 ru[n2:] = rv[:n2] = r[:n2]
-                w = weights(u, v, ru, r[n2:], rv)
+                if near is not None:
+                    d_c = np.abs(cand - q_col)
+                    np.minimum(d_m, d_c, out=near[:, :n2])
+                    np.minimum(d_c, d_p, out=near[:, n2:])
+                w = weights(u, v, ru, r[n2:], rv, near)
                 return w[:n2] + w[n2:]
 
             lo, hi = -amp, amp

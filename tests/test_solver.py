@@ -44,7 +44,8 @@ from qhyp.constants import BLOCK
 from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
 from qhyp.geometry import segment_point_distance
 from qhyp import solver as solver_module
-from qhyp.solver import DEPTH_CAP, _build_graph, _edge_weights, _quadtree, _touching_leaves
+from qhyp.solver import (DEPTH_CAP, _build_graph, _edge_weights, _punctures, _quadtree,
+                         _touching_leaves)
 
 RES = Resolution(radial=96, angular=96)
 
@@ -398,7 +399,8 @@ def test_build_graph_blocks_equal_one_weight_call(density):
     assert meta["density_points"] == nodes.size + lo.size
     r = dens(nodes)
     u, v = nodes[lo], nodes[hi]
-    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], (), Resolution(128, 128).clearance)
+    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], _punctures(()), None,
+                      Resolution(128, 128).clearance)
     keep = np.isfinite(w)
     want = csr_matrix((w[keep], (lo[keep], hi[keep])), shape=graph.shape)
     assert meta["edges"] == np.count_nonzero(keep)
@@ -547,7 +549,9 @@ def test_edge_weights_equal_all_exact_reference(segments, clearance, punctures, 
     rm = np.where(np.arange(n) % 7 == 6, rhos[1], 2.0)
     rv = np.where(np.arange(n) % 3 == 2, rhos[2], 0.5)
     work = {}
-    got = _edge_weights(u, v, ru, rm, rv, punctures, clearance, work)
+    q = np.asarray(punctures)[:, None]
+    near = np.minimum(np.abs(u - q), np.abs(v - q))
+    got = _edge_weights(u, v, ru, rm, rv, _punctures(punctures), near, clearance, work)
     want = _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance)
     assert got.tobytes() == want.tobytes()
     assert 0 <= work["clearance_exact"] <= n * len(punctures)
