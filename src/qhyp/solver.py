@@ -2,12 +2,16 @@
 
 The solver builds one quadtree graph over a square that holds the data,
 graded by the distance to the boundary, runs a shortest-path search with
-quadrature edge weights, straightens the discrete path by local
-perpendicular relaxation, and then measures the final curve.  Every curve
-measured, the relaxed path as well as ``k_interval_fast``'s segment and arcs,
-keeps the vertices it was built from, repeated ones included, so it runs
-from a to b exactly and its length is a genuine upper bound for the
-distance; the lower bound comes from closed-form estimates.  ``_k_length``
+quadrature edge weights, measures the graph path, straightens it by local
+perpendicular relaxation, and then measures the relaxed curve; the shorter
+of the two certified lengths is the upper bound.  ``Resolution.relax_sweeps``
+caps the relaxation, which stops earlier once a sweep gains less than
+``RELAX_STOP`` of the width the graph path leaves open above the lower
+bound.  Every curve measured, the graph and relaxed paths as well as
+``k_interval_fast``'s segment and arcs, keeps the vertices it was built
+from, repeated ones included, so it runs from a to b exactly and its length
+is a genuine upper bound for the distance; the lower bound comes from
+closed-form estimates.  ``_k_length``
 measures every curve.  On the plane minus finitely many points it evaluates
 the closed form ``domains.punctured_k_length``, rounded outward, so there
 the interval holds without a tolerance.  Elsewhere, and for the chordal
@@ -53,13 +57,17 @@ thick part.  A reused result is returned as a fresh list of the same
 immutable curves.
 
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
-(``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s``, and within the
-build ``clearance_s`` for the clearance test and ``weights_s`` for the node
-and midpoint densities and the weights), whether the grid was reused
-(``grid_reused``; then ``clearance_s`` is 0), the graph's ``nodes`` and
-``edges``, and the work of the graph and the relaxation together
+(``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s`` for measuring both
+paths, and within the build ``clearance_s`` for the clearance test and
+``weights_s`` for the node and midpoint densities and the weights), whether
+the grid was reused (``grid_reused``; then ``clearance_s`` is 0), the graph's
+``nodes`` and ``edges``, the graph path's Dijkstra weight
+(``graph_length``) and certified length (``graph_upper``), the sweeps run
+(``relax_sweeps``), and the work of the graph and the relaxation together
 (``weight_calls``, ``density_points``, and ``clearance_exact``, the edges
-whose clearance needed the exact segment distance).
+whose clearance needed the exact segment distance).  The upper bound's
+source is ``relaxed-grid-path``, or ``grid-path`` where the unrelaxed path
+measured shorter.
 """
 
 from __future__ import annotations
@@ -101,12 +109,15 @@ class SolverError(RuntimeError):
 DEPTH_CAP = 40       # deepest quadtree level: cell centres keep their bits
 ENDPOINT_K = 12      # grid nodes wired to each anchor
 MEASURE_TOL = 1e-9   # quadrature tolerance, and outward pad, off point complements
+RELAX_STOP = 1e-3    # a sweep gaining less than this share of the open width ends relaxation
 
 
 @dataclass(frozen=True)
 class Resolution:
     """Grid and relaxation budget for the numeric solver.  The smaller of
-    ``radial`` and ``angular``, n, grades the quadtree: eps = 1.6 * 2 pi / n."""
+    ``radial`` and ``angular``, n, grades the quadtree: eps = 1.6 * 2 pi / n.
+    ``relax_sweeps`` is a cap: the relaxation stops earlier once a sweep no
+    longer pays against the width left open (see ``_relax_path``)."""
 
     radial: int = 256
     angular: int = 256
@@ -223,24 +234,21 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
 
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
-                  rv: np.ndarray, punctures: _Punctures, near: Optional[np.ndarray],
+                  rv: np.ndarray, punctures: Optional[_Punctures], near: Optional[np.ndarray],
                   clearance: float, work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (a density
     that is not finite and positive, or a dive toward a removed point, as
     judged by ``_clear_of_punctures`` in one pass from ``near``, the (P, n)
-    array min(|u - q|, |v - q|), None when there are no punctures)."""
+    array min(|u - q|, |v - q|); both None test no removed point)."""
     length = np.abs(v - u)
     with np.errstate(over="ignore"):  # densities near 1e308, as at a subnormal distance
         w = length * (ru + 4.0 * rm + rv) / 6.0
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
-    if punctures.points:
+    if near is not None:
         _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
     return np.where(ok, w, np.inf)
-
-
-_NO_PUNCTURES = _punctures(())
 
 
 def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
@@ -371,8 +379,10 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     k = min(ENDPOINT_K, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
     anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
+    nearest = []
     for aid, z0 in zip(anchor_ids, anchor_arr):
         idx = np.argpartition(np.abs(nodes - z0), k - 1)[:k]
+        nearest.append(idx)
         all_pairs.append(np.stack([idx, np.full(k, aid)], axis=1))
     nodes = np.concatenate([nodes, anchor_arr])
     pairs = np.concatenate(all_pairs, axis=0)
@@ -398,9 +408,30 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     lo, hi = lo[clear], hi[clear]
     t1 = time.perf_counter()
 
+    # an anchor's edges are the only ones to its id, the highest ones
+    for aid, z0, idx in zip(anchor_ids, anchor_arr, nearest):
+        if not np.any(hi == aid):
+            _anchor_cut_off(domain, complex(z0), k, tree, tree.level[is_node][idx])
+
     for arr in (nodes, lo, hi):
         arr.flags.writeable = False
     return _Grid(nodes, lo, hi, anchor_ids, t1 - t0, work["clearance_exact"])
+
+
+def _anchor_cut_off(domain: Domain, z: complex, k: int, tree: _Tree,
+                    levels: np.ndarray) -> None:
+    """Raise ``SolverError`` for an endpoint whose ``k`` grid edges all
+    failed the clearance test, naming it, and, where its nearest leaves
+    (at depths ``levels``) sit at ``DEPTH_CAP``, saying that no resolution
+    reaches it."""
+    msg = f"endpoint {z!r} keeps none of its {k} grid edges after the clearance test"
+    if levels.max() >= DEPTH_CAP:
+        raise SolverError(
+            f"{msg}: its nearest leaves sit at the depth cap ({DEPTH_CAP} levels), "
+            f"{math.ldexp(tree.side, -DEPTH_CAP):.3g} wide against its distance "
+            f"{domain.delta(z):.3g} to the boundary, and no resolution refines "
+            "them; use k_interval_fast (--method fast)")
+    raise SolverError(f"{msg}; raise the resolution")
 
 
 # The last grid built, as (key, grid), or None.  There is one slot: a miss
@@ -473,7 +504,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
         i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
         u, v = nodes[i], nodes[j]
         w[start:start + BLOCK] = _edge_weights(u, v, rho[i], density(0.5 * (u + v)), rho[j],
-                                               _NO_PUNCTURES, None, res.clearance)
+                                               None, None, res.clearance)
     t1 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
@@ -513,7 +544,7 @@ def _shortest_path(nodes: np.ndarray, graph: csr_matrix, ia: int,
 # ---------------------------------------------------------------------------
 
 def _relax_path(points: List[complex], density, punctures: Sequence[complex],
-                res: Resolution) -> Tuple[List[complex], int, dict]:
+                res: Resolution, slack: float) -> Tuple[List[complex], int, dict]:
     """Red-black perpendicular relaxation with a vectorized golden search.
 
     A half-sweep moves every other interior vertex along the normal of the
@@ -531,6 +562,11 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     in-order fallback (see ``_clear_of_punctures``), so ``clearance_exact``
     counts what the puncture-by-puncture test counts.  Each probe,
     comparison and sum is that of scoring the probes one by one.
+
+    ``res.relax_sweeps`` caps the sweeps.  A sweep ends the relaxation when
+    both its drop of the three-point total and its accepted gain fall below
+    max(1e-6, 1e-6 |total|, ``RELAX_STOP`` * ``slack``), where ``slack`` is
+    the width still open above the lower bound (0 where it is unknown).
 
     Returns the relaxed points, the sweeps run, and the work done as
     ``weight_calls``, ``density_points`` and ``clearance_exact``.
@@ -637,9 +673,8 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
         sweeps_done = sweep + 1
         new_total = total(P)
         if math.isfinite(new_total):
-            if current - new_total < max(1e-6, 1e-6 * abs(new_total)) \
-                    and improved < max(1e-6, 1e-6 * abs(new_total)):
-                current = new_total
+            tol = max(1e-6, 1e-6 * abs(new_total), RELAX_STOP * slack)
+            if current - new_total < tol and improved < tol:
                 break
             current = new_total
     return [complex(z) for z in P], sweeps_done, work
@@ -673,18 +708,29 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     meta["graph_length"] = graph_len
     t2 = time.perf_counter()
 
-    relaxed, sweeps, work = _relax_path(raw, density, domain.finite_boundary_points(), res)
-    meta["relax_sweeps"] = sweeps
+    # the graph path is a genuine curve from a to b: its certified length
+    # bounds the distance, and what it leaves open above the lower bound
+    # tells the relaxation when a sweep no longer pays
+    lo_val, lo_src = lower
+    graph_path = Polyline(raw)
+    graph_upper = _k_length(graph_path, density, punctures)
+    meta["graph_upper"] = graph_upper
+    slack = graph_upper - lo_val if math.isfinite(graph_upper) else 0.0
     t3 = time.perf_counter()
-    path = Polyline(relaxed)
+    relaxed, sweeps, work = _relax_path(raw, density, domain.finite_boundary_points(), res,
+                                        slack)
+    meta["relax_sweeps"] = sweeps
+    t4 = time.perf_counter()
+    path, up_src = Polyline(relaxed), "relaxed-grid-path"
     upper = _k_length(path, density, punctures)
+    if graph_upper < upper:
+        path, upper, up_src = graph_path, graph_upper, "grid-path"
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
-    meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t3 - t2,
-                measure_s=time.perf_counter() - t3)
+    meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t4 - t3,
+                measure_s=(t3 - t2) + (time.perf_counter() - t4))
 
-    lo_val, lo_src = lower
-    iv = DistanceInterval(lo_val, upper, lo_src, "relaxed-grid-path")
+    iv = DistanceInterval(lo_val, upper, lo_src, up_src)
     if flipped:
         path = path.reversed()
     return GeodesicResult(iv, path, meta)

@@ -542,13 +542,16 @@ def test_inconsistent_interval_is_an_internal_error_exit_3(capsys, monkeypatch):
 
 
 def test_solver_failure_is_an_internal_error_exit_3(capsys):
-    # points about 1000 e-folds apart at 64x64: the grid's depth cap leaves
-    # no path from the point near 0 (the chart grid crashed with IndexError)
+    # points about 1000 e-folds apart at 64x64: the leaves beside the point
+    # near 0 sit at the depth cap, far wider than its distance to 0, so every
+    # edge from it fails the clearance test (the chart grid crashed with
+    # IndexError, and the quadtree's message advised a finer grid)
     rc, out, err = run(capsys, "distance", "--domain", TWO_PUNCT, "--metric", "k",
                        "--method", "numeric", "--resolution", "64",
                        "--from=4.377491037053051e-223,0", "--to=2.2844135865397565e+222,0")
     assert rc == 3 and out == ""
-    assert err.startswith("internal error: grid is disconnected") and err.count("\n") == 1
+    assert err.startswith("internal error: endpoint (4.377491037053051e-223+0j) keeps none")
+    assert "depth cap" in err and "--method fast" in err and err.count("\n") == 1
 
 
 def test_usage_errors_are_exit_2(capsys):

@@ -207,18 +207,19 @@ def test_scipy_loads_on_the_first_grid_solve(tmp_path):
 
 
 # Exact results of the grid solver at 32x32: (lower, upper, path vertices,
-# relaxation sweeps), recorded when the quadtree graph came in.  Every value
-# must stay bit-identical, in any order of the solves.
+# relaxation sweeps), recorded when the relaxation came to stop against the
+# graph path's certified width.  Every value must stay bit-identical, in any
+# order of the solves.
 PINNED_RES = Resolution(radial=32, angular=32)
 PINNED = [
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
-     (3.3451138067704846, 3.7871314295366503, 16, 28)),
+     (3.3451138067704846, 3.7894479038492834, 16, 9)),
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
-     (1.2559490532982982, 2.8363171159008744, 16, 19)),
+     (1.2559490532982982, 2.8392343833809575, 16, 7)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
-     (2.9213342628373624, 4.952532225023112, 21, 14)),
+     (2.9213342628373624, 4.953872090272757, 21, 4)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_chordal_numeric,
-     (1.3283243296961784, 3.115329778640269, 22, 25)),
+     (1.3283243296961784, 3.1198110342518146, 22, 6)),
 ]
 
 
@@ -327,6 +328,71 @@ def test_numeric_results_pinned_in_any_order(order):
                 result.meta["relax_sweeps"]) == expected
 
 
+@pytest.mark.parametrize("punctures, a, b, solver, expected", PINNED,
+                         ids=["two-k", "two-chordal", "four-k", "four-chordal"])
+def test_relaxation_stops_against_the_certified_width(punctures, a, b, solver, expected,
+                                                      monkeypatch):
+    # the relaxed path is kept only where it beats the graph path, and the
+    # sweeps skipped by the stop rule cost at most 0.5% of the upper bound
+    dom = FiniteComplement(punctures)
+    result = solver(dom, a, b, PINNED_RES)
+    assert result.distance.upper <= result.meta["graph_upper"]
+    monkeypatch.setattr(solver_module, "RELAX_STOP", 0.0)
+    full = solver(dom, a, b, PINNED_RES)
+    assert full.meta["relax_sweeps"] >= result.meta["relax_sweeps"]
+    assert result.distance.upper <= 1.005 * full.distance.upper
+
+
+def test_an_unmeasured_graph_path_leaves_the_relative_stop_rule(monkeypatch):
+    # where the graph path's length is not finite there is no width to
+    # measure sweeps against: slack 0, and the relaxed path is the answer
+    slacks = []
+    relax, k_length = solver_module._relax_path, solver_module._k_length
+    calls = []
+
+    def first_infinite(path, density, punctures, stop_above=math.inf):
+        calls.append(path)
+        return math.inf if len(calls) == 1 else k_length(path, density, punctures, stop_above)
+
+    def recording(points, density, punctures, res, slack):
+        slacks.append(slack)
+        return relax(points, density, punctures, res, slack)
+
+    monkeypatch.setattr(solver_module, "_k_length", first_infinite)
+    monkeypatch.setattr(solver_module, "_relax_path", recording)
+    punctures, a, b, solver, expected = PINNED[0]
+    result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+    assert slacks == [0.0]
+    assert result.meta["graph_upper"] == math.inf
+    assert result.distance.upper_source == "relaxed-grid-path"
+    assert math.isfinite(result.distance.upper)
+    # the relative rule alone runs more sweeps than the pinned solve
+    assert result.meta["relax_sweeps"] > expected[3]
+
+
+def test_a_graph_path_shorter_than_the_relaxed_one_is_kept(monkeypatch):
+    # relaxation scores segments by a three-point rule, so it can lengthen
+    # the certified curve; the unrelaxed path is then the upper bound
+    monkeypatch.setattr(solver_module, "_relax_path",
+                        lambda points, density, punctures, res, slack:
+                        ([points[0], 0.5 + 0.1j, points[-1]], 0, {}))
+    punctures, a, b, solver, _ = PINNED[0]
+    result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+    assert result.distance.upper_source == "grid-path"
+    assert result.distance.upper == result.meta["graph_upper"]
+    assert len(result.path.points) == PINNED[0][4][2]
+
+
+def test_an_endpoint_without_grid_edges_is_named():
+    # clearance 1.5 rejects every segment: the first anchor is named, and
+    # its nearest leaves are far above the depth cap
+    res = Resolution(radial=8, angular=8, clearance=1.5)
+    with pytest.raises(solver_module.SolverError,
+                       match=r"endpoint \(-0\.5\+0\.3j\) keeps none of its 12 grid edges "
+                             r"after the clearance test; raise the resolution"):
+        k_numeric(FiniteComplement([0.0, 1.0]), 2.1 - 1.0j, -0.5 + 0.3j, res)
+
+
 # ---------------------------------------------------------------------------
 # Graph construction
 # ---------------------------------------------------------------------------
@@ -399,7 +465,7 @@ def test_build_graph_blocks_equal_one_weight_call(density):
     assert meta["density_points"] == nodes.size + lo.size
     r = dens(nodes)
     u, v = nodes[lo], nodes[hi]
-    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], _punctures(()), None,
+    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], None, None,
                       Resolution(128, 128).clearance)
     keep = np.isfinite(w)
     want = csr_matrix((w[keep], (lo[keep], hi[keep])), shape=graph.shape)
@@ -581,9 +647,11 @@ def _edge_weights_reference(u, v, ru, rm, rv, punctures, clearance, work):
     return np.where(ok, w, np.inf)
 
 
-def _relax_path_reference(points, density, punctures, res):
+def _relax_path_reference(points, density, punctures, res, slack):
     """The relaxation as it ran before its buffers and one-pass clearance
-    test: fresh concatenations per probe and one pass per puncture."""
+    test: fresh concatenations per probe and one pass per puncture.  A sweep
+    whose total drop and accepted gain both fall below max(1e-6, 1e-6 |total|,
+    RELAX_STOP slack) ends it."""
     work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
 
     def rho(z):
@@ -663,9 +731,8 @@ def _relax_path_reference(points, density, punctures, res):
         sweeps_done = sweep + 1
         new_total = total(P)
         if math.isfinite(new_total):
-            if current - new_total < max(1e-6, 1e-6 * abs(new_total)) \
-                    and improved < max(1e-6, 1e-6 * abs(new_total)):
-                current = new_total
+            tol = max(1e-6, 1e-6 * abs(new_total), solver_module.RELAX_STOP * slack)
+            if current - new_total < tol and improved < tol:
                 break
             current = new_total
     return [complex(z) for z in P], sweeps_done, work
@@ -682,12 +749,12 @@ def _polyline(punctures, vertices):
             for i, e, t in vertices]
 
 
-def _assert_relaxation_matches_reference(punctures, density, points):
+def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
     dom = FiniteComplement(punctures)
     rho = density(dom)
     with np.errstate(invalid="ignore"):  # inf - inf among rejected probes
-        want = _relax_path_reference(list(points), rho, punctures, RELAX_RES)
-        got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES)
+        want = _relax_path_reference(list(points), rho, punctures, RELAX_RES, slack)
+        got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES, slack)
     assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
     assert got[1:] == want[1:]
     return got[2]
@@ -696,16 +763,19 @@ def _assert_relaxation_matches_reference(punctures, density, points):
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from([[0.0, 1.0], FOUR]),
        st.sampled_from([quasihyperbolic_density, chordal_quasihyperbolic_density]),
-       st.lists(_vertex, min_size=2, max_size=9))
+       st.lists(_vertex, min_size=2, max_size=9),
+       st.sampled_from([0.0, 1e-3, 1.0]))
 # a last vertex a subnormal distance from the puncture 1: the chord, the
 # chordal density and the edge weights overflow, and production must not warn
-@example([0.0, 1.0], quasihyperbolic_density, [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)])
+@example([0.0, 1.0], quasihyperbolic_density, [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)],
+         0.0)
 @example([0.0, 1.0], chordal_quasihyperbolic_density,
-         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)])
+         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 5e-324)], 0.0)
 @example([0.0, 1.0], quasihyperbolic_density,
-         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 2.2250738585072014e-308)])
-def test_relax_path_equals_reference(punctures, density, vertices):
-    _assert_relaxation_matches_reference(punctures, density, _polyline(punctures, vertices))
+         [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 2.2250738585072014e-308)], 0.0)
+def test_relax_path_equals_reference(punctures, density, vertices, slack):
+    _assert_relaxation_matches_reference(punctures, density, _polyline(punctures, vertices),
+                                         slack)
 
 
 @pytest.mark.parametrize("density", [quasihyperbolic_density, chordal_quasihyperbolic_density],
