@@ -346,13 +346,12 @@ def test_relaxation_stops_against_the_certified_width(punctures, a, b, solver, e
 def test_an_unmeasured_graph_path_leaves_the_relative_stop_rule(monkeypatch):
     # where the graph path's length is not finite there is no width to
     # measure sweeps against: slack 0, and the relaxed path is the answer
-    slacks = []
     relax, k_length = solver_module._relax_path, solver_module._k_length
-    calls = []
+    slacks, measured = [], []
 
     def first_infinite(path, density, punctures, stop_above=math.inf):
-        calls.append(path)
-        return math.inf if len(calls) == 1 else k_length(path, density, punctures, stop_above)
+        measured.append(path)
+        return math.inf if len(measured) == 1 else k_length(path, density, punctures, stop_above)
 
     def recording(points, density, punctures, res, slack):
         slacks.append(slack)
@@ -385,7 +384,7 @@ def test_a_graph_path_shorter_than_the_relaxed_one_is_kept(monkeypatch):
 
 def test_an_endpoint_without_grid_edges_is_named():
     # clearance 1.5 rejects every segment: the first anchor is named, and
-    # its nearest leaves are far above the depth cap
+    # its nearest leaves are far from the depth cap, so a finer grid may help
     res = Resolution(radial=8, angular=8, clearance=1.5)
     with pytest.raises(solver_module.SolverError,
                        match=r"endpoint \(-0\.5\+0\.3j\) keeps none of its 12 grid edges "
