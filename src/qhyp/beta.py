@@ -43,6 +43,7 @@ from .geometry import (
     _unique_points,
     as_finite,
     is_infinite,
+    line_circle_roots,
     segment_point_distance,
 )
 
@@ -253,12 +254,13 @@ class BPDecayReport:
 
 
 def check_bp_decay(domain: Domain, annulus: Annulus, samples: int = 200,
-                   seed: int = 0, margin: float = math.log(16.0)) -> BPDecayReport:
+                   seed: int = 0) -> BPDecayReport:
     """Sample the annulus throat and check the two-sided exponent decay:
 
     (1/2)(m - |t|) <= beta <= 2 (m - |t|) at log-radius offset t from the
-    center circle, for |t| <= m - margin.
+    center circle, for |t| <= m - margin, margin = log 16.
     """
+    margin = math.log(16.0)
     if annulus.is_degenerate:
         raise ValueError("decay check needs a bounded annulus")
     m = annulus.half_modulus
@@ -334,20 +336,8 @@ def _circle_hits(path: Polyline, center: complex, radius: float) -> List[Tuple[i
     hits: List[Tuple[int, float]] = []
     pts = path.points
     for i in range(len(pts) - 1):
-        v = pts[i] - center
-        w = pts[i + 1] - pts[i]
-        ww = abs(w) ** 2
-        if ww == 0.0:
-            continue
-        b = 2.0 * (v.conjugate() * w).real
-        c0 = abs(v) ** 2 - radius * radius
-        disc = b * b - 4.0 * ww * c0
-        if disc <= 0.0:
-            continue
-        s = math.sqrt(disc)
-        for t in ((-b - s) / (2.0 * ww), (-b + s) / (2.0 * ww)):
-            if 0.0 <= t <= 1.0:
-                hits.append((i, t))
+        roots = line_circle_roots(pts[i] - center, pts[i + 1] - pts[i], radius)
+        hits.extend((i, t) for t in roots or () if 0.0 <= t <= 1.0)
     hits.sort()
     return hits
 

@@ -118,9 +118,7 @@ def _emit(obj) -> None:
 
 def _resolution(args) -> Resolution:
     n = getattr(args, "resolution", None)
-    if n is None:
-        n = 256
-    return Resolution(radial=n, angular=n)
+    return Resolution() if n is None else Resolution(radial=n, angular=n)
 
 
 # ---------------------------------------------------------------------------

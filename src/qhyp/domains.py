@@ -23,7 +23,6 @@ from .geometry import (
     ExtPoint,
     Polyline,
     as_finite,
-    chordal_distance,
     chordal_distance_field,
     is_infinite,
 )
@@ -375,6 +374,7 @@ class Domain:
     def __init__(self, components: Sequence[Component], contains_infinity: bool,
                  spec: dict):
         self._components = tuple(components)
+        self._points = tuple(c.point for c in self._components if isinstance(c, ComplementPoint))
         self.contains_infinity = bool(contains_infinity)
         self._json = json.dumps(spec)
 
@@ -437,19 +437,8 @@ class Domain:
         return out if out.ndim else out[()]
 
     def chordal_boundary_distance(self, z: ExtPoint) -> float:
-        """Chordal distance from a point of the domain to its sphere
+        """Chordal distance from a finite point of the domain to its sphere
         boundary; raises outside, like ``delta``."""
-        if is_infinite(z):
-            if not self.contains_infinity:
-                raise OutsideDomainError("the point at infinity is not in the domain")
-            best = math.inf
-            for comp in self.complement_components():
-                if isinstance(comp, ComplementPoint):
-                    best = min(best, chordal_distance(INF, comp.point))
-                else:
-                    raise UnsupportedDomainError(
-                        "chordal boundary distance from infinity needs a point complement")
-            return best
         z = as_finite(z)
         d = float(self.chordal_boundary_distance_field(np.asarray(z)))
         if d <= 0.0:
@@ -459,17 +448,22 @@ class Domain:
     # -- boundary inventory ---------------------------------------------------
 
     def finite_boundary_points(self) -> Tuple[complex, ...]:
-        return tuple(comp.point for comp in self.complement_components()
-                     if isinstance(comp, ComplementPoint))
+        return self._points
+
+    def point_punctures(self) -> Optional[Tuple[complex, ...]]:
+        """The punctures when every complement component is a point (and
+        there is one), else None."""
+        if self._points and len(self._points) == len(self._components):
+            return self._points
+        return None
 
     @property
     def is_hyperbolic(self) -> bool:
         """At least three boundary points on the sphere; a component that is
         not a point is a continuum of them."""
-        comps = self.complement_components()
-        if not all(isinstance(comp, ComplementPoint) for comp in comps):
+        if len(self._points) < len(self._components):
             return True
-        return len(comps) + self.sphere_boundary_includes_infinity() >= 3
+        return len(self._points) + self.sphere_boundary_includes_infinity() >= 3
 
     # -- serialization ----------------------------------------------------------
 
@@ -486,11 +480,11 @@ class Domain:
         return hash(self._json)
 
 
-def annulus_inside(domain: Domain, ann: Annulus, tol: float = 1e-12) -> bool:
+def annulus_inside(domain: Domain, ann: Annulus) -> bool:
     """Whether the open annulus avoids every complement component."""
     for comp in domain.complement_components():
         lo, hi = comp.xi_range_field(ann.center)
-        if hi > ann.inner * (1.0 + tol) and lo < ann.outer * (1.0 - tol):
+        if hi > ann.inner * (1.0 + 1e-12) and lo < ann.outer * (1.0 - 1e-12):
             return False
     return True
 

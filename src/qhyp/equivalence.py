@@ -24,7 +24,7 @@ import numpy as np
 from .constants import KAPPA
 from .beta import up_modulus_sup
 from .densities import h_interval, h_upper_three_punct
-from .domains import ComplementDisk, ComplementDiskExterior, ComplementPoint, Domain, k_star_exact
+from .domains import ComplementDisk, ComplementDiskExterior, Domain, k_star_exact
 from .solver import VerdictCounts, k_interval_fast
 
 
@@ -162,10 +162,9 @@ def default_config(domain: Domain) -> PunctureConfig:
     """Canonical chart layout: radii a quarter of each nearest gap, exterior
     radius four times the furthest disk reach, witnesses chosen by smallest
     principal argument (then modulus, then coordinates)."""
-    comps = domain.complement_components()
-    if not comps or not all(isinstance(c, ComplementPoint) for c in comps):
+    P = domain.point_punctures()
+    if P is None:
         raise ValueError("the global map needs a finite set of punctures")
-    P = [c.point for c in comps]
     if len(P) < 2:
         raise ValueError("need at least two punctures")
     radii: List[float] = []

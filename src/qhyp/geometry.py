@@ -125,6 +125,20 @@ def segment_point_distance(z1, z2, p):
     return out
 
 
+def line_circle_roots(v: complex, w: complex, radius: float) -> Optional[Tuple[float, float]]:
+    """The roots t1 < t2 of |v + t w| = ``radius``, or None where the line
+    misses or touches the circle, or |w|^2 is 0."""
+    ww = abs(w) ** 2
+    if ww == 0.0:
+        return None
+    b = 2.0 * (v.conjugate() * w).real
+    disc = b * b - 4.0 * ww * (abs(v) ** 2 - radius * radius)
+    if disc <= 0.0:
+        return None
+    s = math.sqrt(disc)
+    return (-b - s) / (2.0 * ww), (-b + s) / (2.0 * ww)
+
+
 # ---------------------------------------------------------------------------
 # Round annuli
 # ---------------------------------------------------------------------------
@@ -224,23 +238,23 @@ class Annulus:
         r = abs(as_finite(z) - self.center)
         return self.inner < r < self.outer
 
-    def _in_inner_part(self, e: ExtPoint, tol: float) -> bool:
+    def _in_inner_part(self, e: ExtPoint) -> bool:
         if is_infinite(e):
             return False
         r = abs(as_finite(e) - self.center)
         if self.inner == 0.0:
-            return r <= tol * max(1.0, abs(self.center))
-        return r <= self.inner * (1.0 + tol)
+            return r <= INCIDENCE_RTOL * max(1.0, abs(self.center))
+        return r <= self.inner * (1.0 + INCIDENCE_RTOL)
 
-    def _in_outer_part(self, e: ExtPoint, tol: float) -> bool:
+    def _in_outer_part(self, e: ExtPoint) -> bool:
         if is_infinite(e):
             return True
         if math.isinf(self.outer):
             return False
         r = abs(as_finite(e) - self.center)
-        return r >= self.outer * (1.0 - tol)
+        return r >= self.outer * (1.0 - INCIDENCE_RTOL)
 
-    def separates(self, points: Iterable[ExtPoint], tol: float = INCIDENCE_RTOL) -> bool:
+    def separates(self, points: Iterable[ExtPoint]) -> bool:
         """True when the set touches both complementary parts and misses the annulus.
 
         The inner part is the closed disk of radius ``inner`` (just the center
@@ -251,9 +265,9 @@ class Annulus:
         has_inner = False
         has_outer = False
         for e in points:
-            if self._in_inner_part(e, tol):
+            if self._in_inner_part(e):
                 has_inner = True
-            elif self._in_outer_part(e, tol):
+            elif self._in_outer_part(e):
                 has_outer = True
             else:
                 return False
@@ -261,7 +275,7 @@ class Annulus:
 
     # -- crossings ------------------------------------------------------------
 
-    def crossing_count(self, path: "Polyline", tol: float = INCIDENCE_RTOL) -> int:
+    def crossing_count(self, path: "Polyline") -> int:
         """Number of times the path traverses the annulus side to side.
 
         Contact events with the closed inner part and the closed outer part
@@ -273,8 +287,8 @@ class Annulus:
             return 0
         events: List[str] = []
 
-        r_in = self.inner * (1.0 - tol)
-        r_out = self.outer * (1.0 + tol)
+        r_in = self.inner * (1.0 - INCIDENCE_RTOL)
+        r_out = self.outer * (1.0 + INCIDENCE_RTOL)
         pts = path.points
         for i in range(len(pts) - 1):
             z1 = pts[i] - self.center
@@ -282,20 +296,15 @@ class Annulus:
             seg_events: List[Tuple[float, str]] = []
             w = z2 - z1
             ww = abs(w) ** 2
-            b = 2.0 * (z1.conjugate() * w).real
-            c0 = abs(z1) ** 2
 
             def _level_interval(rho: float) -> Tuple[float, float]:
-                # solve c0 + b t + ww t^2 <= rho^2 on [0, 1]
+                # the part of [0, 1] where |z1 + t w| <= rho
                 if ww == 0.0:
-                    return (0.0, 1.0) if c0 <= rho * rho else (1.0, 0.0)
-                disc = b * b - 4.0 * ww * (c0 - rho * rho)
-                if disc <= 0.0:
+                    return (0.0, 1.0) if abs(z1) ** 2 <= rho * rho else (1.0, 0.0)
+                roots = line_circle_roots(z1, w, rho)
+                if roots is None:
                     return (1.0, 0.0)
-                s = math.sqrt(disc)
-                t1 = (-b - s) / (2.0 * ww)
-                t2 = (-b + s) / (2.0 * ww)
-                return (max(0.0, t1), min(1.0, t2))
+                return (max(0.0, roots[0]), min(1.0, roots[1]))
 
             if self.inner == 0.0:
                 d_min = segment_point_distance(z1, z2, 0.0)

@@ -37,10 +37,11 @@ keep clear of the removed points, tested one block of ``constants.BLOCK``
 edges at a time.  The weighting evaluates one density on it, block by block
 too: the densities at the nodes, then the midpoint densities and weights of
 each block of edges.  The last grid is kept in one module-level slot and
-reused when the same domain, anchors and ``Resolution`` come again, as they
-do for ``k_chordal_numeric`` after ``k_numeric`` on the same pair, and for
-either solver with the endpoints swapped.  Both slots key on the domain
-itself: two domains are equal when their JSON descriptions are.
+reused when the same domain, anchors and grid size min(radial, angular)
+come again, as they do for ``k_chordal_numeric`` after ``k_numeric`` on the
+same pair, and for either solver with the endpoints swapped.  Both slots
+key on the domain itself: two domains are equal when their JSON
+descriptions are.
 
 The grid solver is the only user of scipy (``csr_matrix`` for the graph,
 ``dijkstra`` for the search), and it imports each where it calls it.  So
@@ -83,11 +84,11 @@ import numpy as np
 from .constants import BLOCK
 from .densities import (
     DistanceInterval,
+    _log_quotient,
     chordal_quasihyperbolic_density,
     quasihyperbolic_density,
 )
 from .domains import (
-    ComplementPoint,
     Domain,
     OutsideDomainError,
     UnsupportedDomainError,
@@ -110,6 +111,8 @@ DEPTH_CAP = 40       # deepest quadtree level: cell centres keep their bits
 ENDPOINT_K = 12      # grid nodes wired to each anchor
 MEASURE_TOL = 1e-9   # quadrature tolerance, and outward pad, off point complements
 RELAX_STOP = 1e-3    # a sweep gaining less than this share of the open width ends relaxation
+GOLDEN_ITERS = 18    # golden-section steps per relaxation half-sweep
+CLEARANCE = 0.3      # a segment closer to a removed point than this times its ends' is rejected
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,12 @@ class Resolution:
     """Grid and relaxation budget for the numeric solver.  The smaller of
     ``radial`` and ``angular``, n, grades the quadtree: eps = 1.6 * 2 pi / n.
     ``relax_sweeps`` is a cap: the relaxation stops earlier once a sweep no
-    longer pays against the width left open (see ``_relax_path``)."""
+    longer pays against the width left open (see ``_relax_path``); the
+    golden-section steps are ``GOLDEN_ITERS``."""
 
     radial: int = 256
     angular: int = 256
     relax_sweeps: int = 28
-    golden_iters: int = 18
-    clearance: float = 0.3       # segment-to-puncture rejection factor
 
     def __post_init__(self):
         if self.radial < 8 or self.angular < 8:
@@ -159,11 +161,7 @@ def gp_lower_bound(domain: Domain, a: complex, b: complex) -> float:
 def gp_ratio_lower_bound(domain: Domain, a: complex, b: complex) -> float:
     """|log(delta(a) / delta(b))|, as a difference of logs where the
     quotient is not a normal float."""
-    da, db = domain.delta(a), domain.delta(b)
-    ratio = da / db
-    if sys.float_info.min <= ratio < math.inf:
-        return abs(math.log(ratio))
-    return abs(math.log(da) - math.log(db))
+    return abs(_log_quotient(domain.delta(a), domain.delta(b))[0])
 
 
 def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str]:
@@ -200,8 +198,7 @@ def _punctures(points: Sequence[complex]) -> _Punctures:
 
 
 def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
-                        near: np.ndarray, punctures: _Punctures,
-                        clearance: float, ok: np.ndarray,
+                        near: np.ndarray, punctures: _Punctures, ok: np.ndarray,
                         work: Optional[dict] = None) -> None:
     """Clear ``ok`` where the segment [u, v] passes too close to a removed
     point; ``length`` is |v - u|, and row i of the (P, n) array ``near`` is
@@ -209,17 +206,16 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
     runs for all rows in one pass.
 
     A segment is rejected when its distance to q falls below
-    ``clearance * near``.  Every point of [u, v] lies within L/2 of an end,
+    ``CLEARANCE * near``.  Every point of [u, v] lies within L/2 of an end,
     L = |v - u|, so the segment keeps at least near - L/2 from q and passes
-    whenever L <= 2 (1 - clearance) near.  The cheap test uses 0.9 of that
+    whenever L <= 2 (1 - CLEARANCE) near.  The cheap test uses 0.9 of that
     slack, less 64 ulps of |q| for the rounding of ``segment_point_distance``
-    in absolute coordinates, and is off when clearance is within 1e-12 of 1
-    or above, so it passes only segments whose exact test would pass too.
-    The exact distance is computed, puncture by puncture in order, for the
-    segments that fail the cheap test and are still admissible, and their
-    number is added to ``work["clearance_exact"]``.
+    in absolute coordinates, so it passes only segments whose exact test
+    would pass too.  The exact distance is computed, puncture by puncture in
+    order, for the segments that fail the cheap test and are still
+    admissible, and their number is added to ``work["clearance_exact"]``.
     """
-    slack = 1.8 * (1.0 - clearance) if clearance < 1.0 - 1e-12 else 0.0
+    slack = 1.8 * (1.0 - CLEARANCE)
     fails = ~(length < slack * near - punctures.pads[:, None])
     tests = zip(fails, near) if (fails & ok).any() else ()
     exact = 0
@@ -227,7 +223,7 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
         hard = np.flatnonzero(ok & fail)
         if hard.size:
             d = segment_point_distance(u[hard], v[hard], q)
-            ok[hard] = d >= clearance * near_q[hard]
+            ok[hard] = d >= CLEARANCE * near_q[hard]
             exact += hard.size
     if work is not None:
         work["clearance_exact"] = work.get("clearance_exact", 0) + exact
@@ -235,7 +231,7 @@ def _clear_of_punctures(u: np.ndarray, v: np.ndarray, length: np.ndarray,
 
 def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
                   rv: np.ndarray, punctures: Optional[_Punctures], near: Optional[np.ndarray],
-                  clearance: float, work: Optional[dict] = None) -> np.ndarray:
+                  work: Optional[dict] = None) -> np.ndarray:
     """Three-point quadrature weight per segment [u, v] from the density at
     its start, midpoint and end; inf where the segment is invalid (a density
     that is not finite and positive, or a dive toward a removed point, as
@@ -247,17 +243,8 @@ def _edge_weights(u: np.ndarray, v: np.ndarray, ru: np.ndarray, rm: np.ndarray,
     ok = (np.isfinite(ru) & (ru > 0) & np.isfinite(rm) & (rm > 0)
           & np.isfinite(rv) & (rv > 0))
     if near is not None:
-        _clear_of_punctures(u, v, length, near, punctures, clearance, ok, work)
+        _clear_of_punctures(u, v, length, near, punctures, ok, work)
     return np.where(ok, w, np.inf)
-
-
-def _point_punctures(domain: Domain) -> Optional[Tuple[complex, ...]]:
-    """The punctures when the domain is the plane minus finitely many
-    points (its complement components are all points), else None."""
-    comps = domain.complement_components()
-    if comps and all(isinstance(c, ComplementPoint) for c in comps):
-        return tuple(c.point for c in comps)
-    return None
 
 
 class _Tree(NamedTuple):
@@ -279,7 +266,7 @@ def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _T
     """The delta-graded quadtree of a problem.
 
     The root square is centred on the middle of the bounding box of the
-    anchors, the finite boundary points and every component's ``centers()``,
+    anchors and every component's ``centers()`` (a removed point's is itself),
     with 8 times the largest distance from there to those points as its
     side.  A cell of side s and centre c above ``DEPTH_CAP`` is split while
     s > eps max(delta(c), |c - a| / 2), with a the nearest anchor and
@@ -288,7 +275,6 @@ def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _T
     to the anchors: a continuum boundary far from them stays coarse."""
     anchor_arr = np.asarray(anchors, dtype=np.complex128)
     pts = np.concatenate([anchor_arr,
-                          np.asarray(domain.finite_boundary_points(), dtype=np.complex128),
                           np.asarray([c for comp in domain.complement_components()
                                       for c in comp.centers()], dtype=np.complex128)])
     mid = complex(0.5 * (pts.real.min() + pts.real.max()),
@@ -358,6 +344,8 @@ class _Grid:
     lo: np.ndarray                  # edges that pass the clearance test, as
     hi: np.ndarray                  # (lower id, higher id)
     anchor_ids: Tuple[int, ...]
+    anchor_capped: Tuple[bool, ...]  # whether an anchor's nearest leaves sit at DEPTH_CAP
+    side: float                      # the root square's side
     clearance_s: float
     clearance_exact: int
 
@@ -379,10 +367,11 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     k = min(ENDPOINT_K, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
     anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
-    nearest = []
+    node_level = tree.level[is_node]
+    capped = []
     for aid, z0 in zip(anchor_ids, anchor_arr):
         idx = np.argpartition(np.abs(nodes - z0), k - 1)[:k]
-        nearest.append(idx)
+        capped.append(bool(node_level[idx].max() >= DEPTH_CAP))
         all_pairs.append(np.stack([idx, np.full(k, aid)], axis=1))
     nodes = np.concatenate([nodes, anchor_arr])
     pairs = np.concatenate(all_pairs, axis=0)
@@ -404,34 +393,14 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
         length = np.abs(v - u)
         for single, dq in zip(singles, dists):
             _clear_of_punctures(u, v, length, np.minimum(dq[i], dq[j])[None], single,
-                                res.clearance, clear[start:start + BLOCK], work)
+                                clear[start:start + BLOCK], work)
     lo, hi = lo[clear], hi[clear]
     t1 = time.perf_counter()
 
-    # an anchor's edges are the only ones to its id, the highest ones
-    for aid, z0, idx in zip(anchor_ids, anchor_arr, nearest):
-        if not np.any(hi == aid):
-            _anchor_cut_off(domain, complex(z0), k, tree, tree.level[is_node][idx])
-
     for arr in (nodes, lo, hi):
         arr.flags.writeable = False
-    return _Grid(nodes, lo, hi, anchor_ids, t1 - t0, work["clearance_exact"])
-
-
-def _anchor_cut_off(domain: Domain, z: complex, k: int, tree: _Tree,
-                    levels: np.ndarray) -> None:
-    """Raise ``SolverError`` for an endpoint whose ``k`` grid edges all
-    failed the clearance test, naming it, and, where its nearest leaves
-    (at depths ``levels``) sit at ``DEPTH_CAP``, saying that no resolution
-    reaches it."""
-    msg = f"endpoint {z!r} keeps none of its {k} grid edges after the clearance test"
-    if levels.max() >= DEPTH_CAP:
-        raise SolverError(
-            f"{msg}: its nearest leaves sit at the depth cap ({DEPTH_CAP} levels), "
-            f"{math.ldexp(tree.side, -DEPTH_CAP):.3g} wide against its distance "
-            f"{domain.delta(z):.3g} to the boundary, and no resolution refines "
-            "them; use k_interval_fast (--method fast)")
-    raise SolverError(f"{msg}; raise the resolution")
+    return _Grid(nodes, lo, hi, anchor_ids, tuple(capped), tree.side, t1 - t0,
+                 work["clearance_exact"])
 
 
 # The last grid built, as (key, grid), or None.  There is one slot: a miss
@@ -445,7 +414,8 @@ def _grid_for(domain: Domain, anchors: Sequence[complex],
               res: Resolution) -> Tuple[_Grid, bool]:
     """The grid of (domain, anchors, res), and whether it was reused."""
     global _last_grid
-    key = (domain, np.asarray(list(anchors), dtype=np.complex128).tobytes(), res)
+    key = (domain, np.asarray(list(anchors), dtype=np.complex128).tobytes(),
+           min(res.radial, res.angular))
     last = _last_grid
     if last is not None and last[0] == key:
         return last[1], True
@@ -465,18 +435,20 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     and the edges that pass the clearance test, each stored once as (lower
     id, higher id).  The last grid is kept in one module-level slot, keyed
     by the domain itself (domains are equal when their JSON descriptions
-    are), the anchors bit for bit and the ``Resolution``, and is reused
-    when the same key comes again: ``k_chordal_numeric`` after ``k_numeric``
-    on the same problem, or either solver with the endpoints swapped (the
-    anchors are put in canonical order).  A miss empties the slot before
-    building.
+    are), the anchors bit for bit and the grid size min(radial, angular),
+    and is reused when the same key comes again: ``k_chordal_numeric``
+    after ``k_numeric`` on the same problem, either solver with the
+    endpoints swapped (the anchors are put in canonical order), or another
+    ``relax_sweeps``.  A miss empties the slot before building.
 
     The weighting is per density: the density at every node and edge
     midpoint, the three-point quadrature weight, the drop of edges whose
     densities are not finite and positive, and the CSR matrix.  The
     densities and weights are computed ``BLOCK`` nodes or edges at a time,
     one ``_edge_weights`` call per block of edges; every step is pointwise,
-    so the weights are those of one call over all edges.
+    so the weights are those of one call over all edges.  An anchor left
+    without an edge raises ``SolverError`` naming it, and saying where its
+    nearest leaves sit at ``DEPTH_CAP``, so that no resolution reaches it.
 
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     The node positions are the grid's read-only array.  The meta holds
@@ -504,12 +476,23 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
         i, j = lo[start:start + BLOCK], hi[start:start + BLOCK]
         u, v = nodes[i], nodes[j]
         w[start:start + BLOCK] = _edge_weights(u, v, rho[i], density(0.5 * (u + v)), rho[j],
-                                               None, None, res.clearance)
+                                               None, None)
     t1 = time.perf_counter()
     keep = np.isfinite(w)
     lo, hi, w = lo[keep], hi[keep], w[keep]
-    if not keep.any():
-        raise SolverError("no admissible edges near the requested points")
+    # an anchor's edges are the only ones to its id, the highest ones
+    for aid, capped in zip(grid.anchor_ids, grid.anchor_capped):
+        if np.any(hi == aid):
+            continue
+        z, k = complex(nodes[aid]), min(ENDPOINT_K, nodes.size - len(grid.anchor_ids))
+        msg = f"endpoint {z!r} keeps none of its {k} grid edges after clearance and weighting"
+        if capped:
+            raise SolverError(
+                f"{msg}: its nearest leaves sit at the depth cap ({DEPTH_CAP} levels), "
+                f"{math.ldexp(grid.side, -DEPTH_CAP):.3g} wide against its distance "
+                f"{domain.delta(z):.3g} to the boundary, and no resolution refines "
+                "them; use k_interval_fast (--method fast)")
+        raise SolverError(f"{msg}; raise the resolution")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
     meta = {"nodes": int(nodes.size), "edges": int(w.size), "grid_reused": reused,
             "clearance_s": 0.0 if reused else grid.clearance_s,
@@ -581,7 +564,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
 
     def weights(u, v, ru, rm, rv, near):
         work["weight_calls"] += 1
-        return _edge_weights(u, v, ru, rm, rv, punct, near, res.clearance, work)
+        return _edge_weights(u, v, ru, rm, rv, punct, near, work)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
@@ -655,7 +638,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 return w[:n2] + w[n2:]
 
             lo, hi = -amp, amp
-            for _ in range(res.golden_iters):
+            for _ in range(GOLDEN_ITERS):
                 c1 = hi - invphi * (hi - lo)
                 c2 = lo + invphi * (hi - lo)
                 fc = f(np.concatenate([c1, c2]))
@@ -750,7 +733,7 @@ def k_numeric(domain: Domain, a: complex, b: complex,
             "a domain without finite boundary has no quasihyperbolic metric")
     return _geodesic(domain, a, b, quasihyperbolic_density(domain),
                      k_lower_analytic(domain, a, b), resolution or Resolution(),
-                     _point_punctures(domain))
+                     domain.point_punctures())
 
 
 def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
@@ -823,7 +806,7 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     if a == b:
         return DistanceInterval(0.0, 0.0, "coincident", "coincident"), []
     lo_val, lo_src = k_lower_analytic(domain, a, b)
-    punctures = _point_punctures(domain)
+    punctures = domain.point_punctures()
     density = quasihyperbolic_density(domain)
 
     upper = math.inf

@@ -554,6 +554,17 @@ def test_solver_failure_is_an_internal_error_exit_3(capsys):
     assert "depth cap" in err and "--method fast" in err and err.count("\n") == 1
 
 
+def test_endpoint_with_only_infinite_edges_is_an_internal_error_exit_3(capsys):
+    # on the half-plane no removed point rejects an edge, but every edge of
+    # the anchor 1e-200j weighs infinity: the endpoint is named, not the grid
+    rc, out, err = run(capsys, "distance", "--domain", '{"type":"upper_half_plane"}',
+                       "--metric", "k", "--method", "numeric", "--resolution", "32",
+                       "--from=1e200,1e-200", "--to=0,1e-200")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: endpoint 1e-200j keeps none")
+    assert "depth cap" in err and "--method fast" in err and err.count("\n") == 1
+
+
 def test_usage_errors_are_exit_2(capsys):
     rc, _, _ = run(capsys, "distance", "--domain", ONE_PUNCT,
                    "--from", "1,0", "--to", "2,0", "--metric", "bogus")

@@ -133,6 +133,27 @@ def test_hyperbolicity_flag():
     assert FiniteComplement([0.0, 1.0, 2.0], contains_infinity=True).is_hyperbolic
 
 
+@pytest.mark.parametrize("dom, points, punctures", [
+    (FiniteComplement([0.0, 1.0j]), (0j, 1j), (0j, 1j)),
+    (FiniteComplement([2.0], contains_infinity=True), (2 + 0j,), (2 + 0j,)),
+    (FiniteComplement([]), (), None),
+    (UnitDisk(), (), None),
+    (PuncturedUnitDisk(), (0j,), None),
+    (ExteriorUnitDisk(), (), None),
+    (UpperHalfPlane(), (), None),
+    (PuncturedSubdomain(UnitDisk(), [0.5]), (0.5 + 0j,), None),
+    (TranslatedScaled(FiniteComplement([0.0, 1.0]), 2.0j, 3.0), (3 + 0j, 3 + 2j),
+     (3 + 0j, 3 + 2j)),
+    (TranslatedScaled(UpperHalfPlane(), 2.0, 1.0), (), None),
+], ids=["finite", "sphere-minus-one", "plane", "disk", "punctured-disk", "exterior",
+        "half-plane", "punctured-subdomain", "moved-finite", "moved-half-plane"])
+def test_point_components_found_once(dom, points, punctures):
+    # the point components, and the punctures only where every component is one
+    assert dom.finite_boundary_points() == points
+    assert dom.point_punctures() == punctures
+    assert dom.finite_boundary_points() is dom.finite_boundary_points()
+
+
 def test_translated_scaled_matches_manual():
     base = FiniteComplement([0.0, 1.0])
     moved = TranslatedScaled(base, 2.0j, 3.0)

@@ -300,8 +300,18 @@ def test_grid_not_reused_for_another_problem(change):
     elif change == "anchors":
         b = np.nextafter(b.real, 3.0) + 1j * b.imag
     else:
-        res = Resolution(radial=32, angular=32, clearance=0.31)
+        res = Resolution(radial=48, angular=48)
     assert k_chordal_numeric(dom, a, b, res).meta["grid_reused"] is False
+
+
+def test_grid_reused_when_only_the_sweep_cap_changes():
+    # the grid depends on min(radial, angular) alone, not on relax_sweeps
+    dom, a, b = FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j
+    _evict_grid()
+    assert k_numeric(dom, a, b, PINNED_RES).meta["grid_reused"] is False
+    res = Resolution(radial=32, angular=32, relax_sweeps=3)
+    assert k_numeric(dom, a, b, res).meta["grid_reused"] is True
+    assert k_numeric(dom, a, b, Resolution(radial=32, angular=64)).meta["grid_reused"] is True
 
 
 def test_cached_grid_is_read_only():
@@ -382,14 +392,28 @@ def test_a_graph_path_shorter_than_the_relaxed_one_is_kept(monkeypatch):
     assert len(result.path.points) == PINNED[0][4][2]
 
 
-def test_an_endpoint_without_grid_edges_is_named():
+def test_an_endpoint_without_grid_edges_is_named(monkeypatch):
     # clearance 1.5 rejects every segment: the first anchor is named, and
     # its nearest leaves are far from the depth cap, so a finer grid may help
-    res = Resolution(radial=8, angular=8, clearance=1.5)
+    # an empty grid slot, so that no grid built at 1.5 outlives the test
+    monkeypatch.setattr(solver_module, "CLEARANCE", 1.5)
+    monkeypatch.setattr(solver_module, "_last_grid", None)
     with pytest.raises(solver_module.SolverError,
                        match=r"endpoint \(-0\.5\+0\.3j\) keeps none of its 12 grid edges "
-                             r"after the clearance test; raise the resolution"):
-        k_numeric(FiniteComplement([0.0, 1.0]), 2.1 - 1.0j, -0.5 + 0.3j, res)
+                             r"after clearance and weighting; raise the resolution"):
+        k_numeric(FiniteComplement([0.0, 1.0]), 2.1 - 1.0j, -0.5 + 0.3j,
+                  Resolution(radial=8, angular=8))
+
+
+def test_an_endpoint_whose_edges_all_weigh_infinity_is_named():
+    # no removed point, so every edge passes the clearance test, but the
+    # anchor 1e-200j sits 3.6e188 from its nearest leaves, at the depth cap:
+    # the density at their midpoints is 0, and every weight is infinite
+    with pytest.raises(solver_module.SolverError,
+                       match=r"endpoint 1e-200j keeps none of its 12 grid edges after clearance "
+                             r"and weighting: its nearest leaves sit at the depth cap .*"
+                             r"use k_interval_fast \(--method fast\)"):
+        k_numeric(UpperHalfPlane(), 1e200 + 1e-200j, 1e-200j, Resolution(radial=32, angular=32))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +488,7 @@ def test_build_graph_blocks_equal_one_weight_call(density):
     assert meta["density_points"] == nodes.size + lo.size
     r = dens(nodes)
     u, v = nodes[lo], nodes[hi]
-    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], None, None,
-                      Resolution(128, 128).clearance)
+    w = _edge_weights(u, v, r[lo], dens(0.5 * (u + v)), r[hi], None, None)
     keep = np.isfinite(w)
     want = csr_matrix((w[keep], (lo[keep], hi[keep])), shape=graph.shape)
     assert meta["edges"] == np.count_nonzero(keep)
@@ -616,7 +639,9 @@ def test_edge_weights_equal_all_exact_reference(segments, clearance, punctures, 
     work = {}
     q = np.asarray(punctures)[:, None]
     near = np.minimum(np.abs(u - q), np.abs(v - q))
-    got = _edge_weights(u, v, ru, rm, rv, _punctures(punctures), near, clearance, work)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_module, "CLEARANCE", clearance)
+        got = _edge_weights(u, v, ru, rm, rv, _punctures(punctures), near, work)
     want = _edge_weights_all_exact(u, v, ru, rm, rv, punctures, clearance)
     assert got.tobytes() == want.tobytes()
     assert 0 <= work["clearance_exact"] <= n * len(punctures)
@@ -626,9 +651,10 @@ def test_edge_weights_equal_all_exact_reference(segments, clearance, punctures, 
 # Path relaxation
 # ---------------------------------------------------------------------------
 
-def _edge_weights_reference(u, v, ru, rm, rv, punctures, clearance, work):
+def _edge_weights_reference(u, v, ru, rm, rv, punctures, work):
     """The edge weights and clearance test as they ran before the one-pass
     clearance: the cheap test and then the exact one, puncture by puncture."""
+    clearance = solver_module.CLEARANCE
     length = np.abs(v - u)
     with np.errstate(over="ignore"):
         w = length * (ru + 4.0 * rm + rv) / 6.0
@@ -659,7 +685,7 @@ def _relax_path_reference(points, density, punctures, res, slack):
 
     def weights(u, v, ru, rm, rv):
         work["weight_calls"] += 1
-        return _edge_weights_reference(u, v, ru, rm, rv, punctures, res.clearance, work)
+        return _edge_weights_reference(u, v, ru, rm, rv, punctures, work)
 
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
@@ -712,7 +738,7 @@ def _relax_path_reference(points, density, punctures, res, slack):
                 return w[:2 * m] + w[2 * m:]
 
             lo, hi = -amp, amp
-            for _ in range(res.golden_iters):
+            for _ in range(solver_module.GOLDEN_ITERS):
                 c1 = hi - invphi * (hi - lo)
                 c2 = lo + invphi * (hi - lo)
                 fc = f(np.concatenate([c1, c2]))
@@ -737,7 +763,8 @@ def _relax_path_reference(points, density, punctures, res, slack):
     return [complex(z) for z in P], sweeps_done, work
 
 
-RELAX_RES = Resolution(radial=8, angular=8, relax_sweeps=4, golden_iters=8)
+# relaxations compared against the reference run 8 golden-section steps
+RELAX_RES = Resolution(radial=8, angular=8, relax_sweeps=4)
 # a vertex: (puncture it circles, log10 of its distance, angle)
 _vertex = st.tuples(st.integers(0, 3), st.floats(min_value=-3.0, max_value=0.5),
                     st.floats(min_value=0.0, max_value=2.0 * math.pi))
@@ -751,7 +778,9 @@ def _polyline(punctures, vertices):
 def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
     dom = FiniteComplement(punctures)
     rho = density(dom)
-    with np.errstate(invalid="ignore"):  # inf - inf among rejected probes
+    with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+        # inf - inf among rejected probes
+        patch.setattr(solver_module, "GOLDEN_ITERS", 8)
         want = _relax_path_reference(list(points), rho, punctures, RELAX_RES, slack)
         got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES, slack)
     assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
