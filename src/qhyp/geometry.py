@@ -299,12 +299,10 @@ class Annulus:
 
             def _level_interval(rho: float) -> Tuple[float, float]:
                 # the part of [0, 1] where |z1 + t w| <= rho
-                if ww == 0.0:
-                    return (0.0, 1.0) if abs(z1) ** 2 <= rho * rho else (1.0, 0.0)
                 roots = line_circle_roots(z1, w, rho)
-                if roots is None:
-                    return (1.0, 0.0)
-                return (max(0.0, roots[0]), min(1.0, roots[1]))
+                if roots is not None:
+                    return (max(0.0, roots[0]), min(1.0, roots[1]))
+                return (0.0, 1.0) if ww == 0.0 and abs(z1) ** 2 <= rho * rho else (1.0, 0.0)
 
             if self.inner == 0.0:
                 d_min = segment_point_distance(z1, z2, 0.0)

@@ -367,11 +367,10 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
     k = min(ENDPOINT_K, n0)
     anchor_arr = np.asarray(list(anchors), dtype=np.complex128)
     anchor_ids = tuple(range(n0, n0 + anchor_arr.size))
-    node_level = tree.level[is_node]
     capped = []
     for aid, z0 in zip(anchor_ids, anchor_arr):
         idx = np.argpartition(np.abs(nodes - z0), k - 1)[:k]
-        capped.append(bool(node_level[idx].max() >= DEPTH_CAP))
+        capped.append(bool(tree.level[is_node][idx].max() >= DEPTH_CAP))
         all_pairs.append(np.stack([idx, np.full(k, aid)], axis=1))
     nodes = np.concatenate([nodes, anchor_arr])
     pairs = np.concatenate(all_pairs, axis=0)
@@ -447,8 +446,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     densities and weights are computed ``BLOCK`` nodes or edges at a time,
     one ``_edge_weights`` call per block of edges; every step is pointwise,
     so the weights are those of one call over all edges.  An anchor left
-    without an edge raises ``SolverError`` naming it, and saying where its
-    nearest leaves sit at ``DEPTH_CAP``, so that no resolution reaches it.
+    without an edge raises ``SolverError``, naming it.
 
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     The node positions are the grid's read-only array.  The meta holds
@@ -749,13 +747,12 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
     """Certified enclosure of the chordally normalized quasihyperbolic
     distance.  The lower bound combines the spherical gap estimate with a
     quarter of the best euclidean lower bound."""
-    res = resolution or Resolution()
     density = chordal_quasihyperbolic_density(domain)
     lo_sph = (chordal_gp_lower(domain, a, b), "chordal-gap")
     lo_euc = k_lower_analytic(domain, a, b)
     lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
         (0.25 * lo_euc[0], f"quarter-euclidean[{lo_euc[1]}]")
-    return _geodesic(domain, a, b, density, lower, res, punctures=None)
+    return _geodesic(domain, a, b, density, lower, resolution or Resolution(), punctures=None)
 
 
 # ---------------------------------------------------------------------------
