@@ -739,7 +739,7 @@ _ROUND = 2.0 ** -53        # unit roundoff of a double
 _ERR = 16.0 * _ROUND       # relative error budget of a derived coordinate
 _PAD = 64.0 * _ROUND       # relative pad of each evaluated piece
 _ABS = 2.0 ** -1068        # absolute error budget of a coordinate, for underflow
-_TINY = 2.0 ** -1060       # absolute pad of each evaluated piece, for underflow
+_TINY = 2.0 ** -1070       # absolute pad of each evaluated piece, for underflow
 
 
 def _asinh_ratio(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -773,18 +773,20 @@ def _piece_upper(s0: Tuple[np.ndarray, np.ndarray], s1: Tuple[np.ndarray, np.nda
 
     The integral grows with the length, shrinks as the piece moves away from
     the foot t_p, and shrinks with d_p; a piece that may contain the foot is
-    bounded by the two sides' reaches and by the centred piece
-    2 asinh(ell / 2d), and is infinite when d is 0."""
+    bounded by the two sides' reaches and by asinh(x / d) + asinh((ell - x)
+    / d), the piece whose foot lies x past t0, with x = ell / 2 clipped into
+    [-s0.hi, -s0.lo] and to ell; it is infinite when d is 0."""
     right, left = s0[0] >= 0.0, s1[1] <= 0.0
     a = np.where(right, s0[0], np.where(left, -s1[1], 0.0))
     val = _one_side(a, ell, d)
     across = np.flatnonzero(~(right | left))
     if across.size:
-        da = d[across]
+        da, la = d[across], ell[across]
+        x = np.minimum(np.clip(0.5 * la, -s0[1][across], -s0[0][across]), la)
         val[across] = np.where(da > 0, np.minimum(
             _asinh_ratio(np.maximum(-s0[0][across], 0.0), da)
             + _asinh_ratio(np.maximum(s1[1][across], 0.0), da),
-            2.0 * _asinh_ratio(0.5 * ell[across], da)), np.inf)
+            _asinh_ratio(x, da) + _asinh_ratio(la - x, da)), np.inf)
     return np.where(ell > 0, val * (1.0 + _PAD) + _TINY, 0.0)
 
 
@@ -825,14 +827,18 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     - the piece of the puncture c of the core on either side, with d_c^2
       lowered by Q = max over q of 2 |q - c| f_cq, since |z - c|^2 - |z - q|^2
       = 2 |q - c| f_cq(z).
-    Every evaluated piece is then padded by 64 U and 2^-1060, their sum by
+    Every evaluated piece is then padded by 64 U and 2^-1070, their sum by
     2 n U for its n terms, and the total rounded up once with
-    ``math.nextafter``.  The error in d_p is what limits the accuracy: where
-    a segment passes its foot, the integral moves by about 2 dd / d_p, so
-    the result is within about 1e-12 relative of the exact integral where
-    every d_p exceeds 1e-3 of the segment's length.  Memory is O(P S) for P
-    punctures and S segments: the cores and the gaps take one pass over the
-    punctures each.
+    ``math.nextafter``.  The 2^-1070 is the underflow budget: a subnormal
+    sum is exact, any other subnormal step is off by at most 2^-1075, and
+    where a piece's enclosures, distance bound and length are 0 or normal,
+    at most six such steps, none steeper than slope 1 (quotients, asinh or
+    log1p, the pad's product), lead to its value: 6 * 2^-1075 < 2^-1072.
+    The error in d_p is what limits the accuracy: where a segment passes its
+    foot, the integral moves by about 2 dd / d_p, so the result is within
+    about 1e-12 relative of the exact integral where every d_p exceeds 1e-3
+    of the segment's length.  Memory is O(P S) for P punctures and S
+    segments: the cores and the gaps take one pass over the punctures each.
     """
     if isinstance(path, Polyline):
         pts = path.as_array()

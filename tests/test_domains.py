@@ -716,6 +716,12 @@ def _scale_spanning_polyline(draw):
 @example(([0j, 1 + 1.3359981496945882e-220j], [1 + 0j, 1e-51 + 0j]))
 @example(([0j, 1.3359981496945882e-220j, 0.6991032611908312j],
           [1e-50 + 0.6991032611908312j, 1e-50 + 0j]))
+# cases once 1.13e-12, 7.1e-12 and 3.6e-12 above the reference: pieces
+# across their foot taken as centred on it, and the absolute pad at a
+# length of 2^-1022
+@example(([-0.75 + 0j, 0j], [0.25 + 0j, 0.24999999999949996 + 9.999999999998333e-07j]))
+@example(([0j, 1j], [1000 + 0j, 1000 + 1j]))
+@example(([0j], [1 + 0j, 1 + 2.2250738585072014e-308j]))
 def test_punctured_k_length_bounds_the_decimal_reference(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(
