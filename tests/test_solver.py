@@ -408,8 +408,8 @@ def test_an_endpoint_without_grid_edges_is_named(monkeypatch):
 
 def test_an_endpoint_whose_edges_all_weigh_infinity_is_named():
     # no removed point, so every edge passes the clearance test, but the
-    # anchor 1e-200j sits 3.6e188 from its nearest leaves, at the depth cap:
-    # the density at their midpoints is 0, and every weight is infinite
+    # anchor 1e-200j sits about 1e188 from its nearest leaves, at the depth
+    # cap: its density 1e200 times that length overflows every weight
     with pytest.raises(solver_module.SolverError,
                        match=r"endpoint 1e-200j keeps none of its 12 grid edges after clearance "
                              r"and weighting: its nearest leaves sit at the depth cap .*"
