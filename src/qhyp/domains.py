@@ -740,6 +740,7 @@ _ERR = 16.0 * _ROUND       # relative error budget of a derived coordinate
 _PAD = 64.0 * _ROUND       # relative pad of each evaluated piece
 _ABS = 2.0 ** -1068        # absolute error budget of a coordinate, for underflow
 _TINY = 2.0 ** -1070       # absolute pad of each evaluated piece, for underflow
+_LIFTED = 2.0 ** -960      # a subnormal size is scaled up to at least this
 
 
 def _asinh_ratio(x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -851,11 +852,36 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     if p.size == 0:
         raise ValueError("need at least one puncture")
     with np.errstate(all="ignore"):
-        parts = _punctured_pieces(u, v, p)
+        parts = _rescaled_pieces(u, v, p)
     if not np.all(parts < math.inf):
         return math.inf
     # a sum of n non-negative terms is off by less than (n - 1) U of itself
     return math.nextafter(float(np.sum(parts)) * (1.0 + 2.0 * parts.size * _ROUND), math.inf)
+
+
+def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``_punctured_pieces`` of the segments [u, v], except that a segment
+    whose length or distance to a puncture is subnormal is measured after
+    multiplying it and the punctures by 2^k, k > 0, which brings that size
+    to at least ``_LIFTED``.  The product is exact, and z -> 2^k z maps the
+    plane minus the punctures onto the plane minus their images, keeping
+    every k-length; a segment where it overflows a coordinate gets inf.
+    Where no size is subnormal the result is ``_punctured_pieces``' own."""
+    size = np.minimum(np.abs(v - u), np.minimum(np.abs(p - u), np.abs(p - v)).min(axis=0))
+    small = (size > 0) & (size < sys.float_info.min)
+    if not small.any():
+        return _punctured_pieces(u, v, p)
+    parts = [_punctured_pieces(u[~small], v[~small], p)]
+    shift = math.frexp(_LIFTED)[1] - np.frexp(size)[1]
+    for k in np.unique(shift[small]):
+        scale = 2.0 ** int(k)
+        pick = small & (shift == k)
+        su, sv, sp = u[pick] * scale, v[pick] * scale, p * scale
+        if all(np.isfinite(z).all() for z in (su, sv, sp)):
+            parts.append(_punctured_pieces(su, sv, sp))
+        else:
+            parts.append(np.full(su.size, np.inf))
+    return np.concatenate(parts)
 
 
 def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 The solver builds one quadtree graph over a square that holds the data,
 graded by the distance to the boundary, runs a shortest-path search with
 quadrature edge weights, measures the graph path, straightens it by local
-perpendicular relaxation, and then measures the relaxed curve; the shorter
-of the two certified lengths is the upper bound.  ``Resolution.relax_sweeps``
-caps the relaxation, which stops earlier once a sweep gains less than
-``RELAX_STOP`` of the width the graph path leaves open above the lower
-bound.  Every curve measured, the graph and relaxed paths as well as
+perpendicular relaxation (each vertex moves to the best of ``PROBES``
+offsets along its chord's normal, refined over ``ROUNDS`` rounds), and then
+measures the relaxed curve; the shorter of the two certified lengths is the
+upper bound.  ``Resolution.relax_sweeps`` caps the relaxation, which stops
+earlier once a sweep gains less than ``RELAX_STOP`` of the width the graph
+path leaves open above the lower bound.  Every curve measured, the graph and relaxed paths as well as
 ``k_interval_fast``'s segment and arcs, keeps the vertices it was built
 from, repeated ones included, so it runs from a to b exactly and its length
 is a genuine upper bound for the distance; the lower bound comes from
@@ -111,7 +112,8 @@ DEPTH_CAP = 40       # deepest quadtree level: cell centres keep their bits
 ENDPOINT_K = 12      # grid nodes wired to each anchor
 MEASURE_TOL = 1e-9   # quadrature tolerance, and outward pad, off point complements
 RELAX_STOP = 1e-3    # a sweep gaining less than this share of the open width ends relaxation
-GOLDEN_ITERS = 18    # golden-section steps per relaxation half-sweep
+PROBES = 17          # evenly spaced offsets per vertex in each bracket-search round
+ROUNDS = 4           # bracket-search rounds per relaxation half-sweep
 CLEARANCE = 0.3      # a segment closer to a removed point than this times its ends' is rejected
 
 
@@ -120,8 +122,8 @@ class Resolution:
     """Grid and relaxation budget for the numeric solver.  The smaller of
     ``radial`` and ``angular``, n, grades the quadtree: eps = 1.6 * 2 pi / n.
     ``relax_sweeps`` is a cap: the relaxation stops earlier once a sweep no
-    longer pays against the width left open (see ``_relax_path``); the
-    golden-section steps are ``GOLDEN_ITERS``."""
+    longer pays against the width left open (see ``_relax_path``); each
+    half-sweep's search runs ``ROUNDS`` rounds of ``PROBES`` offsets."""
 
     radial: int = 256
     angular: int = 256
@@ -524,25 +526,60 @@ def _shortest_path(nodes: np.ndarray, graph: csr_matrix, ia: int,
 # Path relaxation
 # ---------------------------------------------------------------------------
 
+def _bracket_search(f, amp: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimise m functions at once, the i-th over offsets t in
+    [-amp[i], amp[i]], by ``ROUNDS`` rounds of ``PROBES`` evenly spaced
+    probes each.  ``f`` maps a (``PROBES``, m) array of offsets to their
+    (``PROBES``, m) values.
+
+    A round cuts its bracket into ``PROBES`` + 1 equal cells and probes the
+    ``PROBES`` points between them; the next bracket is the two cells around
+    the best value seen, 2 / (``PROBES`` + 1) of the width.  The first
+    bracket is [-amp, amp], so its centre probe is t = 0 exactly, and every
+    later bracket is centred on the best offset so far.  An offset replaces
+    the best one only on a strict gain, so t stays 0 where nothing beats it.
+
+    Returns the best offsets, their values, and the values at t = 0."""
+    half = PROBES // 2
+    steps = np.arange(-half, half + 1)[:, None]
+    cols = np.arange(amp.size)
+    t_best = np.zeros_like(amp)
+    for r in range(ROUNDS):
+        t = t_best + steps * (amp / (half + 1) ** (r + 1))
+        vals = f(t)
+        if r == 0:
+            f_zero = f_best = vals[half]
+        k = np.argmin(vals, axis=0)
+        f_k = vals[k, cols]
+        gain = f_k < f_best
+        t_best = np.where(gain, t[k, cols], t_best)
+        f_best = np.where(gain, f_k, f_best)
+    return t_best, f_best, f_zero
+
+
 def _relax_path(points: List[complex], density, punctures: Sequence[complex],
                 res: Resolution, slack: float) -> Tuple[List[complex], int, dict]:
-    """Red-black perpendicular relaxation with a vectorized golden search.
+    """Red-black perpendicular relaxation with a vectorized bracket search.
 
     A half-sweep moves every other interior vertex along the normal of the
-    chord between its neighbours zm and zp.  Both golden-section probes c1
-    and c2 of its m vertices are scored by one weight evaluation over the 4m
-    stacked segments zm->c1, zm->c2, c1->zp, c2->zp, as are the final offset
-    and the unmoved vertex.  The segment ends, their densities and the
-    probe points live in arrays allocated once per half-sweep; a probe
-    writes its candidates and midpoints into them.  The ends zm and zp are
-    fixed for the half-sweep, so their densities and their distances to the
-    punctures are computed once per half-sweep, and the density and the
-    distances at a candidate once for both its segments.  The punctures'
-    column and rounding pads are built once per relaxation.  The clearance
-    test runs in one pass over all punctures, with the exact test as an
-    in-order fallback (see ``_clear_of_punctures``), so ``clearance_exact``
-    counts what the puncture-by-puncture test counts.  Each probe,
-    comparison and sum is that of scoring the probes one by one.
+    chord between its neighbours zm and zp, by up to 0.45 of the smaller of
+    half the chord and its distance to the nearest puncture, and only where
+    that strictly lowers the three-point weight of its two segments (see
+    ``_bracket_search``).  Each round of the search scores the ``PROBES``
+    offsets of all m vertices by one density call and one weight evaluation
+    over the 2 ``PROBES`` m stacked segments zm->candidate and
+    candidate->zp, so a sweep makes 2 ``ROUNDS`` + 1 weight calls, the last
+    for the path's total (fewer where a half-sweep has no vertex to move).  The segment ends, their densities and the probe
+    points live in arrays allocated once per half-sweep; a round writes its
+    candidates and midpoints into them.  The ends zm and zp are fixed for
+    the half-sweep, so their densities and their distances to the punctures
+    are computed once per half-sweep, and the density and the distances at
+    a candidate once for both its segments.  The punctures' column and
+    rounding pads are built once per relaxation.  The clearance test runs in
+    one pass over all punctures, with the exact test as an in-order fallback
+    (see ``_clear_of_punctures``), so ``clearance_exact`` counts what the
+    puncture-by-puncture test counts.  Each probe, comparison and sum is
+    that of scoring the probes one by one.
 
     ``res.relax_sweeps`` caps the sweeps.  A sweep ends the relaxation when
     both its drop of the three-point total and its accepted gain fall below
@@ -567,7 +604,6 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
         return list(points), 0, work
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def total(Q):
         u, v = Q[:-1], Q[1:]
@@ -601,51 +637,41 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
             amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
                                     0.5 * clen)
 
-            # two offsets per vertex, stacked: the first m and the last m.
-            # Segments zm->cand fill the first 2m slots, cand->zp the last
-            # 2m; the fixed ends, their densities and their distances to the
-            # punctures go in once.
+            # PROBES offsets per vertex, stacked probe by probe: n = PROBES m
+            # candidates.  Segments zm->cand fill the first n slots,
+            # cand->zp the last n; the fixed ends, their densities and their
+            # distances to the punctures go in once.
             m = idx.size
-            n2 = 2 * m
-            zc2, normal2 = np.tile(zc, 2), np.tile(normal, 2)
+            n = PROBES * m
+            zc_n, normal_n = np.tile(zc, PROBES), np.tile(normal, PROBES)
             r_ends = rho(np.concatenate([zm, zp]))
-            u, v = np.empty(2 * n2, dtype=np.complex128), np.empty(2 * n2, dtype=np.complex128)
-            ru, rv = np.empty(2 * n2), np.empty(2 * n2)
-            u[:n2], v[n2:] = np.tile(zm, 2), np.tile(zp, 2)
-            ru[:n2], rv[n2:] = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
-            probes = np.empty(3 * n2, dtype=np.complex128)  # candidates, midpoints
-            cand, mid = probes[:n2], probes[n2:]
+            u, v = np.empty(2 * n, dtype=np.complex128), np.empty(2 * n, dtype=np.complex128)
+            ru, rv = np.empty(2 * n), np.empty(2 * n)
+            u[:n], v[n:] = np.tile(zm, PROBES), np.tile(zp, PROBES)
+            ru[:n], rv[n:] = np.tile(r_ends[:m], PROBES), np.tile(r_ends[m:], PROBES)
+            probes = np.empty(3 * n, dtype=np.complex128)  # candidates, midpoints
+            cand, mid = probes[:n], probes[n:]
             if punctures:
-                d_m, d_p = np.tile(np.abs(zm - q_col), 2), np.tile(np.abs(zp - q_col), 2)
-                near = np.empty((len(punctures), 2 * n2))
+                d_m, d_p = np.tile(np.abs(zm - q_col), PROBES), np.tile(np.abs(zp - q_col), PROBES)
+                near = np.empty((len(punctures), 2 * n))
             else:
                 near = None
 
             def f(t):
-                np.multiply(t, normal2, out=cand)
-                np.add(zc2, cand, out=cand)
-                u[n2:] = v[:n2] = cand
+                np.multiply(t.ravel(), normal_n, out=cand)
+                np.add(zc_n, cand, out=cand)
+                u[n:] = v[:n] = cand
                 np.multiply(0.5, np.add(u, v, out=mid), out=mid)
                 r = rho(probes)
-                ru[n2:] = rv[:n2] = r[:n2]
+                ru[n:] = rv[:n] = r[:n]
                 if near is not None:
                     d_c = np.abs(cand - q_col)
-                    np.minimum(d_m, d_c, out=near[:, :n2])
-                    np.minimum(d_c, d_p, out=near[:, n2:])
-                w = weights(u, v, ru, r[n2:], rv, near)
-                return w[:n2] + w[n2:]
+                    np.minimum(d_m, d_c, out=near[:, :n])
+                    np.minimum(d_c, d_p, out=near[:, n:])
+                w = weights(u, v, ru, r[n:], rv, near)
+                return (w[:n] + w[n:]).reshape(PROBES, m)
 
-            lo, hi = -amp, amp
-            for _ in range(GOLDEN_ITERS):
-                c1 = hi - invphi * (hi - lo)
-                c2 = lo + invphi * (hi - lo)
-                fc = f(np.concatenate([c1, c2]))
-                left = fc[:m] < fc[m:]
-                hi = np.where(left, c2, hi)
-                lo = np.where(left, lo, c1)
-            t_best = 0.5 * (lo + hi)
-            fb = f(np.concatenate([t_best, np.zeros_like(t_best)]))
-            f_best, f_zero = fb[:m], fb[m:]
+            t_best, f_best, f_zero = _bracket_search(f, amp)
             accept = f_best < f_zero
             if accept.any():
                 P[idx[accept]] = (zc + t_best * normal)[accept]

@@ -740,6 +740,41 @@ def test_punctured_k_length_bounds_the_decimal_reference(case):
         assert Decimal(got) <= exact * (1 + Decimal("1e-12"))
 
 
+@st.composite
+def _subnormal_scale_polyline(draw):
+    """A polyline of 2-4 vertices at radii log-uniform in [1e-323, 1e-300]
+    about the puncture 0, each either drawn afresh or a step of relative
+    size 1e-9 to 1 from the one before, so that segment lengths and
+    distances to 0 run through the subnormal range."""
+    punctures = draw(st.sampled_from([[0j], [0j, 1 + 0j], [0j, 1j, -1.5 + 0.5j]]))
+    vertices = []
+    for _ in range(draw(st.integers(2, 4))):
+        r = 10.0 ** draw(st.floats(-323.0, -300.0))
+        z = r * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+        if vertices and draw(st.booleans()):
+            z = vertices[-1] + 10.0 ** draw(st.floats(-9.0, 0.0)) * z
+        vertices.append(z)
+    return punctures, vertices
+
+
+@settings(deadline=None, max_examples=60)
+@given(_subnormal_scale_polyline())
+# a segment of length 1.9e-310 about 7.7e-304 from 0: its direction
+# seg / length overflowed, and the length came out as its pads, 8.4e-323
+@example(([0j], [5.791662683904014e-304 + 5.044546766215964e-304j,
+                 5.7916643614803846e-304 + 5.044545965386952e-304j]))
+def test_punctured_k_length_bounds_the_decimal_reference_at_subnormal_scales(case):
+    punctures, vertices = case
+    if any(v in punctures for v in vertices) or any(
+            v == w for v, w in zip(vertices[:-1], vertices[1:])):
+        return  # a vertex on a puncture, or a segment of length 0
+    got = punctured_k_length(vertices, punctures)
+    exact, _ = _dec_k_length(vertices, punctures)
+    assert Decimal(got) >= exact
+    if exact < math.inf:
+        assert got < math.inf
+
+
 @pytest.mark.parametrize("r", [1e-12, 1e-17, 1e-19, 1e-25, 1e-40])
 def test_punctured_k_length_across_scales_matches_asinh_terms(r):
     # the segment from r (1 + i/3) to 1 + 0.5i about the puncture 0, where

@@ -208,19 +208,19 @@ def test_scipy_loads_on_the_first_grid_solve(tmp_path):
 
 # Exact results of the grid solver at 32x32: (lower, upper, path vertices,
 # relaxation sweeps), recorded when the relaxation came to stop against the
-# graph path's certified width; the k upper bounds were re-recorded when
-# punctured_k_length's piece across a foot took the foot's enclosure.  Every value must stay bit-identical, in any
-# order of the solves.
+# graph path's certified width; the upper bounds were re-recorded when the
+# relaxation's golden-section search became a bracket search.  Every value
+# must stay bit-identical, in any order of the solves.
 PINNED_RES = Resolution(radial=32, angular=32)
 PINNED = [
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
-     (3.3451138067704846, 3.7894479038492768, 16, 9)),
+     (3.3451138067704846, 3.789446301346475, 16, 9)),
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
-     (1.2559490532982982, 2.8392343833809575, 16, 7)),
+     (1.2559490532982982, 2.8392332131981433, 16, 7)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
-     (2.9213342628373624, 4.953872090272753, 21, 4)),
+     (2.9213342628373624, 4.953875226421579, 21, 4)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_chordal_numeric,
-     (1.3283243296961784, 3.1198110342518146, 22, 6)),
+     (1.3283243296961784, 3.1198129220895465, 22, 6)),
 ]
 
 
@@ -674,10 +674,13 @@ def _edge_weights_reference(u, v, ru, rm, rv, punctures, work):
 
 
 def _relax_path_reference(points, density, punctures, res, slack):
-    """The relaxation as it ran before its buffers and one-pass clearance
-    test: fresh concatenations per probe and one pass per puncture.  A sweep
-    whose total drop and accepted gain both fall below max(1e-6, 1e-6 |total|,
-    RELAX_STOP slack) ends it."""
+    """The relaxation as it runs without buffers or a one-pass clearance
+    test: fresh concatenations per round and one pass per puncture.  Each
+    half-sweep searches every vertex's offsets in ROUNDS rounds of PROBES
+    probes, the first on a grid centred on t = 0, each later one on the two
+    cells around the best offset so far, which a probe replaces only on a
+    strict gain.  A sweep whose total drop and accepted gain both fall below
+    max(1e-6, 1e-6 |total|, RELAX_STOP slack) ends it."""
     work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
 
     def rho(z):
@@ -691,7 +694,7 @@ def _relax_path_reference(points, density, punctures, res, slack):
     P = np.asarray(points, dtype=np.complex128)
     if P.size < 3:
         return list(points), 0, work
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    probes, half = solver_module.PROBES, solver_module.PROBES // 2
 
     def total(Q):
         u, v = Q[:-1], Q[1:]
@@ -724,31 +727,31 @@ def _relax_path_reference(points, density, punctures, res, slack):
             amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
                                     0.5 * clen)
             m = idx.size
-            zm2, zc2, zp2, normal2 = (np.tile(x, 2) for x in (zm, zc, zp, normal))
+            zm_n, zc_n, zp_n, normal_n = (np.tile(x, probes) for x in (zm, zc, zp, normal))
             r_ends = rho(np.concatenate([zm, zp]))
-            r_zm2, r_zp2 = np.tile(r_ends[:m], 2), np.tile(r_ends[m:], 2)
+            r_zm_n, r_zp_n = np.tile(r_ends[:m], probes), np.tile(r_ends[m:], probes)
 
             def f(t):
-                cand = zc2 + t * normal2
-                u = np.concatenate([zm2, cand])
-                v = np.concatenate([cand, zp2])
+                cand = zc_n + t * normal_n
+                u = np.concatenate([zm_n, cand])
+                v = np.concatenate([cand, zp_n])
                 r = rho(np.concatenate([cand, 0.5 * (u + v)]))
-                rc = r[:2 * m]
-                w = weights(u, v, np.concatenate([r_zm2, rc]), r[2 * m:],
-                            np.concatenate([rc, r_zp2]))
-                return w[:2 * m] + w[2 * m:]
+                rc = r[:probes * m]
+                w = weights(u, v, np.concatenate([r_zm_n, rc]), r[probes * m:],
+                            np.concatenate([rc, r_zp_n]))
+                return w[:probes * m] + w[probes * m:]
 
-            lo, hi = -amp, amp
-            for _ in range(solver_module.GOLDEN_ITERS):
-                c1 = hi - invphi * (hi - lo)
-                c2 = lo + invphi * (hi - lo)
-                fc = f(np.concatenate([c1, c2]))
-                left = fc[:m] < fc[m:]
-                hi = np.where(left, c2, hi)
-                lo = np.where(left, lo, c1)
-            t_best = 0.5 * (lo + hi)
-            fb = f(np.concatenate([t_best, np.zeros_like(t_best)]))
-            f_best, f_zero = fb[:m], fb[m:]
+            t_best = np.zeros(m)
+            for rnd in range(solver_module.ROUNDS):
+                step = amp / (half + 1) ** (rnd + 1)
+                t = np.concatenate([t_best + j * step for j in range(-half, half + 1)])
+                vals = f(t)
+                if rnd == 0:
+                    f_best = f_zero = vals[half * m:(half + 1) * m]
+                for j in range(probes):
+                    gain = vals[j * m:(j + 1) * m] < f_best
+                    f_best = np.where(gain, vals[j * m:(j + 1) * m], f_best)
+                    t_best = np.where(gain, t[j * m:(j + 1) * m], t_best)
             accept = f_best < f_zero
             if accept.any():
                 P[idx[accept]] = (zc + t_best * normal)[accept]
@@ -764,7 +767,7 @@ def _relax_path_reference(points, density, punctures, res, slack):
     return [complex(z) for z in P], sweeps_done, work
 
 
-# relaxations compared against the reference run 8 golden-section steps
+# relaxations compared against the reference run 2 bracket-search rounds
 RELAX_RES = Resolution(radial=8, angular=8, relax_sweeps=4)
 # a vertex: (puncture it circles, log10 of its distance, angle)
 _vertex = st.tuples(st.integers(0, 3), st.floats(min_value=-3.0, max_value=0.5),
@@ -781,7 +784,7 @@ def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
     rho = density(dom)
     with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         # inf - inf among rejected probes
-        patch.setattr(solver_module, "GOLDEN_ITERS", 8)
+        patch.setattr(solver_module, "ROUNDS", 2)
         want = _relax_path_reference(list(points), rho, punctures, RELAX_RES, slack)
         got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES, slack)
     assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
@@ -819,6 +822,81 @@ def test_relax_path_equals_reference_near_a_puncture(punctures, density):
     assert work["clearance_exact"] > 0
 
 
+def _search(f, amp):
+    """``_bracket_search`` on ``f``, with the shape of each call it made."""
+    calls = []
+
+    def counted(t):
+        calls.append(t.shape)
+        return f(t)
+
+    return solver_module._bracket_search(counted, np.asarray(amp, dtype=float)), calls
+
+
+def test_bracket_search_finds_an_interior_minimiser():
+    amp = np.array([1.0, 0.5, 2.0, 1e-9])
+    t0 = np.array([0.3, -0.41, 1.234567, -3.3e-10])
+    (t_best, f_best, f_zero), calls = _search(lambda t: (t - t0) ** 2, amp)
+    assert calls == [(solver_module.PROBES, amp.size)] * solver_module.ROUNDS
+    # within one cell of the last round, whose probes are amp / 9^ROUNDS apart
+    cell = amp / (solver_module.PROBES // 2 + 1) ** solver_module.ROUNDS
+    assert np.all(np.abs(t_best - t0) <= cell)
+    assert np.array_equal(f_best, (t_best - t0) ** 2)
+    assert np.array_equal(f_zero, t0 ** 2)
+
+
+def test_bracket_search_finds_a_minimiser_at_the_bracket_edge():
+    amp = np.array([1.0, 0.25])
+    (t_best, f_best, f_zero), _ = _search(lambda t: t * np.array([-1.0, 1.0]), amp)
+    cell = amp / (solver_module.PROBES // 2 + 1) ** solver_module.ROUNDS
+    # the probes nearest the edge lie one cell inside it, up to rounding
+    assert np.all(np.abs(t_best) <= amp)
+    assert np.all(amp - np.abs(t_best) <= cell * (1.0 + 1e-9))
+    assert t_best[0] > 0 > t_best[1]
+    assert np.all(f_best < f_zero)
+
+
+def test_bracket_search_leaves_a_constant_function_at_zero():
+    (t_best, f_best, f_zero), _ = _search(lambda t: np.ones_like(t), [1.0, 3.0])
+    assert np.array_equal(t_best, [0.0, 0.0])
+    assert np.array_equal(f_best, f_zero)
+
+
+def _path_weights(rho, punctures, points):
+    """The three-point weight of each segment of a polyline, clearance
+    test included, as the relaxation scores it."""
+    z = np.asarray(points, dtype=np.complex128)
+    u, v = z[:-1], z[1:]
+    r = rho(z)
+    q = np.asarray(punctures)[:, None]
+    near = np.minimum(np.abs(u - q), np.abs(v - q))
+    return _edge_weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:], _punctures(punctures), near)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([[0.0, 1.0], FOUR]),
+       st.sampled_from([quasihyperbolic_density, chordal_quasihyperbolic_density]),
+       st.lists(_vertex, min_size=3, max_size=9))
+def test_relaxation_lowers_every_moved_vertex_and_the_total(punctures, density, vertices):
+    rho = density(FiniteComplement(punctures))
+    before = _polyline(punctures, vertices)
+    with np.errstate(invalid="ignore"):  # 0 * inf where a vertex sits on a puncture
+        # one sweep: the odd vertices move against the old even ones, then
+        # the even ones against the moved odd ones
+        after, _, _ = solver_module._relax_path(
+            list(before), rho, punctures, Resolution(radial=8, angular=8, relax_sweeps=1), 0.0)
+        for i in range(1, len(before) - 1):
+            ends = before if i % 2 else after
+            if after[i] != before[i]:
+                # the two segments' weights summed as the search sums them
+                w_new = _path_weights(rho, punctures, [ends[i - 1], after[i], ends[i + 1]])
+                w_old = _path_weights(rho, punctures, [ends[i - 1], before[i], ends[i + 1]])
+                assert w_new[0] + w_new[1] < w_old[0] + w_old[1]
+        relaxed, _, _ = solver_module._relax_path(list(before), rho, punctures, RELAX_RES, 0.0)
+        assert (math.fsum(_path_weights(rho, punctures, relaxed))
+                <= math.fsum(_path_weights(rho, punctures, before)))
+
+
 # ---------------------------------------------------------------------------
 # Fast interval
 # ---------------------------------------------------------------------------
@@ -842,6 +920,16 @@ def test_fast_interval_measures_a_segment_below_rounding_scale():
     gap = abs(a - b)
     assert math.isfinite(iv.upper)
     assert iv.lower <= iv.upper <= gap * (1.0 + 1e-12)
+
+
+def test_fast_interval_at_a_subnormal_segment_is_consistent():
+    # a segment of length 1.9e-310: its k-length came out as its pads,
+    # 8.4e-323, against the lower bound 2.42e-7, and the interval raised
+    a, b = (5.791662683904014e-304 + 5.044546766215964e-304j,
+            5.7916643614803846e-304 + 5.044545965386952e-304j)
+    iv = k_interval_fast(FiniteComplement([0.0]), a, b)
+    assert iv.upper_source == "segment"
+    assert iv.lower <= iv.upper <= iv.lower * (1.0 + 1e-6)
 
 
 def _fast_cold(dom, a, b):
