@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .constants import KAPPA, NEAREST_BOUNDARY_SLACK
-from .densities import h01_lower
+from .densities import _NORMAL, h01_lower
 from .domains import (
     ComplementDisk,
     ComplementDiskExterior,
@@ -83,37 +83,48 @@ class BetaResult:
                     "inner": self.annulus.inner, "outer": self.annulus.outer}}
 
 
-def _gap_terms(comps: Sequence[Component], z: np.ndarray, dists: np.ndarray,
-               delta: np.ndarray):
-    """The exponent's terms at the points ``z``, whose distances are
-    ``dists`` to each component and ``delta`` to the boundary, for ``beta``
-    and ``beta_field`` alike.
+def _log_gap(d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """t, the distance in [lo, hi] closest to d, and the exponent's term
+    |log(d / t)|, which is not finite where t is 0 or d and t are both
+    infinite; the ranges broadcast against d.  Where the quotient overflows
+    or is not a normal double (a point 1e300 from punctures 1e-150 apart,
+    or 1e-300 from punctures 1e150 apart), the term is |log d - log t|."""
+    t = np.minimum(np.maximum(d, lo), hi)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        q = d / t
+        term = np.abs(np.log(q))
+        lost = ~((q >= _NORMAL) & (q < math.inf))
+        if lost.any():
+            term[lost] = np.abs(np.log(np.broadcast_to(d, q.shape)[lost]) - np.log(t[lost]))
+    return t, term
 
-    For each component c_i nearest (within NEAREST_BOUNDARY_SLACK) at some
-    m of the points, yields their mask, their nearest points zeta on c_i,
-    the J other components c_j (every component but c_i itself when c_i is a
-    point), and the (J, m) arrays of t, the distance from zeta to c_j
-    closest to delta, and |log(delta / t)|, which is not finite where t is
-    0.  Where c_i is a point p, zeta is p at all m points: zeta is then the
-    one-entry array [p], and its (J, 1) column of clamp ranges serves every
-    point.  The ranges always come from ``xi_range_field``, so a column
-    holds the bits the full arrays would."""
+
+def _nearest_components(comps: Sequence[Component], dists: np.ndarray, delta: np.ndarray):
+    """(i, c_i, mask) for each component c_i nearest (within
+    NEAREST_BOUNDARY_SLACK) at some of the points, whose distances are
+    ``dists`` to each component and ``delta`` to the boundary."""
     for i, ci in enumerate(comps):
         mask = dists[i] <= delta * (1.0 + NEAREST_BOUNDARY_SLACK)
-        if not np.any(mask):
-            continue
-        point = isinstance(ci, ComplementPoint)
-        others = [cj for j, cj in enumerate(comps) if not (point and j == i)]
-        if not others:
-            continue
-        zm = z[mask]
-        zeta = ci.nearest_point_field(zm[:1] if point else zm)
-        lo, hi = (np.array(r) for r in zip(*(cj.xi_range_field(zeta) for cj in others)))
-        d = delta[mask]
-        t = np.minimum(np.maximum(d, lo), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contribution = np.abs(np.log(d / t))
-        yield mask, zeta, others, t, contribution
+        if np.any(mask):
+            yield i, ci, mask
+
+
+def _gap_terms(comps: Sequence[Component], i: int, ci: Component, z: np.ndarray,
+               d: np.ndarray):
+    """The exponent's terms at the points ``z`` where c_i is nearest, at
+    distance ``d``: their nearest points zeta on c_i, the J other components
+    c_j (every component but c_i itself when c_i is a point), and the (J, m)
+    arrays of t, the distance from zeta to c_j closest to d, and |log(d / t)|
+    from ``_log_gap``; None where c_i is the only component and a point.
+    Where c_i is a point p, zeta is p at all m points: zeta is then the
+    one-entry array [p], and its (J, 1) column of ranges serves every point."""
+    point = isinstance(ci, ComplementPoint)
+    others = [cj for j, cj in enumerate(comps) if not (point and j == i)]
+    if not others:
+        return None
+    zeta = ci.nearest_point_field(z[:1] if point else z)
+    lo, hi = (np.array(r) for r in zip(*(cj.xi_range_field(zeta) for cj in others)))
+    return (zeta, others) + _log_gap(d, lo, hi)
 
 
 def beta(domain: Domain, z: ExtPoint) -> BetaResult:
@@ -133,8 +144,13 @@ def beta(domain: Domain, z: ExtPoint) -> BetaResult:
     zs = np.asarray(z, dtype=np.complex128)
     dists = np.stack([c.distance_field(zs) for c in comps])
 
+    delta_all = dists.min(axis=0)
     entries: List[Tuple[float, complex, complex, float]] = []
-    for _, zeta, others, ts, contributions in _gap_terms(comps, zs, dists, dists.min(axis=0)):
+    for i, ci, mask in _nearest_components(comps, dists, delta_all):
+        terms = _gap_terms(comps, i, ci, zs[mask], delta_all[mask])
+        if terms is None:
+            continue
+        zeta, others, ts, contributions = terms
         zeta = complex(zeta[0])
         for cj, t, contribution in zip(others, ts[:, 0], contributions[:, 0]):
             if np.isfinite(contribution):
@@ -158,10 +174,18 @@ def beta(domain: Domain, z: ExtPoint) -> BetaResult:
 def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     """Vectorized exponent values; NaN at points outside the domain.
 
-    One pass per nearest component: its (J, m) terms from ``_gap_terms``
-    reduce to their column minimum, with the terms that are not finite read
-    as infinite, so the cost grows with the points, not with the pairs of
-    components."""
+    One pass per nearest component c_i, over the m points where it is
+    nearest, with the terms of the scalar ``beta`` (``_log_gap``).  Where
+    c_i is a point, its ranges are constants of the domain, which
+    ``Domain.gap_ranges`` keeps as a sorted disjoint union; a binary search
+    of each distance d into it leaves the two intervals on either side of d
+    (or the whole union, when it has at most two).  Division is correctly
+    rounded and the log monotone, so the term of the nearest range below d
+    is the least over the ranges below it, and likewise above: the minimum
+    has the bits of the minimum over every range, at two logs per point
+    instead of one per other component.  Other components reduce their
+    (J, m) terms from ``_gap_terms``.  Terms that are not finite are read as
+    infinite."""
     z = np.asarray(z, dtype=np.complex128)
     comps = domain.complement_components()
     if len(comps) == 0:
@@ -171,7 +195,21 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     valid = delta > 0.0
     safe_delta = np.where(valid, delta, 1.0)
     out = np.full(z.shape, math.inf)
-    for mask, _, _, _, contribution in _gap_terms(comps, z, dists, safe_delta):
+    for i, ci, mask in _nearest_components(comps, dists, safe_delta):
+        d = safe_delta[mask]
+        if isinstance(ci, ComplementPoint):
+            lo, hi = domain.gap_ranges(i)
+            if not lo.size:
+                continue
+            if lo.size > 2:
+                k = np.searchsorted(lo, d, side="right")
+                near = np.stack([np.maximum(k - 1, 0), np.minimum(k, lo.size - 1)])
+                lo, hi = lo[near], hi[near]
+            else:
+                lo, hi = lo[:, None], hi[:, None]
+            contribution = _log_gap(d, lo, hi)[1]
+        else:
+            contribution = _gap_terms(comps, i, ci, z[mask], d)[3]
         # a term is inf or NaN where it is not finite, and fmin skips NaN
         out[mask] = np.fmin(out[mask], np.fmin.reduce(contribution, axis=0))
     if np.any(np.isinf(out[valid])):

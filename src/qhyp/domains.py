@@ -54,18 +54,50 @@ def circle_samples(center: complex, radius: float) -> List[complex]:
             for k in range(8)]
 
 
+def _scaled(v: complex, e: int) -> complex:
+    return complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+
+
+def _log_modulus(v: complex) -> float:
+    """log |v| for v != 0.  Where |v| would overflow or be subnormal, v is
+    first scaled by a power of 2, which is exact, and the power's log added."""
+    e = math.frexp(max(abs(v.real), abs(v.imag)))[1]
+    if -1021 < e < 1023:
+        return math.log(abs(v))
+    return math.log(abs(_scaled(v, e))) + e * math.log(2.0)
+
+
 def k_star_exact(a: complex, b: complex, center: complex = 0.0) -> float:
     """Quasihyperbolic distance in the plane punctured at one point:
     the hypotenuse of the log-radius change and the minimal winding angle.
-    The angles are ``math.atan2``'s, the values of ``cmath.phase``, which
-    raises where the angle underflows (at 2 + 5e-324j)."""
+
+    Both points, relative to the centre, are first scaled by one power of 2,
+    which is exact, so that the larger has a modulus near 1 and no modulus
+    overflows.  With va the one of smaller modulus, vb the other and
+    d = vb - va, the change is log1p(Re(d conj(va + vb)) / ((|va| + |vb|)
+    |va|)), which is log(|vb| / |va|), and the angle is the argument of
+    conj(va) vb = |va|^2 + conj(va) d.  Neither is a difference of nearly
+    equal numbers, so points close together against their distance to the
+    centre keep their relative accuracy.  Where |va| < 2^-500 |vb|, |va|^2
+    could underflow; the change, above 346, is then the difference of the
+    two log-moduli and the angle the difference of their ``math.atan2``
+    values, neither of which cancels there."""
     va, vb = complex(a) - center, complex(b) - center
     if va == 0 or vb == 0:
         raise ValueError("points must avoid the puncture")
-    dlog = math.log(abs(vb)) - math.log(abs(va))
-    dang = math.remainder(math.atan2(vb.imag, vb.real) - math.atan2(va.imag, va.real),
-                          2.0 * math.pi)
-    return math.hypot(dlog, dang)
+    e = math.frexp(max(abs(va.real), abs(va.imag), abs(vb.real), abs(vb.imag)))[1]
+    sa, sb = _scaled(va, e), _scaled(vb, e)
+    if min(abs(sa), abs(sb)) < 2.0 ** -500 * max(abs(sa), abs(sb)):
+        dlog = _log_modulus(vb) - _log_modulus(va)
+        dang = math.remainder(math.atan2(vb.imag, vb.real) - math.atan2(va.imag, va.real),
+                              2.0 * math.pi)
+        return math.hypot(dlog, dang)
+    va, vb = sorted((sa, sb), key=abs)
+    ra, rb = abs(va), abs(vb)
+    d = vb - va
+    w = va.conjugate() * d
+    dlog = math.log1p((d * (va + vb).conjugate()).real / ((ra + rb) * ra))
+    return math.hypot(dlog, math.atan2(w.imag, ra * ra + w.real))
 
 
 def halfplane_distance(a: complex, b: complex) -> float:
@@ -377,6 +409,7 @@ class Domain:
         self._points = tuple(c.point for c in self._components if isinstance(c, ComplementPoint))
         self.contains_infinity = bool(contains_infinity)
         self._json = json.dumps(spec)
+        self._gap_ranges: dict = {}
 
     def complement_components(self) -> Tuple[Component, ...]:
         return self._components
@@ -456,6 +489,26 @@ class Domain:
         if self._points and len(self._points) == len(self._components):
             return self._points
         return None
+
+    def gap_ranges(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The distances from point component i to the rest of the
+        complement, as sorted disjoint closed intervals [lo[k], hi[k]] (hi
+        may be inf; both arrays are empty when the point is the only
+        component): the union of the other components' ``xi_range_field``
+        ranges at the point, taken with the bits that call gives a one-entry
+        array.  Built on the first call for each i and kept with the domain."""
+        if i not in self._gap_ranges:
+            p = np.full(1, self._components[i].point, dtype=np.complex128)
+            merged: List[List[float]] = []
+            for lo, hi in sorted((float(lo[0]), float(hi[0])) for lo, hi in (
+                    c.xi_range_field(p) for j, c in enumerate(self._components) if j != i)):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], hi)
+                else:
+                    merged.append([lo, hi])
+            self._gap_ranges[i] = (np.array([r[0] for r in merged], dtype=float),
+                                   np.array([r[1] for r in merged], dtype=float))
+        return self._gap_ranges[i]
 
     @property
     def is_hyperbolic(self) -> bool:

@@ -152,18 +152,25 @@ class GeodesicResult:
 
 def gp_lower_bound(domain: Domain, a: complex, b: complex) -> float:
     """log(1 + |a-b| / min(delta(a), delta(b))), or log |a-b| - log min(delta)
-    where the quotient overflows, which is smaller by under 1e-308."""
-    gap, near = abs(a - b), min(domain.delta(a), domain.delta(b))
-    ratio = gap / near
+    where the quotient overflows, which is smaller by under 1e-308.  Near
+    the overflow threshold |a - b| is taken as 4 |a/4 - b/4|, as
+    ``halfplane_distance`` takes it, so that the modulus does not overflow."""
+    near = min(domain.delta(a), domain.delta(b))
+    if max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag)) < 1e307:  # |a - b| is finite
+        scale, gap = 1.0, abs(a - b)
+    else:
+        scale, gap = 4.0, math.hypot(a.real / 4.0 - b.real / 4.0, a.imag / 4.0 - b.imag / 4.0)
+    ratio = scale * (gap / near)
     if ratio < math.inf:
         return math.log1p(ratio)
-    return math.log(gap) - math.log(near)
+    return math.log(scale) + math.log(gap) - math.log(near)
 
 
 def gp_ratio_lower_bound(domain: Domain, a: complex, b: complex) -> float:
     """|log(delta(a) / delta(b))|, as a difference of logs where the
-    quotient is not a normal float."""
-    return abs(_log_quotient(domain.delta(a), domain.delta(b))[0])
+    quotient is not a normal float.  A distance above the float range is
+    inf; it is taken as the largest float, which only lowers the bound."""
+    return abs(_log_quotient(*(min(domain.delta(z), sys.float_info.max) for z in (a, b)))[0])
 
 
 def k_lower_analytic(domain: Domain, a: complex, b: complex) -> Tuple[float, str]:

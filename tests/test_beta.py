@@ -1,6 +1,7 @@
 """Boundary-gap exponent, density bounds, bounce-or-cross, uniform perfectness."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qhyp import (
     SchemaError,
     TranslatedScaled,
     UnitDisk,
+    UpperHalfPlane,
     UPCircle,
     UPCircleFamily,
     UPRay,
@@ -104,8 +106,12 @@ def _beta_field_all_points(domain, z, slack=NEAREST_BOUNDARY_SLACK):
                 continue
             lo, hi = cj.xi_range_field(zeta)
             t = np.minimum(np.maximum(safe_delta, lo), hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                contribution = np.abs(np.log(safe_delta / np.where(t > 0, t, np.nan)))
+            with np.errstate(all="ignore"):
+                q = safe_delta / np.where(t > 0, t, np.nan)
+                # a quotient outside the normal range: the difference of logs
+                contribution = np.where((q >= sys.float_info.min) & (q < math.inf),
+                                        np.abs(np.log(q)),
+                                        np.abs(np.log(safe_delta) - np.log(t)))
             contribution = np.where(mask & np.isfinite(contribution), contribution, math.inf)
             out = np.minimum(out, contribution)
     return np.where(valid, out, math.nan)
@@ -121,7 +127,14 @@ BETA_DOMAINS = pytest.mark.parametrize("dom", [
     PuncturedSubdomain(ExteriorUnitDisk(), [2.0, -2.5j, 1.5 + 1.5j]),
     PuncturedSubdomain(UnitDisk(), [0.25j, -0.3]),
     FiniteComplement([0.0, 1.0]),
-], ids=["ring16", "punctured-disk", "disk-and-points", "unit-disk-and-points", "two-points"])
+    # the half-plane's range from each puncture has hi = inf
+    PuncturedSubdomain(UpperHalfPlane(), [1j, 1 + 2j]),
+    TranslatedScaled(FiniteComplement(RING), 1e-150),
+    TranslatedScaled(FiniteComplement(RING), 1e150),
+    # 2 + 2i lies in the disk's range [1, 3] from 2, so the union merges
+    PuncturedSubdomain(ExteriorUnitDisk(), [2.0, 2.0 + 2.0j, -3.0]),
+], ids=["ring16", "punctured-disk", "disk-and-points", "unit-disk-and-points", "two-points",
+        "half-plane-and-points", "ring16-1e-150", "ring16-1e150", "disk-and-merged-points"])
 
 
 def _ulps_off(z, k):
@@ -171,6 +184,34 @@ def test_beta_value_is_beta_field_bit_for_bit(dom, x, y):
     z = complex(x, y)
     assume(dom.contains(z))
     assert beta(dom, z).value == beta_field(dom, z)
+
+
+def test_gap_ranges_belong_to_their_domain():
+    # two domains built in turn, each evaluated after the other has filled
+    # its ranges: each keeps its own, and gives the all-points values
+    z = np.array([0.5 + 0.5j, 2.0 + 0j, -1.0 + 0.25j, 1.5 - 2.0j])
+    first = FiniteComplement([0.0, 1.0, 1j])
+    second = FiniteComplement([0.0, 3.0, 5j])
+    ranges = first.gap_ranges(0)
+    for dom in (first, second, first, FiniteComplement([0.0, 1.0, 1j])):
+        assert np.array_equal(beta_field(dom, z), _beta_field_all_points(dom, z))
+    assert first.gap_ranges(0) is ranges
+    assert np.array_equal(second.gap_ranges(0)[0], [3.0, 5.0])
+    # a lone point has no gap: the exponent needs a second boundary point
+    assert FiniteComplement([0.0]).gap_ranges(0)[0].size == 0
+    with pytest.raises(DomainError):
+        beta_field(FiniteComplement([0.0]), z)
+
+
+@pytest.mark.parametrize("dom", [FiniteComplement(RING), FiniteComplement([0.0, 1.0])],
+                         ids=["ring16", "two-points"])
+def test_beta_field_on_0d_input_and_single_points(dom):
+    z = 0.3 + 0.2j
+    value = beta(dom, z).value
+    at = beta_field(dom, np.asarray(z))
+    assert at.shape == () and at == value
+    assert beta_field(dom, np.array([z])).tolist() == [value]
+    assert np.isnan(beta_field(dom, np.asarray(1 + 0j)))
 
 
 def test_beta_at_subnormal_distance_builds_its_annulus():

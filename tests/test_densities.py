@@ -38,6 +38,7 @@ from qhyp import (
     hyperbolic_disk_density,
     hyperbolic_disk_distance,
     k_interval_fast,
+    k_star_exact,
     lambda01_lower,
     punctured_disk_density,
     quasihyperbolic_density,
@@ -730,6 +731,49 @@ def test_h_Dstar_symmetries(w_a, w_b, angle, disk):
     assert hi >= hyperbolic_disk_distance(w_a, w_b)
     if w_a != w_b:
         assert hi >= h_interval(FiniteComplement([0.0, 1.0]), w_a, w_b).lower
+
+
+def _kstar_reference(a: complex, b: complex) -> Decimal:
+    """k in the plane punctured at 0, at 60 digits from the points passed:
+    the hypotenuse of log(|b| / |a|) and the angle from a to b."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ax, ay, bx, by = (Decimal(v) for v in (a.real, a.imag, b.real, b.imag))
+        dlog = ((bx * bx + by * by) / (ax * ax + ay * ay)).ln() / 2
+        cross, dot = abs(ax * by - ay * bx), ax * bx + ay * by
+        if dot == 0:
+            theta = _DEC_PI / 2
+        elif dot > 0:
+            theta = _dec_atan(cross / dot)
+        else:
+            theta = _DEC_PI - _dec_atan(cross / -dot)
+        return (dlog * dlog + theta * theta).sqrt()
+
+
+@st.composite
+def _close_pair(draw):
+    """a at a log-uniform modulus in [1e-300, 1e300], and b = a (1 + s w)
+    with |w| = 1 and s log-uniform in [1e-15, 1e-1]."""
+    def unit():
+        t = draw(st.floats(-math.pi, math.pi))
+        return complex(math.cos(t), math.sin(t))
+
+    a = 10.0 ** draw(st.floats(-300.0, 300.0)) * unit()
+    return a, a * (1.0 + 10.0 ** draw(st.floats(-15.0, -1.0)) * unit())
+
+
+@settings(deadline=None, max_examples=200)
+@given(_close_pair())
+# log|b| - log|a| and the difference of the two angles cancel here: the
+# value was 8e-8 relative below the reference, and below k_interval_fast's
+# certified lower bound for the pair
+@example((5.791662683904014e-304 + 5.044546766215964e-304j,
+          5.7916643614803846e-304 + 5.044545965386952e-304j))
+def test_k_star_exact_matches_the_decimal_reference_on_close_pairs(pair):
+    a, b = pair
+    assume(a != b)
+    ref = _kstar_reference(a, b)
+    assert abs(Decimal(k_star_exact(a, b)) - ref) <= Decimal("1e-14") * ref
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,20 @@ def test_analytic_lower_never_exceeds_exact():
         assert val <= k_star_exact(a, b) + 1e-12
 
 
+def test_k_lower_analytic_near_the_overflow_threshold():
+    # |a - b| and delta(a) exceed the float range: the gap bound takes
+    # |a - b| as 4 |a/4 - b/4|, and the ratio bound reads delta(a) = inf as
+    # the largest float, so both stay finite and below the winding bound,
+    # which matches the pair and punctures scaled by 1/4
+    a, b = 1.7e308 + 1.7e308j, 2.0 + 0j
+    dom, quarter = FiniteComplement([0.0, 1.0]), FiniteComplement([0.0, 0.25])
+    assert gp_lower_bound(dom, a, b) == pytest.approx(gp_lower_bound(quarter, a / 4, b / 4),
+                                                      rel=1e-12)
+    got, scaled = k_lower_analytic(dom, a, b), k_lower_analytic(quarter, a / 4, b / 4)
+    assert got[0] == pytest.approx(scaled[0], rel=1e-12)
+    assert got[1] == "winding(1+0j)" and scaled[1] == "winding(0.25+0j)"
+
+
 # ---------------------------------------------------------------------------
 # Numeric solver against the one-puncture closed form
 # ---------------------------------------------------------------------------
