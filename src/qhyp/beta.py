@@ -179,7 +179,7 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     c_i is a point, its ranges are constants of the domain, which
     ``Domain.gap_ranges`` keeps as a sorted disjoint union; a binary search
     of each distance d into it leaves the two intervals on either side of d
-    (or the whole union, when it has at most two).  Division is correctly
+    (the first or last one twice beyond the ends).  Division is correctly
     rounded and the log monotone, so the term of the nearest range below d
     is the least over the ranges below it, and likewise above: the minimum
     has the bits of the minimum over every range, at two logs per point
@@ -201,13 +201,9 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
             lo, hi = domain.gap_ranges(i)
             if not lo.size:
                 continue
-            if lo.size > 2:
-                k = np.searchsorted(lo, d, side="right")
-                near = np.stack([np.maximum(k - 1, 0), np.minimum(k, lo.size - 1)])
-                lo, hi = lo[near], hi[near]
-            else:
-                lo, hi = lo[:, None], hi[:, None]
-            contribution = _log_gap(d, lo, hi)[1]
+            k = np.searchsorted(lo, d, side="right")
+            near = np.stack([np.maximum(k - 1, 0), np.minimum(k, lo.size - 1)])
+            contribution = _log_gap(d, lo[near], hi[near])[1]
         else:
             contribution = _gap_terms(comps, i, ci, z[mask], d)[3]
         # a term is inf or NaN where it is not finite, and fmin skips NaN

@@ -230,7 +230,7 @@ class _RoundComponent(Component):
         z = np.asarray(z, dtype=np.complex128)
         v = z - self.center
         v = np.where(v == 0, 1.0, v)
-        return self.center + self.radius * v / np.abs(v)
+        return self.center + self.radius * (v / np.abs(v))
 
     def chordal_distance_field(self, z: np.ndarray, lift_z: np.ndarray) -> np.ndarray:
         if self.center != 0:
@@ -547,7 +547,7 @@ def _distinct_points(points: Sequence[ExtPoint]) -> Tuple[complex, ...]:
     pts = tuple(as_finite(p) for p in points)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= 1e-15 * max(1.0, abs(pts[i]), abs(pts[j])):
+            if abs(pts[i] - pts[j]) <= 1e-15 * max(abs(pts[i]), abs(pts[j])):
                 raise DomainError(f"punctures {i} and {j} coincide")
     return pts
 

@@ -576,17 +576,12 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     offsets of all m vertices by one density call and one weight evaluation
     over the 2 ``PROBES`` m stacked segments zm->candidate and
     candidate->zp, so a sweep makes 2 ``ROUNDS`` + 1 weight calls, the last
-    for the path's total (fewer where a half-sweep has no vertex to move).  The segment ends, their densities and the probe
-    points live in arrays allocated once per half-sweep; a round writes its
-    candidates and midpoints into them.  The ends zm and zp are fixed for
-    the half-sweep, so their densities and their distances to the punctures
-    are computed once per half-sweep, and the density and the distances at
-    a candidate once for both its segments.  The punctures' column and
-    rounding pads are built once per relaxation.  The clearance test runs in
-    one pass over all punctures, with the exact test as an in-order fallback
-    (see ``_clear_of_punctures``), so ``clearance_exact`` counts what the
-    puncture-by-puncture test counts.  Each probe, comparison and sum is
-    that of scoring the probes one by one.
+    for the path's total (fewer where a half-sweep has no vertex to move).
+    The densities of zm and zp and their distances to the punctures are
+    computed once per half-sweep, and the density and the distances at a
+    candidate once for both its segments.  With no punctures the clearance
+    test is empty.  Each probe, comparison and sum is that of scoring the
+    probes one by one.
 
     ``res.relax_sweeps`` caps the sweeps.  A sweep ends the relaxation when
     both its drop of the three-point total and its accepted gain fall below
@@ -598,7 +593,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     """
     work = {"weight_calls": 0, "density_points": 0, "clearance_exact": 0}
     punct = _punctures(punctures)
-    q_col = punct.col
+    q = punct.col
 
     def rho(z):
         work["density_points"] += z.size
@@ -615,7 +610,7 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     def total(Q):
         u, v = Q[:-1], Q[1:]
         r = rho(Q)
-        near = np.minimum(np.abs(u - q_col), np.abs(v - q_col)) if punctures else None
+        near = np.minimum(np.abs(u - q), np.abs(v - q))
         return float(np.sum(weights(u, v, r[:-1], rho(0.5 * (u + v)), r[1:], near)))
 
     current = total(P)
@@ -623,59 +618,34 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
     for sweep in range(res.relax_sweeps):
         improved = 0.0
         for parity in (1, 0):
-            idx = np.arange(1, P.size - 1)
-            idx = idx[idx % 2 == parity]
+            idx = np.arange(2 - parity, P.size - 1, 2)
+            idx = idx[P[idx + 1] != P[idx - 1]]
             if idx.size == 0:
                 continue
             zm, zc, zp = P[idx - 1], P[idx], P[idx + 1]
             chord = zp - zm
             clen = np.abs(chord)
-            ok = clen > 0
-            if not ok.any():
-                continue
-            idx, zm, zc, zp, chord, clen = (idx[ok], zm[ok], zc[ok], zp[ok],
-                                            chord[ok], clen[ok])
             with np.errstate(over="ignore"):  # a subnormal chord
                 normal = 1j * chord / clen
-            if punctures:
-                dq = np.abs(zc - q_col).min(axis=0)
-            else:
-                dq = np.full(idx.size, np.inf)
-            amp = 0.45 * np.minimum(np.where(np.isfinite(dq), dq, 0.5 * clen),
-                                    0.5 * clen)
+            dq = np.abs(zc - q).min(axis=0, initial=np.inf)
+            amp = 0.45 * np.minimum(dq, 0.5 * clen)
 
-            # PROBES offsets per vertex, stacked probe by probe: n = PROBES m
-            # candidates.  Segments zm->cand fill the first n slots,
-            # cand->zp the last n; the fixed ends, their densities and their
-            # distances to the punctures go in once.
-            m = idx.size
-            n = PROBES * m
-            zc_n, normal_n = np.tile(zc, PROBES), np.tile(normal, PROBES)
+            # PROBES offsets per vertex, stacked probe by probe, so each fixed
+            # end is repeated once per probe
+            m, n = idx.size, PROBES * idx.size
             r_ends = rho(np.concatenate([zm, zp]))
-            u, v = np.empty(2 * n, dtype=np.complex128), np.empty(2 * n, dtype=np.complex128)
-            ru, rv = np.empty(2 * n), np.empty(2 * n)
-            u[:n], v[n:] = np.tile(zm, PROBES), np.tile(zp, PROBES)
-            ru[:n], rv[n:] = np.tile(r_ends[:m], PROBES), np.tile(r_ends[m:], PROBES)
-            probes = np.empty(3 * n, dtype=np.complex128)  # candidates, midpoints
-            cand, mid = probes[:n], probes[n:]
-            if punctures:
-                d_m, d_p = np.tile(np.abs(zm - q_col), PROBES), np.tile(np.abs(zp - q_col), PROBES)
-                near = np.empty((len(punctures), 2 * n))
-            else:
-                near = None
+            zm_n, zp_n, rm_n, rp_n = (np.broadcast_to(x, (PROBES, m)).ravel()
+                                      for x in (zm, zp, r_ends[:m], r_ends[m:]))
+            d_m, d_p = np.abs(zm_n - q), np.abs(zp_n - q)
 
             def f(t):
-                np.multiply(t.ravel(), normal_n, out=cand)
-                np.add(zc_n, cand, out=cand)
-                u[n:] = v[:n] = cand
-                np.multiply(0.5, np.add(u, v, out=mid), out=mid)
-                r = rho(probes)
-                ru[n:] = rv[:n] = r[:n]
-                if near is not None:
-                    d_c = np.abs(cand - q_col)
-                    np.minimum(d_m, d_c, out=near[:, :n])
-                    np.minimum(d_c, d_p, out=near[:, n:])
-                w = weights(u, v, ru, r[n:], rv, near)
+                cand = (zc + t * normal).ravel()
+                u, v = np.concatenate([zm_n, cand]), np.concatenate([cand, zp_n])
+                r = rho(np.concatenate([cand, 0.5 * (u + v)]))
+                d_c = np.abs(cand - q)
+                near = np.concatenate([np.minimum(d_m, d_c), np.minimum(d_c, d_p)], axis=1)
+                w = weights(u, v, np.concatenate([rm_n, r[:n]]), r[n:],
+                            np.concatenate([r[:n], rp_n]), near)
                 return (w[:n] + w[n:]).reshape(PROBES, m)
 
             t_best, f_best, f_zero = _bracket_search(f, amp)

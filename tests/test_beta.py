@@ -224,6 +224,18 @@ def test_beta_at_subnormal_distance_builds_its_annulus():
     assert ann.outer == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_beta_far_from_a_scaled_disk():
+    # radius |z - c| overflows here; the radius times the unit direction to
+    # z does not, so the nearest circle point and beta stay finite
+    base = PuncturedSubdomain(ExteriorUnitDisk(), [2.0, -2.5j, 1.5 + 1.5j])
+    dom = TranslatedScaled(base, 1e150)
+    z = -5.68630586598667e+158 + 1.0924986381898962e+158j
+    value = beta(dom, z).value
+    assert value == pytest.approx(beta(base, z / 1e150).value, rel=1e-12)
+    assert beta_field(dom, np.array([z]))[0] == value
+
+
 def test_beta_similarity_invariance():
     base = FiniteComplement([0.0, math.exp(6.0)])
     moved = TranslatedScaled(base, 2.0j, 5.0 - 1.0j)

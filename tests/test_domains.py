@@ -122,6 +122,14 @@ def test_coincident_punctures_rejected():
         FiniteComplement([1.0, 1.0 + 1e-18])
     with pytest.raises(DomainError):
         PuncturedSubdomain(UnitDisk(), [2.0])
+    # coincidence is relative to the points' size, as scaling the plane
+    # minus {0, 1} by 1e-20 builds the same set
+    assert FiniteComplement([0.0, 1e-20]).punctures == (0j, 1e-20 + 0j)
+    assert PuncturedSubdomain(UnitDisk(), [1e-16, 2e-16]).punctures == (1e-16 + 0j, 2e-16 + 0j)
+    tiny = domain_from_json({"type": "finite_complement", "punctures": [[0, 0], [1e-20, 0]]})
+    assert tiny == FiniteComplement([0.0, 1e-20])
+    assert tiny.finite_boundary_points() == TranslatedScaled(
+        FiniteComplement([0.0, 1.0]), 1e-20).finite_boundary_points()
 
 
 def test_hyperbolicity_flag():

@@ -793,8 +793,8 @@ def _polyline(punctures, vertices):
             for i, e, t in vertices]
 
 
-def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
-    dom = FiniteComplement(punctures)
+def _assert_relaxation_matches_reference(dom, density, points, slack=0.0):
+    punctures = dom.finite_boundary_points()
     rho = density(dom)
     with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as patch:
         # inf - inf among rejected probes
@@ -803,7 +803,7 @@ def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
         got = solver_module._relax_path(list(points), rho, punctures, RELAX_RES, slack)
     assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
     assert got[1:] == want[1:]
-    return got[2]
+    return got
 
 
 @settings(deadline=None, max_examples=60)
@@ -820,8 +820,8 @@ def _assert_relaxation_matches_reference(punctures, density, points, slack=0.0):
 @example([0.0, 1.0], quasihyperbolic_density,
          [(0, 0.0, 0.0), (0, 0.0, 0.0), (0, 0.0, 2.2250738585072014e-308)], 0.0)
 def test_relax_path_equals_reference(punctures, density, vertices, slack):
-    _assert_relaxation_matches_reference(punctures, density, _polyline(punctures, vertices),
-                                         slack)
+    _assert_relaxation_matches_reference(FiniteComplement(punctures), density,
+                                         _polyline(punctures, vertices), slack)
 
 
 @pytest.mark.parametrize("density", [quasihyperbolic_density, chordal_quasihyperbolic_density],
@@ -832,8 +832,25 @@ def test_relax_path_equals_reference_near_a_puncture(punctures, density):
     # near both, so the exact clearance test runs and rejects some
     points = [-0.5 + 0.3j, 0.02 - 0.01j, -0.03 + 0.02j, 0.6 + 0.01j, 1.02 - 0.01j,
               0.98 + 0.02j, 2.1 - 1.0j]
-    work = _assert_relaxation_matches_reference(punctures, density, points)
+    _, _, work = _assert_relaxation_matches_reference(FiniteComplement(punctures), density,
+                                                      points)
     assert work["clearance_exact"] > 0
+
+
+@pytest.mark.parametrize("dom, density, points", [
+    # no removed point: the puncture column is empty, and so is the clearance test
+    (UpperHalfPlane(), quasihyperbolic_density,
+     [0.3 + 0.2j, 0.8 + 0.9j, 1.1 + 0.3j, 1.7 + 1.4j, 2.0 + 0.6j, 2.5 + 1.5j]),
+    (UnitDisk(), chordal_quasihyperbolic_density,
+     [-0.6 + 0.1j, -0.3 + 0.5j, 0.0 - 0.2j, 0.3 + 0.4j, 0.6 - 0.1j]),
+    # one removed point, which the probes' segments pass close to
+    (PuncturedUnitDisk(), quasihyperbolic_density,
+     [-0.5 + 0.3j, 0.02 - 0.01j, -0.03 + 0.02j, 0.4 + 0.01j, 0.6 - 0.3j]),
+], ids=["half-plane", "disk-chordal", "one-puncture"])
+def test_relax_path_equals_reference_with_fewer_punctures(dom, density, points):
+    relaxed, sweeps, work = _assert_relaxation_matches_reference(dom, density, points)
+    assert sweeps >= 1 and relaxed != points
+    assert (work["clearance_exact"] > 0) == bool(dom.finite_boundary_points())
 
 
 def _search(f, amp):
