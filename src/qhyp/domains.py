@@ -891,7 +891,8 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     The error in d_p is what limits the accuracy: where a segment passes its
     foot, the integral moves by about 2 dd / d_p, so the result is within
     about 1e-12 relative of the exact integral where every d_p exceeds 1e-3
-    of the segment's length.  Memory is O(P S) for P punctures and S
+    of the segment's length and the integral is at least 2^-1022; below it,
+    the 2^-1070 pads dominate.  Memory is O(P S) for P punctures and S
     segments: the cores and the gaps take one pass over the punctures each.
     """
     if isinstance(path, Polyline):
