@@ -201,9 +201,9 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
             lo, hi = domain.gap_ranges(i)
             if not lo.size:
                 continue
-            k = np.searchsorted(lo, d, side="right")
-            near = np.stack([np.maximum(k - 1, 0), np.minimum(k, lo.size - 1)])
-            contribution = _log_gap(d, lo[near], hi[near])[1]
+            # the ranges below and above d, clipped to the first and last
+            near = np.searchsorted(lo, d, side="right") - np.array([[1], [0]])
+            contribution = _log_gap(d, lo.take(near, mode="clip"), hi.take(near, mode="clip"))[1]
         else:
             contribution = _gap_terms(comps, i, ci, z[mask], d)[3]
         # a term is inf or NaN where it is not finite, and fmin skips NaN

@@ -891,9 +891,10 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     The error in d_p is what limits the accuracy: where a segment passes its
     foot, the integral moves by about 2 dd / d_p, so the result is within
     about 1e-12 relative of the exact integral where every d_p exceeds 1e-3
-    of the segment's length and the integral is at least 2^-1022; below it,
-    the 2^-1070 pads dominate.  Memory is O(P S) for P punctures and S
-    segments: the cores and the gaps take one pass over the punctures each.
+    of the segment's length.  The 2^-1070 pads would swamp a subnormal
+    total, which ``_short_k_length`` bounds instead.  Memory is O(P S) for
+    P punctures and S segments: the cores and the gaps take one pass over
+    the punctures each.
     """
     if isinstance(path, Polyline):
         pts = path.as_array()
@@ -907,10 +908,38 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
         raise ValueError("need at least one puncture")
     with np.errstate(all="ignore"):
         parts = _rescaled_pieces(u, v, p)
-    if not np.all(parts < math.inf):
-        return math.inf
-    # a sum of n non-negative terms is off by less than (n - 1) U of itself
+        if not np.all(parts < math.inf):
+            return math.inf
+        total = _sum_upper(parts)
+        if total < sys.float_info.min:
+            total = min(total, _short_k_length(u, v, p))
+    return total
+
+
+def _sum_upper(parts: np.ndarray) -> float:
+    """The sum of the non-negative ``parts``, rounded up: a sum of n terms is
+    off by less than (n - 1) U of itself, and a subnormal sum is exact."""
     return math.nextafter(float(np.sum(parts)) * (1.0 + 2.0 * parts.size * _ROUND), math.inf)
+
+
+def _short_k_length(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> float:
+    """An upper bound of the k-length of the segments [u, v] about the (P, 1)
+    column of punctures ``p``, for where that length is subnormal, so that
+    each segment's length L is below 2^-1021 of its end u's distance d from
+    the punctures.  The 1-Lipschitz bound -log1p(-L / d) <= L / (d - L) then
+    exceeds the integral by about 2 L / d relative.  Each L / d is taken at
+    scale 2^1000, where it is normal (a subnormal v - u is exact, and the
+    scaling too), and only the total's final scaling down rounds in the
+    subnormal range, upward; so the bound is within a few U and one step of
+    2^-1074 of the integral.  inf where some L / d exceeds 2^-100."""
+    scale = 2.0 ** 1000
+    r = np.abs((v - u) * scale) / (np.abs(p - u).min(axis=0) * (1.0 - 8.0 * _ROUND))
+    if not np.all(r <= 2.0 ** 900):
+        return math.inf
+    # 8 U covers the roundings and 1 / (1 - L / d); nextafter a subnormal r
+    total = _sum_upper(np.nextafter(r * (1.0 + 8.0 * _ROUND), np.inf))
+    down = total / scale
+    return down if down * scale >= total else math.nextafter(down, math.inf)
 
 
 def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:

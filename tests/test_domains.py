@@ -3,7 +3,6 @@
 import cmath
 import json
 import math
-import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -731,9 +730,10 @@ def _scale_spanning_polyline(draw):
 @example(([-0.75 + 0j, 0j], [0.25 + 0j, 0.24999999999949996 + 9.999999999998333e-07j]))
 @example(([0j, 1j], [1000 + 0j, 1000 + 1j]))
 @example(([0j], [1 + 0j, 1 + 2.2250738585072014e-308j]))
-# a length of 2.2e-311 at distance 1: its value 8.4e-323 above the reference,
-# 3.8e-12 of it, is the 2^-1070 underflow pad and the final rounding
+# subnormal k-lengths, once 3.8e-12 relative and 18 steps of 2^-1074 above
+# the reference, by the 2^-1070 underflow pad of each piece
 @example(([0j], [1 + 0j, 1 + 2.225073858507e-311j]))
+@example(([0j], [1e300 + 0j, 1e300 + 5e-24j]))
 def test_punctured_k_length_bounds_the_decimal_reference(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(
@@ -748,15 +748,11 @@ def test_punctured_k_length_bounds_the_decimal_reference(case):
     # d_p is known to about 16 ulps of |p - u|, and the integral moves by
     # 2 dd / d_p where the segment passes its foot: so the bound is tight to
     # 1e-12 only where no segment passes closer than 1e-3 of its length.
-    # Below 2^-1022 the subnormal spacing 2^-1074 exceeds 1e-12 of the value
-    # from about 5e-312 on, so no float above it need lie that close: there
-    # the bound is the one the underflow budget gives, 2^-1070 for each of
-    # the at most 2 P + 1 pieces of a segment and 2^-1074 for the rounding up
+    # Where 1e-12 of the value is below the float spacing 2^-1074, no float
+    # need lie that close above it: there one step of the spacing is allowed
     if thinnest > Decimal("1e-3") and got < math.inf:
-        slack = Decimal(0)
-        if exact < Decimal(sys.float_info.min):
-            pieces = (len(vertices) - 1) * (2 * len(punctures) + 1)
-            slack = pieces * Decimal(2.0 ** -1070) + Decimal(2.0 ** -1074)
+        spacing = Decimal(2.0 ** -1074)
+        slack = spacing if exact * Decimal("1e-12") < spacing else 0
         assert Decimal(got) <= exact * (1 + Decimal("1e-12")) + slack
 
 
