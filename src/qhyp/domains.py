@@ -944,26 +944,35 @@ def _short_k_length(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> float:
 
 def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``_punctured_pieces`` of the segments [u, v], except that a segment
-    whose length or distance to a puncture is subnormal is measured after
+    whose length or distance to a puncture is subnormal, or any segment
+    where two punctures lie a subnormal distance apart, is measured after
     multiplying it and the punctures by 2^k, k > 0, which brings that size
-    to at least ``_LIFTED``.  The product is exact, and z -> 2^k z maps the
-    plane minus the punctures onto the plane minus their images, keeping
-    every k-length; a segment where it overflows a coordinate gets inf.
-    Where no size is subnormal the result is ``_punctured_pieces``' own."""
-    size = np.minimum(np.abs(v - u), np.minimum(np.abs(p - u), np.abs(p - v)).min(axis=0))
+    to at least ``_LIFTED``, or as near as no coordinate overflowing allows.
+    The product is exact, and z -> 2^k z maps the plane minus the punctures
+    onto the plane minus their images, keeping every k-length.  A segment
+    whose own length or distance stays subnormal gets inf.  Where no size
+    is subnormal the result is ``_punctured_pieces``' own."""
+    gaps = np.abs(p - p.T)
+    gap = gaps[gaps > 0].min(initial=math.inf)
+    own = np.minimum(np.abs(v - u), np.minimum(np.abs(p - u), np.abs(p - v)).min(axis=0))
+    size = np.minimum(own, gap)
     small = (size > 0) & (size < sys.float_info.min)
     if not small.any():
         return _punctured_pieces(u, v, p)
-    parts = [_punctured_pieces(u[~small], v[~small], p)]
-    shift = math.frexp(_LIFTED)[1] - np.frexp(size)[1]
+    # 2^k m stays finite while k <= 1024 - e, for the largest coordinate
+    # modulus m < 2^e of the segment and the punctures
+    top = max(np.abs(p.real).max(), np.abs(p.imag).max())
+    top = np.maximum(np.maximum(np.abs(u.real), np.abs(u.imag)),
+                     np.maximum(np.maximum(np.abs(v.real), np.abs(v.imag)), top))
+    shift = np.minimum(math.frexp(_LIFTED)[1] - np.frexp(size)[1], 1024 - np.frexp(top)[1])
+    stuck = small & (np.ldexp(own, shift) < sys.float_info.min)
+    small &= ~stuck & (shift > 0)
+    parts = [_punctured_pieces(u[~(small | stuck)], v[~(small | stuck)], p),
+             np.full(np.count_nonzero(stuck), np.inf)]
     for k in np.unique(shift[small]):
         scale = 2.0 ** int(k)
         pick = small & (shift == k)
-        su, sv, sp = u[pick] * scale, v[pick] * scale, p * scale
-        if all(np.isfinite(z).all() for z in (su, sv, sp)):
-            parts.append(_punctured_pieces(su, sv, sp))
-        else:
-            parts.append(np.full(su.size, np.inf))
+        parts.append(_punctured_pieces(u[pick] * scale, v[pick] * scale, p * scale))
     return np.concatenate(parts)
 
 

@@ -26,10 +26,13 @@ An upper bound that comes out below the lower one raises
 The quadtree (``_quadtree``) splits a cell while its side exceeds eps times
 the larger of delta at its centre and half its distance to the nearer
 endpoint, eps = 1.6 * 2 pi / min(radial, angular), down to ``DEPTH_CAP``
-levels.  Its leaves whose centre lies in the domain are the nodes, and
-leaves whose squares touch are joined, so the edges grow linearly with the
-cells.  It needs only ``delta_field`` and the components' ``centers()``, so
-every domain type is served; ``k_chordal_numeric`` still raises where
+levels; a tree that would pass ``MAX_CELLS`` cells raises ``ValueError``.
+Its leaves whose centre lies in the domain are the nodes, and leaves whose
+squares touch are joined, so the edges grow linearly with the cells.
+``_touching_leaves`` finds them in one pass down the depths, reading each
+cell's neighbours off its parent's, with no search.  The tree needs only
+``delta_field`` and the components' ``centers()``, so every domain type is
+served; ``k_chordal_numeric`` still raises where
 ``chordal_boundary_distance_field`` does.
 
 The graph is built in two steps.  The grid is free of the density: the
@@ -60,9 +63,10 @@ immutable curves.
 
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
 (``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s`` for measuring both
-paths, and within the build ``clearance_s`` for the clearance test and
-``weights_s`` for the node and midpoint densities and the weights), whether
-the grid was reused (``grid_reused``; then ``clearance_s`` is 0), the graph's
+paths, and within the build ``tree_s`` for the quadtree and its touching
+leaves, ``clearance_s`` for the clearance test and ``weights_s`` for the
+node and midpoint densities and the weights), whether the grid was reused
+(``grid_reused``; then ``tree_s`` and ``clearance_s`` are 0), the graph's
 ``nodes`` and ``edges``, the graph path's Dijkstra weight
 (``graph_length``) and certified length (``graph_upper``), the sweeps run
 (``relax_sweeps``), and the work of the graph and the relaxation together
@@ -115,6 +119,7 @@ RELAX_STOP = 1e-3    # a sweep gaining less than this share of the open width en
 PROBES = 17          # evenly spaced offsets per vertex in each bracket-search round
 ROUNDS = 4           # bracket-search rounds per relaxation half-sweep
 CLEARANCE = 0.3      # a segment closer to a removed point than this times its ends' is rejected
+MAX_CELLS = 2 ** 21  # quadtree cells one grid may hold, internal ones included
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,9 @@ def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _T
     s > eps max(delta(c), |c - a| / 2), with a the nearest anchor and
     eps = 1.6 * 2 pi / min(radial, angular).  So cells shrink with the
     distance to the boundary, but not below a fixed fraction of the distance
-    to the anchors: a continuum boundary far from them stays coarse."""
+    to the anchors: a continuum boundary far from them stays coarse.  A tree
+    that would pass ``MAX_CELLS`` cells raises ``ValueError`` before the
+    depth that passes it is allocated."""
     anchor_arr = np.asarray(anchors, dtype=np.complex128)
     pts = np.concatenate([anchor_arr,
                           np.asarray([c for comp in domain.complement_components()
@@ -290,9 +297,11 @@ def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _T
                   0.5 * (pts.imag.min() + pts.imag.max()))
     side = 8.0 * float(np.abs(pts - mid).max())
     corner = mid - 0.5 * side * (1.0 + 1.0j)
-    eps = 1.6 * 2.0 * math.pi / min(res.radial, res.angular)
+    n = min(res.radial, res.angular)
+    eps = 1.6 * 2.0 * math.pi / n
 
     cells = []
+    total = 1
     ix = iy = np.zeros(1, dtype=np.int64)
     for depth in range(DEPTH_CAP + 1):
         s = math.ldexp(side, -depth)
@@ -301,48 +310,96 @@ def _quadtree(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _T
         near = np.abs(z - anchor_arr[:, None]).min(axis=0)
         split = (s > eps * np.maximum(delta, 0.5 * near)) & (depth < DEPTH_CAP)
         cells.append((np.full(ix.size, depth), ix, iy, z, delta, ~split))
+        total += 4 * np.count_nonzero(split)
+        if total > MAX_CELLS:
+            raise ValueError(
+                f"resolution {n} needs a quadtree of more than {MAX_CELLS} cells on this "
+                f"problem (at depth {depth + 1}); use a lower resolution")
         ix, iy = 2 * ix[split], 2 * iy[split]
         ix, iy = np.concatenate([ix, ix + 1, ix, ix + 1]), np.concatenate([iy, iy, iy + 1, iy + 1])
     return _Tree(corner, side, *(np.concatenate(parts) for parts in zip(*cells)))
+
+
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _child_steps() -> Tuple[np.ndarray, np.ndarray]:
+    """Two (4, 8) tables, for child k of a split cell, at (k & 1, k >> 1) in
+    it, and each step (dx, dy): the square one step away lies at (x, y) =
+    (k & 1) + dx, (k >> 1) + dy among the parent's children, so in the
+    parent's neighbour one step (x >> 1, y >> 1) away (row 8: the parent
+    itself), as its child (x & 1) + 2 (y & 1)."""
+    held = np.empty((4, 8), dtype=np.int64)
+    child = np.empty((4, 8), dtype=np.int64)
+    for k in range(4):
+        for i, (dx, dy) in enumerate(_STEPS):
+            x, y = (k & 1) + dx, (k >> 1) + dy
+            up = (x >> 1, y >> 1)
+            held[k, i] = 8 if up == (0, 0) else _STEPS.index(up)
+            child[k, i] = (x & 1) + 2 * (y & 1)
+    return held, child
+
+
+_HELD, _CHILD = _child_steps()
 
 
 def _touching_leaves(tree: _Tree) -> np.ndarray:
     """(m, 2) cell indices of every pair of leaves whose closed squares
     touch, each pair once, lower index first, sorted.
 
-    Each leaf looks at the 8 squares around it at its own depth.  Such a
-    square that is a cell is a leaf (a pair) or a split cell (whose leaves
-    find this one); one that is not lies in a coarser leaf, found by walking
-    up its ancestors.  A leaf no finer than this one that touches it holds
-    one of the 8 squares, so the pairs are exact.  A cell is looked up by
-    the key (depth 2^41 + ix) + i iy, exact in floating point."""
-    level, ix, iy, leaf = tree.level, tree.ix, tree.iy, tree.leaf
-    keys = (level * 2.0 ** 41 + ix) + 1j * iy
-    order = np.argsort(keys)
-    keys = keys[order]
-    found = [np.zeros((0, 2), dtype=np.int64)]   # a lone root has no neighbours
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)):
-        me = np.flatnonzero(leaf)
-        lv, nx, ny = level[me], ix[me] + dx, iy[me] + dy
-        inside = (nx >= 0) & (ny >= 0) & (nx < 2 ** lv) & (ny < 2 ** lv)
-        me, lv, nx, ny = me[inside], lv[inside], nx[inside], ny[inside]
-        same_depth = True
-        while me.size:
-            key = (lv * 2.0 ** 41 + nx) + 1j * ny
-            pos = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-            hit = keys[pos] == key
-            other = order[pos[hit]]
-            pair = leaf[other] & ((not same_depth) | (me[hit] < other))
-            found.append(np.stack([me[hit][pair], other[pair]], axis=1))
-            miss = ~hit
-            me, lv, nx, ny = me[miss], lv[miss] - 1, nx[miss] >> 1, ny[miss] >> 1
-            same_depth = False
-    pairs = np.concatenate(found)
+    One pass down the depths finds each cell's neighbour in each of the 8
+    steps: the deepest cell no finer than it that holds the square one step
+    away, or none outside the root (H. Samet, "Neighbor finding techniques
+    for images represented by quadtrees", Comput. Graph. Image Process. 18,
+    1982).  A child's neighbour is its sibling when that square lies in the
+    same parent; else a child of the parent's neighbour that way, if that
+    neighbour is split at the parent's depth; else the parent's neighbour
+    itself, a coarser leaf, or none.  ``_quadtree`` puts the children of
+    the r-th of the ns cells split at a depth at offsets r, r + ns, r + 2 ns
+    and r + 3 ns of the next depth, so each depth is four gathers, one per
+    child, into an (8 steps, 4 children, ns) table, and only the last
+    depth's neighbours are kept.  A leaf pairs with the leaves among its neighbours that are
+    coarser or of higher index at its own depth: a leaf no finer than it
+    that touches it holds one of the 8 squares, so the pairs are exact."""
+    level, leaf = tree.level, tree.leaf
+    n = level.size
+    found = []
+    start = 0
+    nb = np.full((8, 1), -1, dtype=np.int64)   # the root's: all outside
+    for count in np.bincount(level):
+        end = start + count
+        below = ~leaf[start:end]
+        split = np.flatnonzero(below)
+        # the leaves at this depth pair one step at a time, as (lower,
+        # higher) coded lower * n + higher
+        me = np.flatnonzero(~below)
+        cell = me + start
+        for step in nb:
+            q = step[me]
+            pair = (q >= 0) & leaf[q] & ((q < start) | (q > cell))
+            q, c = q[pair], cell[pair]
+            found.append(np.minimum(q, c) * n + np.maximum(q, c))
+        if split.size == 0:
+            break
+        # the neighbours of the next depth, from those of this one's split
+        # cells, or from the cell itself (row 8) for its own children; a
+        # split neighbour at this depth is the r-th, r its rank among them
+        held = np.concatenate([nb[:, split], (split + start)[None]])
+        at = held >= start
+        local = np.where(at, held - start, 0)
+        deeper = at & below[local]
+        base = np.where(deeper, end + np.cumsum(below)[local] - 1, held)
+        stride = np.where(deeper, split.size, 0)
+        nb = np.empty((8, 4, split.size), dtype=np.int64)
+        for k in range(4):
+            nb[:, k] = base[_HELD[k]] + stride[_HELD[k]] * _CHILD[k][:, None]
+        nb = nb.reshape(8, -1)
+        start = end
     # a coarser leaf is found from up to three of the squares: sort, and keep
     # the first of each run (np.unique hashes, and is many times slower)
-    code = np.sort(pairs.min(axis=1) * level.size + pairs.max(axis=1))
+    code = np.sort(np.concatenate(found))
     code = code[np.diff(code, prepend=-1) != 0]
-    return np.stack([code // level.size, code % level.size], axis=1)
+    return np.stack([code // n, code % n], axis=1)
 
 
 @dataclass(frozen=True)
@@ -355,19 +412,22 @@ class _Grid:
     anchor_ids: Tuple[int, ...]
     anchor_capped: Tuple[bool, ...]  # whether an anchor's nearest leaves sit at DEPTH_CAP
     side: float                      # the root square's side
+    tree_s: float
     clearance_s: float
     clearance_exact: int
 
 
 def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> _Grid:
+    t0 = time.perf_counter()
     tree = _quadtree(domain, anchors, res)
+    pairs = _touching_leaves(tree)
+    tree_s = time.perf_counter() - t0
     punctures = domain.finite_boundary_points()
 
     # the leaves whose centre lies in the domain are the nodes, in the
     # cells' order, and touching ones are joined
     is_node = tree.leaf & (tree.delta > 0)
     node_id = np.cumsum(is_node) - 1
-    pairs = _touching_leaves(tree)
     all_pairs = [node_id[pairs[is_node[pairs].all(axis=1)]]]
     nodes = tree.centre[is_node]
 
@@ -407,7 +467,7 @@ def _build_grid(domain: Domain, anchors: Sequence[complex], res: Resolution) -> 
 
     for arr in (nodes, lo, hi):
         arr.flags.writeable = False
-    return _Grid(nodes, lo, hi, anchor_ids, tuple(capped), tree.side, t1 - t0,
+    return _Grid(nodes, lo, hi, anchor_ids, tuple(capped), tree.side, tree_s, t1 - t0,
                  work["clearance_exact"])
 
 
@@ -460,11 +520,12 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
     Returns (node positions, symmetric weight matrix, anchor node ids, meta).
     The node positions are the grid's read-only array.  The meta holds
     ``nodes``, ``edges`` (after dropping inadmissible ones), ``grid_reused``,
-    ``clearance_s`` and ``weights_s`` (perf_counter seconds of the clearance
-    test and of the densities and weights), ``weight_calls``,
-    ``density_points`` and ``clearance_exact`` (edges that needed
-    ``segment_point_distance``).  On a reused grid ``clearance_s`` and
-    ``clearance_exact`` are 0, since that work was not done.
+    ``tree_s``, ``clearance_s`` and ``weights_s`` (perf_counter seconds of
+    the quadtree and its touching leaves, of the clearance test and of the
+    densities and weights), ``weight_calls``, ``density_points`` and
+    ``clearance_exact`` (edges that needed ``segment_point_distance``).  On a
+    reused grid ``tree_s``, ``clearance_s`` and ``clearance_exact`` are 0,
+    since that work was not done.
     """
     from scipy.sparse import csr_matrix
 
@@ -502,6 +563,7 @@ def _build_graph(domain: Domain, anchors: Sequence[complex], res: Resolution,
         raise SolverError(f"{msg}; raise the resolution")
     graph = csr_matrix((w, (lo, hi)), shape=(nodes.size, nodes.size))
     meta = {"nodes": int(nodes.size), "edges": int(w.size), "grid_reused": reused,
+            "tree_s": 0.0 if reused else grid.tree_s,
             "clearance_s": 0.0 if reused else grid.clearance_s,
             "weights_s": t1 - t0,
             "weight_calls": len(blocks), "density_points": int(nodes.size + grid.lo.size),

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -651,6 +652,13 @@ def _dec_asinh_gap(x0: Decimal, x1: Decimal) -> Decimal:
                       / (x1 * (1 + x0 * x0).sqrt() + x0 * (1 + x1 * x1).sqrt()))
 
 
+def _cross(z0, z1, q):
+    """The exact cross product of z1 - z0 and q - z0, for float points."""
+    x0, y0 = Fraction(z0.real), Fraction(z0.imag)
+    return ((Fraction(z1.real) - x0) * (Fraction(q.imag) - y0)
+            - (Fraction(z1.imag) - y0) * (Fraction(q.real) - x0))
+
+
 def _dec_k_length(points, punctures):
     """The exact k-length of a polyline in the plane minus ``punctures``,
     evaluated with 800 significant digits: each segment is cut where the
@@ -659,7 +667,8 @@ def _dec_k_length(points, punctures):
     the 632 decades from the smallest subnormal to the largest double, so
     the difference of two coordinates keeps the smaller one to at least 160
     digits; at 50, 1 - 1e-51 and 0.6991... - 1.3e-220 rounded to 1 and
-    0.6991...
+    0.6991...  A puncture exactly on a segment's line, which those digits can
+    miss by a rounding, is found by an exact cross product.
     Returns (length, smallest d_p / L over the segments)."""
     with localcontext() as ctx:
         ctx.prec = 800
@@ -674,7 +683,8 @@ def _dec_k_length(points, punctures):
             length = (dx * dx + dy * dy).sqrt()
             ex, ey = dx / length, dy / length
             feet = [(px - ux) * ex + (py - uy) * ey for px, py in punct]
-            dists = [abs((py - uy) * ex - (px - ux) * ey) for px, py in punct]
+            dists = [abs((py - uy) * ex - (px - ux) * ey) if _cross(z0, z1, q) else Decimal(0)
+                     for (px, py), q in zip(punct, punctures)]
             thinnest = min([thinnest] + [dp / length for dp in dists])
             cuts = {Decimal(0), length}
             for i, (pix, piy) in enumerate(punct):
@@ -734,6 +744,10 @@ def _scale_spanning_polyline(draw):
 # the reference, by the 2^-1070 underflow pad of each piece
 @example(([0j], [1 + 0j, 1 + 2.225073858507e-311j]))
 @example(([0j], [1e300 + 0j, 1e300 + 5e-24j]))
+# punctures a subnormal distance apart, with a normal segment about them:
+# once inf, where the exact length is 1.93867506989627...
+@example(([0j, 3e-320 + 0j], [-2.4267937126868253e-304 + 2.4582129661393275e-304j,
+                              2.208778980761684e-304 + 1.7420190189443688e-304j]))
 def test_punctured_k_length_bounds_the_decimal_reference(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(
@@ -779,6 +793,13 @@ def _subnormal_scale_polyline(draw):
 # seg / length overflowed, and the length came out as its pads, 8.4e-323
 @example(([0j], [5.791662683904014e-304 + 5.044546766215964e-304j,
                  5.7916643614803846e-304 + 5.044545965386952e-304j]))
+# punctures a subnormal distance apart: their bisector was taken at that
+# scale, and the length came out inf
+@example(([0j, 3e-320 + 0j], [-2.4267937126868253e-304 + 2.4582129661393275e-304j,
+                              2.208778980761684e-304 + 1.7420190189443688e-304j]))
+# a segment through the puncture: its 800-digit d_p came out 1e-1124, not 0,
+# and the reference 3685.7 instead of inf
+@example(([0j], [1e-323 + 5e-324j, -1e-323 - 5e-324j]))
 def test_punctured_k_length_bounds_the_decimal_reference_at_subnormal_scales(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(

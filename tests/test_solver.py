@@ -253,9 +253,10 @@ def test_numeric_meta_reports_stage_cost():
     result = k_numeric(dom, -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
     meta = result.meta
     assert meta["grid_reused"] is False
-    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "clearance_s", "weights_s"):
+    for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "tree_s", "clearance_s",
+                "weights_s"):
         assert meta[key] >= 0.0
-    assert meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
+    assert meta["tree_s"] + meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
     # one weight evaluation per block of the graph's edges, and at least one
     # per relaxation step
     assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
@@ -289,7 +290,7 @@ def test_grid_reused_by_chordal_and_swapped_solves():
     for result in reused:
         meta = result.meta
         assert meta["grid_reused"] is True
-        assert meta["clearance_s"] == 0.0
+        assert meta["tree_s"] == meta["clearance_s"] == 0.0
         assert meta["nodes"] == first.meta["nodes"] > 0
     assert reused[1].distance == first.distance
     # each reused result equals a cold solve, byte for byte; its exact
@@ -546,6 +547,59 @@ def test_touching_leaves_equal_all_pairs_test(dom, pair, res):
     assert np.abs(levels[:, 0] - levels[:, 1]).max() >= (2 if res.radial == 8 else 1)
 
 
+def _tree_from_splits(masks):
+    """A ``_Tree`` laid out as ``_quadtree`` lays it out, whose cells at depth
+    d are split where ``masks[d]`` (one bool per cell at that depth) says."""
+    ix = iy = np.zeros(1, dtype=np.int64)
+    cells = []
+    for depth in range(len(masks) + 1):
+        split = masks[depth] if depth < len(masks) else np.zeros(ix.size, dtype=bool)
+        assert split.shape == ix.shape
+        cells.append((np.full(ix.size, depth), ix, iy, ~split))
+        ix, iy = 2 * ix[split], 2 * iy[split]
+        ix, iy = np.concatenate([ix, ix + 1, ix, ix + 1]), np.concatenate([iy, iy, iy + 1, iy + 1])
+    level, ix, iy, leaf = (np.concatenate(parts) for parts in zip(*cells))
+    centre = (ix + 0.5) / 2.0 ** level + 1j * (iy + 0.5) / 2.0 ** level
+    return solver_module._Tree(0j, 1.0, level, ix, iy, centre, np.ones(level.size), leaf)
+
+
+@st.composite
+def _split_masks(draw):
+    """Split masks for depths 0-6, each cell split with one drawn chance, and
+    no split that would take the tree past 1,200 cells."""
+    chance = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks, width, total = [], 1, 1
+    for _ in range(draw(st.integers(0, 6))):
+        split = rng.random(width) < chance
+        split &= np.cumsum(split) <= (1200 - total) // 4
+        masks.append(split)
+        width = 4 * np.count_nonzero(split)
+        total += width
+    return masks
+
+
+@settings(deadline=None, max_examples=80)
+@given(_split_masks())
+def test_touching_leaves_equal_all_pairs_test_on_random_trees(masks):
+    tree = _tree_from_splits(masks)
+    assert _touching_leaves(tree).tolist() == _touching_reference(tree).tolist()
+
+
+def test_touching_leaves_on_a_lone_root_and_at_the_depth_cap():
+    root = _tree_from_splits([])
+    assert root.level.size == 1 and _touching_leaves(root).shape == (0, 2)
+    # one cell split per depth down to the cap, closing on the root's centre,
+    # where a leaf at depth 1 meets leaves at every depth below it
+    masks = [np.array([True]), np.arange(4) == 0] + [np.arange(4) == 3] * (DEPTH_CAP - 2)
+    tree = _tree_from_splits(masks)
+    assert tree.level.max() == DEPTH_CAP
+    got = _touching_leaves(tree)
+    assert got.tolist() == _touching_reference(tree).tolist()
+    levels = tree.level[got]
+    assert np.abs(levels[:, 0] - levels[:, 1]).max() == DEPTH_CAP - 1
+
+
 @pytest.mark.parametrize("dom, pair, res", TREES, ids=TREE_IDS)
 def test_quadtree_leaves_meet_the_split_rule(dom, pair, res):
     tree = _quadtree(dom, pair, res)
@@ -567,6 +621,17 @@ def test_quadtree_leaves_meet_the_split_rule(dom, pair, res):
     grid = solver_module._build_grid(dom, pair, res)
     assert np.all(dom.delta_field(grid.nodes) > 0)
     assert grid.nodes.size == np.count_nonzero(tree.leaf & (tree.delta > 0)) + 2
+
+
+def test_quadtree_refuses_a_tree_past_its_cell_budget(monkeypatch):
+    dom, pair, res = TREES[0]
+    cells = _quadtree(dom, pair, res).level.size
+    monkeypatch.setattr(solver_module, "MAX_CELLS", cells)
+    assert _quadtree(dom, pair, res).level.size == cells
+    monkeypatch.setattr(solver_module, "MAX_CELLS", cells - 1)
+    with pytest.raises(ValueError, match=f"resolution {res.radial} needs a quadtree of more "
+                                         f"than {cells - 1} cells"):
+        _quadtree(dom, pair, res)
 
 
 def test_graph_counts_equal_across_images():
