@@ -182,8 +182,9 @@ def criterion_07_punctured_disk_estimates() -> Tuple[bool, str]:
 
 
 def criterion_08_bounce_or_cross() -> Tuple[bool, str]:
-    """Relaxed near-geodesics bounce off or cross each essential dyadic
-    annulus at most once (quasihyperbolic constants pi and log 2)."""
+    """The grid solver's near-geodesics (spiral chains here) bounce off or
+    cross each essential dyadic annulus at most once (quasihyperbolic
+    constants pi and log 2)."""
     dom = FiniteComplement([0.0, 1.0])
     res = Resolution(radial=128, angular=128)
     mu, nu = math.pi, math.log(2.0)

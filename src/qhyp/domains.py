@@ -867,6 +867,11 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
       from v, whichever is narrower, the latter widened by L's own error of
       4 U L;
     - d_p, taken from the end nearer p, within 16 U min(|p - u|, |p - v|);
+      where that leaves 0 as its lower bound, neither vertex is p and the
+      offsets' enclosures put the foot possibly between u and v, the lower
+      bound is ``_foot_distance``'s instead: the cross product
+      Im((p - u) conj(v - u)), taken exactly in rationals, over |v - u|,
+      rounded down, within 10 U of d_p relative;
     - the side of the bisector of c and q at t, f(t) = Re((z - m) conj(n)),
       m = (c + q)/2, n = (q - c)/|q - c|, as -num + t den with num within
       16 U (|c - u| + |q - u|) and den within 16 U.
@@ -891,7 +896,13 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     The error in d_p is what limits the accuracy: where a segment passes its
     foot, the integral moves by about 2 dd / d_p, so the result is within
     about 1e-12 relative of the exact integral where every d_p exceeds 1e-3
-    of the segment's length.  The 2^-1070 pads would swamp a subnormal
+    of the segment's length.  A segment that passes closer, within
+    16 U |p - u| of p (so that the first bound of d_p is 0), gets the exact
+    foot distance to 10 U: its piece across the foot, about
+    2 log(L / d_p), is then finite and within about 10 U / log(L / d_p) of
+    its exact value plus the offsets' share, where it used to be inf.  Only
+    a segment whose line meets p exactly keeps the divergent bound.  The
+    2^-1070 pads would swamp a subnormal
     total, which ``_short_k_length`` bounds instead.  Memory is O(P S) for
     P punctures and S segments: the cores and the gaps take one pass over
     the punctures each.
@@ -976,6 +987,30 @@ def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _foot_distance(q: complex, a: complex, b: complex) -> float:
+    """A lower bound of the distance from q to the line through a and b,
+    |Im((q - a) conj(b - a))| / |b - a|.  The cross product is taken exactly
+    in rationals; |b - a| is the hypot of its coordinates' nearest floats,
+    raised by 4 U and one step of ``math.nextafter``; their quotient, exact
+    in rationals, is rounded to the nearest float and stepped once toward 0.
+    The coordinates' roundings (U each), hypot's (U) and the pad make the
+    length at most 7 U high, and the quotient's two roundings take up to
+    3 U more, so the bound lies within 10 U of the exact distance, relative, or
+    two steps of 2^-1074 where it is subnormal, and is 0 only where q lies
+    on the line or a coordinate difference overflows."""
+    from fractions import Fraction
+
+    ax, ay = Fraction(a.real), Fraction(a.imag)
+    ex, ey = Fraction(b.real) - ax, Fraction(b.imag) - ay
+    cross = abs((Fraction(q.real) - ax) * ey - (Fraction(q.imag) - ay) * ex)
+    try:
+        length = math.nextafter(math.hypot(float(ex), float(ey)) * (1.0 + 4.0 * _ROUND),
+                                math.inf)
+        return math.nextafter(float(cross / Fraction(length)), 0.0)
+    except OverflowError:
+        return 0.0
+
+
 def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     """The padded upper bounds of every core and gap of every segment, for
     ``punctured_k_length``; ``p`` is the (P, 1) column of punctures."""
@@ -989,8 +1024,8 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray
     length = np.abs(seg)
     live = length > 0
     if not live.all():
-        u, seg, length, pu, pv, ru, rv = (u[live], seg[live], length[live], pu[:, live],
-                                          pv[:, live], ru[:, live], rv[:, live])
+        u, v, seg, length, pu, pv, ru, rv = (u[live], v[live], seg[live], length[live],
+                                             pu[:, live], pv[:, live], ru[:, live], rv[:, live])
     nseg = u.size
     if nseg == 0:
         return np.zeros(0)
@@ -1003,6 +1038,14 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray
     near_u = ru <= rv
     d = np.where(near_u, np.abs(wu.imag), np.abs(wv.imag))
     d_lo = np.maximum(0.0, (d - np.where(near_u, eu, ev)) * (1.0 - 2.0 * _ROUND))
+    # where that bound is 0, no vertex is the puncture and the segment may
+    # pass its foot (where a piece across it would diverge), the exact one
+    if np.count_nonzero(d_lo) < d_lo.size:
+        for k in np.flatnonzero(d_lo == 0.0).tolist():
+            r, c = divmod(k, nseg)
+            q, a, b = complex(p[r, 0]), complex(u[c]), complex(v[c])
+            if su[r, c] < eu[r, c] and sv[r, c] > -ev[r, c] and q != a and q != b:
+                d_lo[r, c] = _foot_distance(q, a, b)
 
     def offsets(rows, cols, t, at_v):
         """(lo, hi) of t - t_p for the puncture ``rows`` on the segment

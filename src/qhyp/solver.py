@@ -2,17 +2,33 @@
 
 The solver builds one quadtree graph over a square that holds the data,
 graded by the distance to the boundary, runs a shortest-path search with
-quadrature edge weights, measures the graph path, straightens it by local
-perpendicular relaxation (each vertex moves to the best of ``PROBES``
+quadrature edge weights, measures the graph path, and then finishes it.
+
+For ``k_numeric`` on the plane minus finitely many points the finish is a
+chain of logarithmic-spiral arcs (``_spiral_chain``): in the Voronoi cell
+of a puncture p the density 1/|z - p| is flat in log(z - p), so the chain
+has one arc per cell of the graph path's route, of closed-form length
+sqrt(du^2 + dtheta^2), and one unknown per crossing, its offset along the
+Voronoi edge there, which Newton with a tridiagonal Hessian minimises.  The
+chain is sampled along its arcs, ``CHAIN_SAMPLES`` steps per radian, and
+measured by ``punctured_k_length``.  Its guard lets it serve (upper source
+``spiral-chain``) only where every sample lies in the cell its arc assumes
+and its certified length is finite and at most the graph path's; else it
+falls back to the relaxation, which then runs exactly as it would without
+the chain.
+
+The relaxation serves the chordal density, the domains that are not point
+complements and the chain's fallbacks.  It straightens the graph path by
+local perpendicular moves (each vertex moves to the best of ``PROBES``
 offsets along its chord's normal, refined over ``ROUNDS`` rounds), and then
 measures the relaxed curve; the shorter of the two certified lengths is the
 upper bound.  ``Resolution.relax_sweeps`` caps the relaxation, which stops
 earlier once a sweep gains less than ``RELAX_STOP`` of the width the graph
-path leaves open above the lower bound.  Every curve measured, the graph and relaxed paths as well as
-``k_interval_fast``'s segment and arcs, keeps the vertices it was built
-from, repeated ones included, so it runs from a to b exactly and its length
-is a genuine upper bound for the distance; the lower bound comes from
-closed-form estimates.  ``_k_length``
+path leaves open above the lower bound.  Every curve measured, the graph,
+chain and relaxed paths as well as ``k_interval_fast``'s segment and arcs,
+keeps the vertices it was built from, repeated ones included, so it runs
+from a to b exactly and its length is a genuine upper bound for the
+distance; the lower bound comes from closed-form estimates.  ``_k_length``
 measures every curve.  On the plane minus finitely many points it evaluates
 the closed form ``domains.punctured_k_length``, rounded outward, so there
 the interval holds without a tolerance.  Elsewhere, and for the chordal
@@ -48,10 +64,12 @@ key on the domain itself: two domains are equal when their JSON
 descriptions are.
 
 The grid solver is the only user of scipy (``csr_matrix`` for the graph,
-``dijkstra`` for the search), and it imports each where it calls it.  So
-``import qhyp`` loads numpy only, and scipy, though required, is loaded by
-the first grid solve: ``k_numeric``, ``k_chordal_numeric``, ``qhyp distance
---method numeric``, ``qhyp geodesic`` or acceptance criterion 12.
+``dijkstra`` for the search).  A solve imports both modules on entry,
+before its clocks start, so that the first solve's ``build_s`` does not
+count the import.  So ``import qhyp`` loads numpy only, and scipy, though
+required, is loaded by the first grid solve: ``k_numeric``,
+``k_chordal_numeric``, ``qhyp distance --method numeric``, ``qhyp
+geodesic`` or acceptance criterion 12.
 
 ``k_interval_fast`` needs no grid.  Its last enclosure and measured curves
 are kept in a second slot, keyed on the domain and the bytes of the two
@@ -62,18 +80,23 @@ thick part.  A reused result is returned as a fresh list of the same
 immutable curves.
 
 Each ``GeodesicResult.meta`` reports what the solve cost: seconds per stage
-(``build_s``, ``dijkstra_s``, ``relax_s``, ``measure_s`` for measuring both
-paths, and within the build ``tree_s`` for the quadtree and its touching
-leaves, ``clearance_s`` for the clearance test and ``weights_s`` for the
-node and midpoint densities and the weights), whether the grid was reused
+(``build_s``, ``dijkstra_s``, ``relax_s``, 0 where the chain serves,
+``measure_s`` for measuring the graph and relaxed paths, and within the
+build ``tree_s`` for the quadtree and its touching leaves, ``clearance_s``
+for the clearance test and ``weights_s`` for the node and midpoint
+densities and the weights), whether the grid was reused
 (``grid_reused``; then ``tree_s`` and ``clearance_s`` are 0), the graph's
 ``nodes`` and ``edges``, the graph path's Dijkstra weight
 (``graph_length``) and certified length (``graph_upper``), the sweeps run
-(``relax_sweeps``), and the work of the graph and the relaxation together
-(``weight_calls``, ``density_points``, and ``clearance_exact``, the edges
-whose clearance needed the exact segment distance).  The upper bound's
-source is ``relaxed-grid-path``, or ``grid-path`` where the unrelaxed path
-measured shorter.
+(``relax_sweeps``, 0 where the chain serves), and the work of the graph and
+the relaxation together (``weight_calls``, ``density_points``, and
+``clearance_exact``, the edges whose clearance needed the exact segment
+distance).  Where the chain ran, it also reports the chain's seconds, its
+certified measure included (``chain_s``), its arcs (``chain_arcs``), its
+Newton steps (``chain_steps``) and whether the guard fell back
+(``chain_fallback``).  The upper bound's source is ``spiral-chain`` where
+the chain serves; else ``relaxed-grid-path``, or ``grid-path`` where the
+unrelaxed path measured shorter.
 """
 
 from __future__ import annotations
@@ -120,6 +143,9 @@ PROBES = 17          # evenly spaced offsets per vertex in each bracket-search r
 ROUNDS = 4           # bracket-search rounds per relaxation half-sweep
 CLEARANCE = 0.3      # a segment closer to a removed point than this times its ends' is rejected
 MAX_CELLS = 2 ** 21  # quadtree cells one grid may hold, internal ones included
+CHAIN_SAMPLES = 256  # polyline steps per radian a spiral arc turns: chords exceed it by < 7e-7
+CHAIN_TOL = 1e-13    # a Newton step gaining less than this share of the chain's length ends it
+CHAIN_STEPS = 40     # Newton steps at most
 
 
 @dataclass(frozen=True)
@@ -727,6 +753,242 @@ def _relax_path(points: List[complex], density, punctures: Sequence[complex],
 
 
 # ---------------------------------------------------------------------------
+# Spiral chains on point complements
+# ---------------------------------------------------------------------------
+
+class _Route(NamedTuple):
+    """A graph path read cell by cell in the Voronoi diagram of the punctures:
+    the puncture of each cell it runs through, after cancelling excursions,
+    and for each arc (one per cell) the graph's points where it enters and
+    leaves that cell and the path's log-change about its puncture between
+    them, log|leave - p| - log|enter - p| + i (summed turning)."""
+
+    cells: List[int]
+    enter: np.ndarray       # (m + 1,) complex: a, then the graph's crossings
+    leave: np.ndarray       # (m + 1,) complex: the graph's crossings, then b
+    change: np.ndarray      # (m + 1,) complex
+
+
+def _turning(points: np.ndarray, p: complex) -> float:
+    """The summed turning of a polyline about a point off it: each segment
+    turns by less than pi about p, so its wrapped angle is its own."""
+    return float(np.sum(np.angle((points[1:] - p) / (points[:-1] - p))))
+
+
+def _route(raw: Sequence[complex], pts: np.ndarray) -> _Route:
+    """The cells of the graph path ``raw`` about the punctures ``pts``.
+
+    Each segment is walked from the cell of its start: it leaves a cell c
+    where it first crosses a bisector of c and another puncture q, whose
+    cell it enters there, and a convex cell is never entered twice.  So the
+    crossings are exact points of the path, up to rounding.  A crossing back
+    into the cell the path came from, A -> B -> A, cancels the excursion into
+    B where the path turned by less than pi about B's puncture in it: the
+    two crossings lie on the one edge between the cells, where the chain
+    would close the arc in B to nothing."""
+    path = np.asarray(raw, dtype=np.complex128)
+    label = np.argmin(np.abs(path[:, None] - pts[None, :]), axis=1)
+    aug = [path[0]]
+    crossings = []            # (index in aug, cell left, cell entered)
+    cell = int(label[0])
+    for z0, z1, end in zip(path[:-1], path[1:], label[1:]):
+        e = z1 - z0
+        left = np.zeros(pts.size, dtype=bool)
+        while cell != end:
+            left[cell] = True
+            n = pts - pts[cell]
+            slope = (e * np.conj(n)).real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = -((z0 - 0.5 * (pts + pts[cell])) * np.conj(n)).real / slope
+            t[(slope <= 0) | left] = np.inf
+            q = int(np.argmin(t))
+            if not t[q] < np.inf:
+                break
+            aug.append(z0 + min(max(t[q], 0.0), 1.0) * e)
+            crossings.append((len(aug) - 1, cell, q))
+            cell = q
+        aug.append(z1)
+    aug = np.asarray(aug)
+
+    cells, kept = [int(label[0])], []
+    for at, left, entered in crossings:
+        if (len(cells) >= 2 and cells[-2] == entered
+                and abs(_turning(aug[kept[-1]:at + 1], pts[left])) < math.pi):
+            cells.pop()
+            kept.pop()
+        else:
+            cells.append(entered)
+            kept.append(at)
+    bounds = [0] + kept + [aug.size - 1]
+    change = np.array([
+        complex(math.log(abs(aug[j] - pts[c])) - math.log(abs(aug[i] - pts[c])),
+                _turning(aug[i:j + 1], pts[c]))
+        for c, i, j in zip(cells, bounds[:-1], bounds[1:])])
+    return _Route(cells, aug[bounds[:-1]], aug[bounds[1:]], change)
+
+
+def _edge_frame(pts: np.ndarray, c: int,
+                q: int) -> Optional[Tuple[complex, complex, float, float]]:
+    """The Voronoi edge between the cells of punctures c and q, as
+    mid + s dir for s in [lo, hi], mid the midpoint of the two and dir the
+    unit normal of their difference; None where the edge is empty.  A point
+    of the bisector is no nearer any other puncture r while f(s) =
+    Re((mid + s dir - m_r) conj(n_r)) <= 0, m_r = (c + r) / 2, n_r = r - c:
+    the inequality that ``domains.punctured_k_length`` cuts its segments by,
+    here along the bisector, linear in s."""
+    pc = pts[c]
+    n = pts[q] - pc
+    mid, direction = pc + 0.5 * n, 1j * n / abs(n)
+    lo, hi = -math.inf, math.inf
+    for r in range(pts.size):
+        if r in (c, q):
+            continue
+        nr = pts[r] - pc
+        f0 = ((mid - pc - 0.5 * nr) * nr.conjugate()).real
+        slope = (direction * nr.conjugate()).real
+        if slope > 0:
+            hi = min(hi, -f0 / slope)
+        elif slope < 0:
+            lo = max(lo, -f0 / slope)
+        elif f0 > 0:
+            return None
+    return (mid, direction, lo, hi) if lo <= hi else None
+
+
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray,
+                       rhs: np.ndarray) -> Optional[np.ndarray]:
+    """The solution of a symmetric tridiagonal system by its LDL^T
+    factorisation, or None where a pivot is not positive."""
+    n = diag.size
+    piv, low, y = np.empty(n), np.empty(n), np.empty(n)
+    piv[0], y[0] = diag[0], rhs[0]
+    for i in range(1, n):
+        if not piv[i - 1] > 0:
+            return None
+        low[i] = off[i - 1] / piv[i - 1]
+        piv[i] = diag[i] - low[i] * off[i - 1]
+        y[i] = rhs[i] - low[i] * y[i - 1]
+    if not piv[-1] > 0:
+        return None
+    x = y / piv
+    for i in range(n - 2, -1, -1):
+        x[i] -= low[i + 1] * x[i + 1]
+    return x
+
+
+def _spiral_chain(raw: Sequence[complex], punctures: Sequence[complex]
+                  ) -> Tuple[Optional[List[complex]], int, int]:
+    """A chain of logarithmic-spiral arcs from raw[0] to raw[-1] in the
+    homotopy class of the graph path ``raw``, sampled as a polyline.
+
+    In the cell of puncture p the density 1/|z - p| is flat in log(z - p),
+    so the k-geodesic there is a straight line in u + i theta = log(z - p),
+    an arc of length |Z| for its log-change Z (Martin and Osgood, J. Analyse
+    Math. 47, 1986).  ``_route`` gives the cells and each arc's winding; the
+    unknowns are the offsets s along the Voronoi edges where consecutive
+    arcs meet, clipped to the edges (``_edge_frame``), started at the graph
+    path's crossings.  An arc from x to y in the cell of p has Z = change
+    + Log((y - p) / (y0 - p)) - Log((x - p) / (x0 - p)), x0 and y0 the
+    graph's crossings on the same edges: an edge subtends less than pi at p,
+    so the principal logs keep the graph's winding.  Newton minimises the
+    sum of the arcs' sqrt(|Z|^2 + 1e-24) with closed-form derivatives,
+    dZ/ds = dir / (y - p) and d2Z/ds2 = -dir^2 / (y - p)^2 at an end; each
+    arc couples two neighbouring offsets, so the Hessian is tridiagonal.  A
+    step solves it on the offsets not held at a bound, shifted until
+    positive definite, and is halved until it gains (Armijo, 1e-4); the
+    loop ends after ``CHAIN_STEPS`` steps or once a step gains less than
+    ``CHAIN_TOL`` of the length.
+
+    Each arc is sampled along its straight line in log coordinates, one step
+    per 1 / ``CHAIN_SAMPLES`` radian of its turning (a chord of a spiral
+    exceeds it by (its turning)^2 / 24 relative), between raw[0], the
+    crossings and raw[-1], which are vertices as they are.  Returns the
+    points, or None where an edge is empty, a value is not finite or a
+    sample lies nearer another puncture than its arc's (where the model
+    density is not the domain's); the arcs; and the Newton steps."""
+    pts = np.asarray(punctures, dtype=np.complex128)
+    route = _route(raw, pts)
+    cells = route.cells
+    arcs = len(cells)
+    frames = [_edge_frame(pts, c, q) for c, q in zip(cells[:-1], cells[1:])]
+    if any(f is None for f in frames):
+        return None, arcs, 0
+    pc = pts[cells]
+    a, b = complex(raw[0]), complex(raw[-1])
+    mid = np.array([f[0] for f in frames], dtype=np.complex128)
+    direction = np.array([f[1] for f in frames], dtype=np.complex128)
+    lo = np.array([f[2] for f in frames])
+    hi = np.array([f[3] for f in frames])
+    g_enter, g_leave = route.enter - pc, route.leave - pc
+    s = np.clip(((route.leave[:-1] - mid) * np.conj(direction)).real, lo, hi)
+
+    def arcs_at(s):
+        x = mid + s * direction
+        w0 = np.concatenate([[a - pc[0]], x - pc[1:]])
+        w1 = np.concatenate([x - pc[:-1], [b - pc[-1]]])
+        return x, w0, w1, route.change + np.log(w1 / g_leave) - np.log(w0 / g_enter)
+
+    def lengths(z):
+        return np.sqrt(np.abs(z) ** 2 + 1e-24)   # smooth where an arc closes to a point
+
+    steps = 0
+    total = float(np.sum(lengths(arcs_at(s)[3])))
+    while 0 < s.size and steps < CHAIN_STEPS and math.isfinite(total):
+        _, w0, w1, z = arcs_at(s)
+        ell = lengths(z)
+        g_end = direction / w1[:-1]          # arc k's end is crossing k
+        g_start = -direction / w0[1:]        # arc k + 1's start is crossing k
+        r_end = (np.conj(z[:-1]) * g_end).real
+        r_start = (np.conj(z[1:]) * g_start).real
+        e0, e1 = ell[:-1], ell[1:]
+        grad = r_end / e0 + r_start / e1
+        diag = ((np.abs(g_end) ** 2 - (np.conj(z[:-1]) * g_end ** 2).real) / e0
+                - r_end ** 2 / e0 ** 3
+                + (np.abs(g_start) ** 2 + (np.conj(z[1:]) * g_start ** 2).real) / e1
+                - r_start ** 2 / e1 ** 3)
+        off = ((np.conj(g_start[:-1]) * g_end[1:]).real / e1[:-1]
+               - r_start[:-1] * r_end[1:] / e1[:-1] ** 3)
+        free = ~(((s <= lo) & (grad > 0)) | ((s >= hi) & (grad < 0)))
+        if not free.any():
+            break
+        diag, off = np.where(free, diag, 1.0), np.where(free[:-1] & free[1:], off, 0.0)
+        rhs = np.where(free, -grad, 0.0)
+        shift, step = 0.0, _tridiagonal_solve(diag, off, rhs)
+        while step is None and shift < 1e30:
+            shift = max(10.0 * shift, 1e-12 * (1.0 + float(np.abs(diag).max())))
+            step = _tridiagonal_solve(diag + shift, off, rhs)
+        if step is None:
+            break
+        steps += 1
+        alpha = 1.0
+        while alpha > 1e-12:
+            trial = np.clip(s + alpha * step, lo, hi)
+            new = float(np.sum(lengths(arcs_at(trial)[3])))
+            if new <= total + 1e-4 * float(np.dot(grad, trial - s)):
+                break
+            alpha *= 0.5
+        else:
+            break
+        gain = total - new
+        s, total = trial, new
+        if not gain > CHAIN_TOL * total:
+            break
+
+    x, w0, _, z = arcs_at(s)
+    ends = np.concatenate([x, [b]])
+    points = [a]
+    for k in range(arcs):
+        n = max(1, math.ceil(abs(z[k].imag) * CHAIN_SAMPLES))
+        sample = pc[k] + w0[k] * np.exp(np.arange(1, n) / n * z[k])
+        dist = np.abs(sample[:, None] - pts[None, :])
+        if not (np.all(np.isfinite(sample)) and np.all(dist[:, cells[k]] <= dist.min(axis=1))):
+            return None, arcs, steps
+        points.extend(sample.tolist())
+        points.append(complex(ends[k]))
+    return points, arcs, steps
+
+
+# ---------------------------------------------------------------------------
 # The public solvers
 # ---------------------------------------------------------------------------
 
@@ -746,6 +1008,11 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         iv = DistanceInterval(0.0, 0.0, "coincident", "coincident")
         return GeodesicResult(iv, Polyline([a]), {"nodes": 0})
 
+    # the grid solver's scipy modules, loaded before the clocks start, so
+    # that the first solve's build_s does not count their import
+    import scipy.sparse  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
+
     ca, cb, flipped = _canonical(a, b)
     t0 = time.perf_counter()
     nodes, graph, (ia, ib), meta = _build_graph(domain, [ca, cb], res, density)
@@ -760,9 +1027,25 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
     lo_val, lo_src = lower
     graph_path = Polyline(raw)
     graph_upper = _k_length(graph_path, density, punctures)
-    meta["graph_upper"] = graph_upper
-    slack = graph_upper - lo_val if math.isfinite(graph_upper) else 0.0
     t3 = time.perf_counter()
+    meta.update(graph_upper=graph_upper, build_s=t1 - t0, dijkstra_s=t2 - t1, measure_s=t3 - t2)
+    if punctures is not None:
+        # on the plane minus points, a spiral chain in the graph path's
+        # homotopy class serves where every sample lies in its arc's cell and
+        # it measures no longer than the graph path
+        points, arcs, steps = _spiral_chain(raw, punctures)
+        upper = math.inf if points is None else punctured_k_length(points, punctures)
+        fallback = not upper < math.inf or upper > graph_upper
+        chain_end = time.perf_counter()
+        meta.update(chain_s=chain_end - t3, chain_arcs=arcs, chain_steps=steps,
+                    chain_fallback=fallback)
+        t3 = chain_end
+        if not fallback:
+            meta.update(relax_sweeps=0, relax_s=0.0)
+            path = Polyline(points)
+            iv = DistanceInterval(lo_val, upper, lo_src, "spiral-chain")
+            return GeodesicResult(iv, path.reversed() if flipped else path, meta)
+    slack = graph_upper - lo_val if math.isfinite(graph_upper) else 0.0
     relaxed, sweeps, work = _relax_path(raw, density, domain.finite_boundary_points(), res,
                                         slack)
     meta["relax_sweeps"] = sweeps
@@ -773,8 +1056,7 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         path, upper, up_src = graph_path, graph_upper, "grid-path"
     for key, value in work.items():
         meta[key] = meta.get(key, 0) + value
-    meta.update(build_s=t1 - t0, dijkstra_s=t2 - t1, relax_s=t4 - t3,
-                measure_s=(t3 - t2) + (time.perf_counter() - t4))
+    meta.update(relax_s=t4 - t3, measure_s=meta["measure_s"] + (time.perf_counter() - t4))
 
     iv = DistanceInterval(lo_val, upper, lo_src, up_src)
     if flipped:
@@ -786,10 +1068,16 @@ def k_numeric(domain: Domain, a: complex, b: complex,
               resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the quasihyperbolic distance along with the
     discrete near-geodesic.  The lower bound is ``k_lower_analytic``'s,
-    exact for one removed point and for the half-plane.  The path is
-    measured by ``_k_length``: in closed form, rounded outward, on the plane
-    minus finitely many points, so the upper bound holds without a
-    tolerance; by quadrature, certified up to ``MEASURE_TOL``, elsewhere.
+    exact for one removed point and for the half-plane.  On the plane minus
+    finitely many points the graph path is finished by a spiral chain
+    (``_spiral_chain``; upper source ``spiral-chain``) where its guard
+    passes: every sample in the cell its arc assumes, and a finite certified
+    length no longer than the graph path's.  Elsewhere, and where the guard
+    falls back, the relaxation finishes it.  The path is measured in closed
+    form, rounded outward, on the plane minus finitely many points, so the
+    upper bound holds without a tolerance; by quadrature, certified up to
+    ``MEASURE_TOL``, elsewhere.  ``meta`` reports the chain's ``chain_s``,
+    ``chain_arcs``, ``chain_steps`` and ``chain_fallback`` where it ran.
     The plane and the sphere, whose density 1/delta is 0, are refused."""
     if not domain.complement_components():
         raise UnsupportedDomainError(

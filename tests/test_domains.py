@@ -800,6 +800,13 @@ def _subnormal_scale_polyline(draw):
 # a segment through the puncture: its 800-digit d_p came out 1e-1124, not 0,
 # and the reference 3685.7 instead of inf
 @example(([0j], [1e-323 + 5e-324j, -1e-323 - 5e-324j]))
+# segments whose line passes the puncture closer than the rounding of the
+# foot distance, once inf: two subnormal-scale draws, whose references are
+# 123.78045149099371 and 123.18531578178124, and -1 -> 1 + 1e-20i, whose
+# exact length is about 94.876
+@example(([0j], [1e-300 + 0j, 1.0000000000000005e-300 + 8.41470983e-316j, -1e-323 + 0j]))
+@example(([0j], [-1e-323 + 0j, 1e-300 - 1.13310778e-315j]))
+@example(([0j], [-1 + 0j, 1 + 1e-20j]))
 def test_punctured_k_length_bounds_the_decimal_reference_at_subnormal_scales(case):
     punctures, vertices = case
     if any(v in punctures for v in vertices) or any(

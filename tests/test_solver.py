@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -223,12 +223,16 @@ def test_scipy_loads_on_the_first_grid_solve(tmp_path):
 # Exact results of the grid solver at 32x32: (lower, upper, path vertices,
 # relaxation sweeps), recorded when the relaxation came to stop against the
 # graph path's certified width; the upper bounds were re-recorded when the
-# relaxation's golden-section search became a bracket search.  Every value
-# must stay bit-identical, in any order of the solves.
+# relaxation's golden-section search became a bracket search, and the
+# two-point k_numeric result when a spiral chain replaced its relaxation
+# (it was 3.789446301346475 over 16 vertices after 9 sweeps).  The
+# four-point k_numeric pair rides a Voronoi edge, so its chain leaves its
+# cells and the relaxation serves.  Every value must stay bit-identical, in
+# any order of the solves.
 PINNED_RES = Resolution(radial=32, angular=32)
 PINNED = [
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_numeric,
-     (3.3451138067704846, 3.789446301346475, 16, 9)),
+     (3.3451138067704846, 3.775061038028471, 904, 0)),
     ([0.0, 1.0], -0.5 + 0.3j, 2.1 - 1.0j, k_chordal_numeric,
      (1.2559490532982982, 2.8392332131981433, 16, 7)),
     ([0.0, 1.0, 1.0j, -1.5 + 0.5j], 0.8 + 1.2j, -2.0 - 0.7j, k_numeric,
@@ -254,16 +258,27 @@ def test_numeric_meta_reports_stage_cost():
     meta = result.meta
     assert meta["grid_reused"] is False
     for key in ("build_s", "dijkstra_s", "relax_s", "measure_s", "tree_s", "clearance_s",
-                "weights_s"):
+                "weights_s", "chain_s"):
         assert meta[key] >= 0.0
     assert meta["tree_s"] + meta["clearance_s"] + meta["weights_s"] <= meta["build_s"]
-    # one weight evaluation per block of the graph's edges, and at least one
-    # per relaxation step
-    assert meta["weight_calls"] > 1 + meta["relax_sweeps"]
-    assert meta["density_points"] > meta["nodes"] + meta["edges"]
+    # the spiral chain served: two arcs, a few Newton steps, no relaxation;
+    # one weight evaluation per block of the graph's edges
+    assert result.distance.upper_source == "spiral-chain"
+    assert meta["chain_fallback"] is False
+    assert meta["chain_arcs"] == 2 and 1 <= meta["chain_steps"] <= solver_module.CHAIN_STEPS
+    assert meta["relax_sweeps"] == 0 and meta["relax_s"] == 0.0
+    grid_edges = solver_module._last_grid[1].lo.size
+    assert meta["weight_calls"] == -(-grid_edges // BLOCK) >= 1
+    assert meta["density_points"] == meta["nodes"] + grid_edges >= meta["nodes"] + meta["edges"]
     # the exact clearance test runs on a few edges only
     assert 0 < meta["clearance_exact"] < meta["edges"]
     assert json.loads(json.dumps(result.as_dict()))["meta"] == meta
+    # where the chain falls back, the relaxation's work adds at least one
+    # weight evaluation per relaxation step to the graph's
+    fallback = k_numeric(FiniteComplement(FOUR), 0.8 + 1.2j, -2.0 - 0.7j, PINNED_RES).meta
+    assert fallback["chain_fallback"] is True and fallback["chain_arcs"] == 3
+    assert fallback["weight_calls"] > 1 + fallback["relax_sweeps"] > 1
+    assert fallback["density_points"] > fallback["nodes"] + fallback["edges"]
 
 
 def _evict_grid():
@@ -385,8 +400,10 @@ def test_an_unmeasured_graph_path_leaves_the_relative_stop_rule(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_k_length", first_infinite)
     monkeypatch.setattr(solver_module, "_relax_path", recording)
-    punctures, a, b, solver, expected = PINNED[0]
+    # a pair whose spiral chain leaves its cells, so that the relaxation runs
+    punctures, a, b, solver, expected = PINNED[2]
     result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+    assert result.meta["chain_fallback"] is True
     assert slacks == [0.0]
     assert result.meta["graph_upper"] == math.inf
     assert result.distance.upper_source == "relaxed-grid-path"
@@ -401,11 +418,12 @@ def test_a_graph_path_shorter_than_the_relaxed_one_is_kept(monkeypatch):
     monkeypatch.setattr(solver_module, "_relax_path",
                         lambda points, density, punctures, res, slack:
                         ([points[0], 0.5 + 0.1j, points[-1]], 0, {}))
-    punctures, a, b, solver, _ = PINNED[0]
+    # a pair whose spiral chain falls back to the relaxation
+    punctures, a, b, solver, _ = PINNED[2]
     result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
     assert result.distance.upper_source == "grid-path"
     assert result.distance.upper == result.meta["graph_upper"]
-    assert len(result.path.points) == PINNED[0][4][2]
+    assert len(result.path.points) == PINNED[2][4][2]
 
 
 def test_an_endpoint_without_grid_edges_is_named(monkeypatch):
@@ -991,6 +1009,135 @@ def test_relaxation_lowers_every_moved_vertex_and_the_total(punctures, density, 
         relaxed, _, _ = solver_module._relax_path(list(before), rho, punctures, RELAX_RES, 0.0)
         assert (math.fsum(_path_weights(rho, punctures, relaxed))
                 <= math.fsum(_path_weights(rho, punctures, before)))
+
+
+# ---------------------------------------------------------------------------
+# Spiral chains
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0j), (0.5, 2.0 + 1.0j), (-3.0 + 0.1j, 0.2 - 0.1j),
+                                  (1e-3 + 1e-3j, 50.0 - 20.0j)])
+def test_spiral_chain_meets_the_one_puncture_distance(a, b):
+    # one cell: the chain is the log-spiral itself, measured as a polyline
+    # whose chords exceed it by (turning per step)^2 / 24 < 7e-7 relative
+    result = k_numeric(FiniteComplement([0.0]), a, b, PINNED_RES)
+    exact = k_star_exact(a, b)
+    assert result.distance.upper_source == "spiral-chain"
+    assert result.meta["chain_arcs"] == 1 and result.meta["chain_steps"] == 0
+    assert exact <= result.distance.upper <= exact * (1.0 + 1e-6)
+    assert result.path[0] == a and result.path[-1] == b
+
+
+def _conjugated(z):
+    return complex(z).conjugate()
+
+
+def _rotated(z):
+    return complex(z) * 1j
+
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False).map(lambda x: round(x, 3))
+_far_coord = st.floats(-3.0, 3.0, allow_nan=False).map(lambda x: round(x, 3))
+
+
+@st.composite
+def _point_problem(draw):
+    """2-4 punctures in [-2, 2]^2 at least 0.2 apart, and two endpoints in
+    [-3, 3]^2 at least 0.05 from every puncture and 0.05 apart."""
+    punctures = draw(st.lists(st.builds(complex, _coord, _coord), min_size=2, max_size=4,
+                              unique=True))
+    assume(all(abs(p - q) >= 0.2 for i, p in enumerate(punctures) for q in punctures[i + 1:]))
+    a, b = (draw(st.builds(complex, _far_coord, _far_coord)) for _ in range(2))
+    assume(abs(a - b) >= 0.05 and min(abs(z - p) for z in (a, b) for p in punctures) >= 0.05)
+    return punctures, a, b
+
+
+@settings(deadline=None, max_examples=15)
+@given(_point_problem())
+def test_spiral_chain_bounds_and_symmetries(problem):
+    # the chain serves only below the graph path's certified length; where
+    # it serves in every image, conjugation, rotation by i and the endpoint
+    # swap, isometries that map the grid onto itself, move its upper bound
+    # by rounding only
+    punctures, a, b = problem
+    res = Resolution(radial=16, angular=16)
+    results = []
+    for move, swap in [(complex, False), (_conjugated, False), (_rotated, False),
+                       (complex, True)]:
+        x, y = (move(b), move(a)) if swap else (move(a), move(b))
+        result = k_numeric(FiniteComplement([move(p) for p in punctures]), x, y, res)
+        iv, meta = result.distance, result.meta
+        assert iv.lower <= iv.upper <= meta["graph_upper"]
+        assert (iv.upper_source == "spiral-chain") is (meta["chain_fallback"] is False)
+        results.append(iv)
+    if all(iv.upper_source == "spiral-chain" for iv in results):
+        assert max(iv.upper for iv in results) <= min(iv.upper for iv in results) * (1 + 1e-9)
+
+
+def test_spiral_chain_falls_back_where_the_geodesic_rides_an_edge():
+    # the four-point pinned pair crosses the 0 | -1.5+0.5i edge back and forth:
+    # the chain's arcs leave their cells, and the relaxation serves, as it did
+    # before the chain
+    punctures, a, b, solver, expected = PINNED[2]
+    result = solver(FiniteComplement(punctures), a, b, PINNED_RES)
+    assert result.meta["chain_fallback"] is True
+    assert result.distance.upper_source == "relaxed-grid-path"
+    assert (result.distance.lower, result.distance.upper, len(result.path.points),
+            result.meta["relax_sweeps"]) == expected
+
+
+def test_spiral_chain_falls_back_where_an_arc_leaves_its_cell():
+    # here the chain's arcs leave their cells and it measures 4.18909, below
+    # the graph path's 4.27731, so only the cell test sends the solve to the
+    # relaxation, whose path measures 4.11143
+    punctures = [-0.904 + 1.35j, -1.275 - 0.22j, 0.698 - 0.351j, 0.334 + 0.261j]
+    result = k_numeric(FiniteComplement(punctures), -2.227 - 2.765j, 0.14 + 0.805j, PINNED_RES)
+    assert result.meta["chain_fallback"] is True
+    assert result.distance.upper_source == "relaxed-grid-path"
+    assert result.distance.upper < 4.12 < 4.27 < result.meta["graph_upper"]
+
+
+def test_spiral_chain_longer_than_the_graph_path_falls_back(monkeypatch):
+    # a chain that measures above the graph path's certified length does not
+    # serve: the relaxation runs as it did before the chain, to the bit
+    monkeypatch.setattr(solver_module, "_spiral_chain",
+                        lambda raw, punctures: ([raw[0], 10.0 + 10.0j, raw[-1]], 1, 0))
+    result = k_numeric(FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j, PINNED_RES)
+    assert result.meta["chain_fallback"] is True
+    assert result.distance.upper_source == "relaxed-grid-path"
+    assert (result.distance.lower, result.distance.upper, len(result.path.points),
+            result.meta["relax_sweeps"]) == (3.3451138067704846, 3.789446301346475, 16, 9)
+
+
+def test_spiral_chain_bound_does_not_rise_with_resolution():
+    # the grid only picks the route: on the two-point problem the chain meets
+    # one optimum at every resolution, up to rounding, where the relaxed
+    # path's bound rose from 3.77924 at 64^2 to 3.78179 at 256^2
+    dom, a, b = FiniteComplement([0.0, 1.0]), -0.5 + 0.3j, 2.1 - 1.0j
+    uppers = []
+    for n in (64, 128, 256):
+        result = k_numeric(dom, a, b, Resolution(radial=n, angular=n))
+        assert result.distance.upper_source == "spiral-chain"
+        uppers.append(result.distance.upper)
+    assert max(uppers) <= 3.7760
+    for coarse, fine in zip(uppers[:-1], uppers[1:]):
+        assert fine <= coarse * (1.0 + 1e-12)
+
+
+def test_route_cancels_an_excursion_and_keeps_a_loop():
+    # cells of 0 and 1 meet on Re z = 1/2; a dip into the cell of 1 and back
+    # is cancelled, a loop around 1 is kept, and each arc's log-change sums
+    # the path's turning about its puncture
+    pts = np.array([0.0, 1.0], dtype=np.complex128)
+    dip = solver_module._route([-0.5 + 0.5j, 0.7 + 0.5j, -0.5 + 0.6j], pts)
+    assert dip.cells == [0]
+    assert dip.change[0] == pytest.approx(cmath.log((-0.5 + 0.6j) / (-0.5 + 0.5j)), abs=1e-15)
+    loop = solver_module._route([-0.5 + 0.5j, 1.0 + 0.5j, 1.5, 1.0 - 0.5j, -0.5 - 0.5j], pts)
+    assert loop.cells == [0, 1, 0]
+    assert loop.enter[1] == pytest.approx(0.5 + 0.5j)
+    assert loop.leave[1] == pytest.approx(0.5 - 0.5j)
+    assert loop.change[1].imag == pytest.approx(-1.5 * math.pi)
+    assert loop.change[1].real == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
