@@ -27,6 +27,7 @@ from .domains import (
     Domain,
     DomainError,
     FiniteComplement,
+    JsonRecord,
     SchemaError,
     _parse_complex as cval,
     _parse_real as fval,
@@ -42,7 +43,6 @@ from .geometry import (
     Polyline,
     _unique_points,
     as_finite,
-    is_infinite,
     line_circle_roots,
     segment_point_distance,
 )
@@ -53,34 +53,20 @@ from .geometry import (
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BetaWitness:
+class BetaWitness(JsonRecord):
     zeta: complex
     xi: complex
     distance: float
     contribution: float
 
-    def as_dict(self) -> dict:
-        return {"zeta": [self.zeta.real, self.zeta.imag],
-                "xi": [self.xi.real, self.xi.imag],
-                "distance": self.distance,
-                "contribution": self.contribution}
-
 
 @dataclass(frozen=True)
-class BetaResult:
+class BetaResult(JsonRecord):
     value: float
     delta: float
     nearest: Tuple[complex, ...]
     witnesses: Tuple[BetaWitness, ...]
     annulus: Optional[Annulus]
-
-    def as_dict(self) -> dict:
-        return {"value": self.value, "delta": self.delta,
-                "nearest": [[p.real, p.imag] for p in self.nearest],
-                "witnesses": [w.as_dict() for w in self.witnesses],
-                "annulus": None if self.annulus is None else {
-                    "center": [self.annulus.center.real, self.annulus.center.imag],
-                    "inner": self.annulus.inner, "outer": self.annulus.outer}}
 
 
 def _log_gap(d: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -218,7 +204,7 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BPBounds:
+class BPBounds(JsonRecord):
     """Certified pointwise bounds for the hyperbolic density."""
 
     lower: float
@@ -226,12 +212,6 @@ class BPBounds:
     upper_available: bool
     beta: float
     delta: float
-
-    def as_dict(self) -> dict:
-        return {"lower": self.lower,
-                "upper": None if not self.upper_available else self.upper,
-                "upper_available": self.upper_available,
-                "beta": self.beta, "delta": self.delta}
 
 
 def bp_lambda_bounds(domain: Domain, z: ExtPoint) -> BPBounds:
@@ -272,19 +252,13 @@ def bp_upper_density(domain: Domain):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BPDecayReport:
+class BPDecayReport(JsonRecord):
     ok: bool
     samples: int
     violations: int
     worst_low: float   # smallest beta / expected-lower ratio seen
     worst_high: float  # largest beta / expected-upper ratio seen
     examples: Tuple[Tuple[complex, float, float, float], ...]
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "samples": self.samples, "violations": self.violations,
-                "worst_low": self.worst_low, "worst_high": self.worst_high,
-                "examples": [[[z.real, z.imag], b, lo, hi]
-                             for (z, b, lo, hi) in self.examples]}
 
 
 def check_bp_decay(domain: Domain, annulus: Annulus, samples: int = 200,
@@ -325,7 +299,7 @@ def check_bp_decay(domain: Domain, annulus: Annulus, samples: int = 200,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ABCViolation:
+class ABCViolation(JsonRecord):
     annulus: Annulus
     min_radius: float
     max_radius: float
@@ -333,19 +307,11 @@ class ABCViolation:
 
 
 @dataclass(frozen=True)
-class ABCReport:
+class ABCReport(JsonRecord):
     ok: bool
     candidates: int
     checked: int
     violations: Tuple[ABCViolation, ...]
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "candidates": self.candidates, "checked": self.checked,
-                "violations": [{
-                    "center": [v.annulus.center.real, v.annulus.center.imag],
-                    "inner": v.annulus.inner, "outer": v.annulus.outer,
-                    "min_radius": v.min_radius, "max_radius": v.max_radius,
-                    "crossings": v.crossings} for v in self.violations]}
 
 
 def dyadic_annulus_candidates(domain: Domain, nu: float, r_lo: float,
@@ -513,22 +479,12 @@ class UPCircleFamily(Component):
 
 
 @dataclass(frozen=True)
-class UPReport:
+class UPReport(JsonRecord):
     unbounded: bool
     sup_modulus: float
     witness: Optional[Annulus]
     isolated: Tuple[ExtPoint, ...]
     centers_examined: int
-
-    def as_dict(self) -> dict:
-        iso = ["infinity" if is_infinite(p) else [p.real, p.imag] for p in self.isolated]
-        w = None
-        if self.witness is not None:
-            w = {"center": [self.witness.center.real, self.witness.center.imag],
-                 "inner": self.witness.inner, "outer": self.witness.outer}
-        return {"unbounded": self.unbounded, "sup_modulus": self.sup_modulus,
-                "witness": w, "isolated": iso,
-                "centers_examined": self.centers_examined}
 
 
 def _family_intervals(fam: UPCircleFamily, o: complex, ext_lo: float,
@@ -589,7 +545,7 @@ def up_modulus_sup(parts: Sequence[Component], horizon: int = 8) -> UPReport:
     for pt in [b for b in parts if isinstance(b, ComplementPoint)]:
         gaps = [b.distance_to(pt.point) for b in parts if b is not pt]
         if not gaps or min(gaps) > 1e-12 * max(1.0, abs(pt.point)):
-            isolated.append(pt.point)
+            isolated.append(complex(pt.point))
     if not any(b.accumulates_at_infinity() for b in parts):
         isolated.append(INF)
     if isolated:
@@ -678,19 +634,13 @@ def up_set_from_json(obj: dict) -> Tuple[Component, ...]:
 
 
 @dataclass(frozen=True)
-class UPConversion:
+class UPConversion(JsonRecord):
     """Euclidean uniform-perfectness constants implied by a chordal one."""
 
     chordal_bound: float
     center_outside: float
     center_inside: float
     general: float
-
-    def as_dict(self) -> dict:
-        return {"chordal_bound": self.chordal_bound,
-                "center_outside": self.center_outside,
-                "center_inside": self.center_inside,
-                "general": self.general}
 
 
 def chordal_up_to_euclidean_bound(M: float) -> UPConversion:
@@ -710,7 +660,7 @@ def chordal_up_to_euclidean_bound(M: float) -> UPConversion:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FatAnnulusWitness:
+class FatAnnulusWitness(JsonRecord):
     """Explicit points in a deep annular throat where the quasihyperbolic
     distance is large but the hyperbolic distance stays bounded below only
     weakly: the gap between the two metrics grows with the throat depth."""
@@ -729,19 +679,6 @@ class FatAnnulusWitness:
     h_lower_closed_form: float
     bp_upper_integral: float
     bp_upper_closed_form: float
-
-    def as_dict(self) -> dict:
-        return {"m": self.m,
-                "a": [self.a.real, self.a.imag],
-                "b": [self.b.real, self.b.imag],
-                "c": [self.c.real, self.c.imag],
-                "annulus_separates": self.annulus_separates,
-                "k_star_ab": self.k_star_ab, "k_star_cb": self.k_star_cb,
-                "k_enclosure": list(self.k_enclosure),
-                "h_lower_ab": self.h_lower_ab,
-                "h_lower_closed_form": self.h_lower_closed_form,
-                "bp_upper_integral": self.bp_upper_integral,
-                "bp_upper_closed_form": self.bp_upper_closed_form}
 
 
 def fat_annulus_witness(m: float = 5.0) -> FatAnnulusWitness:

@@ -12,8 +12,10 @@ Subcommands:
 
 Conventions: complex numbers on the command line are written "re,im" (a bare
 real is accepted); randomness is controlled by --seed (default 0, a PCG64
-generator); JSON output prints floats with full round-trip precision; CSV
-uses the %.17g format.  Exit status is 0 on success, 1 when a requested
+generator); JSON output is written by qhyp.to_json, with complex
+numbers as [re, im], the point at infinity as "infinity", an unbounded end
+as Infinity, sorted keys and floats at full round-trip precision; CSV uses
+the %.17g format.  Exit status is 0 on success, 1 when a requested
 check fails, 2 on bad input, 3 on an internal error (an enclosure with
 inconsistent bounds, or a grid search that found no path).
 """
@@ -56,6 +58,7 @@ from .domains import (
     _parse_real as _json_real,
     _require_fields,
     domain_from_json_text,
+    to_json,
 )
 from .equivalence import (
     PunctureConfig,
@@ -113,7 +116,7 @@ def _puncture_config(raw) -> PunctureConfig:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json.dumps(to_json(obj), indent=2, sort_keys=True))
 
 
 def _resolution(args) -> Resolution:
@@ -128,9 +131,7 @@ def _resolution(args) -> Resolution:
 def _cmd_distance(args) -> int:
     dom = _load_domain(args.domain)
     a, b = args.src, args.dst
-    out = {"domain": dom.to_json_dict(),
-           "a": [a.real, a.imag], "b": [b.real, b.imag],
-           "metric": args.metric, "method": args.method}
+    out = {"domain": dom, "a": a, "b": b, "metric": args.metric, "method": args.method}
     if args.metric == "h" and args.method == "numeric":
         raise ValueError("--metric h has no numeric method; drop --method numeric")
     numeric = args.metric == "k-chordal" or args.method == "numeric"
@@ -146,7 +147,7 @@ def _cmd_distance(args) -> int:
             iv = k_interval_fast(dom, a, b)
     else:  # k-chordal
         iv = k_chordal_numeric(dom, a, b, _resolution(args)).distance
-    out["distance"] = iv.as_dict()
+    out["distance"] = iv
     _emit(out)
     return 0
 
@@ -205,7 +206,7 @@ def _cmd_heatmap(args) -> int:
         write_fallback = write_grid_csv(fh, "re,im,value", xs, ys, V)
     t2 = time.perf_counter()
     finite = V[np.isfinite(V)]
-    sidecar = {"domain": dom.to_json_dict(), "field": args.field,
+    sidecar = {"domain": dom, "field": args.field,
                "window": [x0, x1, y0, y1], "nx": args.nx, "ny": args.ny,
                "csv": args.out,
                "finite_fraction": float(finite.size) / float(V.size),
@@ -216,7 +217,7 @@ def _cmd_heatmap(args) -> int:
     side_path = args.out + ".json" if not args.out.endswith(".csv") \
         else args.out[:-4] + ".json"
     with open(side_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        json.dump(to_json(sidecar), fh, indent=2, sort_keys=True)
     print(f"wrote {args.nx * args.ny} samples to {args.out} "
           f"(metadata in {side_path})")
     return 0
@@ -224,19 +225,14 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_beta_map(args) -> int:
     dom = _load_domain(args.domain)
-    reports = []
-    for z in args.at:
-        res = beta(dom, z)
-        entry = res.as_dict()
-        entry["point"] = [z.real, z.imag]
-        reports.append(entry)
-    _emit({"domain": dom.to_json_dict(), "reports": reports})
+    reports = [{**beta(dom, z).as_dict(), "point": z} for z in args.at]
+    _emit({"domain": dom, "reports": reports})
     return 0
 
 
 def _cmd_up_check(args) -> int:
     rep = up_modulus_sup(up_set_from_json(_load_json(args.set)), horizon=args.horizon)
-    _emit(rep.as_dict())
+    _emit(rep)
     return 0
 
 
@@ -296,7 +292,7 @@ def _cmd_qi_verify(args) -> int:
         rep = verify_rough_isometry(dom, phi, pairs,
                                     multiplicative=args.multiplicative,
                                     additive=additive)
-        payload = {"mode": "identity", "report": rep.as_dict()}
+        payload = {"mode": "identity", "report": rep}
     else:
         cfg = _puncture_config(_load_json(args.config)) if args.config else None
         gmap = build_global_qi_map(dom, cfg, allow_unbounded=args.allow_unbounded)
@@ -308,7 +304,7 @@ def _cmd_qi_verify(args) -> int:
         rep = verify_rough_isometry(dom, gmap, pairs,
                                     multiplicative=args.multiplicative,
                                     additive=additive)
-        payload = {"mode": "global", "map": gmap.as_dict(), "report": rep.as_dict()}
+        payload = {"mode": "global", "map": gmap, "report": rep}
     _emit(payload)
     return 0 if rep.ok else 1
 

@@ -23,6 +23,7 @@ from .domains import (
     ComplementPoint,
     Domain,
     DomainError,
+    JsonRecord,
     OutsideDomainError,
     rho_length,
 )
@@ -100,7 +101,7 @@ class InconsistentIntervalError(ValueError):
 
 
 @dataclass(frozen=True)
-class DistanceInterval:
+class DistanceInterval(JsonRecord):
     """A certified enclosure [lower, upper] of a distance; each endpoint
     carries a label naming the estimate that produced it."""
 
@@ -125,10 +126,6 @@ class DistanceInterval:
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lower - tol <= x <= self.upper + tol
-
-    def as_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "lower_source": self.lower_source, "upper_source": self.upper_source}
 
     def __str__(self) -> str:
         return f"[{self.lower:.12g}, {self.upper:.12g}]"

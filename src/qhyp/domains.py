@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -408,7 +408,7 @@ class Domain:
         self._components = tuple(components)
         self._points = tuple(c.point for c in self._components if isinstance(c, ComplementPoint))
         self.contains_infinity = bool(contains_infinity)
-        self._json = json.dumps(spec)
+        self._json = json.dumps(to_json(spec))
         self._gap_ranges: dict = {}
 
     def complement_components(self) -> Tuple[Component, ...]:
@@ -557,8 +557,7 @@ class FiniteComplement(Domain):
 
     def __init__(self, punctures: Sequence[ExtPoint], contains_infinity: bool = False):
         self.punctures = _distinct_points(punctures)
-        spec = {"type": "finite_complement",
-                "punctures": [[p.real, p.imag] for p in self.punctures]}
+        spec = {"type": "finite_complement", "punctures": self.punctures}
         if contains_infinity:
             spec["contains_infinity"] = True
         super().__init__([ComplementPoint(p) for p in self.punctures], contains_infinity, spec)
@@ -604,8 +603,7 @@ class PuncturedSubdomain(Domain):
         super().__init__(
             base.complement_components() + tuple(ComplementPoint(p) for p in self.punctures),
             base.contains_infinity,
-            {"type": "punctured_subdomain", "base": base.to_json_dict(),
-             "punctures": [[p.real, p.imag] for p in self.punctures]})
+            {"type": "punctured_subdomain", "base": base, "punctures": self.punctures})
 
 
 class TranslatedScaled(Domain):
@@ -619,8 +617,7 @@ class TranslatedScaled(Domain):
         super().__init__(
             [comp.transformed(scale, shift) for comp in base.complement_components()],
             base.contains_infinity,
-            {"type": "translated_scaled", "base": base.to_json_dict(),
-             "scale": [scale.real, scale.imag], "shift": [shift.real, shift.imag]})
+            {"type": "translated_scaled", "base": base, "scale": scale, "shift": shift})
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +635,39 @@ def _require_fields(obj: dict, where: str, required: Sequence[str],
     for key in required:
         if key not in obj:
             raise SchemaError(f"missing field {key!r} in {where}")
+
+
+def to_json(value):
+    """The wire form of a result, the inverse of the readers below: a
+    complex number as [re, im], ``INF`` as "infinity", an ``Annulus`` as its
+    center and radii, a ``Polyline`` as its vertices, a ``Domain`` as its
+    spec, a record as its own ``as_dict``, and a tuple as a list.  Dicts and
+    lists are written entry by entry; numbers, strings, booleans and None
+    are kept, so an unbounded end prints as ``Infinity``."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if is_infinite(value):
+        return "infinity"
+    if isinstance(value, Annulus):
+        return {"center": to_json(value.center), "inner": value.inner, "outer": value.outer}
+    if isinstance(value, Polyline):
+        return to_json(value.points)
+    if isinstance(value, Domain):
+        return value.to_json_dict()
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if isinstance(value, dict):
+        return {k: to_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(v) for v in value]
+    return value
+
+
+class JsonRecord:
+    """A dataclass result whose ``as_dict`` writes each field through ``to_json``."""
+
+    def as_dict(self) -> dict:
+        return {f.name: to_json(getattr(self, f.name)) for f in fields(self)}
 
 
 def _parse_real(value, where: str) -> float:

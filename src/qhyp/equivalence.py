@@ -24,7 +24,7 @@ import numpy as np
 from .constants import KAPPA
 from .beta import up_modulus_sup
 from .densities import h_interval, h_upper_three_punct
-from .domains import ComplementDisk, ComplementDiskExterior, Domain, k_star_exact
+from .domains import ComplementDisk, ComplementDiskExterior, Domain, k_star_exact, to_json
 from .solver import VerdictCounts, k_interval_fast
 
 
@@ -216,14 +216,10 @@ class GlobalQIMap:
 
     def as_dict(self) -> dict:
         cfg = self.config
-        return {"punctures": [[p.real, p.imag] for p in cfg.punctures],
-                "radii": list(cfg.radii),
-                "witnesses": [[x.real, x.imag] for x in cfg.xis],
-                "r_inf": cfg.r_inf,
-                "xi_inf": [cfg.xi_inf.real, cfg.xi_inf.imag],
-                "up_modulus": self.up_modulus,
-                "m_prime": self.m_prime,
-                "additive_constant": self.additive_constant}
+        return to_json({"punctures": cfg.punctures, "radii": cfg.radii,
+                        "witnesses": cfg.xis, "r_inf": cfg.r_inf, "xi_inf": cfg.xi_inf,
+                        "up_modulus": self.up_modulus, "m_prime": self.m_prime,
+                        "additive_constant": self.additive_constant})
 
 
 def build_global_qi_map(domain: Domain,
@@ -270,12 +266,6 @@ class RoughIsometryReport(VerdictCounts):
     slack: float
     proved: int = 0
 
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "pairs": self.pairs,
-                "multiplicative": self.multiplicative, "additive": self.additive,
-                "violations": list(self.violations), "slack": self.slack,
-                **self.verdicts()}
-
 
 def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
                           pairs: Sequence[Tuple[complex, complex]],
@@ -307,8 +297,7 @@ def verify_rough_isometry(domain: Domain, phi: Callable[[complex], complex],
         slack = max(slack, over, under, 0.0)
         tol = 1e-9 * max(1.0, kiv.lower, hiv.lower)
         if over > tol or under > tol:
-            violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
-                               "h": hiv.as_dict(), "k_image": kiv.as_dict(),
+            violations.append({"a": a, "b": b, "h": hiv, "k_image": kiv,
                                "excess": max(over, under)})
         elif kiv.upper <= L * hiv.lower + C and hiv.upper / L - C <= kiv.lower:
             proved += 1

@@ -118,6 +118,7 @@ from .densities import (
 )
 from .domains import (
     Domain,
+    JsonRecord,
     OutsideDomainError,
     UnsupportedDomainError,
     annulus_inside,
@@ -166,15 +167,10 @@ class Resolution:
 
 
 @dataclass(frozen=True)
-class GeodesicResult:
+class GeodesicResult(JsonRecord):
     distance: DistanceInterval
     path: Polyline
     meta: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"distance": self.distance.as_dict(),
-                "path": [[p.real, p.imag] for p in self.path.points],
-                "meta": self.meta}
 
 
 # ---------------------------------------------------------------------------
@@ -1098,13 +1094,13 @@ def chordal_gp_lower(domain: Domain, a: complex, b: complex) -> float:
 def k_chordal_numeric(domain: Domain, a: complex, b: complex,
                       resolution: Optional[Resolution] = None) -> GeodesicResult:
     """Certified enclosure of the chordally normalized quasihyperbolic
-    distance.  The lower bound combines the spherical gap estimate with a
-    quarter of the best euclidean lower bound."""
+    distance.  The lower bound is the spherical gap estimate
+    (``chordal_gp_lower``), which holds on a domain that contains infinity
+    too.  A quarter of the euclidean lower bound is not used: on such a
+    domain it bounds the plane domain, not this one, and on the others it
+    was never found above the spherical gap."""
     density = chordal_quasihyperbolic_density(domain)
-    lo_sph = (chordal_gp_lower(domain, a, b), "chordal-gap")
-    lo_euc = k_lower_analytic(domain, a, b)
-    lower = lo_sph if lo_sph[0] >= 0.25 * lo_euc[0] else \
-        (0.25 * lo_euc[0], f"quarter-euclidean[{lo_euc[1]}]")
+    lower = (chordal_gp_lower(domain, a, b), "chordal-gap")
     return _geodesic(domain, a, b, density, lower, resolution or Resolution(), punctures=None)
 
 
@@ -1162,17 +1158,18 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     upper = math.inf
     up_src = "none"
     curves: List[Tuple[Polyline, str]] = []
-    candidates: List[Tuple[Polyline, str]] = [(Polyline([a, b]), "segment")]
     anchors = list(domain.finite_boundary_points())
     for comp in domain.complement_components():
         c = getattr(comp, "center", None)
         if c is not None and not any(abs(c - q) < 1e-12 for q in anchors):
             anchors.append(c)
-    for c in anchors:
-        if abs(a - c) > 0 and abs(b - c) > 0:
-            candidates.append((chi_arc(a, b, c), f"arc({c:g})"))
-
-    for path, name in candidates:
+    # the segment, then an arc about each anchor
+    candidates = [(None, "segment")] + [(c, f"arc({c:g})") for c in anchors if c not in (a, b)]
+    for c, name in candidates:
+        try:
+            path = Polyline([a, b]) if c is None else chi_arc(a, b, c)
+        except OverflowError:
+            continue  # a vertex or a step whose modulus overflows: no curve to measure
         val = _k_length(path, density, punctures, upper)
         if val == math.inf:
             continue  # the curve meets the boundary, or quadrature did not converge
@@ -1209,10 +1206,10 @@ def _k_length(path: Polyline, density, punctures: Optional[Tuple[complex, ...]],
 # Structural checks built on the solver
 # ---------------------------------------------------------------------------
 
-class VerdictCounts:
+class VerdictCounts(JsonRecord):
     """A verification report's pairs, each counted once: as violated, as
     proved, or else as inconclusive.  Needs ``pairs``, ``proved`` and
-    ``violations``."""
+    ``violations``; ``as_dict`` writes the other two counts beside them."""
 
     @property
     def violated(self) -> int:
@@ -1222,8 +1219,8 @@ class VerdictCounts:
     def inconclusive(self) -> int:
         return self.pairs - self.proved - self.violated
 
-    def verdicts(self) -> dict:
-        return {"proved": self.proved, "violated": self.violated,
+    def as_dict(self) -> dict:
+        return {**super().as_dict(), "violated": self.violated,
                 "inconclusive": self.inconclusive}
 
 
@@ -1236,12 +1233,6 @@ class AnnulusComparisonReport(VerdictCounts):
     worst_ratio_low: float
     worst_ratio_high: float
     proved: int = 0
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "pairs": self.pairs, "delta_ok": self.delta_ok,
-                "violations": list(self.violations),
-                "worst_ratio_low": self.worst_ratio_low,
-                "worst_ratio_high": self.worst_ratio_high, **self.verdicts()}
 
 
 def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
@@ -1288,8 +1279,7 @@ def check_annulus_k_comparison(domain: Domain, ann: Annulus, n_pairs: int = 12,
         low_bad = math.isfinite(iv.upper) and iv.upper < ks * (1.0 - 1e-9)
         high_bad = iv.lower > 2.0 * ks * (1.0 + 1e-9)
         if low_bad or high_bad:
-            violations.append({"a": [a.real, a.imag], "b": [b.real, b.imag],
-                               "one_puncture": ks, "interval": iv.as_dict()})
+            violations.append({"a": a, "b": b, "one_puncture": ks, "interval": iv})
         elif ks <= iv.lower and iv.upper <= 2.0 * ks:
             proved += 1
     ok = delta_ok and not violations

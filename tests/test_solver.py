@@ -33,6 +33,7 @@ from qhyp import (
     check_annulus_k_comparison,
     chordal_gp_lower,
     gp_lower_bound,
+    h_interval,
     halfplane_distance,
     k_chordal_numeric,
     k_interval_fast,
@@ -1294,6 +1295,23 @@ def test_fast_interval_overflowing_piece_is_infinite():
     assert (iv.lower, iv.upper) == (1842.0680743952366, math.inf)
 
 
+def test_fast_interval_near_the_overflow_threshold():
+    # |a| and |a - 1| overflow: the segment and both arcs hold a vertex or a
+    # step whose modulus Python cannot take, so none is measured, and both
+    # enclosures keep their lower bounds instead of raising OverflowError
+    dom = FiniteComplement([0.0, 1.0])
+    for a, b in [(1.7e308 + 1.7e308j, 2.0), (2.0, 1.7e308 + 1.7e308j)]:
+        solver_module._last_fast = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = k_interval_fast(dom, a, b)
+            h = h_interval(dom, a, b)
+        assert (k.lower, k.upper, k.lower_source) == (710.0738448400672, math.inf,
+                                                      "winding(1+0j)")
+        assert (h.lower, h.upper) == (0.0, math.inf)
+    solver_module._last_fast = None
+
+
 def test_fast_interval_ordering_and_speed_shape():
     dom = FiniteComplement([0.0, 1.0, 2.0j])
     iv = k_interval_fast(dom, -1.0, 3.0 + 1.0j)
@@ -1338,6 +1356,18 @@ def test_annulus_comparison_rejects_thin_ring():
 def test_chordal_gp_lower_positive():
     dom = FiniteComplement([0.0])
     assert chordal_gp_lower(dom, 1.0, 4.0) > 0.0
+
+
+def test_chordal_lower_bound_on_the_sphere_minus_two_points():
+    # on a domain that contains infinity a quarter of the euclidean lower
+    # bound bounds the plane domain, not the chordal distance: on most of
+    # these pairs it lies above the grid path's certified upper bound
+    dom = FiniteComplement([0.0, 1.0], contains_infinity=True)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        a, b = (complex(x, y) for x, y in rng.uniform(-1000.0, 1000.0, (2, 2)))
+        kc = k_chordal_numeric(dom, a, b, Resolution(radial=16, angular=16)).distance
+        assert kc.lower <= kc.upper and kc.lower_source == "chordal-gap"
 
 
 def test_chordal_sandwich_one_puncture():
