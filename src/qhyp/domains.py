@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .constants import BLOCK
 from .geometry import (
     INF,
     Annulus,
@@ -934,27 +935,69 @@ def punctured_k_length(path, punctures: Sequence[complex]) -> float:
     a segment whose line meets p exactly keeps the divergent bound.  The
     2^-1070 pads would swamp a subnormal
     total, which ``_short_k_length`` bounds instead.  Memory is O(P S) for
-    P punctures and S segments: the cores and the gaps take one pass over
-    the punctures each.
+    P punctures and S segments in a block: ``punctured_k_lengths`` packs
+    paths into blocks of at most ``constants.BLOCK`` such entries, and only
+    a longer path makes a larger block, of its own; the cores and the gaps
+    take one pass over the punctures each.
     """
-    if isinstance(path, Polyline):
-        pts = path.as_array()
-    else:
-        pts = np.asarray(list(path), dtype=np.complex128)
+    return punctured_k_lengths([path], punctures)[0]
+
+
+def punctured_k_lengths(paths, punctures: Sequence[complex]) -> List[float]:
+    """``punctured_k_length`` of each polyline in ``paths``, measured
+    together.  Whole paths are packed, in order, into blocks of at most
+    ``constants.BLOCK`` puncture-by-segment entries (a path larger than a
+    block goes alone), and each block takes one ``_rescaled_pieces`` pass.
+    Every part is computed from its own segment and the punctures alone, and
+    a stable sort on the owning path gives each path its parts in the order
+    a block of that path alone gives them; so the sum, the test for inf and
+    the ``_short_k_length`` fallback see the same numbers, and each length
+    has the bits of a one-path call."""
+    arrays = [path.as_array() if isinstance(path, Polyline)
+              else np.asarray(list(path), dtype=np.complex128) for path in paths]
     p = np.asarray(list(punctures), dtype=np.complex128)[:, None]
-    u, v = pts[:-1], pts[1:]
-    if u.size == 0:
-        return 0.0
+    lengths = [0.0] * len(arrays)
+    measured = [i for i, z in enumerate(arrays) if z.size > 1]
+    if not measured:
+        return lengths
     if p.size == 0:
         raise ValueError("need at least one puncture")
+    room = max(1, BLOCK // p.shape[0])   # segments per block
+    blocks: List[List[int]] = []
+    used = room
+    for i in measured:
+        if used + arrays[i].size - 1 > room:
+            blocks.append([])
+            used = 0
+        blocks[-1].append(i)
+        used += arrays[i].size - 1
+    for block in blocks:
+        for i, value in zip(block, _block_k_lengths([arrays[i] for i in block], p)):
+            lengths[i] = value
+    return lengths
+
+
+def _block_k_lengths(arrays: List[np.ndarray], p: np.ndarray) -> List[float]:
+    """The k-lengths of the paths ``arrays`` (two vertices or more each)
+    about the (P, 1) column of punctures ``p``, in one pass."""
+    u = np.concatenate([z[:-1] for z in arrays])
+    v = np.concatenate([z[1:] for z in arrays])
+    owner = np.repeat(np.arange(len(arrays)), [z.size - 1 for z in arrays])
+    lengths = []
     with np.errstate(all="ignore"):
-        parts = _rescaled_pieces(u, v, p)
-        if not np.all(parts < math.inf):
-            return math.inf
-        total = _sum_upper(parts)
-        if total < sys.float_info.min:
-            total = min(total, _short_k_length(u, v, p))
-    return total
+        parts, seg = _rescaled_pieces(u, v, p)
+        owner = owner[seg]
+        parts = parts[np.argsort(owner, kind="stable")]
+        ends = np.cumsum(np.bincount(owner, minlength=len(arrays)))
+        for z, own in zip(arrays, np.split(parts, ends[:-1])):
+            if not np.all(own < math.inf):
+                lengths.append(math.inf)
+                continue
+            total = _sum_upper(own)
+            if total < sys.float_info.min:
+                total = min(total, _short_k_length(z[:-1], z[1:], p))
+            lengths.append(total)
+    return lengths
 
 
 def _sum_upper(parts: np.ndarray) -> float:
@@ -983,7 +1026,8 @@ def _short_k_length(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> float:
     return down if down * scale >= total else math.nextafter(down, math.inf)
 
 
-def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """``_punctured_pieces`` of the segments [u, v], except that a segment
     whose length or distance to a puncture is subnormal, or any segment
     where two punctures lie a subnormal distance apart, is measured after
@@ -992,7 +1036,9 @@ def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     The product is exact, and z -> 2^k z maps the plane minus the punctures
     onto the plane minus their images, keeping every k-length.  A segment
     whose own length or distance stays subnormal gets inf.  Where no size
-    is subnormal the result is ``_punctured_pieces``' own."""
+    is subnormal the result is ``_punctured_pieces``' own.  The parts come
+    with their segments' indices: the plain segments' parts first, then an
+    inf for each stuck one, then the lifted ones', by increasing k."""
     gaps = np.abs(p - p.T)
     gap = gaps[gaps > 0].min(initial=math.inf)
     own = np.minimum(np.abs(v - u), np.minimum(np.abs(p - u), np.abs(p - v)).min(axis=0))
@@ -1008,13 +1054,17 @@ def _rescaled_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     shift = np.minimum(math.frexp(_LIFTED)[1] - np.frexp(size)[1], 1024 - np.frexp(top)[1])
     stuck = small & (np.ldexp(own, shift) < sys.float_info.min)
     small &= ~stuck & (shift > 0)
-    parts = [_punctured_pieces(u[~(small | stuck)], v[~(small | stuck)], p),
-             np.full(np.count_nonzero(stuck), np.inf)]
+    plain = ~(small | stuck)
+    vals, seg = _punctured_pieces(u[plain], v[plain], p)
+    parts = [vals, np.full(np.count_nonzero(stuck), np.inf)]
+    segs = [np.flatnonzero(plain)[seg], np.flatnonzero(stuck)]
     for k in np.unique(shift[small]):
         scale = 2.0 ** int(k)
         pick = small & (shift == k)
-        parts.append(_punctured_pieces(u[pick] * scale, v[pick] * scale, p * scale))
-    return np.concatenate(parts)
+        vals, seg = _punctured_pieces(u[pick] * scale, v[pick] * scale, p * scale)
+        parts.append(vals)
+        segs.append(np.flatnonzero(pick)[seg])
+    return np.concatenate(parts), np.concatenate(segs)
 
 
 def _foot_distance(q: complex, a: complex, b: complex) -> float:
@@ -1041,9 +1091,13 @@ def _foot_distance(q: complex, a: complex, b: complex) -> float:
         return 0.0
 
 
-def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """The padded upper bounds of every core and gap of every segment, for
-    ``punctured_k_length``; ``p`` is the (P, 1) column of punctures."""
+    ``punctured_k_length``, and the index of each one's segment in ``u``;
+    ``p`` is the (P, 1) column of punctures.  The cores come first, by
+    puncture and then segment, and the gaps after them, by their place
+    along the segment and then segment."""
     pu, pv = p - u, p - v
     ru, rv = np.abs(pu), np.abs(pv)
     flip = rv.min(axis=0) < ru.min(axis=0)   # start from the end nearer the punctures
@@ -1053,16 +1107,22 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray
     seg = v - u
     length = np.abs(seg)
     live = length > 0
-    if not live.all():
+    index = np.flatnonzero(live)
+    if index.size < u.size:
         u, v, seg, length, pu, pv, ru, rv = (u[live], v[live], seg[live], length[live],
                                              pu[:, live], pv[:, live], ru[:, live], rv[:, live])
     nseg = u.size
     if nseg == 0:
-        return np.zeros(0)
+        return np.zeros(0), index
     e = seg / length
     ec = np.conj(e)
     l_hi, l_lo = length * (1.0 + 4.0 * _ROUND), length * (1.0 - 4.0 * _ROUND)
-    wu, wv = pu * ec, pv * ec
+    # ec as a (1, S) row: numpy takes a complex product whose result has one
+    # entry and operands of unequal dimension in its plain loop, and every
+    # other in its vector loop, whose fused multiply-add rounds differently;
+    # equal dimensions give each segment the vector loop's bits, whatever
+    # else its block holds
+    wu, wv = pu * ec[None, :], pv * ec[None, :]
     eu, ev = _ERR * ru + _ABS, _ERR * rv + _ABS
     su, sv = -wu.real, -wv.real          # offsets of u and v from each foot
     near_u = ru <= rv
@@ -1169,7 +1229,7 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray
     vals = _piece_upper((lo[:n], hi[:n]), (lo[n:], hi[n:]), ell, dd)
     ncore = rows_c.size
     if not ngap:
-        return vals
+        return vals, index[cols_c]
     # the 1-Lipschitz bound from either end of each gap
     lo, hi = offsets(np.arange(npunct)[:, None], np.concatenate([gs, gs]),
                      np.concatenate([t0, t1]), np.concatenate([at0, at1]))
@@ -1181,4 +1241,4 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray
                  * (1.0 + _PAD) + _TINY)
     reduced = np.where(reducible, vals[ncore:], np.inf)
     charge = np.minimum(lipschitz, reduced).reshape(2, ngap).min(axis=0)
-    return np.concatenate([vals[:ncore], charge])
+    return np.concatenate([vals[:ncore], charge]), index[np.concatenate([cols_c, gs])]

@@ -376,9 +376,11 @@ def _overflowing(z: np.ndarray) -> bool:
 class Polyline:
     """Immutable piecewise linear path through the finite vertices it is
     given, in order.  Consecutive vertices may coincide: a zero-length
-    segment adds nothing to a length, and every measurement skips it."""
+    segment adds nothing to a length, and every measurement skips it.  The
+    vertices are kept as a tuple and as the read-only array they were
+    validated in."""
 
-    __slots__ = ("points", "_length")
+    __slots__ = ("points", "_array", "_length")
 
     def __init__(self, points: Sequence[ExtPoint]):
         z = _finite_array(points)
@@ -389,7 +391,11 @@ class Polyline:
             raise ValueError("a polyline needs at least one point")
         if _overflowing(z):
             raise OverflowError("absolute value too large")
+        if z is points:
+            z = z.copy()  # the caller's own array stays writable and apart
+        z.flags.writeable = False
         object.__setattr__(self, "points", tuple(z.tolist()))
+        object.__setattr__(self, "_array", z)
         object.__setattr__(self, "_length", None)
 
     def __setattr__(self, name, value):
@@ -405,7 +411,8 @@ class Polyline:
         return self.points[i]
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=np.complex128)
+        """The vertices, as a read-only complex array."""
+        return self._array
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray]:
         z = self.as_array()
@@ -465,17 +472,18 @@ def chi_arc(a: ExtPoint, b: ExtPoint, center: ExtPoint = 0.0) -> Polyline:
     # radial projection of the far point onto the near radius
     pivot = vb * (abs(va) / abs(vb))
     dphi = cmath.phase(pivot / va)
-    pts: List[complex] = [va]
+    pts = np.array([va])
     if abs(dphi) > 0.0:
         n = max(1, math.ceil(abs(dphi) / _ARC_STEP))
-        rot = cmath.exp(1j * dphi / n)
-        zz = va
-        for _ in range(n - 1):
-            zz *= rot
-            pts.append(zz)
-        pts.append(pivot)
+        # va rot^k for k < n, one product at a time as Python's complex
+        # multiply takes it: numpy runs an accumulation whose output overlaps
+        # its input (three terms or more) in its plain loop, where a single
+        # product may take the fused vector loop and round differently
+        steps = np.full(max(n, 3), cmath.exp(1j * dphi / n))
+        steps[0] = va
+        pts = np.append(np.multiply.accumulate(steps)[:n], pivot)
     if abs(vb) > abs(va):
-        pts.append(vb)
+        pts = np.append(pts, vb)
     if flipped:
-        pts.reverse()
-    return Polyline([a, *(np.array(pts[1:-1]) + c), b])
+        pts = pts[::-1]
+    return Polyline(np.concatenate([[a], pts[1:-1] + c, [b]]))

@@ -11,11 +11,11 @@ has one arc per cell of the graph path's route, of closed-form length
 sqrt(du^2 + dtheta^2), and one unknown per crossing, its offset along the
 Voronoi edge there, which Newton with a tridiagonal Hessian minimises.  The
 chain is sampled along its arcs, ``CHAIN_SAMPLES`` steps per radian, and
-measured by ``punctured_k_length``.  Its guard lets it serve (upper source
-``spiral-chain``) only where every sample lies in the cell its arc assumes
-and its certified length is finite and at most the graph path's; else it
-falls back to the relaxation, which then runs exactly as it would without
-the chain.
+measured in closed form (``domains.punctured_k_lengths``).  Its guard lets
+it serve (upper source ``spiral-chain``) only where every sample lies in
+the cell its arc assumes and its certified length is finite and at most
+the graph path's; else it falls back to the relaxation, which then runs
+exactly as it would without the chain.
 
 The relaxation serves the chordal density, the domains that are not point
 complements and the chain's fallbacks.  It straightens the graph path by
@@ -28,14 +28,16 @@ path leaves open above the lower bound.  Every curve measured, the graph,
 chain and relaxed paths as well as ``k_interval_fast``'s segment and arcs,
 keeps the vertices it was built from, repeated ones included, so it runs
 from a to b exactly and its length is a genuine upper bound for the
-distance; the lower bound comes from closed-form estimates.  ``_k_length``
-measures every curve.  On the plane minus finitely many points it evaluates
-the closed form ``domains.punctured_k_length``, rounded outward, so there
-the interval holds without a tolerance.  Elsewhere, and for the chordal
-density, it probes the density at the vertices and segment midpoints and
-then integrates by adaptive quadrature, certified up to ``MEASURE_TOL``,
-which is also the outward pad; a density that is not finite and positive
-there, or a quadrature that does not converge, gives an infinite length.
+distance; the lower bound comes from closed-form estimates.  On the plane
+minus finitely many points every curve is measured by the closed form
+``domains.punctured_k_lengths``, rounded outward, so there the interval
+holds without a tolerance: ``_k_length`` passes it one curve, and
+``k_interval_fast`` all its candidates at once.  Elsewhere, and for the
+chordal density, ``_k_length`` probes the density at the vertices and
+segment midpoints and then integrates by adaptive quadrature, certified up
+to ``MEASURE_TOL``, which is also the outward pad; a density that is not
+finite and positive there, or a quadrature that does not converge, gives
+an infinite length.
 An upper bound that comes out below the lower one raises
 ``InconsistentIntervalError``.
 
@@ -123,7 +125,7 @@ from .domains import (
     UnsupportedDomainError,
     annulus_inside,
     k_star_exact,
-    punctured_k_length,
+    punctured_k_lengths,
     rho_length,
 )
 from .geometry import Annulus, Polyline, chi_arc, chordal_distance, segment_point_distance
@@ -1030,7 +1032,7 @@ def _geodesic(domain: Domain, a: complex, b: complex, density,
         # homotopy class serves where every sample lies in its arc's cell and
         # it measures no longer than the graph path
         points, arcs, steps = _spiral_chain(raw, punctures)
-        upper = math.inf if points is None else punctured_k_length(points, punctures)
+        upper = math.inf if points is None else punctured_k_lengths([points], punctures)[0]
         fallback = not upper < math.inf or upper > graph_upper
         chain_end = time.perf_counter()
         meta.update(chain_s=chain_end - t3, chain_arcs=arcs, chain_steps=steps,
@@ -1111,12 +1113,14 @@ def k_chordal_numeric(domain: Domain, a: complex, b: complex,
 def k_interval_fast(domain: Domain, a: complex, b: complex) -> DistanceInterval:
     """Two-sided quasihyperbolic enclosure from closed-form lower bounds and
     measured candidate curves (straight segment, circular-arc detours around
-    each removed point).  No grid; looser than the numeric solver.  Each
-    curve is measured by ``_k_length``, and one of infinite length is
-    dropped: on the plane minus finitely many points in closed form,
-    rounded outward (``punctured_k_length``); elsewhere by quadrature at
-    ``MEASURE_TOL``, padded by that factor, so the upper bound is certified
-    up to that tolerance."""
+    each removed point and each disk component's centre).  No grid; looser
+    than the numeric solver.  A curve of infinite length is dropped, and the
+    first of the shortest gives the upper bound.  On the plane minus
+    finitely many points every candidate is built first and all are measured
+    in closed form, rounded outward, in one ``punctured_k_lengths`` call;
+    elsewhere each is measured in turn by quadrature at ``MEASURE_TOL``,
+    padded by that factor and cut off once it exceeds the best so far, so
+    the upper bound is certified up to that tolerance."""
     return _k_interval_fast_curves(domain, a, b)[0]
 
 
@@ -1161,16 +1165,23 @@ def _measure_fast(domain: Domain, a: complex, b: complex
     anchors = list(domain.finite_boundary_points())
     for comp in domain.complement_components():
         c = getattr(comp, "center", None)
-        if c is not None and not any(abs(c - q) < 1e-12 for q in anchors):
+        # exact: a tolerance in absolute terms would merge a small disk's
+        # centre with a puncture beside it
+        if c is not None and c not in anchors:
             anchors.append(c)
     # the segment, then an arc about each anchor
-    candidates = [(None, "segment")] + [(c, f"arc({c:g})") for c in anchors if c not in (a, b)]
-    for c, name in candidates:
+    candidates = []
+    for c, name in [(None, "segment")] + [(c, f"arc({c:g})") for c in anchors
+                                          if c not in (a, b)]:
         try:
-            path = Polyline([a, b]) if c is None else chi_arc(a, b, c)
+            candidates.append((Polyline([a, b]) if c is None else chi_arc(a, b, c), name))
         except OverflowError:
             continue  # a vertex or a step whose modulus overflows: no curve to measure
-        val = _k_length(path, density, punctures, upper)
+    # on the plane minus points all candidates are measured in one batch
+    lengths = (None if punctures is None
+               else punctured_k_lengths([path for path, _ in candidates], punctures))
+    for i, (path, name) in enumerate(candidates):
+        val = _k_length(path, density, None, upper) if lengths is None else lengths[i]
         if val == math.inf:
             continue  # the curve meets the boundary, or quadrature did not converge
         curves.append((path, name))
@@ -1182,13 +1193,13 @@ def _measure_fast(domain: Domain, a: complex, b: complex
 def _k_length(path: Polyline, density, punctures: Optional[Tuple[complex, ...]],
               stop_above: float = math.inf) -> float:
     """An upper bound of a curve's k-length under ``density``: in closed form
-    (``punctured_k_length``) on the plane minus ``punctures``; else (None)
+    (``punctured_k_lengths``) on the plane minus ``punctures``; else (None)
     ``rho_length`` at ``MEASURE_TOL``, padded outward by that factor, and inf
     where the density is not finite and positive at a vertex, a segment
     midpoint or on the curve, or the quadrature does not converge.  A length
     cut off above ``stop_above`` still exceeds it."""
     if punctures is not None:
-        return punctured_k_length(path, punctures)
+        return punctured_k_lengths([path], punctures)[0]
     probe = path.as_array()
     vals = density(probe)
     mids = density(0.5 * (probe[:-1] + probe[1:]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qhyp import (
@@ -30,12 +30,14 @@ from qhyp import (
     UpperHalfPlane,
     beta,
     beta_field,
+    chi_arc,
     chordal_distance,
     chordal_distance_field,
     domain_from_json,
     domain_from_json_text,
     hyperbolic_disk_distance,
     punctured_k_length,
+    punctured_k_lengths,
     quasihyperbolic_density,
     rho_length,
 )
@@ -844,6 +846,84 @@ def test_punctured_k_length_agrees_with_quadrature_on_thick_curves():
     path = Polyline([-0.5 + 0.3j, 0.5 + 0.5j, 2.1 - 1.0j, 3.0 + 2.0j, -1.0 + 2.0j])
     quad = rho_length(path, quasihyperbolic_density(dom), rel_tol=1e-12)
     assert punctured_k_length(path, dom.finite_boundary_points()) == pytest.approx(quad, rel=1e-10)
+
+
+# the benchmark's 16-point ring: radii 1 and 1.5 in turn
+_RING = [cmath.exp(2j * math.pi * k / 16) * (1.0 + 0.5 * (k % 2)) for k in range(16)]
+_BATCH_PUNCTURES = [[0j], [0j, 1 + 0j], [0j, 1 + 0j, 1j, -1.5 + 0.5j], _RING, [0j, 3e-320 + 0j]]
+
+
+def _spiral(n: int, turns: float, r0: float, r1: float) -> list:
+    """n + 1 vertices along a log-spiral about 0 from radius r0 to r1."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    return (r0 ** (1.0 - t) * r1 ** t * np.exp(2j * math.pi * turns * t)).tolist()
+
+
+@st.composite
+def _path_batch(draw):
+    """A set of punctures and paths of every kind the batch meets: one
+    vertex, repeated vertices, through a puncture, at subnormal scale about
+    a puncture (whose parts take the lifted branch), chi arcs and long
+    spirals."""
+    punctures = draw(st.sampled_from(_BATCH_PUNCTURES))
+    coord = st.floats(-3.0, 3.0)
+    point = st.builds(complex, coord, coord)
+    paths = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["one", "plain", "through", "tiny", "arc", "spiral"]))
+        if kind == "one":
+            paths.append([draw(point)])
+        elif kind == "plain":
+            path = draw(st.lists(point, min_size=2, max_size=6))
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(path) - 1))
+                path.insert(k, path[k])      # a repeated vertex
+            paths.append(path)
+        elif kind == "through":
+            p, w = draw(st.sampled_from(punctures)), draw(point)
+            assume(w != 0)
+            paths.append([p - w, p + w])
+        elif kind == "tiny":
+            p = draw(st.sampled_from(punctures))
+            paths.append([p + 10.0 ** draw(st.floats(-323.0, -300.0))
+                          * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+                          for _ in range(draw(st.integers(2, 4)))])
+        elif kind == "arc":
+            a, b, c = draw(point), draw(point), draw(st.sampled_from(punctures))
+            assume(a != c and b != c)
+            paths.append(list(chi_arc(a, b, c)))
+        else:
+            paths.append(_spiral(draw(st.integers(2, 1500)), draw(st.floats(-3.0, 3.0)),
+                                 0.1, 2.5))
+    return punctures, paths
+
+
+# at P = 16, more than three blocks of 1024 segments, one path larger than
+# a block among them, and small paths on either side of each block's edge
+_MANY_ARCS = [list(chi_arc(2.0 * cmath.exp(0.3j * k), -1.7 * cmath.exp(0.3j * k), 0j))
+              for k in range(20)]
+_OVER_A_BLOCK = _spiral(1500, 2.5, 0.1, 2.5)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_path_batch())
+@example((_RING, [[0.1 + 0.1j], *_MANY_ARCS[:7], [0.1 + 0.1j, 1.9 + 0.3j], _OVER_A_BLOCK,
+                  [0.3j, 0.3j, 2.0], *_MANY_ARCS[7:], [1.0 - 1.0j, 1.0 + 1.0j]]))
+@example(([0j, 3e-320 + 0j], [[1e-310 + 2e-310j, -3e-310j], [0.5 + 0.5j, 2.0],
+                              [1.0, 1.0, 2.0j], [-1e-300, 1e-300]]))
+def test_punctured_k_lengths_match_one_path_calls_bit_for_bit(case):
+    punctures, paths = case
+    got = punctured_k_lengths(paths, punctures)
+    want = [punctured_k_length(path, punctures) for path in paths]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_punctured_k_lengths_of_no_path_and_of_single_points():
+    assert punctured_k_lengths([], [0j]) == []
+    assert punctured_k_lengths([[1.0], Polyline([2.0j])], [0j]) == [0.0, 0.0]
+    assert punctured_k_lengths([[1.0]], []) == [0.0]
+    with pytest.raises(ValueError):
+        punctured_k_lengths([[1.0], [1.0, 2.0]], [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Sphere geometry primitives: chordal metric, annuli, polylines."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from qhyp import (
     is_infinite,
     segment_point_distance,
 )
-from qhyp.geometry import as_finite
+from qhyp.geometry import _ARC_STEP, as_finite
 
 finite_points = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -248,6 +249,71 @@ def test_chi_arc_shifted_center():
     radii = np.abs(path.as_array() - c)
     assert radii.min() >= 1.0 - 1e-9
     assert radii.max() <= 4.0 + 1e-9
+
+
+def _chi_arc_reference(a: complex, b: complex, c: complex) -> Polyline:
+    """``chi_arc`` as a Python loop that multiplies by the rotation one
+    vertex at a time."""
+    if a == b:
+        return Polyline([a])
+    va, vb = a - c, b - c
+    flipped = abs(va) > abs(vb)
+    if flipped:
+        va, vb = vb, va
+    pivot = vb * (abs(va) / abs(vb))
+    dphi = cmath.phase(pivot / va)
+    pts = [va]
+    if abs(dphi) > 0.0:
+        n = max(1, math.ceil(abs(dphi) / _ARC_STEP))
+        rot = cmath.exp(1j * dphi / n)
+        zz = va
+        for _ in range(n - 1):
+            zz *= rot
+            pts.append(zz)
+        pts.append(pivot)
+    if abs(vb) > abs(va):
+        pts.append(vb)
+    if flipped:
+        pts.reverse()
+    return Polyline([a, *(np.array(pts[1:-1]) + c), b])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("a, b, c", [
+    (1.0, -1.0, 0.0),                                  # a half-turn
+    (1.0, 2.0 * cmath.exp(0.5j * _ARC_STEP), 0.0),     # one step (n = 1)
+    (1.0, 2.0 * cmath.exp(1.5j * _ARC_STEP), 0.0),     # two steps (n = 2)
+    (1.0, 2.0 * cmath.exp(2.5j * _ARC_STEP), 0.0),     # three steps
+    (1.0, 1.0 + 1e-300j, 0.0),                         # no turn
+    (3.0 + 1.0j, 0.5 - 0.2j, 0.0),                     # flipped: |a| > |b|
+    (4.0 - 1.0j, 2.5 + 3.0j, 3.0 - 2.0j),              # a shifted centre
+    (-0.5 + 0.3j, 2.1 - 1.0j, 1.0),
+])
+def test_chi_arc_vertices_match_the_loop_bit_for_bit(a, b, c, scale):
+    a, b, c = a * scale, b * scale, c * scale
+    got, want = chi_arc(a, b, c).as_array(), _chi_arc_reference(a, b, c).as_array()
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.complex_numbers(max_magnitude=10.0), st.complex_numbers(max_magnitude=10.0),
+       st.complex_numbers(max_magnitude=10.0), st.sampled_from([1.0, 1e-150, 1e150]))
+def test_chi_arc_vertices_match_the_loop_on_random_arcs(a, b, c, scale):
+    assume(a != c and b != c)
+    a, b, c = a * scale, b * scale, c * scale
+    assume(a != c and b != c)
+    got, want = chi_arc(a, b, c).as_array(), _chi_arc_reference(a, b, c).as_array()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_polyline_array_is_read_only_and_kept_apart_from_the_input():
+    z = np.array([0.0, 1.0 + 1.0j, 2.0])
+    path = Polyline(z)
+    z[0] = 5.0
+    assert path[0] == 0.0 and path.as_array()[0] == 0.0
+    assert path.as_array() is path.as_array()
+    with pytest.raises(ValueError):
+        path.as_array()[0] = 1.0
 
 
 _ANCHORS = [0.0, 1.0, 1.0j, -1.5 + 0.5j]

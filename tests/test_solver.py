@@ -42,7 +42,8 @@ from qhyp import (
     k_star_exact,
 )
 from qhyp.constants import BLOCK
-from qhyp.densities import chordal_quasihyperbolic_density, quasihyperbolic_density
+from qhyp.densities import (DistanceInterval, chordal_quasihyperbolic_density,
+                             quasihyperbolic_density)
 from qhyp.geometry import segment_point_distance
 from qhyp import solver as solver_module
 from qhyp.solver import (DEPTH_CAP, _build_graph, _edge_weights, _punctures, _quadtree,
@@ -1275,7 +1276,9 @@ def test_fast_interval_is_exact_to_rounding_across_scales():
 def test_an_upper_bound_below_the_lower_one_raises(monkeypatch):
     # no clamp ties an inverted enclosure together any more
     dom = FiniteComplement([0.0, 1.0])
-    monkeypatch.setattr(solver_module, "punctured_k_length", lambda path, punctures: 1.0)
+    # the one kernel that both k_interval_fast's batch and _k_length call
+    monkeypatch.setattr(solver_module, "punctured_k_lengths",
+                        lambda paths, punctures: [1.0] * len(paths))
     solver_module._last_fast = None
     with pytest.raises(InconsistentIntervalError):
         k_interval_fast(dom, -0.5 + 0.3j, 2.1 - 1.0j)
@@ -1309,6 +1312,78 @@ def test_fast_interval_near_the_overflow_threshold():
         assert (k.lower, k.upper, k.lower_source) == (710.0738448400672, math.inf,
                                                       "winding(1+0j)")
         assert (h.lower, h.upper) == (0.0, math.inf)
+    solver_module._last_fast = None
+
+
+def _measure_fast_reference(domain, a, b):
+    """``_measure_fast`` on the plane minus points as one-path calls: each
+    candidate built and measured in turn, and the first of the shortest
+    finite lengths kept."""
+    punctures = domain.point_punctures()
+    lower, lower_source = k_lower_analytic(domain, a, b)
+    upper, upper_source, curves = math.inf, "none", []
+    for c, name in [(None, "segment")] + [(c, f"arc({c:g})") for c in punctures
+                                          if c not in (a, b)]:
+        try:
+            path = qhyp.Polyline([a, b]) if c is None else qhyp.chi_arc(a, b, c)
+        except OverflowError:
+            continue
+        val = qhyp.punctured_k_length(path, punctures)
+        if val == math.inf:
+            continue
+        curves.append((path, name))
+        if val < upper:
+            upper, upper_source = val, name
+    return DistanceInterval(lower, upper, lower_source, upper_source), curves
+
+
+@st.composite
+def _fast_pair(draw):
+    """A plane minus 2, 4 or 16 points, perhaps scaled by 1e-8 or 1e8, and
+    two points in it: in a box about the punctures, or 1e-300 to 1e-3 from
+    one of them."""
+    punctures = draw(st.sampled_from([[0j, 1 + 0j], [0j, 1 + 0j, 1j, -1.5 + 0.5j], RING]))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e8]))
+    coord = st.floats(-3.0, 3.0)
+
+    def point():
+        if draw(st.booleans()):
+            return complex(draw(coord), draw(coord)) * scale
+        return (draw(st.sampled_from(punctures)) + 10.0 ** draw(st.floats(-300.0, -3.0))
+                * cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))) * scale
+
+    dom = FiniteComplement([p * scale for p in punctures])
+    a, b = point(), point()
+    assume(a != b and a not in dom.point_punctures() and b not in dom.point_punctures())
+    return dom, a, b
+
+
+@settings(deadline=None, max_examples=60)
+@given(_fast_pair())
+def test_measure_fast_matches_one_path_measurements(case):
+    # all candidates in one batch: the same lengths, winner and curves as
+    # measuring them one at a time
+    dom, a, b = case
+    (iv, curves), (want, want_curves) = (solver_module._measure_fast(dom, a, b),
+                                         _measure_fast_reference(dom, a, b))
+    assert [iv.lower.hex(), iv.upper.hex(), iv.lower_source, iv.upper_source] == [
+        want.lower.hex(), want.upper.hex(), want.lower_source, want.upper_source]
+    assert curves == want_curves
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+def test_disk_centre_is_an_arc_centre_at_every_scale(scale):
+    # below 1e-12 the disk's centre 0 and the puncture 2 fell within an
+    # absolute 1e-12 of each other: the arc about 0 was dropped and both
+    # upper bounds were inf
+    a0, b0 = 0.565520935852337 - 0.8495777763711911j, -0.4974648436578364 + 0.9257291568864556j
+    base = PuncturedSubdomain(ExteriorUnitDisk(), [2.0])
+    dom = TranslatedScaled(base, scale)
+    k = k_interval_fast(dom, a0 * scale, b0 * scale)
+    h = h_interval(dom, a0 * scale, b0 * scale)
+    assert k.upper_source == "arc(0+0j)"
+    assert k.upper == pytest.approx(k_interval_fast(base, a0, b0).upper, rel=1e-12)
+    assert h.upper == pytest.approx(h_interval(base, a0, b0).upper, rel=1e-12)
     solver_module._last_fast = None
 
 
