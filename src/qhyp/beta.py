@@ -172,6 +172,13 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
     instead of one per other component.  Other components reduce their
     (J, m) terms from ``_gap_terms``.  Terms that are not finite are read as
     infinite."""
+    return _beta_and_delta(domain, z)[0]
+
+
+def _beta_and_delta(domain: Domain, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``beta_field`` and the distance to the boundary, from one pass over
+    the components' ``distance_field``: the minimum of the same values that
+    ``Domain.delta_field`` takes, so it has its bits."""
     z = np.asarray(z, dtype=np.complex128)
     comps = domain.complement_components()
     if len(comps) == 0:
@@ -196,7 +203,7 @@ def beta_field(domain: Domain, z: np.ndarray) -> np.ndarray:
         out[mask] = np.fmin(out[mask], np.fmin.reduce(contribution, axis=0))
     if np.any(np.isinf(out[valid])):
         raise DomainError("the exponent needs at least two boundary points")
-    return np.where(valid, out, math.nan)
+    return np.where(valid, out, math.nan), delta
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +240,17 @@ def bp_lambda_bounds(domain: Domain, z: ExtPoint) -> BPBounds:
 def bp_lower_density(domain: Domain):
     """Vectorized pointwise lower bound for the hyperbolic density."""
     def rho(z):
-        z = np.asarray(z, dtype=np.complex128)
-        return 1.0 / (domain.delta_field(z) * (KAPPA + beta_field(domain, z)))
+        b, d = _beta_and_delta(domain, z)
+        return 1.0 / (d * (KAPPA + b))
     return rho
 
 
 def bp_upper_density(domain: Domain):
     """Vectorized pointwise upper bound; infinite where the exponent vanishes."""
     def rho(z):
-        z = np.asarray(z, dtype=np.complex128)
         with np.errstate(divide="ignore"):
-            return (math.pi / 2.0) / (domain.delta_field(z) * beta_field(domain, z))
+            b, d = _beta_and_delta(domain, z)
+            return (math.pi / 2.0) / (d * b)
     return rho
 
 

@@ -66,7 +66,7 @@ from .equivalence import (
     counterexample_divergence,
     verify_rough_isometry,
 )
-from .gridcsv import write_grid_csv
+from .gridcsv import format_17g, write_grid_csv
 from .solver import Resolution, SolverError, k_chordal_numeric, k_interval_fast, k_numeric
 from .acceptance import CRITERIA, run_all
 
@@ -161,10 +161,11 @@ def _cmd_geodesic(args) -> int:
     else:
         result = k_numeric(dom, args.src, args.dst, _resolution(args))
     if args.csv:
+        z = result.path.as_array()
+        text = format_17g(np.column_stack([z.real, z.imag]))[0].reshape(-1, 2)
+        rows = np.char.add(np.char.add(text[:, 0], b","), np.char.add(text[:, 1], b"\n"))
         with open(args.csv, "w") as fh:
-            fh.write("re,im\n")
-            for p in result.path.points:
-                fh.write(f"{p.real:.17g},{p.imag:.17g}\n")
+            fh.write("re,im\n" + b"".join(rows.tolist()).decode("ascii"))
     payload = result.as_dict()
     if args.max_vertices and len(payload["path"]) > args.max_vertices:
         payload["path"] = payload["path"][:args.max_vertices]

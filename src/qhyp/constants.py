@@ -20,7 +20,8 @@ INCIDENCE_RTOL = 1e-9
 # Points per block wherever the package works on many points at once: the
 # heatmap CLI evaluates its field, solver._build_grid tests its edges'
 # clearance, solver._build_graph computes its densities and edge weights,
-# gridcsv.write_grid_csv formats its values, and
+# gridcsv.write_grid_csv formats its values (on one gridcsv.Workspace of
+# this many entries, reused for every block), and
 # domains.punctured_k_lengths measures whole paths of at most this many
 # puncture x segment entries together, one block at a time.
 # Every such step is pointwise, so the results do not depend on the block

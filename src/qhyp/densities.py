@@ -323,12 +323,12 @@ def _bp_arc_upper(domain: Domain, curves: Sequence[Tuple[Polyline, str]],
     infinite where beta vanishes, is an upper density only where
     ``beta_field`` does not exceed the true gap exponent, the same
     assumption ``bp_upper_density`` makes."""
-    from .beta import beta_field  # deferred: beta builds on this module
+    from .beta import _beta_and_delta  # deferred: beta builds on this module
 
     def rho(z):
         with np.errstate(divide="ignore", over="ignore"):
-            return (np.minimum(2.0, (math.pi / 2.0) / beta_field(domain, z))
-                    / domain.delta_field(z))
+            b, d = _beta_and_delta(domain, z)
+            return np.minimum(2.0, (math.pi / 2.0) / b) / d
 
     def length(curve: Polyline, rel_tol: float, stop_above: float) -> float:
         try:

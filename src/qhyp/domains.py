@@ -1160,7 +1160,8 @@ def _punctured_pieces(u: np.ndarray, v: np.ndarray, p: np.ndarray
         nh_c = np.conj(n / nn)
         num = (0.5 * (pu[c_idx, cols] + pu[:, cols]) * nh_c).real
         a = num - (_ERR * (ru[c_idx, cols] + ru[:, cols]) + _ABS)
-        return a, (e[cols] * nh_c).real + _ERR, 2.0 * (1.0 + 4.0 * _ROUND) * nn
+        # e as a row, of nh_c's dimension, as for wu and wv above
+        return a, (e[None, cols] * nh_c).real + _ERR, 2.0 * (1.0 + 4.0 * _ROUND) * nn
 
     # cores: where f's upper bound, -A + t B, is negative for every other q
     npunct = p.shape[0]

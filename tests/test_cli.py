@@ -84,6 +84,18 @@ def test_geodesic_writes_csv(tmp_path, capsys):
     assert len(lines) - 1 == len(payload["path"])
 
 
+def test_geodesic_csv_bytes_equal_the_per_point_loop(tmp_path, capsys):
+    csv = tmp_path / "path.csv"
+    rc, out, _ = run(capsys, "geodesic", "--domain", TWO_PUNCT,
+                     "--from=-0.5,0.3", "--to=2.1,-1",
+                     "--resolution", "32", "--csv", str(csv))
+    assert rc == 0
+    points = [complex(*p) for p in json.loads(out)["path"]]
+    assert len(points) > 10
+    want = "re,im\n" + "".join(f"{p.real:.17g},{p.imag:.17g}\n" for p in points)
+    assert csv.read_bytes() == want.encode()
+
+
 def test_geodesic_truncates_long_paths(capsys):
     rc, out, _ = run(capsys, "geodesic", "--domain", ONE_PUNCT,
                      "--from", "1,0", "--to", "0,1",
